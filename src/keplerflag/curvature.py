@@ -357,12 +357,15 @@ def flag_curvature(metric, pt):
         if not status.ok:
             return CurvatureSample(pt, None, "domain_error", status.reason)
     ix, iy, ir, it = _var_indices(m)
-    try:
-        f = m.fstar_jet(pt, 4)
-    except DomainError as exc:
-        return CurvatureSample(pt, None, "domain_error", str(exc))
-    L = 0.5 * f * f
-    terms = _assemble(L, ix, iy, ir, it, pt.r, pt.t)
+    # Overflow far out in x turns coefficients into inf/NaN; such points
+    # end as nonfinite_result, so the floating-point warnings are noise.
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        try:
+            f = m.fstar_jet(pt, 4)
+        except DomainError as exc:
+            return CurvatureSample(pt, None, "domain_error", str(exc))
+        L = 0.5 * f * f
+        terms = _assemble(L, ix, iy, ir, it, pt.r, pt.t)
     det = float(np.asarray(terms.det))
     if det <= 0.0:
         return CurvatureSample(pt, None, "domain_error", "degenerate_cometric")
@@ -381,11 +384,12 @@ def _kepler_flag_batch(params, x, r, t):
     Returns ``(K, vt, det)``; callers classify lanes with ``det <= 0`` or
     ``|vt| < SINGULAR_V_TOL`` themselves.
     """
-    f = _fstar_jet_batch(params, x, r, t, 4)
-    L = 0.5 * f * f
-    terms = _assemble(L, 0, None, 1, 2, r, t)
-    vt = terms.v * t
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # Lanes that overflow end as nonfinite_result, as in flag_curvature.
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        f = _fstar_jet_batch(params, x, r, t, 4)
+        L = 0.5 * f * f
+        terms = _assemble(L, 0, None, 1, 2, r, t)
+        vt = terms.v * t
         K = terms.numerator / vt
     return K, vt, terms.det
 

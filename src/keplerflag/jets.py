@@ -276,15 +276,22 @@ class Jet:
     # analytic functions
 
     def _compose(self, series):
-        """Evaluate sum_k series[k] * (self - c0)^k by Horner."""
+        """Evaluate sum_k series[k] * (self - c0)^k by Horner.
+
+        The first step scales ``delta`` by ``series[-1]`` instead of taking
+        the product of a constant jet with ``delta``: the pairs that product
+        adds beyond ``series[-1] * delta[k]`` are exact zeros.
+        """
+        if len(series) == 1:
+            return Jet.constant(
+                np.broadcast_to(series[0], self.coeffs.shape[1:]),
+                self.num_vars, self.max_order,
+            )
         delta_coeffs = self.coeffs.copy()
         delta_coeffs[0] = 0.0
         delta = Jet(self._space, delta_coeffs)
-        result = Jet.constant(
-            np.broadcast_to(series[-1], self.coeffs.shape[1:]),
-            self.num_vars, self.max_order,
-        )
-        for ck in series[-2::-1]:
+        result = delta * series[-1] + series[-2]
+        for ck in series[-3::-1]:
             result = result * delta + ck
         return result
 

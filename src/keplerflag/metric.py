@@ -166,9 +166,9 @@ def inner_radicand(params, x, r, t):
     Accepts scalars or arrays; ``x`` must be nonzero elementwise.
     """
     x = np.asarray(x, dtype=float)
-    norm_q = np.sqrt(r * r + (t * t) / (x * x))
-    w = x * x + 2.0 * params.c
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        norm_q = np.sqrt(r * r + (t * t) / (x * x))
+        w = x * x + 2.0 * params.c
         out = 1.0 - (16.0 * params.a) * t / (norm_q * w * w)
     return float(out) if out.ndim == 0 else out
 
@@ -178,11 +178,15 @@ def validate_domain(params, pt):
 
     Also evaluates the hypothesis certificate ``a|p| < (|p|^2/4 + c/2)^2``
     at the point (informational; it holds automatically whenever the energy
-    condition does).
+    condition does).  A non-finite ``x``, ``r`` or ``t`` is reported as
+    ``nonfinite_input``.
     """
+    if not all(math.isfinite(v) for v in (pt.x, pt.r, pt.t)):
+        return DomainStatus(False, "nonfinite_input", None, None)
     if pt.x == 0.0:
         return DomainStatus(False, "chart_singularity", None, None)
-    cert = params.a * abs(pt.x) < (pt.x * pt.x / 4.0 + params.c / 2.0) ** 2
+    half_w = pt.x * pt.x / 4.0 + params.c / 2.0
+    cert = params.a * abs(pt.x) < half_w * half_w
     if pt.r == 0.0 and pt.t == 0.0:
         return DomainStatus(False, "zero_fiber_direction", None, cert)
     if params.a > 0.0 and params.c <= params.critical_c:

@@ -5,14 +5,16 @@ direction ``(r, t) = (sin phi, cos phi)``; slices evaluate along the ray
 ``(x, 0, 0, x)``.  Inadmissible or denominator-singular lattice points are
 kept as first-class rows with a non-``ok`` status so downstream plotting can
 see exactly where the domain boundary runs.  Evaluation is vectorized in
-fixed-size chunks over a preallocated, index-addressed buffer: output order
-is decided by the lattice index alone, so identical specs produce
+blocks of 128 lanes over a preallocated, index-addressed buffer.  Each
+lane's arithmetic is the same whatever the block size, and output order is
+decided by the lattice index alone, so identical specs produce
 bit-identical files.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import sys
 from dataclasses import asdict, dataclass
 
@@ -35,7 +37,21 @@ __all__ = [
 # Half-width of the excluded band around the chart singularity x = 0.
 DEFAULT_EXCLUDE_BAND = 1e-3
 
-_CHUNK = 8192
+# Lanes per kernel block.  An order-4 product builds gather temporaries of
+# 210 x _CHUNK doubles; at 8192 lanes (14 MB each) glibc maps and unmaps
+# them on every call, about 250k minor page faults per 256^2 pass.  From
+# 256 to 1024 lanes the count depends on earlier allocations, through
+# glibc's adaptive mmap threshold: in a fresh process 256 lanes took 2.6k
+# faults on a first pass and 49k on a second, 512 lanes 100k then 900k,
+# and 1024 lanes about 1M.  128 lanes keep each temporary at 215 KiB and
+# cost 2-3k faults on every pass.  Every lane's arithmetic is independent
+# of the block size, so the output is too.
+_CHUNK = 128
+
+
+def _require_finite_bounds(*bounds):
+    if not all(math.isfinite(b) for b in bounds):
+        raise ValueError(f"range bounds must be finite, got {bounds}")
 
 
 @dataclass(frozen=True)
@@ -55,6 +71,7 @@ class GridSpec:
     def __post_init__(self):
         if self.nx < 1 or self.nphi < 1:
             raise ValueError(f"grid needs nx, nphi >= 1, got {self.nx}, {self.nphi}")
+        _require_finite_bounds(self.x_min, self.x_max, self.phi_min, self.phi_max)
         if self.x_min > self.x_max or self.phi_min > self.phi_max:
             raise ValueError("grid ranges must be nondecreasing")
         if self.exclude_band < 0.0:
@@ -80,6 +97,7 @@ class SliceSpec:
     def __post_init__(self):
         if self.n < 2:
             raise ValueError(f"slice needs n >= 2, got {self.n}")
+        _require_finite_bounds(self.x_min, self.x_max)
         if self.x_min > self.x_max:
             raise ValueError("slice range must be nondecreasing")
         if self.exclude_band < 0.0:

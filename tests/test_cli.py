@@ -52,6 +52,16 @@ class TestPoint:
         assert code == 1
         assert "singular" in err
 
+    def test_overflowing_point_exits_one(self, capsys):
+        code, _, err = run(capsys, "point", "--c", "2", "--x", "1e150")
+        assert code == 1
+        assert "nonfinite_result" in err
+
+    def test_nonfinite_point_exits_one(self, capsys):
+        code, _, err = run(capsys, "point", "--c", "2", "--x", "nan")
+        assert code == 1
+        assert "nonfinite_input" in err
+
 
 class TestArgumentErrors:
     def test_unknown_flag_exits_two(self, capsys):
@@ -126,6 +136,12 @@ class TestGrid:
                            "--x-range", "0.5:2", "--nx", "4", "--nphi", "4",
                            "--out", str(out_path))
         assert code == 1
+
+    @pytest.mark.parametrize("command", ["grid", "slice"])
+    def test_nonfinite_range_exits_one(self, capsys, command):
+        code, _, err = run(capsys, command, "--c", "2", "--x-range", "nan:2")
+        assert code == 1
+        assert "finite" in err
 
 
 class TestVerifiers:

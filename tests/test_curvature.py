@@ -1,6 +1,7 @@
 """Tests for the curvature pipeline and its closed-form oracle."""
 
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -214,6 +215,19 @@ class TestFlagCurvatureKepler:
         sample = flag_curvature(MetricParams(1.0, 2.0), PhasePoint(1.0, 0.0, 1.0, 0.0))
         assert sample.status == "singular_v"
         assert sample.K is None
+
+    @pytest.mark.parametrize("x", [1e150, -1e150, 1e-200])
+    def test_extreme_x_reported_without_warnings(self, x):
+        # 1e150 used to overflow in validate_domain's certificate, 1e-200
+        # to leak "divide by zero" from inner_radicand
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            sample = flag_curvature(MetricParams(1.0, 2.0),
+                                    PhasePoint(x, 0.0, 0.3, 0.7))
+        assert sample.status == "domain_error"
+        assert sample.K is None
+        if abs(x) > 1.0:
+            assert sample.reason == "nonfinite_result"
 
     def test_chart_singularity_reported(self):
         sample = flag_curvature(MetricParams(1.0, 2.0), PhasePoint(0.0, 0.0, 0.0, 1.0))

@@ -105,6 +105,11 @@ class TestAnalytic:
         assert j.value == pytest.approx(-0.5, rel=1e-15)
         assert j.coefficient((1,)) == pytest.approx(-0.25, rel=1e-15)
 
+    def test_order_zero_jet_composes_to_a_constant(self):
+        j = Jet.constant(np.array([4.0, 0.25]), 2, 0)
+        np.testing.assert_array_equal(j.sqrt().coeffs, [[2.0, 0.5]])
+        np.testing.assert_array_equal(j.reciprocal().coeffs, [[0.25, 4.0]])
+
     def test_noninteger_power_needs_positive_base(self):
         with pytest.raises(DomainError):
             Jet.variable(0, -1.0, 1, 2).power(1.5)
@@ -297,3 +302,62 @@ class TestStructure:
             xs = Jet.variable(0, float(v), 1, 4)
             fs = (1.0 + xs * xs).sqrt() * xs.reciprocal()
             np.testing.assert_allclose(fb.coeffs[:, lane], fs.coeffs, rtol=5e-16)
+
+
+# ----------------------------------------------------------------------
+# The composition must reproduce, coefficient for coefficient, Horner
+# started from the full product of a constant jet with delta.
+
+
+def reference_power(jet, p):
+    """``jet ** p`` by Horner over the binomial series, every step a product."""
+    c0 = jet.coeffs[0]
+    if p.is_integer():
+        exps = [int(p) - k for k in range(jet.max_order + 1)]
+    else:
+        exps = [p - k for k in range(jet.max_order + 1)]
+    series = []
+    binom = 1.0
+    for k, e in enumerate(exps):
+        series.append(binom * c0**e)
+        binom *= (p - k) / (k + 1.0)
+    delta_coeffs = jet.coeffs.copy()
+    delta_coeffs[0] = 0.0
+    delta = Jet(jet._space, delta_coeffs)
+    result = Jet.constant(
+        np.broadcast_to(series[-1], jet.coeffs.shape[1:]),
+        jet.num_vars, jet.max_order,
+    )
+    for ck in series[-2::-1]:
+        result = result * delta + ck
+    return result
+
+
+def _random_jet(rng, batch):
+    from keplerflag.jets import _space
+
+    sp = _space(3, 4)
+    coeffs = rng.normal(size=(sp.ncoeff,) + batch)
+    coeffs[0] = rng.uniform(0.2, 3.0, size=batch)
+    return Jet(sp, coeffs)
+
+
+@pytest.mark.parametrize("batch", [(), (257,)], ids=["scalar", "batched"])
+@pytest.mark.parametrize(
+    "op, p",
+    [
+        (Jet.sqrt, 0.5),
+        (Jet.reciprocal, -1.0),
+        (lambda j: j.power(1.5), 1.5),
+        (lambda j: j.power(-2), -2.0),
+    ],
+    ids=["sqrt", "reciprocal", "power_1.5", "power_-2"],
+)
+def test_composition_matches_full_product_horner(op, p, batch):
+    rng = np.random.default_rng(11)
+    for _ in range(3):
+        jet = _random_jet(rng, batch)
+        got = op(jet).coeffs
+        want = reference_power(jet, p).coeffs
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)

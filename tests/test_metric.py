@@ -231,6 +231,15 @@ class TestDomainValidation:
         assert not status.ok
         assert status.reason == "zero_fiber_direction"
 
+    @pytest.mark.parametrize("field", ["x", "r", "t"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_input_rejected(self, field, value):
+        coords = dict(x=1.0, y=0.0, r=0.3, t=0.7)
+        coords[field] = value
+        status = validate_domain(MetricParams(1.0, 2.0), PhasePoint(**coords))
+        assert not status.ok
+        assert status.reason == "nonfinite_input"
+
     def test_radicand_positive_everywhere_above_critical_energy(self):
         # t/|q| <= |x| bounds the subtracted term by 16a|x|/(x^2+2c)^2,
         # which stays below 1 whenever c exceeds the critical energy; the

@@ -34,6 +34,24 @@ class TestGridSpec:
             GridSpec(x_min=0.5, x_max=1.0, nx=2, phi_min=0, phi_max=1, nphi=2,
                      c=-1.0, a=1.0)
 
+    @pytest.mark.parametrize("field", ["x_min", "x_max", "phi_min", "phi_max"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_rejects_nonfinite_bounds(self, field, value):
+        bounds = dict(x_min=0.5, x_max=1.0, phi_min=0.0, phi_max=1.0)
+        bounds[field] = value
+        with pytest.raises(ValueError, match="finite"):
+            GridSpec(nx=2, nphi=2, c=2.0, a=1.0, **bounds)
+
+
+class TestSliceSpec:
+    @pytest.mark.parametrize("field", ["x_min", "x_max"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_rejects_nonfinite_bounds(self, field, value):
+        bounds = dict(x_min=0.5, x_max=1.0)
+        bounds[field] = value
+        with pytest.raises(ValueError, match="finite"):
+            SliceSpec(c=2.0, a=1.0, n=3, **bounds)
+
 
 class TestGridScan:
     def test_single_point_grid(self):
@@ -217,12 +235,19 @@ class TestDeterminism:
     def test_chunked_evaluation_matches_unchunked(self, monkeypatch):
         import keplerflag.scan as scan_module
 
-        spec = GridSpec(x_min=0.5, x_max=3.0, nx=7, phi_min=0.0, phi_max=TAU,
-                        nphi=5, c=1.55, a=1.0)
-        samples_big, _ = grid_scan(spec)
-        monkeypatch.setattr(scan_module, "_CHUNK", 4)
-        samples_small, _ = grid_scan(spec)
-        for a, b in zip(samples_big, samples_small):
-            assert a.status == b.status
-            if a.status == "ok":
-                assert a.K == b.K  # bit-identical: same kernel, same order
+        # 289 lanes span more than two default blocks; x = 0 is a lattice
+        # row, so chart_singularity rows fall inside a block, and the
+        # phi = pi/2 column gives singular_v lanes.
+        spec = GridSpec(x_min=-2.0, x_max=2.0, nx=17, phi_min=0.0, phi_max=TAU,
+                        nphi=17, c=1.51, a=1.0)
+        assert spec.nx * spec.nphi > 2 * scan_module._CHUNK
+        reference, _ = grid_scan(spec)
+        statuses = {s.status for s in reference}
+        assert statuses == {"ok", "domain_error", "singular_v"}
+        for chunk in (4, 8192):
+            monkeypatch.setattr(scan_module, "_CHUNK", chunk)
+            samples, _ = grid_scan(spec)
+            # bit-identical: same kernel, same order
+            assert [s.K for s in samples] == [s.K for s in reference]
+            assert [s.status for s in samples] == [s.status for s in reference]
+            assert [s.reason for s in samples] == [s.reason for s in reference]
