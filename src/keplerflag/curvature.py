@@ -357,13 +357,16 @@ def flag_curvature(metric, pt):
         if not status.ok:
             return CurvatureSample(pt, None, "domain_error", status.reason)
     ix, iy, ir, it = _var_indices(m)
-    # Overflow far out in x turns coefficients into inf/NaN; such points
-    # end as nonfinite_result, so the floating-point warnings are noise.
+    # Overflow far out in x turns coefficients into inf/NaN, and underflow
+    # near the chart singularity zeros a constant term, so that a jet
+    # reciprocal or root raises DomainError where a float would give inf or
+    # NaN.  Both end as nonfinite_result, as in the grid, so the
+    # floating-point warnings are noise.
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         try:
             f = m.fstar_jet(pt, 4)
-        except DomainError as exc:
-            return CurvatureSample(pt, None, "domain_error", str(exc))
+        except DomainError:
+            return CurvatureSample(pt, None, "domain_error", "nonfinite_result")
         L = 0.5 * f * f
         terms = _assemble(L, ix, iy, ir, it, pt.r, pt.t)
     det = float(np.asarray(terms.det))
@@ -371,7 +374,7 @@ def flag_curvature(metric, pt):
         return CurvatureSample(pt, None, "domain_error", "degenerate_cometric")
     vt = float(np.asarray(terms.v)) * pt.t
     if abs(vt) < SINGULAR_V_TOL:
-        return CurvatureSample(pt, None, "singular_v", f"v*t={vt}")
+        return CurvatureSample(pt, None, "singular_v", "denominator_below_tolerance")
     K = float(np.asarray(terms.numerator)) / vt
     if not math.isfinite(K):
         return CurvatureSample(pt, None, "domain_error", "nonfinite_result")

@@ -24,6 +24,24 @@ Coefficients may be scalars or NumPy arrays of a common batch shape, in
 which case every operation acts elementwise across the batch.  Jets are
 immutable values: operations return fresh jets and never write to their
 operands, so they are safe to share between threads.
+
+Summation order
+---------------
+Floating-point sums depend on their order, and reordering a product's sums
+moves the flag curvature by up to 6e-8 relative on the acceptance grids, so
+the order of every product is fixed and written down.  The pairs ``(i, j)``
+of output ``k`` are sorted; call their products ``p0 ... p(n-1)`` and let
+``q0 ... q(m-1)`` be ``p1 ... p(n-1)``.  Then ``c_k = p0 + S`` with
+
+* ``S = ((q0 + q1) + q2) + ...`` left to right when ``m < 8``;
+* ``S = ((q0 + q1) + (q2 + q3)) + ((q4 + q5) + (q6 + q7))``, then ``+ q8``,
+  ``+ q9``, ... left to right, when ``8 <= m < 16``.
+
+This is the order of ``np.add.reduceat`` (NumPy's pairwise summation, see
+Higham, *Accuracy and Stability of Numerical Algorithms*, 2nd ed., 4.2).
+Scalar jets call ``reduceat``; batched jets run the same order as a fixed
+schedule vectorised across lanes, because ``reduceat`` along the pair axis
+makes one strided call per output coefficient and lane.
 """
 
 from __future__ import annotations
@@ -56,7 +74,8 @@ class _JetSpace:
 
     __slots__ = (
         "num_vars", "max_order", "monomials", "index", "ncoeff",
-        "_mul_i", "_mul_j", "_mul_starts", "_d_src", "_d_fac",
+        "_mul_i", "_mul_j", "_mul_starts", "_sched_i", "_sched_j",
+        "_n_long", "_n_sum", "_chain", "_unsort", "_d_src", "_d_fac",
     )
 
     def __init__(self, num_vars, max_order):
@@ -67,7 +86,9 @@ class _JetSpace:
         self.ncoeff = len(self.monomials)
 
         # Truncated Cauchy product: all (i, j) with deg_i + deg_j <= max_order,
-        # grouped by the output index so a product is one gather + one reduceat.
+        # sorted, hence grouped by the output index: a scalar product is one
+        # gather + one reduceat, which sums each group in the order of the
+        # module docstring.
         pairs = []
         degrees = [sum(m) for m in self.monomials]
         for i, mi in enumerate(self.monomials):
@@ -82,6 +103,7 @@ class _JetSpace:
         # Every output index occurs at least once (pair with the constant
         # monomial), so these reduceat segments are never empty.
         self._mul_starts = np.searchsorted(mul_k, np.arange(self.ncoeff))
+        self._build_schedule(len(pairs))
 
         # Partial-derivative tables, target order max_order - 1.  The target
         # monomials are exactly the prefix of this space's graded enumeration.
@@ -100,6 +122,78 @@ class _JetSpace:
                     fac[s] = mu[var] + 1
                 self._d_src.append(src)
                 self._d_fac.append(fac)
+
+    def _build_schedule(self, npairs):
+        """Gather order and steps that sum batched products like reduceat.
+
+        An output is short if ``1 <= m < 8`` and long if ``8 <= m < 16``.
+        ``S`` (module docstring) is one block of rows, one per output with
+        ``m >= 1``: the short outputs by ascending ``m``, each row starting
+        as its ``q0``, then the long ones by descending ``m``, each row
+        starting as its 8-term tree.  Chain step ``c`` adds ``q(c)`` to the
+        short rows and ``q(c+7)`` to the long rows that still have terms;
+        those are a suffix of the short rows and a prefix of the long ones,
+        so each step is one contiguous slice of ``S`` plus one contiguous
+        block of products.  Products are gathered in the order they are
+        consumed:
+
+        * ``p0`` of every output, in ``S`` order, then the ``m = 0`` outputs;
+        * ``q0`` of the short outputs, then the trees' terms as an
+          ``(8, n_long)`` block whose first axis runs ``q0 q4 q2 q6 q1 q5
+          q3 q7``: adding its second half to its first, three times over,
+          sums them as NumPy does and leaves the trees in the rows that
+          follow the short ``q0``;
+        * the chain blocks.
+        """
+        starts = self._mul_starts.tolist()
+        m = [end - start - 1 for start, end in zip(starts, starts[1:] + [npairs])]
+        # 4 variables at order 4 peak at m = 15 (x0 x1 x2 x3).  From m = 16
+        # on, NumPy's 8 accumulators take a second term each, which this
+        # schedule does not do.
+        assert max(m) < 16, "summation schedule covers m < 16 only"
+        outs = range(self.ncoeff)
+        short = sorted((k for k in outs if 1 <= m[k] < 8), key=lambda k: m[k])
+        long_ = sorted((k for k in outs if m[k] >= 8), key=lambda k: -m[k])
+        order = short + long_ + [k for k in outs if m[k] == 0]
+        rows = [starts[k] for k in order] + [starts[k] + 1 for k in short]
+        rows += [starts[k] + 1 + q for q in (0, 4, 2, 6, 1, 5, 3, 7) for k in long_]
+        chain = []
+        for c in range(1, 8):
+            tail = [starts[k] + 1 + c for k in short if m[k] > c]
+            head = [starts[k] + 8 + c for k in long_ if m[k] > c + 7]
+            if tail or head:
+                lo, hi = len(short) - len(tail), len(short) + len(head)
+                chain.append((lo, hi, len(rows)))
+                rows += tail + head
+        assert sorted(rows) == list(range(npairs))
+        self._sched_i = self._mul_i[rows]
+        self._sched_j = self._mul_j[rows]
+        self._n_long, self._n_sum = len(long_), len(short) + len(long_)
+        self._chain = tuple(chain)
+        unsort = [0] * self.ncoeff
+        for position, k in enumerate(order):
+            unsort[k] = position
+        self._unsort = np.array(unsort, dtype=np.intp)
+
+    def scheduled_sum(self, prod):
+        """Coefficients from products gathered in schedule order.
+
+        Sums in the order of the module docstring, bit for bit equal to
+        ``np.add.reduceat`` over the same products in pair order.  Works in
+        place in ``prod``, which must be a fresh temporary.
+        """
+        n_sum = self._n_sum
+        S = prod[self.ncoeff : self.ncoeff + n_sum]
+        if self._n_long:
+            top = self.ncoeff + n_sum - self._n_long
+            tree = prod[top : top + 8 * self._n_long]
+            for h in (4, 2, 1):
+                half = h * self._n_long
+                np.add(tree[:half], tree[half : 2 * half], out=tree[:half])
+        for lo, hi, row in self._chain:
+            np.add(S[lo:hi], prod[row : row + hi - lo], out=S[lo:hi])
+        np.add(prod[:n_sum], S, out=prod[:n_sum])
+        return np.take(prod, self._unsort, axis=0)
 
 
 @lru_cache(maxsize=None)
@@ -234,8 +328,16 @@ class Jet:
             return Jet(self._space, self.coeffs * other)
         self._check_compatible(other)
         sp = self._space
-        prod = self.coeffs[sp._mul_i] * other.coeffs[sp._mul_j]
-        return Jet(sp, np.add.reduceat(prod, sp._mul_starts, axis=0))
+        # Both sum in the same order.  On one lane reduceat's single call
+        # beats the schedule's fifteen; across lanes it makes one strided
+        # call per coefficient and lane.
+        if self.coeffs.ndim == 1 and other.coeffs.ndim == 1:
+            prod = self.coeffs[sp._mul_i] * other.coeffs[sp._mul_j]
+            return Jet(sp, np.add.reduceat(prod, sp._mul_starts, axis=0))
+        a = np.take(self.coeffs, sp._sched_i, axis=0)
+        b = np.take(other.coeffs, sp._sched_j, axis=0)
+        prod = np.multiply(a, b, out=a if a.shape == b.shape else None)
+        return Jet(sp, sp.scheduled_sum(prod))
 
     __rmul__ = __mul__
 

@@ -5,7 +5,7 @@ direction ``(r, t) = (sin phi, cos phi)``; slices evaluate along the ray
 ``(x, 0, 0, x)``.  Inadmissible or denominator-singular lattice points are
 kept as first-class rows with a non-``ok`` status so downstream plotting can
 see exactly where the domain boundary runs.  Evaluation is vectorized in
-blocks of 128 lanes over a preallocated, index-addressed buffer.  Each
+blocks of 256 lanes over a preallocated, index-addressed buffer.  Each
 lane's arithmetic is the same whatever the block size, and output order is
 decided by the lattice index alone, so identical specs produce
 bit-identical files.
@@ -37,21 +37,31 @@ __all__ = [
 # Half-width of the excluded band around the chart singularity x = 0.
 DEFAULT_EXCLUDE_BAND = 1e-3
 
-# Lanes per kernel block.  An order-4 product builds gather temporaries of
-# 210 x _CHUNK doubles; at 8192 lanes (14 MB each) glibc maps and unmaps
-# them on every call, about 250k minor page faults per 256^2 pass.  From
-# 256 to 1024 lanes the count depends on earlier allocations, through
-# glibc's adaptive mmap threshold: in a fresh process 256 lanes took 2.6k
-# faults on a first pass and 49k on a second, 512 lanes 100k then 900k,
-# and 1024 lanes about 1M.  128 lanes keep each temporary at 215 KiB and
-# cost 2-3k faults on every pass.  Every lane's arithmetic is independent
-# of the block size, so the output is too.
-_CHUNK = 128
+# Lanes per kernel block.  A batched order-4 product makes about 15 NumPy
+# calls whatever the lane count, plus two gather temporaries of
+# 210 x _CHUNK doubles: the calls favour wide blocks, the page faults of
+# the temporaries narrow ones.  At 8192 lanes (14 MB each) glibc maps and
+# unmaps them on every call; below that the count follows glibc's adaptive
+# mmap and trim thresholds.  Minor faults per 256^2 pass in a fresh
+# process, first pass then second: 128 lanes 3.2k and 2.8k, 256 lanes
+# (430 KiB temporaries) 152k and 107k, 512 lanes 487k and 482k.  256 lanes
+# still give the fastest pass on the 2-vCPU Xeon: two 20-second perfbench
+# grid-accept3 runs each gave wall_s 1.05 and 1.33 s, against 1.50 and
+# 1.57 s at 128 lanes.  Every lane's arithmetic is independent of the
+# block size, so the output is too.
+_CHUNK = 256
 
 
 def _require_finite_bounds(*bounds):
     if not all(math.isfinite(b) for b in bounds):
         raise ValueError(f"range bounds must be finite, got {bounds}")
+
+
+def _require_finite_span(lo, hi, name):
+    # np.linspace steps by (hi - lo) / (n - 1), which overflows for finite
+    # bounds more than the float range apart.
+    if not math.isfinite(hi - lo):
+        raise ValueError(f"{name} range {lo}:{hi} must have a finite width")
 
 
 @dataclass(frozen=True)
@@ -74,6 +84,8 @@ class GridSpec:
         _require_finite_bounds(self.x_min, self.x_max, self.phi_min, self.phi_max)
         if self.x_min > self.x_max or self.phi_min > self.phi_max:
             raise ValueError("grid ranges must be nondecreasing")
+        _require_finite_span(self.x_min, self.x_max, "x")
+        _require_finite_span(self.phi_min, self.phi_max, "phi")
         if self.exclude_band < 0.0:
             raise ValueError("exclude_band must be nonnegative")
         MetricParams(self.a, self.c)  # parameter validation
@@ -100,6 +112,7 @@ class SliceSpec:
         _require_finite_bounds(self.x_min, self.x_max)
         if self.x_min > self.x_max:
             raise ValueError("slice range must be nondecreasing")
+        _require_finite_span(self.x_min, self.x_max, "x")
         if self.exclude_band < 0.0:
             raise ValueError("exclude_band must be nonnegative")
         MetricParams(self.a, self.c)

@@ -143,6 +143,17 @@ class TestGrid:
         assert code == 1
         assert "finite" in err
 
+    @pytest.mark.parametrize("command", ["grid", "slice"])
+    def test_range_wider_than_float_range_exits_one(self, capsys, command):
+        # both bounds are finite, but the width overflows: linspace cannot
+        # step across it without nan/inf lattice points
+        sizes = ["--nx", "3", "--nphi", "2"] if command == "grid" else ["--n", "3"]
+        code, out, err = run(capsys, command, "--c", "2",
+                             "--x-range", "-1e308:1e308", *sizes)
+        assert code == 1
+        assert "finite width" in err
+        assert out == ""
+
 
 class TestVerifiers:
     def test_verify_convexity_json(self, capsys):

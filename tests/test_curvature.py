@@ -214,6 +214,7 @@ class TestFlagCurvatureKepler:
     def test_singular_denominator_reported(self):
         sample = flag_curvature(MetricParams(1.0, 2.0), PhasePoint(1.0, 0.0, 1.0, 0.0))
         assert sample.status == "singular_v"
+        assert sample.reason == "denominator_below_tolerance"
         assert sample.K is None
 
     @pytest.mark.parametrize("x", [1e150, -1e150, 1e-200])
@@ -226,8 +227,9 @@ class TestFlagCurvatureKepler:
                                     PhasePoint(x, 0.0, 0.3, 0.7))
         assert sample.status == "domain_error"
         assert sample.K is None
-        if abs(x) > 1.0:
-            assert sample.reason == "nonfinite_result"
+        # at 1e-200 a jet reciprocal rejects an underflowed constant term;
+        # the reason is a code, not that DomainError's text
+        assert sample.reason == "nonfinite_result"
 
     def test_chart_singularity_reported(self):
         sample = flag_curvature(MetricParams(1.0, 2.0), PhasePoint(0.0, 0.0, 0.0, 1.0))

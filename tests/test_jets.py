@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from keplerflag.errors import DomainError
-from keplerflag.jets import Jet
+from keplerflag.jets import MAX_ORDER, MAX_VARS, Jet, _space
 
 
 def jet_close(a, b, tol=1e-13):
@@ -334,8 +334,6 @@ def reference_power(jet, p):
 
 
 def _random_jet(rng, batch):
-    from keplerflag.jets import _space
-
     sp = _space(3, 4)
     coeffs = rng.normal(size=(sp.ncoeff,) + batch)
     coeffs[0] = rng.uniform(0.2, 3.0, size=batch)
@@ -361,3 +359,50 @@ def test_composition_matches_full_product_horner(op, p, batch):
         want = reference_power(jet, p).coeffs
         assert got.shape == want.shape
         assert np.array_equal(got, want)
+
+
+# ----------------------------------------------------------------------
+# Summation order.  Batched products sum each coefficient's pairs by a
+# precomputed schedule; it must give the bits np.add.reduceat gives over
+# the sorted pairs, which is the order the module docstring writes down.
+
+
+def _coeffs(rng, shape, kind):
+    if kind == "moderate":
+        v = rng.normal(size=shape) * 10.0 ** rng.integers(-3, 4, size=shape)
+    else:
+        v = rng.normal(size=shape) * 10.0 ** rng.integers(-150, 151, size=shape)
+    pick = rng.random(size=shape)
+    v[pick < 0.06] = 0.0
+    v[(pick >= 0.06) & (pick < 0.12)] = -0.0
+    if kind == "extreme":
+        v[(pick >= 0.12) & (pick < 0.14)] = np.inf
+        v[(pick >= 0.14) & (pick < 0.16)] = -np.inf
+        v[(pick >= 0.16) & (pick < 0.17)] = np.nan
+    return v
+
+
+def assert_same_bits(got, want):
+    nan = np.isnan(want)
+    assert got.shape == want.shape
+    assert np.array_equal(np.isnan(got), nan)
+    assert np.array_equal(got.view(np.int64)[~nan], want.view(np.int64)[~nan])
+
+
+@pytest.mark.parametrize(
+    "num_vars, max_order",
+    [(nv, mo) for nv in range(1, MAX_VARS + 1) for mo in range(MAX_ORDER + 1)],
+)
+def test_batched_product_sums_like_reduceat(num_vars, max_order):
+    sp = _space(num_vars, max_order)
+    rng = np.random.default_rng(100 * num_vars + max_order)
+    for batch in [(1,), (2,), (128,), (257,), (3, 5)]:
+        for kind in ("moderate", "extreme"):
+            a = _coeffs(rng, (sp.ncoeff,) + batch, kind)
+            b = _coeffs(rng, (sp.ncoeff,) + batch, kind)
+            with np.errstate(all="ignore"):
+                want = np.add.reduceat(
+                    a[sp._mul_i] * b[sp._mul_j], sp._mul_starts, axis=0
+                )
+                got = (Jet(sp, a) * Jet(sp, b)).coeffs
+            assert_same_bits(got, want)

@@ -3,12 +3,15 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from keplerflag.curvature import flag_curvature
+from keplerflag.metric import MetricParams, PhasePoint
 from keplerflag.scan import (
     GridSpec,
     SliceSpec,
+    _evaluate_points,
     emit,
     grid_scan,
     slice_scan,
@@ -42,8 +45,19 @@ class TestGridSpec:
         with pytest.raises(ValueError, match="finite"):
             GridSpec(nx=2, nphi=2, c=2.0, a=1.0, **bounds)
 
+    @pytest.mark.parametrize("axis", ["x", "phi"])
+    def test_rejects_span_beyond_float_range(self, axis):
+        bounds = dict(x_min=0.5, x_max=1.0, phi_min=0.0, phi_max=1.0)
+        bounds[f"{axis}_min"], bounds[f"{axis}_max"] = -1e308, 1e308
+        with pytest.raises(ValueError, match="finite width"):
+            GridSpec(nx=3, nphi=2, c=2.0, a=1.0, **bounds)
+
 
 class TestSliceSpec:
+    def test_rejects_span_beyond_float_range(self):
+        with pytest.raises(ValueError, match="finite width"):
+            SliceSpec(c=2.0, a=1.0, x_min=-1e308, x_max=1e308, n=3)
+
     @pytest.mark.parametrize("field", ["x_min", "x_max"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_rejects_nonfinite_bounds(self, field, value):
@@ -86,6 +100,16 @@ class TestGridScan:
             assert single.status == s.status
             if s.status == "ok":
                 assert s.K == pytest.approx(single.K, rel=1e-9, abs=1e-9)
+
+    def test_singular_lane_reason_matches_point_query(self):
+        params = MetricParams(1.0, 2.0)
+        single = flag_curvature(params, PhasePoint(1.0, 0.0, 1.0, 0.0))
+        K, status, reason = _evaluate_points(
+            params, np.array([1.0]), np.array([1.0]), np.array([0.0]), 1e-3
+        )
+        assert f"{status[0]}:{reason[0]}" == f"{single.status}:{single.reason}"
+        assert single.status == "singular_v"
+        assert math.isnan(K[0]) and single.K is None
 
     def test_excluded_band_rows_are_kept(self):
         spec = GridSpec(x_min=-1.0, x_max=1.0, nx=5, phi_min=0.0, phi_max=1.0,
@@ -235,19 +259,25 @@ class TestDeterminism:
     def test_chunked_evaluation_matches_unchunked(self, monkeypatch):
         import keplerflag.scan as scan_module
 
-        # 289 lanes span more than two default blocks; x = 0 is a lattice
+        # 525 lanes span more than two default blocks; x = 0 is a lattice
         # row, so chart_singularity rows fall inside a block, and the
         # phi = pi/2 column gives singular_v lanes.
-        spec = GridSpec(x_min=-2.0, x_max=2.0, nx=17, phi_min=0.0, phi_max=TAU,
-                        nphi=17, c=1.51, a=1.0)
+        spec = GridSpec(x_min=-2.0, x_max=2.0, nx=21, phi_min=0.0, phi_max=TAU,
+                        nphi=25, c=1.51, a=1.0)
         assert spec.nx * spec.nphi > 2 * scan_module._CHUNK
         reference, _ = grid_scan(spec)
         statuses = {s.status for s in reference}
         assert statuses == {"ok", "domain_error", "singular_v"}
-        for chunk in (4, 8192):
+
+        def bits(samples):
+            K = np.array([math.nan if s.K is None else s.K for s in samples])
+            return K.view(np.int64)
+
+        # block size 1 runs every lane as a batch of one
+        for chunk in (1, 4, 8192):
             monkeypatch.setattr(scan_module, "_CHUNK", chunk)
             samples, _ = grid_scan(spec)
             # bit-identical: same kernel, same order
-            assert [s.K for s in samples] == [s.K for s in reference]
+            assert np.array_equal(bits(samples), bits(reference))
             assert [s.status for s in samples] == [s.status for s in reference]
             assert [s.reason for s in samples] == [s.reason for s in reference]
