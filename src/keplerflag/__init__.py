@@ -50,6 +50,7 @@ from .metric import (
 )
 from .scan import (
     GridSpec,
+    ScanResult,
     ScanSummary,
     SliceSpec,
     emit,
@@ -75,6 +76,7 @@ __all__ = [
     "ConvexityReport",
     "GridSpec",
     "SliceSpec",
+    "ScanResult",
     "ScanSummary",
     "DomainError",
     "PreconditionError",

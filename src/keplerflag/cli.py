@@ -183,9 +183,8 @@ def _cmd_slice(args):
     lo, hi = args.x_range
     spec = SliceSpec(c=args.c, a=args.a, x_min=lo, x_max=hi, n=args.n,
                      exclude_band=args.exclude_band)
-    samples = slice_scan(args.c, args.a, lo, hi, args.n, args.exclude_band)
-    summary = summarize(samples)
-    emit(samples, summary, args.format, args.out, spec=spec,
+    result = slice_scan(args.c, args.a, lo, hi, args.n, args.exclude_band)
+    emit(result, summarize(result), args.format, args.out, spec=spec,
          include_samples=not args.no_samples)
     return 0
 
@@ -196,8 +195,8 @@ def _cmd_grid(args):
         phi_min=args.phi_range[0], phi_max=args.phi_range[1], nphi=args.nphi,
         c=args.c, a=args.a, exclude_band=args.exclude_band,
     )
-    samples, summary = grid_scan(spec)
-    emit(samples, summary, args.format, args.out, spec=spec,
+    result, summary = grid_scan(spec)
+    emit(result, summary, args.format, args.out, spec=spec,
          include_samples=not args.no_samples)
     if summary.n_ok == 0:
         print("warning: no admissible lattice points", file=sys.stderr)

@@ -479,7 +479,12 @@ def flag_curvature_closed_form(c, x, dps=50):
     internally: near the zero set of the radicand the bracket loses most of
     its leading digits to cancellation, so double precision is not enough.
     """
-    beta_check = closed_form_radicand(float(c), float(x))
+    if not (math.isfinite(c) and math.isfinite(x)):
+        raise DomainError(f"closed form needs finite c and x, got (c={c}, x={x})")
+    try:
+        beta_check = closed_form_radicand(float(c), float(x))
+    except OverflowError as exc:  # x**4 or c**2 beyond the float range
+        raise DomainError(f"closed-form radicand overflows at (c={c}, x={x})") from exc
     if beta_check < 0.0:
         raise DomainError(
             f"closed-form radicand is negative at (c={c}, x={x}): {beta_check}",

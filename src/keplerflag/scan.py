@@ -9,6 +9,11 @@ blocks of 256 lanes over a preallocated, index-addressed buffer.  Each
 lane's arithmetic is the same whatever the block size, and output order is
 decided by the lattice index alone, so identical specs produce
 bit-identical files.
+
+Results are columns, not per-point objects: a :class:`ScanResult` holds
+one NumPy array each for ``x``, ``phi``, ``r``, ``t``, ``K``, ``status`` and
+``reason``.  CSV emission formats each lattice axis once, then ``K`` and
+the status per row.
 """
 
 from __future__ import annotations
@@ -20,12 +25,13 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .curvature import SINGULAR_V_TOL, CurvatureSample, _kepler_flag_batch
+from .curvature import SINGULAR_V_TOL, _kepler_flag_batch
 from .metric import MetricParams, PhasePoint, inner_radicand
 
 __all__ = [
     "GridSpec",
     "SliceSpec",
+    "ScanResult",
     "ScanSummary",
     "DEFAULT_EXCLUDE_BAND",
     "grid_scan",
@@ -86,7 +92,7 @@ class GridSpec:
             raise ValueError("grid ranges must be nondecreasing")
         _require_finite_span(self.x_min, self.x_max, "x")
         _require_finite_span(self.phi_min, self.phi_max, "phi")
-        if self.exclude_band < 0.0:
+        if not self.exclude_band >= 0.0:  # NaN fails too
             raise ValueError("exclude_band must be nonnegative")
         MetricParams(self.a, self.c)  # parameter validation
 
@@ -113,13 +119,34 @@ class SliceSpec:
         if self.x_min > self.x_max:
             raise ValueError("slice range must be nondecreasing")
         _require_finite_span(self.x_min, self.x_max, "x")
-        if self.exclude_band < 0.0:
+        if not self.exclude_band >= 0.0:
             raise ValueError("exclude_band must be nonnegative")
         MetricParams(self.a, self.c)
 
     @property
     def params(self):
         return MetricParams(self.a, self.c)
+
+
+@dataclass(frozen=True, eq=False)
+class ScanResult:
+    """A scan's columns in output order: ``phi`` is NaN on slices, ``K`` NaN
+    off ``ok``; ``status`` and ``reason`` (``None`` on ``ok``) hold strings."""
+
+    x: np.ndarray
+    phi: np.ndarray
+    r: np.ndarray
+    t: np.ndarray
+    K: np.ndarray
+    status: np.ndarray
+    reason: np.ndarray
+
+    def __len__(self):
+        return self.x.size
+
+    def point(self, i):
+        """The phase point of row ``i``."""
+        return PhasePoint(float(self.x[i]), 0.0, float(self.r[i]), float(self.t[i]))
 
 
 @dataclass(frozen=True)
@@ -132,22 +159,19 @@ class ScanSummary:
     argmax: PhasePoint | None
 
 
-def summarize(samples):
-    """Extremes over the ok samples; empty-result summary when none are ok."""
-    n_ok = 0
-    n_skipped = 0
-    min_K = max_K = None
-    argmin = argmax = None
-    for s in samples:
-        if s.status != "ok":
-            n_skipped += 1
-            continue
-        n_ok += 1
-        if min_K is None or s.K < min_K:
-            min_K, argmin = s.K, s.point
-        if max_K is None or s.K > max_K:
-            max_K, argmax = s.K, s.point
-    return ScanSummary(n_ok, n_skipped, min_K, max_K, argmin, argmax)
+def summarize(result):
+    """Extremes over the ok rows; empty-result summary when none are ok.
+
+    On ties the first row in output order wins.
+    """
+    ok = np.flatnonzero(result.status == "ok")
+    n_skipped = len(result) - ok.size
+    if ok.size == 0:
+        return ScanSummary(0, n_skipped, None, None, None, None)
+    K = result.K[ok]
+    lo, hi = ok[np.argmin(K)], ok[np.argmax(K)]
+    return ScanSummary(ok.size, n_skipped, float(result.K[lo]), float(result.K[hi]),
+                       result.point(lo), result.point(hi))
 
 
 def _evaluate_points(params, x, r, t, exclude_band):
@@ -161,20 +185,21 @@ def _evaluate_points(params, x, r, t, exclude_band):
     status = np.full(npts, "ok", dtype=object)
     reason = np.full(npts, None, dtype=object)
 
+    def mark(where, label, why):
+        status[where] = label
+        reason[where] = why
+
     banned = np.abs(x) < exclude_band
     zero_x = x == 0.0
-    status[banned | zero_x] = "domain_error"
-    reason[banned | zero_x] = "chart_singularity"
+    mark(banned | zero_x, "domain_error", "chart_singularity")
 
     zero_fiber = (r == 0.0) & (t == 0.0)
     fresh = status == "ok"
-    status[fresh & zero_fiber] = "domain_error"
-    reason[fresh & zero_fiber] = "zero_fiber_direction"
+    mark(fresh & zero_fiber, "domain_error", "zero_fiber_direction")
 
     if params.a > 0.0 and params.c <= params.critical_c:
         fresh = status == "ok"
-        status[fresh] = "domain_error"
-        reason[fresh] = "energy_below_critical"
+        mark(fresh, "domain_error", "energy_below_critical")
         return K, status, reason
 
     candidate = status == "ok"
@@ -184,8 +209,7 @@ def _evaluate_points(params, x, r, t, exclude_band):
             params, x[candidate], r[candidate], t[candidate]
         )
         bad_rad = candidate & ~(rad > 0.0)
-        status[bad_rad] = "domain_error"
-        reason[bad_rad] = "negative_radicand"
+        mark(bad_rad, "domain_error", "negative_radicand")
 
     idx = np.flatnonzero(status == "ok")
     for lo in range(0, idx.size, _CHUNK):
@@ -195,127 +219,92 @@ def _evaluate_points(params, x, r, t, exclude_band):
         sing = ~deg & (np.abs(vtc) < SINGULAR_V_TOL)
         bad = ~np.isfinite(Kc) & ~deg & ~sing
         ok = ~(deg | sing | bad)
-        status[sel[deg]] = "domain_error"
-        reason[sel[deg]] = "degenerate_cometric"
-        status[sel[sing]] = "singular_v"
-        reason[sel[sing]] = "denominator_below_tolerance"
-        status[sel[bad]] = "domain_error"
-        reason[sel[bad]] = "nonfinite_result"
+        mark(sel[deg], "domain_error", "degenerate_cometric")
+        mark(sel[sing], "singular_v", "denominator_below_tolerance")
+        mark(sel[bad], "domain_error", "nonfinite_result")
         K[sel[ok]] = Kc[ok]
     return K, status, reason
 
 
-def _collect(x, r, t, K, status, reason):
-    samples = []
-    for i in range(x.size):
-        pt = PhasePoint(float(x[i]), 0.0, float(r[i]), float(t[i]))
-        if status[i] == "ok":
-            samples.append(CurvatureSample(pt, float(K[i]), "ok"))
-        else:
-            samples.append(CurvatureSample(pt, None, str(status[i]), reason[i]))
-    return samples
-
-
 def grid_scan(spec):
-    """Row-major samples over the (x, phi) lattice, plus their summary."""
+    """Row-major columns over the (x, phi) lattice, plus their summary."""
     xs = np.linspace(spec.x_min, spec.x_max, spec.nx)
     phis = np.linspace(spec.phi_min, spec.phi_max, spec.nphi)
+    # (r, t) are taken on the phi axis and tiled, so every lattice column
+    # evaluates exactly the values emit formats once per axis.
     X = np.repeat(xs, spec.nphi)
-    PHI = np.tile(phis, spec.nx)
-    R = np.sin(PHI)
-    T = np.cos(PHI)
+    PHI, R, T = (np.tile(v, spec.nx) for v in (phis, np.sin(phis), np.cos(phis)))
     K, status, reason = _evaluate_points(spec.params, X, R, T, spec.exclude_band)
-    samples = _collect(X, R, T, K, status, reason)
-    return samples, summarize(samples)
+    result = ScanResult(X, PHI, R, T, K, status, reason)
+    return result, summarize(result)
 
 
 def slice_scan(c, a, x_min=-10.0, x_max=10.0, n=2048,
                exclude_band=DEFAULT_EXCLUDE_BAND):
-    """Samples of K along (x, 0, 0, x) for x in [x_min, x_max]."""
+    """Columns of K along (x, 0, 0, x) for x in [x_min, x_max]."""
     spec = SliceSpec(c=c, a=a, x_min=x_min, x_max=x_max, n=n,
                      exclude_band=exclude_band)
     xs = np.linspace(spec.x_min, spec.x_max, spec.n)
     R = np.zeros_like(xs)
     T = xs.copy()
     K, status, reason = _evaluate_points(spec.params, xs, R, T, spec.exclude_band)
-    return _collect(xs, R, T, K, status, reason)
+    return ScanResult(xs, np.full_like(xs, np.nan), R, T, K, status, reason)
 
 
 # ----------------------------------------------------------------------
 # emission
 
 
-def _fmt(v):
-    return "" if v is None else f"{v:.17g}"
+def _fmt(values):
+    """CSV fields of a float column: 17 significant digits, NaN empty."""
+    return ["" if v != v else "%.17g" % v for v in values.tolist()]
 
 
-def _grid_phis(spec):
-    phis = np.linspace(spec.phi_min, spec.phi_max, spec.nphi)
-    return np.tile(phis, spec.nx)
+def _json_floats(values):
+    return [None if v != v else v for v in values.tolist()]
 
 
-def _status_field(sample):
-    if sample.status == "ok":
-        return "ok"
-    if sample.reason:
-        return f"{sample.status}:{sample.reason}"
-    return sample.status
+def _status_fields(result):
+    """``status`` on ok rows, ``status:reason`` on the others."""
+    return [f"{s}:{r}" if r else s
+            for s, r in zip(result.status.tolist(), result.reason.tolist())]
 
 
-def _point_dict(sample, phi):
-    d = {
-        "x": sample.point.x,
-        "phi": phi,
-        "r": sample.point.r,
-        "t": sample.point.t,
-        "K": sample.K,
-        "status": _status_field(sample),
-    }
-    return d
+def _csv_prefixes(result, spec):
+    """The ``x,phi,r,t,`` start of every CSV row."""
+    columns = (result.x, result.phi, result.r, result.t)
+    if not (isinstance(spec, GridSpec) and len(result) == spec.nx * spec.nphi):
+        return [",".join(f) + "," for f in zip(*map(_fmt, columns))]
+    # A lattice repeats its axes: format x once per row of the lattice and
+    # phi, r, t once per column.
+    n = spec.nphi
+    heads = [f + "," for f in _fmt(result.x[::n])]
+    tails = [",".join(f) + "," for f in zip(*(_fmt(c[:n]) for c in columns[1:]))]
+    return [h + t for h in heads for t in tails]
 
 
-def emit(samples, summary, format, destination, spec=None, include_samples=True):
-    """Write samples (and, for JSON, the spec and summary) to a destination.
+def emit(result, summary, format, destination, spec=None, include_samples=True):
+    """Write a scan's rows (and, for JSON, the spec and summary).
 
     ``destination`` may be a path or ``None``/``"-"`` for standard output.
     CSV columns are exactly ``x,phi,r,t,K,status``; slice output leaves
     ``phi`` empty.  Floats are serialized with 17 significant digits.
     """
-    phis = _grid_phis(spec) if isinstance(spec, GridSpec) else [None] * len(samples)
     if format == "csv":
-        lines = ["x,phi,r,t,K,status"]
-        for sample, phi in zip(samples, phis):
-            p = sample.point
-            lines.append(
-                ",".join(
-                    [
-                        _fmt(p.x),
-                        _fmt(phi if phi is None else float(phi)),
-                        _fmt(p.r),
-                        _fmt(p.t),
-                        _fmt(sample.K),
-                        _status_field(sample),
-                    ]
-                )
-            )
-        text = "\n".join(lines) + "\n"
+        rows = zip(_csv_prefixes(result, spec), _fmt(result.K), _status_fields(result))
+        text = "x,phi,r,t,K,status\n" + "".join([f"{p}{k},{s}\n" for p, k, s in rows])
     elif format == "json":
         doc = {}
         if spec is not None:
             kind = "grid" if isinstance(spec, GridSpec) else "slice"
             doc["spec"] = {"kind": kind, **asdict(spec)}
-        doc["summary"] = {
-            "n_ok": summary.n_ok,
-            "n_skipped": summary.n_skipped,
-            "min_K": summary.min_K,
-            "max_K": summary.max_K,
-            "argmin": asdict(summary.argmin) if summary.argmin else None,
-            "argmax": asdict(summary.argmax) if summary.argmax else None,
-        }
+        doc["summary"] = asdict(summary)
         if include_samples:
+            columns = [_json_floats(c) for c in
+                       (result.x, result.phi, result.r, result.t, result.K)]
             doc["samples"] = [
-                _point_dict(sample, None if phi is None else float(phi))
-                for sample, phi in zip(samples, phis)
+                {"x": x, "phi": phi, "r": r, "t": t, "K": K, "status": s}
+                for x, phi, r, t, K, s in zip(*columns, _status_fields(result))
             ]
         text = json.dumps(doc, indent=2) + "\n"
     else:

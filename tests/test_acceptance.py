@@ -58,10 +58,10 @@ def test_acceptance_2_negative_curvature_low_energy():
     """K < 0 occurs on the c = 1.51 slice; none on the c = 10 slice."""
     start = time.time()
     low = slice_scan(1.51, 1.0, -10.0, 10.0, 2048)
-    low_ks = [s.K for s in low if s.status == "ok"]
+    low_ks = low.K[low.status == "ok"]
     assert min(low_ks) < 0.0
     high = slice_scan(10.0, 1.0, -10.0, 10.0, 2048)
-    high_ks = [s.K for s in high if s.status == "ok"]
+    high_ks = high.K[high.status == "ok"]
     assert min(high_ks) > 0.0
     elapsed = time.time() - start
     assert elapsed < 5.0

@@ -155,6 +155,16 @@ class TestGrid:
         assert out == ""
 
 
+    @pytest.mark.parametrize("command", ["grid", "slice"])
+    def test_nan_exclude_band_exits_one(self, capsys, command):
+        sizes = ["--nx", "3", "--nphi", "2"] if command == "grid" else ["--n", "3"]
+        code, out, err = run(capsys, command, "--c", "2", "--x-range", "-1:1",
+                             "--exclude-band", "nan", *sizes)
+        assert code == 1
+        assert "exclude_band" in err
+        assert out == ""
+
+
 class TestVerifiers:
     def test_verify_convexity_json(self, capsys):
         code, out, _ = run(capsys, "verify-convexity", "--px", "0", "--py", "0",
@@ -207,3 +217,16 @@ class TestClosedForm:
         code, _, err = run(capsys, "closed-form", "--c", "1.2", "--x", "1")
         assert code == 1
         assert "radicand" in err
+
+    @pytest.mark.parametrize("x", ["nan", "inf", "1e200"])
+    def test_nonfinite_or_overflowing_x_exits_one(self, capsys, x):
+        code, out, err = run(capsys, "closed-form", "--c", "2", "--x", x)
+        assert code == 1
+        assert out == ""
+        assert "error" in err
+
+    def test_nonfinite_range_gives_domain_error_rows(self, capsys):
+        code, out, _ = run(capsys, "closed-form", "--c", "2",
+                           "--x-range", "nan:1", "--n", "3")
+        assert code == 0
+        assert out.splitlines()[1:] == ["nan,,domain_error"] * 3

@@ -315,6 +315,25 @@ class TestClosedFormEvaluation:
         with pytest.raises(DomainError):
             flag_curvature_closed_form(1.2, 1.0)
 
+    @pytest.mark.parametrize("c, x", [
+        (2.0, math.nan), (2.0, math.inf), (2.0, -math.inf), (math.nan, 1.0),
+        (math.inf, 1.0),
+    ])
+    def test_nonfinite_input_raises(self, c, x):
+        with pytest.raises(DomainError, match="finite"):
+            flag_curvature_closed_form(c, x)
+
+    @pytest.mark.parametrize("c, x", [(2.0, 1e200), (2.0, -1e200), (1e200, 1.0)])
+    def test_overflowing_radicand_raises(self, c, x):
+        # x**4 or c**2 leaves the float range before the radicand is formed
+        with pytest.raises(DomainError, match="overflows"):
+            flag_curvature_closed_form(c, x)
+
+    def test_radicand_overflowing_without_error_keeps_its_value(self):
+        # 4 c**2 overflows to inf without raising; the 50-digit evaluation
+        # still gives the zero-rotation limit K = 2c, as it always did
+        assert flag_curvature_closed_form(1e154, 1.0) == pytest.approx(2e154, rel=1e-12)
+
     def test_extended_precision_is_stable_near_radicand_zero(self):
         # just above the critical energy the bracket cancels catastrophically;
         # doubling the working precision must not move the result

@@ -1,5 +1,6 @@
 """Tests for grid/slice scanning and emission."""
 
+import hashlib
 import json
 import math
 
@@ -10,6 +11,8 @@ from keplerflag.curvature import flag_curvature
 from keplerflag.metric import MetricParams, PhasePoint
 from keplerflag.scan import (
     GridSpec,
+    ScanResult,
+    ScanSummary,
     SliceSpec,
     _evaluate_points,
     emit,
@@ -19,6 +22,12 @@ from keplerflag.scan import (
 )
 
 TAU = 2.0 * math.pi
+
+# The 21 x 25 c = 1.51 lattice of test_chunked_evaluation_matches_unchunked
+# (ok, domain_error and singular_v rows) and a slice with a row at x = 0.
+PINNED_GRID = GridSpec(x_min=-2.0, x_max=2.0, nx=21, phi_min=0.0, phi_max=TAU,
+                       nphi=25, c=1.51, a=1.0)
+PINNED_SLICE = SliceSpec(c=1.51, a=1.0, x_min=-2.0, x_max=2.0, n=41)
 
 
 class TestGridSpec:
@@ -53,7 +62,21 @@ class TestGridSpec:
             GridSpec(nx=3, nphi=2, c=2.0, a=1.0, **bounds)
 
 
+    @pytest.mark.parametrize("band", [math.nan, -1e-3])
+    def test_rejects_bad_exclude_band(self, band):
+        with pytest.raises(ValueError, match="exclude_band"):
+            GridSpec(x_min=0.5, x_max=1.0, nx=2, phi_min=0.0, phi_max=1.0,
+                     nphi=2, c=2.0, a=1.0, exclude_band=band)
+
+
 class TestSliceSpec:
+    @pytest.mark.parametrize("band", [math.nan, -1e-3])
+    def test_rejects_bad_exclude_band(self, band):
+        with pytest.raises(ValueError, match="exclude_band"):
+            SliceSpec(c=2.0, a=1.0, x_min=0.5, x_max=1.0, n=3, exclude_band=band)
+        with pytest.raises(ValueError, match="exclude_band"):
+            slice_scan(2.0, 1.0, 0.5, 1.0, 3, exclude_band=band)
+
     def test_rejects_span_beyond_float_range(self):
         with pytest.raises(ValueError, match="finite width"):
             SliceSpec(c=2.0, a=1.0, x_min=-1e308, x_max=1e308, n=3)
@@ -71,35 +94,34 @@ class TestGridScan:
     def test_single_point_grid(self):
         spec = GridSpec(x_min=1.0, x_max=1.0, nx=1, phi_min=0.0, phi_max=0.0,
                         nphi=1, c=2.0, a=1.0)
-        samples, summary = grid_scan(spec)
-        assert len(samples) == 1
+        result, summary = grid_scan(spec)
+        assert len(result) == 1
         assert summary.n_ok == 1
-        assert summary.min_K == summary.max_K == samples[0].K
+        assert summary.min_K == summary.max_K == result.K[0]
         # phi = 0 means (r, t) = (0, 1), the reference slice point at x = 1
-        single = flag_curvature(spec.params, samples[0].point)
-        assert samples[0].K == pytest.approx(single.K, rel=1e-9)
+        single = flag_curvature(spec.params, result.point(0))
+        assert result.K[0] == pytest.approx(single.K, rel=1e-9)
 
     def test_row_major_order_and_count(self):
         spec = GridSpec(x_min=0.5, x_max=1.0, nx=3, phi_min=0.0, phi_max=1.0,
                         nphi=4, c=2.0, a=1.0)
-        samples, _ = grid_scan(spec)
-        assert len(samples) == 12
-        xs = [s.point.x for s in samples]
+        result, _ = grid_scan(spec)
+        assert len(result) == 12
+        xs = result.x.tolist()
         assert xs == sorted(xs)  # x varies slowest
         # within one x-row the fiber angle increases
-        row = samples[:4]
-        phis = [math.atan2(s.point.r, s.point.t) for s in row]
+        phis = [math.atan2(r, t) for r, t in zip(result.r[:4], result.t[:4])]
         assert phis == sorted(phis)
 
     def test_matches_single_point_evaluation(self):
         spec = GridSpec(x_min=-2.0, x_max=2.0, nx=5, phi_min=0.0, phi_max=TAU,
                         nphi=6, c=1.55, a=1.0)
-        samples, _ = grid_scan(spec)
-        for s in samples:
-            single = flag_curvature(spec.params, s.point)
-            assert single.status == s.status
-            if s.status == "ok":
-                assert s.K == pytest.approx(single.K, rel=1e-9, abs=1e-9)
+        result, _ = grid_scan(spec)
+        for i, status in enumerate(result.status):
+            single = flag_curvature(spec.params, result.point(i))
+            assert single.status == status
+            if status == "ok":
+                assert result.K[i] == pytest.approx(single.K, rel=1e-9, abs=1e-9)
 
     def test_singular_lane_reason_matches_point_query(self):
         params = MetricParams(1.0, 2.0)
@@ -114,36 +136,90 @@ class TestGridScan:
     def test_excluded_band_rows_are_kept(self):
         spec = GridSpec(x_min=-1.0, x_max=1.0, nx=5, phi_min=0.0, phi_max=1.0,
                         nphi=2, c=2.0, a=1.0, exclude_band=0.1)
-        samples, summary = grid_scan(spec)
-        assert len(samples) == 10
-        banned = [s for s in samples if abs(s.point.x) < 0.1]
-        assert banned and all(s.status == "domain_error" for s in banned)
-        assert all(s.reason == "chart_singularity" for s in banned)
-        assert summary.n_skipped == len(banned)
+        result, summary = grid_scan(spec)
+        assert len(result) == 10
+        banned = np.abs(result.x) < 0.1
+        assert banned.any() and all(result.status[banned] == "domain_error")
+        assert all(result.reason[banned] == "chart_singularity")
+        assert summary.n_skipped == np.count_nonzero(banned)
 
     def test_entirely_invalid_grid_gives_empty_summary(self):
         spec = GridSpec(x_min=-1e-4, x_max=1e-4, nx=4, phi_min=0.0, phi_max=1.0,
                         nphi=3, c=2.0, a=1.0)
-        samples, summary = grid_scan(spec)
+        result, summary = grid_scan(spec)
         assert summary.n_ok == 0
         assert summary.min_K is None and summary.max_K is None
-        assert len(samples) == 12
+        assert len(result) == 12
 
     def test_subcritical_energy_marks_all_points(self):
         spec = GridSpec(x_min=0.5, x_max=1.0, nx=2, phi_min=0.0, phi_max=1.0,
                         nphi=2, c=1.4, a=1.0)
-        samples, summary = grid_scan(spec)
+        result, summary = grid_scan(spec)
         assert summary.n_ok == 0
-        assert all(s.reason == "energy_below_critical" for s in samples)
+        assert all(result.reason == "energy_below_critical")
 
     def test_summary_equals_brute_force(self):
         spec = GridSpec(x_min=0.5, x_max=3.0, nx=8, phi_min=0.0, phi_max=TAU,
                         nphi=8, c=1.55, a=1.0)
-        samples, summary = grid_scan(spec)
-        ks = [s.K for s in samples if s.status == "ok"]
+        result, summary = grid_scan(spec)
+        ks = result.K[result.status == "ok"].tolist()
         assert summary.min_K == min(ks)
         assert summary.max_K == max(ks)
         assert summary.n_ok == len(ks)
+
+
+def summarize_by_loop(result):
+    """The row-by-row summary: strict comparisons keep the first of ties."""
+    n_ok = 0
+    min_K = max_K = argmin = argmax = None
+    for i, status in enumerate(result.status):
+        if status != "ok":
+            continue
+        n_ok += 1
+        K = float(result.K[i])
+        if min_K is None or K < min_K:
+            min_K, argmin = K, result.point(i)
+        if max_K is None or K > max_K:
+            max_K, argmax = K, result.point(i)
+    return ScanSummary(n_ok, len(result) - n_ok, min_K, max_K, argmin, argmax)
+
+
+def columns(K, status):
+    """A ScanResult with the given K and status columns, x = 1, 2, ..."""
+    n = len(K)
+    x = np.arange(1.0, n + 1.0)
+    reason = np.array([None if s == "ok" else "chart_singularity" for s in status],
+                      dtype=object)
+    return ScanResult(x, np.full(n, np.nan), np.zeros(n), x.copy(),
+                      np.array(K, dtype=float), np.array(status, dtype=object), reason)
+
+
+class TestSummarize:
+    def test_ties_and_skipped_rows_match_the_loop(self):
+        nan = math.nan
+        result = columns(
+            [nan, 0.0, -2.0, 3.0, -0.0, -2.0, 3.0, nan, -2.0],
+            ["domain_error", "ok", "ok", "ok", "ok", "ok", "ok", "singular_v", "ok"],
+        )
+        summary = summarize(result)
+        assert summary == summarize_by_loop(result)
+        assert (summary.n_ok, summary.n_skipped) == (7, 2)
+        assert summary.argmin.x == 3.0 and summary.argmax.x == 4.0
+
+    def test_signed_zero_tie_keeps_the_first(self):
+        for K in ([0.0, -0.0], [-0.0, 0.0]):
+            summary = summarize(columns(K, ["ok", "ok"]))
+            assert summary == summarize_by_loop(columns(K, ["ok", "ok"]))
+            assert math.copysign(1.0, summary.min_K) == math.copysign(1.0, K[0])
+            assert summary.argmin.x == summary.argmax.x == 1.0
+
+    def test_no_ok_rows(self):
+        result = columns([math.nan] * 3, ["domain_error"] * 3)
+        assert summarize(result) == ScanSummary(0, 3, None, None, None, None)
+
+    def test_lattice_matches_the_loop(self):
+        result, summary = grid_scan(PINNED_GRID)
+        assert summary == summarize_by_loop(result)
 
 
 class TestSliceScan:
@@ -152,36 +228,36 @@ class TestSliceScan:
             slice_scan(2.0, 1.0, -1.0, 1.0, 1)
 
     def test_zero_rotation_slice_is_constant(self):
-        samples = slice_scan(2.0, 0.0, -5.0, 5.0, 101)
-        ks = [s.K for s in samples if s.status == "ok"]
+        result = slice_scan(2.0, 0.0, -5.0, 5.0, 101)
+        ks = result.K[result.status == "ok"].tolist()
         assert ks
         spread = (max(ks) - min(ks)) / max(abs(k) for k in ks)
         assert spread < 1e-6
 
     def test_low_energy_slice_has_negative_curvature(self):
-        samples = slice_scan(1.51, 1.0, -10.0, 10.0, 1024)
-        ks = [s.K for s in samples if s.status == "ok"]
+        result = slice_scan(1.51, 1.0, -10.0, 10.0, 1024)
+        ks = result.K[result.status == "ok"].tolist()
         assert min(ks) < 0.0
 
     def test_high_energy_slice_is_positive(self):
-        samples = slice_scan(10.0, 1.0, -10.0, 10.0, 1024)
-        ks = [s.K for s in samples if s.status == "ok"]
+        result = slice_scan(10.0, 1.0, -10.0, 10.0, 1024)
+        ks = result.K[result.status == "ok"].tolist()
         assert min(ks) > 0.0
 
     def test_band_points_are_skipped_rows(self):
-        samples = slice_scan(2.0, 1.0, -1.0, 1.0, 9, exclude_band=0.3)
-        n_banned = sum(1 for s in samples if s.status != "ok")
-        assert n_banned == sum(1 for s in samples if abs(s.point.x) < 0.3)
-        assert len(samples) == 9
+        result = slice_scan(2.0, 1.0, -1.0, 1.0, 9, exclude_band=0.3)
+        n_banned = np.count_nonzero(result.status != "ok")
+        assert n_banned == np.count_nonzero(np.abs(result.x) < 0.3)
+        assert len(result) == 9
 
 
 class TestEmit:
     def test_csv_single_sample(self, tmp_path):
         spec = GridSpec(x_min=1.0, x_max=1.0, nx=1, phi_min=0.25, phi_max=0.25,
                         nphi=1, c=2.0, a=1.0)
-        samples, summary = grid_scan(spec)
+        result, summary = grid_scan(spec)
         out = tmp_path / "one.csv"
-        emit(samples, summary, "csv", str(out), spec=spec)
+        emit(result, summary, "csv", str(out), spec=spec)
         lines = out.read_text().splitlines()
         assert len(lines) == 2
         assert lines[0] == "x,phi,r,t,K,status"
@@ -191,55 +267,65 @@ class TestEmit:
         assert fields[5] == "ok"
 
     def test_csv_slice_leaves_phi_empty(self, tmp_path):
-        samples = slice_scan(2.0, 1.0, 0.5, 1.5, 3)
+        result = slice_scan(2.0, 1.0, 0.5, 1.5, 3)
         spec = SliceSpec(c=2.0, a=1.0, x_min=0.5, x_max=1.5, n=3)
         out = tmp_path / "slice.csv"
-        emit(samples, summarize(samples), "csv", str(out), spec=spec)
+        emit(result, summarize(result), "csv", str(out), spec=spec)
         rows = out.read_text().splitlines()[1:]
         assert all(row.split(",")[1] == "" for row in rows)
 
     def test_csv_serializes_17_significant_digits(self, tmp_path):
-        samples = slice_scan(2.0, 1.0, 0.5, 1.5, 3)
+        result = slice_scan(2.0, 1.0, 0.5, 1.5, 3)
         out = tmp_path / "digits.csv"
-        emit(samples, summarize(samples), "csv", str(out))
+        emit(result, summarize(result), "csv", str(out))
         row = out.read_text().splitlines()[1].split(",")
-        assert float(row[4]) == samples[0].K  # round-trips exactly
+        assert float(row[4]) == result.K[0]  # round-trips exactly
+
+    def test_csv_grid_without_spec_keeps_phi(self, tmp_path):
+        # phi comes from the result's columns, not from the spec
+        spec = GridSpec(x_min=0.5, x_max=1.0, nx=2, phi_min=0.25, phi_max=0.5,
+                        nphi=3, c=2.0, a=1.0)
+        result, summary = grid_scan(spec)
+        with_spec, without = tmp_path / "a.csv", tmp_path / "b.csv"
+        emit(result, summary, "csv", str(with_spec), spec=spec)
+        emit(result, summary, "csv", str(without))
+        assert with_spec.read_bytes() == without.read_bytes()
 
     def test_json_summary_only_omits_samples(self, tmp_path):
         spec = GridSpec(x_min=0.5, x_max=1.0, nx=2, phi_min=0.0, phi_max=1.0,
                         nphi=2, c=2.0, a=1.0)
-        samples, summary = grid_scan(spec)
+        result, summary = grid_scan(spec)
         out = tmp_path / "doc.json"
-        emit(samples, summary, "json", str(out), spec=spec, include_samples=False)
+        emit(result, summary, "json", str(out), spec=spec, include_samples=False)
         doc = json.loads(out.read_text())
         assert "samples" not in doc
         assert doc["spec"]["kind"] == "grid"
         assert doc["summary"]["n_ok"] == summary.n_ok
 
     def test_json_with_samples(self, tmp_path):
-        samples = slice_scan(2.0, 1.0, 0.5, 1.5, 3)
+        result = slice_scan(2.0, 1.0, 0.5, 1.5, 3)
         spec = SliceSpec(c=2.0, a=1.0, x_min=0.5, x_max=1.5, n=3)
         out = tmp_path / "doc.json"
-        emit(samples, summarize(samples), "json", str(out), spec=spec)
+        emit(result, summarize(result), "json", str(out), spec=spec)
         doc = json.loads(out.read_text())
         assert len(doc["samples"]) == 3
         assert doc["spec"]["kind"] == "slice"
         assert doc["samples"][0]["phi"] is None
 
     def test_unknown_format_rejected(self, tmp_path):
-        samples = slice_scan(2.0, 1.0, 0.5, 1.5, 3)
+        result = slice_scan(2.0, 1.0, 0.5, 1.5, 3)
         with pytest.raises(ValueError):
-            emit(samples, summarize(samples), "xml", str(tmp_path / "x"))
+            emit(result, summarize(result), "xml", str(tmp_path / "x"))
 
     def test_unwritable_destination_raises(self, tmp_path):
-        samples = slice_scan(2.0, 1.0, 0.5, 1.5, 3)
+        result = slice_scan(2.0, 1.0, 0.5, 1.5, 3)
         bad = tmp_path / "missing_dir" / "out.csv"
         with pytest.raises(OSError):
-            emit(samples, summarize(samples), "csv", str(bad))
+            emit(result, summarize(result), "csv", str(bad))
 
     def test_stdout_destination(self, capsys):
-        samples = slice_scan(2.0, 1.0, 0.5, 1.5, 3)
-        emit(samples, summarize(samples), "csv", None)
+        result = slice_scan(2.0, 1.0, 0.5, 1.5, 3)
+        emit(result, summarize(result), "csv", None)
         captured = capsys.readouterr().out
         assert captured.startswith("x,phi,r,t,K,status")
 
@@ -250,9 +336,9 @@ class TestDeterminism:
                         nphi=7, c=1.55, a=1.0)
         paths = []
         for name in ("a.csv", "b.csv"):
-            samples, summary = grid_scan(spec)
+            result, summary = grid_scan(spec)
             path = tmp_path / name
-            emit(samples, summary, "csv", str(path), spec=spec)
+            emit(result, summary, "csv", str(path), spec=spec)
             paths.append(path)
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
@@ -266,18 +352,45 @@ class TestDeterminism:
                         nphi=25, c=1.51, a=1.0)
         assert spec.nx * spec.nphi > 2 * scan_module._CHUNK
         reference, _ = grid_scan(spec)
-        statuses = {s.status for s in reference}
-        assert statuses == {"ok", "domain_error", "singular_v"}
-
-        def bits(samples):
-            K = np.array([math.nan if s.K is None else s.K for s in samples])
-            return K.view(np.int64)
+        assert set(reference.status) == {"ok", "domain_error", "singular_v"}
 
         # block size 1 runs every lane as a batch of one
         for chunk in (1, 4, 8192):
             monkeypatch.setattr(scan_module, "_CHUNK", chunk)
-            samples, _ = grid_scan(spec)
+            result, _ = grid_scan(spec)
             # bit-identical: same kernel, same order
-            assert np.array_equal(bits(samples), bits(reference))
-            assert [s.status for s in samples] == [s.status for s in reference]
-            assert [s.reason for s in samples] == [s.reason for s in reference]
+            assert np.array_equal(result.K.view(np.int64), reference.K.view(np.int64))
+            assert result.status.tolist() == reference.status.tolist()
+            assert result.reason.tolist() == reference.reason.tolist()
+
+
+
+class TestBytePins:
+    """sha256 of emitted files, recorded before grid results became columns
+    (when they were lists of per-point objects)."""
+
+    def digest(self, tmp_path, result, summary, fmt, spec, include_samples=True):
+        out = tmp_path / f"out.{fmt}"
+        emit(result, summary, fmt, str(out), spec=spec, include_samples=include_samples)
+        return hashlib.sha256(out.read_bytes()).hexdigest()
+
+    @pytest.mark.parametrize("fmt, include_samples, sha256", [
+        ("csv", True, "e05235ce7db6323bb366f786caf1e8a0abf9dbd6b4e678679a904d9b2a2ba22f"),
+        ("json", True, "5faa859e33b84ca18d854a39d6a0a84fdb168e070035bf74f6b40568c9404ecd"),
+        ("json", False, "14d07bf40c249dcf67a38278295d4638f0e22e4e8bca5b9c16321492d2f70935"),
+    ])
+    def test_grid(self, tmp_path, fmt, include_samples, sha256):
+        result, summary = grid_scan(PINNED_GRID)
+        assert set(result.status) == {"ok", "domain_error", "singular_v"}
+        assert self.digest(tmp_path, result, summary, fmt, PINNED_GRID,
+                           include_samples) == sha256
+
+    @pytest.mark.parametrize("fmt, sha256", [
+        ("csv", "014f04831181ff934c52db1cb4e4a0db3d145a404fca535c7506bb08c95d5bcf"),
+        ("json", "b4967244b24a46b14787025953ae0cf7339ea5cb3afa471934b5c6ba4a23e9bb"),
+    ])
+    def test_slice(self, tmp_path, fmt, sha256):
+        spec = PINNED_SLICE
+        result = slice_scan(spec.c, spec.a, spec.x_min, spec.x_max, spec.n)
+        assert result.status[20] == "domain_error" and result.x[20] == 0.0
+        assert self.digest(tmp_path, result, summarize(result), fmt, spec) == sha256
