@@ -156,13 +156,6 @@ def _write(text, destination):
 def _cmd_point(args):
     params = MetricParams(args.a, args.c)
     pt = PhasePoint(args.x, args.y, args.r, args.t)
-    if args.a > 0.0 and args.c <= params.critical_c:
-        print(
-            f"error: c = {args.c} is not above the critical energy "
-            f"(3/2) a^(2/3) = {params.critical_c}; no bounded component",
-            file=sys.stderr,
-        )
-        return 1
     sample = flag_curvature(params, pt)
     if args.format == "json":
         doc = {

@@ -29,8 +29,19 @@ evaluation point.  The chain of quantities is:
   and for ``y``).
 
 For the built-in rotating-Kepler family nothing depends on ``y``; the
-assembly is shared with generic callback metrics by feeding zero jets for
-every ``y``-derivative.
+assembly is shared with generic callback metrics and leaves out every
+``y``-derivative term when there is no ``y``.
+
+One evaluator serves point queries and scans: the domain classifier of
+:mod:`keplerflag.metric`, the kernel on the lanes it admits, and the
+kernel's verdicts, all over arrays of any shape.  A point query is the
+0-d case, a scan row a lane of a 1-d block, and both get the same status
+and reason.  Their ``K`` can differ in the last bits: ``Jet.power`` takes
+``c0**e`` with libm's ``pow`` on a NumPy scalar but with NumPy's own
+vectorised ``pow`` on an array, and the two round differently (970 of
+20,000 uniform draws on ``[0.1, 100]`` at ``e = -1.5``).  On the 64x64
+``c = 1.55`` lattice over ``x in [-3, 3]``, 1,745 of 4,096 values differ,
+by at most 5.6e-11 relative.
 
 A transcription of the closed-form curvature along the fiber ray
 ``(r, t) = (0, x)`` at rotation rate 1 serves as the independent oracle; it
@@ -42,6 +53,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -50,7 +62,19 @@ from mpmath import sqrt as mp_sqrt
 
 from .errors import ConsistencyError, DegeneracyError, DomainError
 from .jets import Jet
-from .metric import KeplerCartanMetric, MetricParams, PhasePoint, _fstar_jet_batch
+from .metric import (
+    DEGENERATE_COMETRIC,
+    DENOMINATOR_BELOW_TOLERANCE,
+    NONFINITE_RESULT,
+    OK,
+    VERDICTS,
+    KeplerCartanMetric,
+    MetricParams,
+    PhasePoint,
+    _first_broken,
+    _variables,
+    classify,
+)
 
 __all__ = [
     "CometricBlock",
@@ -110,8 +134,8 @@ class CurvatureSample:
 class CallbackCartanMetric:
     """Extension hook: a user fundamental function evaluated on jets.
 
-    ``fstar`` receives jets of ``(x, y, r, t)`` (``y`` is passed as a plain
-    float when ``depends_on_y`` is False, in which case jets live in
+    ``fstar`` receives jets of ``(x, y, r, t)`` (``y`` is passed as a float
+    or 0-d array when ``depends_on_y`` is False, in which case jets live in
     ``(x, r, t)``) and must return the fundamental-function jet built with
     jet arithmetic only.
     """
@@ -121,14 +145,8 @@ class CallbackCartanMetric:
 
     def fstar_jet(self, pt, max_order):
         if self.depends_on_y:
-            x = Jet.variable(0, pt.x, 4, max_order)
-            y = Jet.variable(1, pt.y, 4, max_order)
-            r = Jet.variable(2, pt.r, 4, max_order)
-            t = Jet.variable(3, pt.t, 4, max_order)
-            return self.fstar(x, y, r, t)
-        x = Jet.variable(0, pt.x, 3, max_order)
-        r = Jet.variable(1, pt.r, 3, max_order)
-        t = Jet.variable(2, pt.t, 3, max_order)
+            return self.fstar(*_variables((pt.x, pt.y, pt.r, pt.t), max_order))
+        x, r, t = _variables((pt.x, pt.r, pt.t), max_order)
         return self.fstar(x, pt.y, r, t)
 
 
@@ -138,37 +156,17 @@ def _as_metric(metric):
     return metric
 
 
-def _var_indices(metric):
-    """(ix, iy, ir, it) for the metric's jet variable convention."""
-    if getattr(metric, "depends_on_y", False):
-        return 0, 1, 2, 3
-    return 0, None, 1, 2
-
-
-def _mu(space_vars, index, order, second=None, second_order=1):
-    mu = [0] * space_vars
-    mu[index] = order
-    if second is not None:
-        mu[second] += second_order
-    return tuple(mu)
-
-
-def _cometric_entries(L, ir, it):
-    nv = L.num_vars
-    g11 = L.extract(_mu(nv, ir, 2))
-    g12 = L.extract(_mu(nv, ir, 1, it))
-    g22 = L.extract(_mu(nv, it, 2))
-    return g11, g12, g22
-
-
-def cometric_at(metric, pt):
-    """Cometric block at ``pt``: fiber Hessian of L*, inverted analytically."""
+def _terms(metric, pt):
+    """:func:`_assemble`'s terms from the order-4 jet of ``L*`` at ``pt``,
+    whose coordinates may be arrays of one shape."""
     m = _as_metric(metric)
-    ix, iy, ir, it = _var_indices(m)
-    f = m.fstar_jet(pt, 2)
-    L = 0.5 * f * f
-    g11, g12, g22 = _cometric_entries(L, ir, it)
-    det = g11 * g22 - g12 * g12
+    f = m.fstar_jet(pt, 4)
+    indices = (0, 1, 2, 3) if getattr(m, "depends_on_y", False) else (0, None, 1, 2)
+    return _assemble(0.5 * f * f, *indices, pt.r, pt.t)
+
+
+def _cometric_block(terms, pt):
+    g11, g12, g22, det = (float(v) for v in (terms.g11, terms.g12, terms.g22, terms.det))
     if det <= 0.0:
         raise DegeneracyError(
             f"cometric determinant not positive at {pt}: det={det}"
@@ -179,19 +177,20 @@ def cometric_at(metric, pt):
     )
 
 
+def cometric_at(metric, pt):
+    """Cometric block at ``pt``: fiber Hessian of L*, inverted analytically."""
+    return _cometric_block(_terms(metric, pt), pt)
+
+
 def legendre_fiber(metric, pt):
     """Tangent-side fiber coordinates ``(u, v) = (L*_r, L*_t)``.
 
     Asserts the inverse relation ``(r, t) = metric block applied to (u, v)``
     before returning; failure raises :class:`ConsistencyError`.
     """
-    m = _as_metric(metric)
-    ix, iy, ir, it = _var_indices(m)
-    f = m.fstar_jet(pt, 2)
-    L = 0.5 * f * f
-    u = L.extract(_mu(L.num_vars, ir, 1))
-    v = L.extract(_mu(L.num_vars, it, 1))
-    block = cometric_at(metric, pt)
+    terms = _terms(metric, pt)
+    block = _cometric_block(terms, pt)
+    u, v = float(terms.u), float(terms.v)
     r_back = block.inv11 * u + block.inv12 * v
     t_back = block.inv12 * u + block.inv22 * v
     scale = max(abs(pt.r), abs(pt.t), 1.0)
@@ -208,45 +207,27 @@ def legendre_fiber(metric, pt):
 
 def spray_coeffs(metric, pt):
     """Spray coefficients ``(G, H_spray)`` from base derivatives of L*."""
-    m = _as_metric(metric)
-    ix, iy, ir, it = _var_indices(m)
-    f = m.fstar_jet(pt, 2)
-    L = 0.5 * f * f
-    nv = L.num_vars
-    g11, g12, g22 = _cometric_entries(L, ir, it)
-    Lx = L.extract(_mu(nv, ix, 1))
-    Lrx = L.extract(_mu(nv, ir, 1, ix))
-    Ltx = L.extract(_mu(nv, it, 1, ix))
-    if iy is None:
-        Ly = Lry = Lty = 0.0
-    else:
-        Ly = L.extract(_mu(nv, iy, 1))
-        Lry = L.extract(_mu(nv, ir, 1, iy))
-        Lty = L.extract(_mu(nv, it, 1, iy))
-    r, t = pt.r, pt.t
-    two_g = (g11 * Lx + g12 * Ly) \
-        - (g11 * Lrx + g12 * Lry) * r \
-        - (g12 * Lrx + g22 * Lry) * t
-    two_h = (g12 * Lx + g22 * Ly) \
-        - (g12 * Ltx + g22 * Lty) * t \
-        - (g11 * Ltx + g12 * Lty) * r
-    return SprayPair(G=0.5 * two_g, H_spray=0.5 * two_h)
+    terms = _terms(metric, pt)
+    return SprayPair(G=float(terms.G), H_spray=float(terms.H_spray))
 
 
 @dataclass(frozen=True)
 class _CurvatureTerms:
-    """Assembled curvature pieces; fields are scalars or batch arrays."""
+    """Assembled curvature pieces; fields are scalars or batch arrays.
+
+    ``g11, g12, g22`` are the cometric entries and ``det`` their
+    determinant, unshifted.
+    """
 
     numerator: object
     u: object
     v: object
+    g11: object
+    g12: object
+    g22: object
     det: object
     G: object
     H_spray: object
-
-
-def _zero_like(jet):
-    return Jet.constant(np.zeros(jet.coeffs.shape[1:]), jet.num_vars, jet.max_order)
 
 
 def _assemble(L, ix, iy, ir, it, r0, t0):
@@ -254,13 +235,9 @@ def _assemble(L, ix, iy, ir, it, r0, t0):
 
     One jet evaluation feeds every sub-expression; derivative orders fall
     as quantities are differentiated, with explicit truncation wherever
-    factors of different remaining order meet.
+    factors of different remaining order meet.  Without ``y`` (``iy`` is
+    None) every term carrying a ``y``-derivative is zero and is left out.
     """
-    def dy(jet):
-        return jet.derivative(iy) if iy is not None else _zero_like(
-            jet.truncated(jet.max_order - 1)
-        )
-
     Lr = L.derivative(ir)                 # order 3: the function u
     Lt = L.derivative(it)                 # order 3: the function v
     gi11 = Lr.derivative(ir)              # order 2 cometric entries
@@ -271,34 +248,33 @@ def _assemble(L, ix, iy, ir, it, r0, t0):
     det0 = np.asarray(det.coeffs[0])
     bad_det = det0 <= 0.0
     if np.any(bad_det):
-        # Shift degenerate lanes to a harmless dummy so the batch can
-        # proceed; their results are discarded via the returned det.
-        shift = np.where(bad_det, 1.0 - det0, 0.0)
-        det = det + shift
+        # Give degenerate lanes the dummy determinant 1 so the batch can
+        # proceed; their results are discarded via the returned det.  Two
+        # steps, since det0 + (1 - det0) is 0 once |det0| reaches 2**53.
+        det = (det - np.where(bad_det, det0, 0.0)) + np.where(bad_det, 1.0, 0.0)
     det_inv = det.reciprocal()
     g11 = gi22 * det_inv                  # metric coefficients, order 2
     g12 = -(gi12 * det_inv)
     g22 = gi11 * det_inv
 
     Lx = L.derivative(ix).truncated(2)
-    Ly = dy(L).truncated(2)
     Lrx = Lr.derivative(ix)
     Ltx = Lt.derivative(ix)
-    Lry = dy(Lr)
-    Lty = dy(Lt)
     r_jet = Jet.variable(ir, r0, L.num_vars, 2)
     t_jet = Jet.variable(it, t0, L.num_vars, 2)
 
-    G = 0.5 * (
-        gi11 * Lx + gi12 * Ly
-        - r_jet * (gi11 * Lrx + gi12 * Lry)
-        - t_jet * (gi12 * Lrx + gi22 * Lry)
-    )
-    H = 0.5 * (
-        gi12 * Lx + gi22 * Ly
-        - t_jet * (gi12 * Ltx + gi22 * Lty)
-        - r_jet * (gi11 * Ltx + gi12 * Lty)
-    )
+    # The spray formulas of the module docstring, each bracket built up
+    # from its x-terms.
+    G_x, G_r, G_t = gi11 * Lx, gi11 * Lrx, gi12 * Lrx
+    H_x, H_t, H_r = gi12 * Lx, gi12 * Ltx, gi11 * Ltx
+    if iy is not None:
+        Ly = L.derivative(iy).truncated(2)
+        Lry = Lr.derivative(iy)
+        Lty = Lt.derivative(iy)
+        G_x, G_r, G_t = G_x + gi12 * Ly, G_r + gi12 * Lry, G_t + gi22 * Lry
+        H_x, H_t, H_r = H_x + gi22 * Ly, H_t + gi22 * Lty, H_r + gi12 * Lty
+    G = 0.5 * (G_x - r_jet * G_r - t_jet * G_t)
+    H = 0.5 * (H_x - t_jet * H_t - r_jet * H_r)
 
     Gar = G.derivative(ir)                # order 1
     Gat = G.derivative(it)
@@ -322,11 +298,13 @@ def _assemble(L, ix, iy, ir, it, r0, t0):
     dtdx = g12.derivative(ix).coeffs[0] * u0 + g22.derivative(ix).coeffs[0] * v0
     Gxv = Gvx + Gvr * drdx + Gvt * dtdx
 
-    # (dG_u/dy) at frozen (x, u, v); identically zero without y-dependence.
-    Guy = dy(Gu).coeffs[0]
-    drdy = dy(g11).coeffs[0] * u0 + dy(g12).coeffs[0] * v0
-    dtdy = dy(g12).coeffs[0] * u0 + dy(g22).coeffs[0] * v0
-    Gyu = Guy + Gur * drdy + Gut * dtdy
+    # (dG_u/dy) at frozen (x, u, v).
+    Gyu = 0.0
+    if iy is not None:
+        Guy = Gu.derivative(iy).coeffs[0]
+        drdy = g11.derivative(iy).coeffs[0] * u0 + g12.derivative(iy).coeffs[0] * v0
+        dtdy = g12.derivative(iy).coeffs[0] * u0 + g22.derivative(iy).coeffs[0] * v0
+        Gyu = Guy + Gur * drdy + Gut * dtdy
 
     Hr = H.derivative(ir).coeffs[0]
     Ht = H.derivative(it).coeffs[0]
@@ -340,61 +318,94 @@ def _assemble(L, ix, iy, ir, it, r0, t0):
     numerator = (Gxv - Gyu) * v0 + 2.0 * G0 * Guu + 2.0 * H0 * Guv \
         - Gu0 * Gu0 - Gv0 * Hu
     return _CurvatureTerms(
-        numerator=numerator, u=u0, v=v0, det=det0, G=G0, H_spray=H0,
+        numerator=numerator, u=u0, v=v0, g11=gi11.coeffs[0], g12=gi12.coeffs[0],
+        g22=gi22.coeffs[0], det=det0, G=G0, H_spray=H0,
     )
+
+
+def _flag_batch(metric, x, y, r, t):
+    """``(K, vt, det)`` of any metric over coordinate arrays of one shape."""
+    # Lanes that overflow end as nonfinite_result, so the floating-point
+    # warnings are noise.
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        terms = _terms(metric, PhasePoint(x, y, r, t))
+        vt = terms.v * t
+        K = terms.numerator / vt
+    return K, vt, terms.det
+
+
+def _kepler_flag_batch(params, x, r, t):
+    """Curvature of the built-in family over coordinate arrays it admits.
+
+    Returns ``(K, vt, det)``; :func:`_evaluate` turns ``det <= 0`` and
+    ``|vt| < SINGULAR_V_TOL`` into verdicts.
+    """
+    return _flag_batch(KeplerCartanMetric(params), x, 0.0, r, t)
+
+
+def _guarded(kernel, *columns):
+    """``kernel(*columns)``, with NaN for a lane whose jets raise.
+
+    Jets check a whole block at once, so one lane whose constant term
+    underflows to zero (say ``x = 1e-200``) raises DomainError for all of
+    them.  The block is then rerun lane by lane, which keeps every other
+    lane's bits, and the failing lane ends as ``nonfinite_result``.
+    """
+    try:
+        return kernel(*columns)
+    except DomainError:
+        if columns[0].size == 1:
+            nan = np.full(columns[0].shape, np.nan)
+            return nan, nan, nan
+        lanes = [_guarded(kernel, *(c[i:i + 1] for c in columns))
+                 for i in range(columns[0].size)]
+        return tuple(np.concatenate(v) for v in zip(*lanes))
+
+
+def _evaluate(metric, x, y, r, t, exclude_band=0.0):
+    """Flag curvature and verdict codes over coordinate arrays of one shape.
+
+    The one evaluator behind point queries (0-d arrays) and scans: the
+    domain classifier (built-in family only), the kernel on the lanes it
+    admits, then the kernel's verdicts.  Returns ``(K, code)``, with ``K``
+    NaN wherever ``code`` is not ``OK``; ``VERDICTS[code]`` is the
+    ``(status, reason)`` pair.
+    """
+    m = _as_metric(metric)
+    x, y, r, t = (np.asarray(v, dtype=float) for v in (x, y, r, t))
+    if isinstance(m, KeplerCartanMetric):
+        code = classify(m.params, x, r, t, exclude_band)[0]
+        kernel, columns = partial(_kepler_flag_batch, m.params), (x, r, t)
+    else:
+        code = np.zeros(x.shape, np.int8)
+        kernel, columns = partial(_flag_batch, m), (x, y, r, t)
+    K = np.full(x.shape, np.nan)
+    lanes = code == OK
+    if not lanes.any():
+        return K, code
+    if lanes.all():
+        lanes = ...  # no gather: a point query stays 0-d
+    Kl, vt, det = _guarded(kernel, *(c[lanes] for c in columns))
+    verdict = _first_broken([
+        (DEGENERATE_COMETRIC, det <= 0.0),
+        (DENOMINATOR_BELOW_TOLERANCE, np.abs(vt) < SINGULAR_V_TOL),
+        (NONFINITE_RESULT, ~np.isfinite(Kl)),
+    ], np.shape(Kl))
+    code[lanes] = verdict
+    K[lanes] = np.where(verdict == OK, Kl, np.nan)
+    return K, code
 
 
 def flag_curvature(metric, pt):
     """Flag curvature at one phase point, as a :class:`CurvatureSample`.
 
-    Domain violations and a vanishing denominator ``v * t`` are reported in
-    the sample's status instead of raising.
+    The evaluator on 0-d arrays: domain violations and a vanishing
+    denominator ``v * t`` are reported in the sample's status instead of
+    raising.
     """
-    m = _as_metric(metric)
-    validate = getattr(m, "validate", None)
-    if validate is not None:
-        status = validate(pt)
-        if not status.ok:
-            return CurvatureSample(pt, None, "domain_error", status.reason)
-    ix, iy, ir, it = _var_indices(m)
-    # Overflow far out in x turns coefficients into inf/NaN, and underflow
-    # near the chart singularity zeros a constant term, so that a jet
-    # reciprocal or root raises DomainError where a float would give inf or
-    # NaN.  Both end as nonfinite_result, as in the grid, so the
-    # floating-point warnings are noise.
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        try:
-            f = m.fstar_jet(pt, 4)
-        except DomainError:
-            return CurvatureSample(pt, None, "domain_error", "nonfinite_result")
-        L = 0.5 * f * f
-        terms = _assemble(L, ix, iy, ir, it, pt.r, pt.t)
-    det = float(np.asarray(terms.det))
-    if det <= 0.0:
-        return CurvatureSample(pt, None, "domain_error", "degenerate_cometric")
-    vt = float(np.asarray(terms.v)) * pt.t
-    if abs(vt) < SINGULAR_V_TOL:
-        return CurvatureSample(pt, None, "singular_v", "denominator_below_tolerance")
-    K = float(np.asarray(terms.numerator)) / vt
-    if not math.isfinite(K):
-        return CurvatureSample(pt, None, "domain_error", "nonfinite_result")
-    return CurvatureSample(pt, K, "ok")
-
-
-def _kepler_flag_batch(params, x, r, t):
-    """Curvature over prevalidated coordinate arrays of the built-in family.
-
-    Returns ``(K, vt, det)``; callers classify lanes with ``det <= 0`` or
-    ``|vt| < SINGULAR_V_TOL`` themselves.
-    """
-    # Lanes that overflow end as nonfinite_result, as in flag_curvature.
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        f = _fstar_jet_batch(params, x, r, t, 4)
-        L = 0.5 * f * f
-        terms = _assemble(L, 0, None, 1, 2, r, t)
-        vt = terms.v * t
-        K = terms.numerator / vt
-    return K, vt, terms.det
+    K, code = _evaluate(metric, pt.x, pt.y, pt.r, pt.t)
+    status, reason = VERDICTS[code]
+    return CurvatureSample(pt, float(K) if code == OK else None, status, reason)
 
 
 # ----------------------------------------------------------------------

@@ -56,7 +56,7 @@ def random_admissible(rng, a=None, c=None, x_scale=4.0):
         scale = float(10.0 ** rng.uniform(-1.0, 1.0))
         pt = PhasePoint(x, y, scale * math.sin(theta), scale * math.cos(theta))
         status = validate_domain(params, pt)
-        if status.ok and status.radicand is not None and status.radicand > 1e-6:
+        if status.ok and status.radicand > 1e-6:
             return params, pt
 
 

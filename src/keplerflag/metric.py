@@ -33,6 +33,7 @@ __all__ = [
     "DomainStatus",
     "KeplerCartanMetric",
     "RADICAND_CLAMP",
+    "VERDICTS",
     "perp_inner",
     "fstar_cartesian",
     "fstar_polar",
@@ -40,6 +41,7 @@ __all__ = [
     "lstar",
     "lstar_jet",
     "inner_radicand",
+    "classify",
     "validate_domain",
     "scaling_reduce",
     "cartesian_fiber_point",
@@ -50,6 +52,24 @@ __all__ = [
 # evaluation: the boundary of the bounded component is a legitimate target
 # that rounding can place marginally outside.
 RADICAND_CLAMP = 1e-12
+
+# Every (status, reason) pair the package reports, indexed by verdict code:
+# ok, then the domain rules in the order classify applies them, then the
+# curvature kernel's verdicts on the lanes classify admits.
+VERDICTS = (
+    ("ok", None),
+    ("domain_error", "nonfinite_input"),
+    ("domain_error", "chart_singularity"),
+    ("domain_error", "zero_fiber_direction"),
+    ("domain_error", "energy_below_critical"),
+    ("domain_error", "negative_radicand"),
+    ("domain_error", "degenerate_cometric"),
+    ("singular_v", "denominator_below_tolerance"),
+    ("domain_error", "nonfinite_result"),
+)
+(OK, NONFINITE_INPUT, CHART_SINGULARITY, ZERO_FIBER_DIRECTION, ENERGY_BELOW_CRITICAL,
+ NEGATIVE_RADICAND, DEGENERATE_COMETRIC, DENOMINATOR_BELOW_TOLERANCE,
+ NONFINITE_RESULT) = range(len(VERDICTS))
 
 
 @dataclass(frozen=True)
@@ -105,7 +125,6 @@ class DomainStatus:
     ok: bool
     reason: str | None = None
     radicand: float | None = None
-    certificate_ok: bool | None = None
 
 
 def perp_inner(p, q):
@@ -127,14 +146,10 @@ def _clamped_radicand(rad):
                 value=float(np.min(rad.coeffs[0])),
             )
         return rad
-    rad = np.asarray(rad, dtype=float)
-    if rad.ndim == 0:
-        v = float(rad)
-        if v < -RADICAND_CLAMP:
-            raise DomainError(f"inner radicand is negative: {v}", value=v)
-        return max(v, 0.0)
-    with np.errstate(invalid="ignore"):
-        return np.where(rad < -RADICAND_CLAMP, np.nan, np.maximum(rad, 0.0))
+    v = float(rad)
+    if v < -RADICAND_CLAMP:
+        raise DomainError(f"inner radicand is negative: {v}", value=v)
+    return max(v, 0.0)
 
 
 def _fstar_expr(x, r, t, a, c):
@@ -173,30 +188,48 @@ def inner_radicand(params, x, r, t):
     return float(out) if out.ndim == 0 else out
 
 
-def validate_domain(params, pt):
-    """Full admissibility check for the polar chart.
+def _first_broken(rules, shape):
+    """Verdict code of the first rule each lane breaks, ``OK`` if none.
 
-    Also evaluates the hypothesis certificate ``a|p| < (|p|^2/4 + c/2)^2``
-    at the point (informational; it holds automatically whenever the energy
-    condition does).  A non-finite ``x``, ``r`` or ``t`` is reported as
-    ``nonfinite_input``.
+    ``rules`` holds ``(code, broken)`` pairs in precedence order, ``broken``
+    a boolean array of ``shape`` or a bool; the last is applied first."""
+    code = np.zeros(shape, np.int8)
+    for which, broken in reversed(rules):
+        code[broken] = which
+    return code
+
+
+def classify(params, x, r, t, exclude_band=0.0):
+    """Domain verdict codes over coordinate arrays of one shape (0-d for one
+    point), and the inner radicand.
+
+    The rules, in precedence order: ``nonfinite_input`` (``x``, ``r`` or
+    ``t`` not finite), ``chart_singularity`` (``x == 0`` or
+    ``|x| < exclude_band``), ``zero_fiber_direction`` (``r == t == 0``),
+    ``energy_below_critical`` (``c`` at or below the critical energy) and
+    ``negative_radicand`` (the inner radicand not positive, NaN included).
     """
-    if not all(math.isfinite(v) for v in (pt.x, pt.r, pt.t)):
-        return DomainStatus(False, "nonfinite_input", None, None)
-    if pt.x == 0.0:
-        return DomainStatus(False, "chart_singularity", None, None)
-    half_w = pt.x * pt.x / 4.0 + params.c / 2.0
-    cert = params.a * abs(pt.x) < half_w * half_w
-    if pt.r == 0.0 and pt.t == 0.0:
-        return DomainStatus(False, "zero_fiber_direction", None, cert)
-    if params.a > 0.0 and params.c <= params.critical_c:
-        return DomainStatus(False, "energy_below_critical", None, cert)
-    rad = inner_radicand(params, pt.x, pt.r, pt.t)
-    if rad < -RADICAND_CLAMP:
-        return DomainStatus(False, "negative_radicand", rad, cert)
-    if not cert:
-        return DomainStatus(False, "hypothesis_certificate_failed", rad, cert)
-    return DomainStatus(True, None, rad, cert)
+    x, r, t = (np.asarray(v, dtype=float) for v in (x, r, t))
+    rad = np.asarray(inner_radicand(params, x, r, t))
+    code = _first_broken([
+        (NONFINITE_INPUT, ~(np.isfinite(x) & np.isfinite(r) & np.isfinite(t))),
+        (CHART_SINGULARITY, (x == 0.0) | (np.abs(x) < exclude_band)),
+        (ZERO_FIBER_DIRECTION, (r == 0.0) & (t == 0.0)),
+        (ENERGY_BELOW_CRITICAL, params.a > 0.0 and params.c <= params.critical_c),
+        (NEGATIVE_RADICAND, ~(rad > 0.0)),
+    ], x.shape)
+    return code, rad
+
+
+def validate_domain(params, pt):
+    """Admissibility of one phase point: :func:`classify` on 0-d arrays.
+
+    ``radicand`` is reported where the radicand rule was reached.
+    """
+    code, rad = classify(params, pt.x, pt.r, pt.t)
+    code = int(code)
+    reached = code in (OK, NEGATIVE_RADICAND)
+    return DomainStatus(code == OK, VERDICTS[code][1], float(rad) if reached else None)
 
 
 def _require_evaluable(params, pt):
@@ -205,7 +238,7 @@ def _require_evaluable(params, pt):
     The global energy condition is deliberately not enforced here; the
     scaling identity is algebraic and holds through the critical energy,
     and the curvature and scan layers enforce full admissibility via
-    :func:`validate_domain`.
+    :func:`classify`.
     """
     if pt.x == 0.0:
         raise DomainError("chart singularity at x = 0", value=0.0)
@@ -226,23 +259,19 @@ def fstar_polar_jet(params, pt, max_order=4, include_y=False):
     lives in ``(x, y, r, t)`` and all its ``y``-coefficients are zero.
     """
     _require_evaluable(params, pt)
-    if include_y:
-        x = Jet.variable(0, pt.x, 4, max_order)
-        r = Jet.variable(2, pt.r, 4, max_order)
-        t = Jet.variable(3, pt.t, 4, max_order)
-    else:
-        x = Jet.variable(0, pt.x, 3, max_order)
-        r = Jet.variable(1, pt.r, 3, max_order)
-        t = Jet.variable(2, pt.t, 3, max_order)
+    coords = (pt.x, pt.y, pt.r, pt.t) if include_y else (pt.x, pt.r, pt.t)
+    x, *_, r, t = _variables(coords, max_order)
     return _fstar_expr(x, r, t, params.a, params.c)
 
 
+def _variables(coords, max_order):
+    """Jets of the coordinate functions at ``coords``, scalars or arrays."""
+    return [Jet.variable(i, v, len(coords), max_order) for i, v in enumerate(coords)]
+
+
 def _fstar_jet_batch(params, x, r, t, max_order=4):
-    """Batched jets in ``(x, r, t)`` over prevalidated coordinate arrays."""
-    xj = Jet.variable(0, x, 3, max_order)
-    rj = Jet.variable(1, r, 3, max_order)
-    tj = Jet.variable(2, t, 3, max_order)
-    return _fstar_expr(xj, rj, tj, params.a, params.c)
+    """Jets in ``(x, r, t)`` over coordinate arrays of any shape."""
+    return _fstar_expr(*_variables((x, r, t), max_order), params.a, params.c)
 
 
 def lstar(params, pt):
@@ -299,7 +328,8 @@ class KeplerCartanMetric:
 
     The fiber Hessian data lives in the cotangent variables ``(x, r, t)``;
     the family does not depend on ``y``, so ``depends_on_y`` is False and
-    all ``y``-derivative terms are supplied as zero jets downstream.
+    the curvature layer leaves out every ``y``-derivative term.  Its domain
+    is :func:`classify`.
     """
 
     depends_on_y = False
@@ -308,10 +338,8 @@ class KeplerCartanMetric:
         self.params = params
 
     def fstar_jet(self, pt, max_order):
-        return fstar_polar_jet(self.params, pt, max_order)
-
-    def validate(self, pt):
-        return validate_domain(self.params, pt)
+        """Jet of ``F*`` at ``pt``, whose coordinates may be arrays."""
+        return _fstar_jet_batch(self.params, pt.x, pt.r, pt.t, max_order)
 
     def __repr__(self):
         return f"KeplerCartanMetric(a={self.params.a}, c={self.params.c})"

@@ -25,8 +25,8 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .curvature import SINGULAR_V_TOL, _kepler_flag_batch
-from .metric import MetricParams, PhasePoint, inner_radicand
+from .curvature import _evaluate
+from .metric import VERDICTS, MetricParams, PhasePoint
 
 __all__ = [
     "GridSpec",
@@ -42,6 +42,9 @@ __all__ = [
 
 # Half-width of the excluded band around the chart singularity x = 0.
 DEFAULT_EXCLUDE_BAND = 1e-3
+
+# status and reason columns by verdict code
+_STATUS, _REASON = (np.array(column, dtype=object) for column in zip(*VERDICTS))
 
 # Lanes per kernel block.  A batched order-4 product makes about 15 NumPy
 # calls whatever the lane count, plus two gather temporaries of
@@ -175,55 +178,18 @@ def summarize(result):
 
 
 def _evaluate_points(params, x, r, t, exclude_band):
-    """Statuses and curvature values over coordinate arrays.
+    """Statuses and curvature values over coordinate arrays, evaluated in
+    blocks of ``_CHUNK`` lanes.
 
     Returns ``(K, status, reason)`` aligned with the inputs; ``K`` is NaN
     wherever the status is not ``ok``.
     """
-    npts = x.size
-    K = np.full(npts, np.nan)
-    status = np.full(npts, "ok", dtype=object)
-    reason = np.full(npts, None, dtype=object)
-
-    def mark(where, label, why):
-        status[where] = label
-        reason[where] = why
-
-    banned = np.abs(x) < exclude_band
-    zero_x = x == 0.0
-    mark(banned | zero_x, "domain_error", "chart_singularity")
-
-    zero_fiber = (r == 0.0) & (t == 0.0)
-    fresh = status == "ok"
-    mark(fresh & zero_fiber, "domain_error", "zero_fiber_direction")
-
-    if params.a > 0.0 and params.c <= params.critical_c:
-        fresh = status == "ok"
-        mark(fresh, "domain_error", "energy_below_critical")
-        return K, status, reason
-
-    candidate = status == "ok"
-    if np.any(candidate):
-        rad = np.full(npts, np.nan)
-        rad[candidate] = inner_radicand(
-            params, x[candidate], r[candidate], t[candidate]
-        )
-        bad_rad = candidate & ~(rad > 0.0)
-        mark(bad_rad, "domain_error", "negative_radicand")
-
-    idx = np.flatnonzero(status == "ok")
-    for lo in range(0, idx.size, _CHUNK):
-        sel = idx[lo : lo + _CHUNK]
-        Kc, vtc, detc = _kepler_flag_batch(params, x[sel], r[sel], t[sel])
-        deg = detc <= 0.0
-        sing = ~deg & (np.abs(vtc) < SINGULAR_V_TOL)
-        bad = ~np.isfinite(Kc) & ~deg & ~sing
-        ok = ~(deg | sing | bad)
-        mark(sel[deg], "domain_error", "degenerate_cometric")
-        mark(sel[sing], "singular_v", "denominator_below_tolerance")
-        mark(sel[bad], "domain_error", "nonfinite_result")
-        K[sel[ok]] = Kc[ok]
-    return K, status, reason
+    K = np.empty(x.size)
+    code = np.empty(x.size, np.int8)
+    for lo in range(0, x.size, _CHUNK):
+        b = slice(lo, lo + _CHUNK)
+        K[b], code[b] = _evaluate(params, x[b], 0.0, r[b], t[b], exclude_band)
+    return K, _STATUS[code], _REASON[code]
 
 
 def grid_scan(spec):

@@ -38,6 +38,14 @@ class TestPoint:
         assert code == 1
         assert "critical" in err
 
+    def test_subcritical_energy_json_document(self, capsys):
+        code, out, _ = run(capsys, "point", "--c", "1.4", "--x", "1",
+                           "--format", "json")
+        assert code == 1
+        doc = json.loads(out)
+        assert (doc["status"], doc["reason"]) == ("domain_error", "energy_below_critical")
+        assert doc["K"] is None
+
     def test_json_format(self, capsys):
         code, out, _ = run(capsys, "point", "--a", "1", "--c", "2", "--x", "1",
                            "--format", "json")

@@ -6,6 +6,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from keplerflag.curvature import (
     CallbackCartanMetric,
@@ -18,7 +20,8 @@ from keplerflag.curvature import (
     spray_coeffs,
 )
 from keplerflag.errors import DegeneracyError, DomainError
-from keplerflag.metric import MetricParams, PhasePoint, lstar
+from keplerflag.metric import VERDICTS, MetricParams, PhasePoint, lstar, validate_domain
+from keplerflag.scan import GridSpec, _evaluate_points, grid_scan, slice_scan
 
 
 FLAT = CallbackCartanMetric(lambda x, y, r, t: (r * r + t * t).sqrt())
@@ -88,6 +91,17 @@ class TestCometric:
         degenerate = CallbackCartanMetric(lambda x, y, r, t: r + 2.0 * t + 0.0 * x)
         with pytest.raises(DegeneracyError):
             cometric_at(degenerate, PhasePoint(1.0, 0.0, 0.5, 1.0))
+
+    def test_strongly_indefinite_cometric_is_degenerate(self):
+        # L* = 1e9 (r^2 - t^2)/2 has det = -1e18, beyond 2**53, where
+        # det0 + (1 - det0) rounds to 0 instead of a dummy determinant 1
+        indefinite = CallbackCartanMetric(
+            lambda x, y, r, t: (1e9 * r * r - 1e9 * t * t + 0.0 * x).sqrt()
+        )
+        pt = PhasePoint(1.0, 0.0, 2.0, 1.0)
+        with pytest.raises(DegeneracyError):
+            cometric_at(indefinite, pt)
+        assert flag_curvature(indefinite, pt).reason == "degenerate_cometric"
 
 
 class TestLegendreFiber:
@@ -246,6 +260,54 @@ class TestFlagCurvatureKepler:
         ]
         assert min(ks) < 0.0
         assert max(ks) > 0.0
+
+
+# Floats of every kind: NaN, infinities and subnormals come with st.floats,
+# the float range's ends and an underflowing square are added by hand.
+ANY_FLOAT = st.one_of(
+    st.floats(), st.sampled_from([1e308, -1e308, 5e-324, 1e-200, 0.0, -0.0, 1.0])
+)
+# Below, one ulp above, and above the critical energy, and zero rotation.
+CONTRACT_PARAMS = [MetricParams(1.0, 1.4), MetricParams(1.0, 1.5000000000000002),
+                   MetricParams(1.0, 1.55), MetricParams(1.0, 2.0),
+                   MetricParams(0.0, 2.0)]
+ONE_ULP_ABOVE = MetricParams(1.0, 1.5000000000000002)
+
+
+class TestInputContract:
+    """Every input gives K or a verdict from the one table, and the point
+    query, the domain check and a scan lane agree on it."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(CONTRACT_PARAMS), ANY_FLOAT, ANY_FLOAT, ANY_FLOAT)
+    def test_point_and_scan_lane_agree(self, params, x, r, t):
+        sample = flag_curvature(params, PhasePoint(x, 0.0, r, t))
+        assert (sample.status, sample.reason) in VERDICTS
+        assert (sample.K is not None) == sample.ok
+        assert sample.K is None or math.isfinite(sample.K)
+        domain = validate_domain(params, PhasePoint(x, 0.0, r, t))
+        if not domain.ok:
+            assert sample.reason == domain.reason
+        _, status, reason = _evaluate_points(
+            params, np.array([x]), np.array([r]), np.array([t]), 0.0
+        )
+        assert (status[0], reason[0]) == (sample.status, sample.reason)
+
+    def test_one_ulp_above_critical_energy_matches_grid(self):
+        # rounding fails the hypothesis certificate a|x| < (x^2/4 + c/2)^2
+        # here; no rule reads it, so the point evaluates as the grid row does
+        spec = GridSpec(x_min=1.0, x_max=1.0, nx=1, phi_min=0.1, phi_max=0.1,
+                        nphi=1, c=ONE_ULP_ABOVE.c, a=1.0)
+        result, _ = grid_scan(spec)
+        sample = flag_curvature(ONE_ULP_ABOVE, result.point(0))
+        assert result.status[0] == sample.status == "ok"
+        assert abs(sample.K - result.K[0]) <= 1e-9
+
+    def test_one_ulp_above_critical_energy_on_the_ray(self):
+        sample = flag_curvature(ONE_ULP_ABOVE, PhasePoint(1.0, 0.0, 0.0, 1.0))
+        assert sample.reason == "negative_radicand"
+        result = slice_scan(ONE_ULP_ABOVE.c, 1.0, 1.0, 1.0, 2)
+        assert result.reason.tolist() == ["negative_radicand"] * 2
 
 
 # ----------------------------------------------------------------------

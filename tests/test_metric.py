@@ -219,7 +219,6 @@ class TestDomainValidation:
         status = validate_domain(MetricParams(1.0, 2.0), PhasePoint(1.0, 0.0, 0.0, 1.0))
         assert status.ok
         assert status.radicand == pytest.approx(1.0 - 16.0 / 25.0, rel=1e-14)
-        assert status.certificate_ok
 
     def test_chart_singularity_rejected(self):
         status = validate_domain(MetricParams(1.0, 2.0), PhasePoint(0.0, 0.0, 0.0, 1.0))

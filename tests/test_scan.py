@@ -120,6 +120,7 @@ class TestGridScan:
         for i, status in enumerate(result.status):
             single = flag_curvature(spec.params, result.point(i))
             assert single.status == status
+            assert single.reason == result.reason[i]
             if status == "ok":
                 assert result.K[i] == pytest.approx(single.K, rel=1e-9, abs=1e-9)
 
@@ -132,6 +133,18 @@ class TestGridScan:
         assert f"{status[0]}:{reason[0]}" == f"{single.status}:{single.reason}"
         assert single.status == "singular_v"
         assert math.isnan(K[0]) and single.K is None
+
+    def test_underflowing_lane_leaves_the_others_alone(self):
+        # x * x underflows at x = 1e-200, so that lane's jets raise for the
+        # whole block; the lane ends as nonfinite_result, as a point query
+        # does, and every other row equals the grid without it
+        lanes = dict(phi_min=0.0, phi_max=TAU, nphi=2, c=2.0, a=1.0, exclude_band=0.0)
+        result, _ = grid_scan(GridSpec(x_min=1e-200, x_max=1.0, nx=3, **lanes))
+        reference, _ = grid_scan(GridSpec(x_min=0.5, x_max=1.0, nx=2, **lanes))
+        assert result.reason[:2].tolist() == ["nonfinite_result"] * 2
+        assert np.array_equal(result.x[2:], reference.x)
+        assert np.array_equal(result.K[2:].view(np.int64), reference.K.view(np.int64))
+        assert result.status[2:].tolist() == reference.status.tolist() == ["ok"] * 4
 
     def test_excluded_band_rows_are_kept(self):
         spec = GridSpec(x_min=-1.0, x_max=1.0, nx=5, phi_min=0.0, phi_max=1.0,
