@@ -46,7 +46,11 @@ by at most 5.6e-11 relative.
 A transcription of the closed-form curvature along the fiber ray
 ``(r, t) = (0, x)`` at rotation rate 1 serves as the independent oracle; it
 is evaluated in extended precision because the expression cancels
-catastrophically near the zero set of its radicand.
+catastrophically near the zero set of its radicand.  Its two bracket
+polynomials and its denominator read ``x**k`` and ``c**k`` from power
+tables built once per call: the integer powers were most of the oracle's
+cost, and each table entry is the same once-rounded ``mpf`` power a term
+would take itself, so the oracle's value does not move.
 """
 
 from __future__ import annotations
@@ -247,7 +251,7 @@ def _assemble(L, ix, iy, ir, it, r0, t0):
 
     det0 = np.asarray(det.coeffs[0])
     bad_det = det0 <= 0.0
-    if np.any(bad_det):
+    if bad_det.any():
         # Give degenerate lanes the dummy determinant 1 so the batch can
         # proceed; their results are discarded via the returned det.  Two
         # steps, since det0 + (1 - det0) is 0 once |det0| reaches 2**53.
@@ -284,30 +288,35 @@ def _assemble(L, ix, iy, ir, it, r0, t0):
     ge11, ge12, ge22 = g11.coeffs[0], g12.coeffs[0], g22.coeffs[0]
     u0, v0 = Lr.coeffs[0], Lt.coeffs[0]
 
-    Gur = Gu.derivative(ir).coeffs[0]
-    Gut = Gu.derivative(it).coeffs[0]
+    # A first derivative at the point is the first-order coefficient
+    # (derivative() scales it by 1), so these reads build no jets.
+    unit = L._space.unit
+    dx, dr, dt = unit[ix], unit[ir], unit[it]
+    Gur = Gu.coeffs[dr]
+    Gut = Gu.coeffs[dt]
     Guu = Gur * ge11 + Gut * ge12
     Guv = Gur * ge12 + Gut * ge22
 
     # (dG_v/dx) at frozen (y, u, v): chain-rule correction through the
     # x-dependence of the metric coefficients.
-    Gvx = Gv.derivative(ix).coeffs[0]
-    Gvr = Gv.derivative(ir).coeffs[0]
-    Gvt = Gv.derivative(it).coeffs[0]
-    drdx = g11.derivative(ix).coeffs[0] * u0 + g12.derivative(ix).coeffs[0] * v0
-    dtdx = g12.derivative(ix).coeffs[0] * u0 + g22.derivative(ix).coeffs[0] * v0
+    Gvx = Gv.coeffs[dx]
+    Gvr = Gv.coeffs[dr]
+    Gvt = Gv.coeffs[dt]
+    drdx = g11.coeffs[dx] * u0 + g12.coeffs[dx] * v0
+    dtdx = g12.coeffs[dx] * u0 + g22.coeffs[dx] * v0
     Gxv = Gvx + Gvr * drdx + Gvt * dtdx
 
     # (dG_u/dy) at frozen (x, u, v).
     Gyu = 0.0
     if iy is not None:
-        Guy = Gu.derivative(iy).coeffs[0]
-        drdy = g11.derivative(iy).coeffs[0] * u0 + g12.derivative(iy).coeffs[0] * v0
-        dtdy = g12.derivative(iy).coeffs[0] * u0 + g22.derivative(iy).coeffs[0] * v0
+        dy = unit[iy]
+        Guy = Gu.coeffs[dy]
+        drdy = g11.coeffs[dy] * u0 + g12.coeffs[dy] * v0
+        dtdy = g12.coeffs[dy] * u0 + g22.coeffs[dy] * v0
         Gyu = Guy + Gur * drdy + Gut * dtdy
 
-    Hr = H.derivative(ir).coeffs[0]
-    Ht = H.derivative(it).coeffs[0]
+    Hr = H.coeffs[dr]
+    Ht = H.coeffs[dt]
     Hu = Hr * ge11 + Ht * ge12
 
     G0 = G.coeffs[0]
@@ -417,69 +426,85 @@ def closed_form_radicand(c, x):
     return x**4 + 4.0 * x**2 * c + 4.0 * c**2 - 16.0 * x
 
 
-def _bracket_plain(x, c):
+def _powers(z, n):
+    """``[1, z, z**2, ..., z**n]``, each entry one ``z**k``.
+
+    mpmath forms an integer power exactly and rounds it once, so an entry
+    is the value a term's own ``z**k`` would take; powers by repeated
+    multiplication would round at every step.  Two tables serve a whole
+    closed-form call: 20 integer powers of ``x`` and ``c`` in place of 81.
+    """
+    return [1, z] + [z**k for k in range(2, n + 1)]
+
+
+def _bracket_plain(xp, cp):
     """Monomials of the closed-form bracket that carry no root factor.
 
-    Written term by term in a fixed reference order; a second, structurally
-    independent transcription lives in the test suite and the two are
-    compared exactly over rationals before anything else trusts this one.
+    ``xp[k]`` and ``cp[k]`` are ``x**k`` and ``c**k`` (:func:`_powers`, up
+    to 14 and 8).  Written term by term in a fixed reference order; a
+    second, structurally independent transcription lives in the test suite
+    and the two are compared exactly over rationals before anything else
+    trusts this one.
     """
+    x, c = xp[1], cp[1]
     return (
-        5824 * x**2 * c**4
-        - 5888 * x**3 * c**5
-        - 3840 * x**2 * c
-        - 2240 * c**6 * x
-        - 6320 * x**5 * c**4
-        + 1120 * x**6 * c**5
-        + 2 * x**14 * c
-        + 28 * x**12 * c**2
-        - 6528 * x**5 * c
-        + 256 * c**8
-        + 896 * x**2 * c**7
-        - 1296 * x**7
-        + 204 * x**10
-        - 768 * c**5
-        - 9 * x**13
-        + 2096 * x**8 * c
-        - 160 * x**11 * c
-        - 1060 * c**2 * x**9
-        - 3520 * c**3 * x**7
-        + 11520 * x**4 * c**3
-        + 3840 * c**3 * x
-        + 7584 * x**6 * c**2
-        - 5952 * x**3 * c**2
-        + 1920 * x**4
-        + 168 * x**10 * c**3
-        + 1344 * x**4 * c**6
-        + 560 * x**8 * c**4
+        5824 * xp[2] * cp[4]
+        - 5888 * xp[3] * cp[5]
+        - 3840 * xp[2] * c
+        - 2240 * cp[6] * x
+        - 6320 * xp[5] * cp[4]
+        + 1120 * xp[6] * cp[5]
+        + 2 * xp[14] * c
+        + 28 * xp[12] * cp[2]
+        - 6528 * xp[5] * c
+        + 256 * cp[8]
+        + 896 * xp[2] * cp[7]
+        - 1296 * xp[7]
+        + 204 * xp[10]
+        - 768 * cp[5]
+        - 9 * xp[13]
+        + 2096 * xp[8] * c
+        - 160 * xp[11] * c
+        - 1060 * cp[2] * xp[9]
+        - 3520 * cp[3] * xp[7]
+        + 11520 * xp[4] * cp[3]
+        + 3840 * cp[3] * x
+        + 7584 * xp[6] * cp[2]
+        - 5952 * xp[3] * cp[2]
+        + 1920 * xp[4]
+        + 168 * xp[10] * cp[3]
+        + 1344 * xp[4] * cp[6]
+        + 560 * xp[8] * cp[4]
     )
 
 
-def _bracket_alpha(x, c):
-    """Coefficient polynomial of the root factor in the closed-form bracket."""
+def _bracket_alpha(xp, cp):
+    """Coefficient polynomial of the root factor in the closed-form bracket,
+    over the power tables of :func:`_bracket_plain` (up to 12 and 7)."""
+    x, c = xp[1], cp[1]
     return (
-        -384 * x**2
-        - 864 * c**5 * x
-        - 1872 * c**4 * x**3
-        - 648 * x**7 * c**2
-        - 126 * x**9 * c
-        - 1120 * x**3 * c
-        + 2448 * x**4 * c**2
-        + 1152 * c**2 * x
-        + 1032 * x**6 * c
-        - 1584 * x**5 * c**3
-        + 1632 * c**3 * x**2
-        + 128 * c**7
-        + 384 * c**6 * x**2
-        - 9 * x**11
-        + 2 * x**12 * c
-        + 132 * x**8
-        + 320 * x**6 * c**4
-        + 120 * x**8 * c**3
-        + 24 * x**10 * c**2
-        + 480 * c**5 * x**4
-        - 528 * x**5
-        - 384 * c**4
+        -384 * xp[2]
+        - 864 * cp[5] * x
+        - 1872 * cp[4] * xp[3]
+        - 648 * xp[7] * cp[2]
+        - 126 * xp[9] * c
+        - 1120 * xp[3] * c
+        + 2448 * xp[4] * cp[2]
+        + 1152 * cp[2] * x
+        + 1032 * xp[6] * c
+        - 1584 * xp[5] * cp[3]
+        + 1632 * cp[3] * xp[2]
+        + 128 * cp[7]
+        + 384 * cp[6] * xp[2]
+        - 9 * xp[11]
+        + 2 * xp[12] * c
+        + 132 * xp[8]
+        + 320 * xp[6] * cp[4]
+        + 120 * xp[8] * cp[3]
+        + 24 * xp[10] * cp[2]
+        + 480 * cp[5] * xp[4]
+        - 528 * xp[5]
+        - 384 * cp[4]
     )
 
 
@@ -504,21 +529,22 @@ def flag_curvature_closed_form(c, x, dps=50):
     with mp.workdps(dps):
         xm = mpf(float(x))
         cm = mpf(float(c))
-        beta = xm**4 + 4 * xm**2 * cm + 4 * cm**2 - 16 * xm
+        xp, cp = _powers(xm, 14), _powers(cm, 8)
+        beta = xp[4] + 4 * xp[2] * cm + 4 * cp[2] - 16 * xm
         if beta == 0:
             raise DomainError(
                 f"closed-form denominator vanishes at (c={c}, x={x})", value=0.0
             )
         alpha = mp_sqrt(beta)
         denom = (
-            (xm**2 + 2 * cm + alpha)
-            * (xm**2 * alpha + 2 * cm * alpha
-               + xm**4 + 4 * xm**2 * cm + 4 * cm**2 - 8 * xm)
+            (xp[2] + 2 * cm + alpha)
+            * (xp[2] * alpha + 2 * cm * alpha
+               + xp[4] + 4 * xp[2] * cm + 4 * cp[2] - 8 * xm)
             * beta**2
         )
         if denom == 0:
             raise DomainError(
                 f"closed-form denominator vanishes at (c={c}, x={x})", value=0.0
             )
-        bracket = _bracket_plain(xm, cm) + alpha * _bracket_alpha(xm, cm)
+        bracket = _bracket_plain(xp, cp) + alpha * _bracket_alpha(xp, cp)
         return float(2 * bracket / denom)

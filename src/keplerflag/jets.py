@@ -23,7 +23,9 @@ Conventions
 Coefficients may be scalars or NumPy arrays of a common batch shape, in
 which case every operation acts elementwise across the batch.  Jets are
 immutable values: operations return fresh jets and never write to their
-operands, so they are safe to share between threads.
+operands, so they are safe to share between threads.  The one write is
+inside ``_compose``, which adds each Horner constant to the constant term
+of the product it has just made, a fresh array no caller has seen.
 
 Summation order
 ---------------
@@ -75,7 +77,7 @@ class _JetSpace:
     __slots__ = (
         "num_vars", "max_order", "monomials", "index", "ncoeff",
         "_mul_i", "_mul_j", "_mul_starts", "_sched_i", "_sched_j",
-        "_n_long", "_n_sum", "_chain", "_unsort", "_d_src", "_d_fac",
+        "_n_long", "_n_sum", "_chain", "_unsort", "_d_src", "_d_fac", "unit",
     )
 
     def __init__(self, num_vars, max_order):
@@ -84,6 +86,13 @@ class _JetSpace:
         self.monomials = _monomials(num_vars, max_order)
         self.index = {m: i for i, m in enumerate(self.monomials)}
         self.ncoeff = len(self.monomials)
+        # Position of each variable's first-order coefficient (None at order
+        # 0).  It is a first derivative's value: derivative() multiplies it
+        # by 1.  The graded order puts x0 last, so it is not 1 + var.
+        self.unit = tuple(
+            self.index.get(tuple(int(k == var) for k in range(num_vars)))
+            for var in range(num_vars)
+        )
 
         # Truncated Cauchy product: all (i, j) with deg_i + deg_j <= max_order,
         # sorted, hence grouped by the output index: a scalar product is one
@@ -301,7 +310,8 @@ class Jet:
 
     def __add__(self, other):
         if isinstance(other, Jet):
-            self._check_compatible(other)
+            if other._space is not self._space:
+                self._check_compatible(other)
             return Jet(self._space, self.coeffs + other.coeffs)
         out = self.coeffs.copy()
         out[0] = out[0] + other
@@ -314,7 +324,8 @@ class Jet:
 
     def __sub__(self, other):
         if isinstance(other, Jet):
-            self._check_compatible(other)
+            if other._space is not self._space:
+                self._check_compatible(other)
             return Jet(self._space, self.coeffs - other.coeffs)
         out = self.coeffs.copy()
         out[0] = out[0] - other
@@ -326,8 +337,9 @@ class Jet:
     def __mul__(self, other):
         if not isinstance(other, Jet):
             return Jet(self._space, self.coeffs * other)
-        self._check_compatible(other)
         sp = self._space
+        if other._space is not sp:
+            self._check_compatible(other)
         # Both sum in the same order.  On one lane reduceat's single call
         # beats the schedule's fifteen; across lanes it makes one strided
         # call per coefficient and lane.
@@ -382,7 +394,8 @@ class Jet:
 
         The first step scales ``delta`` by ``series[-1]`` instead of taking
         the product of a constant jet with ``delta``: the pairs that product
-        adds beyond ``series[-1] * delta[k]`` are exact zeros.
+        adds beyond ``series[-1] * delta[k]`` are exact zeros.  Each
+        constant goes into the product just made, which nothing else holds.
         """
         if len(series) == 1:
             return Jet.constant(
@@ -392,10 +405,27 @@ class Jet:
         delta_coeffs = self.coeffs.copy()
         delta_coeffs[0] = 0.0
         delta = Jet(self._space, delta_coeffs)
-        result = delta * series[-1] + series[-2]
+        result = delta * series[-1]
+        result.coeffs[0] += series[-2]
         for ck in series[-3::-1]:
-            result = result * delta + ck
+            result = result * delta
+            result.coeffs[0] += ck
         return result
+
+    def _power_series(self, p):
+        """``self**p`` for ``p`` not a non-negative integer, once the
+        caller has checked the constant term."""
+        c0 = self.coeffs[0]
+        if p.is_integer():
+            exps = [int(p) - k for k in range(self.max_order + 1)]
+        else:
+            exps = [p - k for k in range(self.max_order + 1)]
+        series = []
+        binom = 1.0
+        for k, e in enumerate(exps):
+            series.append(binom * c0**e)
+            binom *= (p - k) / (k + 1.0)
+        return self._compose(series)
 
     def power(self, p):
         """Composition with ``z -> z**p``, exact to the truncation order.
@@ -420,46 +450,37 @@ class Jet:
             return result
         c0 = self.coeffs[0]
         if p.is_integer():
-            if np.any(c0 == 0.0):
+            if (c0 == 0.0).any():
                 raise DomainError(
                     "negative integer power of a jet with zero constant term",
                     value=0.0,
                 )
-            exps = [int(p) - k for k in range(self.max_order + 1)]
-        else:
-            if np.any(c0 <= 0.0):
-                raise DomainError(
-                    f"power {p} of a jet requires a positive constant term, "
-                    f"got {float(np.min(c0))}",
-                    value=float(np.min(c0)),
-                )
-            exps = [p - k for k in range(self.max_order + 1)]
-        series = []
-        binom = 1.0
-        for k, e in enumerate(exps):
-            series.append(binom * c0**e)
-            binom *= (p - k) / (k + 1.0)
-        return self._compose(series)
+        elif (c0 <= 0.0).any():
+            raise DomainError(
+                f"power {p} of a jet requires a positive constant term, "
+                f"got {float(np.min(c0))}",
+                value=float(np.min(c0)),
+            )
+        return self._power_series(p)
 
     def sqrt(self):
         """Square root; the constant term must be strictly positive."""
         c0 = self.coeffs[0]
-        if np.any(c0 <= 0.0):
+        if (c0 <= 0.0).any():
             raise DomainError(
                 f"sqrt of a jet requires a positive constant term, got "
                 f"{float(np.min(c0))}",
                 value=float(np.min(c0)),
             )
-        return self.power(0.5)
+        return self._power_series(0.5)
 
     def reciprocal(self):
         """Multiplicative inverse; the constant term must be nonzero."""
-        c0 = self.coeffs[0]
-        if np.any(c0 == 0.0):
+        if (self.coeffs[0] == 0.0).any():
             raise DomainError(
                 "reciprocal of a jet with zero constant term", value=0.0
             )
-        return self.power(-1.0)
+        return self._power_series(-1.0)
 
     # ------------------------------------------------------------------
 

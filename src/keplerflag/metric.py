@@ -63,12 +63,13 @@ VERDICTS = (
     ("domain_error", "zero_fiber_direction"),
     ("domain_error", "energy_below_critical"),
     ("domain_error", "negative_radicand"),
+    ("domain_error", "undefined_radicand"),
     ("domain_error", "degenerate_cometric"),
     ("singular_v", "denominator_below_tolerance"),
     ("domain_error", "nonfinite_result"),
 )
 (OK, NONFINITE_INPUT, CHART_SINGULARITY, ZERO_FIBER_DIRECTION, ENERGY_BELOW_CRITICAL,
- NEGATIVE_RADICAND, DEGENERATE_COMETRIC, DENOMINATOR_BELOW_TOLERANCE,
+ NEGATIVE_RADICAND, UNDEFINED_RADICAND, DEGENERATE_COMETRIC, DENOMINATOR_BELOW_TOLERANCE,
  NONFINITE_RESULT) = range(len(VERDICTS))
 
 
@@ -139,7 +140,7 @@ def _sqrt(u):
 def _clamped_radicand(rad):
     """Apply the boundary clamp; jets must stay strictly inside the domain."""
     if isinstance(rad, Jet):
-        if np.any(np.asarray(rad.coeffs[0]) <= 0.0):
+        if (rad.coeffs[0] <= 0.0).any():
             raise DomainError(
                 "inner radicand must be strictly positive for jet evaluation, "
                 f"got {float(np.min(rad.coeffs[0]))}",
@@ -154,8 +155,9 @@ def _clamped_radicand(rad):
 
 def _fstar_expr(x, r, t, a, c):
     """The polar fundamental function on floats, arrays, or jets."""
-    norm_q = _sqrt(r * r + (t * t) / (x * x))
-    w = x * x + 2.0 * c
+    xx = x * x
+    norm_q = _sqrt(r * r + (t * t) / xx)
+    w = xx + 2.0 * c
     rad = _clamped_radicand(1.0 - (16.0 * a) * t / (norm_q * (w * w)))
     return 0.25 * w * norm_q * (1.0 + _sqrt(rad))
 
@@ -206,8 +208,10 @@ def classify(params, x, r, t, exclude_band=0.0):
     The rules, in precedence order: ``nonfinite_input`` (``x``, ``r`` or
     ``t`` not finite), ``chart_singularity`` (``x == 0`` or
     ``|x| < exclude_band``), ``zero_fiber_direction`` (``r == t == 0``),
-    ``energy_below_critical`` (``c`` at or below the critical energy) and
-    ``negative_radicand`` (the inner radicand not positive, NaN included).
+    ``energy_below_critical`` (``c`` at or below the critical energy), and
+    ``negative_radicand`` (the inner radicand zero or negative) or
+    ``undefined_radicand`` (the inner radicand NaN: ``0/0`` once ``r * r``
+    underflows with ``t = 0``, or ``inf/inf``).
     """
     x, r, t = (np.asarray(v, dtype=float) for v in (x, r, t))
     rad = np.asarray(inner_radicand(params, x, r, t))
@@ -216,7 +220,8 @@ def classify(params, x, r, t, exclude_band=0.0):
         (CHART_SINGULARITY, (x == 0.0) | (np.abs(x) < exclude_band)),
         (ZERO_FIBER_DIRECTION, (r == 0.0) & (t == 0.0)),
         (ENERGY_BELOW_CRITICAL, params.a > 0.0 and params.c <= params.critical_c),
-        (NEGATIVE_RADICAND, ~(rad > 0.0)),
+        (NEGATIVE_RADICAND, rad <= 0.0),
+        (UNDEFINED_RADICAND, np.isnan(rad)),
     ], x.shape)
     return code, rad
 
@@ -228,7 +233,7 @@ def validate_domain(params, pt):
     """
     code, rad = classify(params, pt.x, pt.r, pt.t)
     code = int(code)
-    reached = code in (OK, NEGATIVE_RADICAND)
+    reached = code in (OK, NEGATIVE_RADICAND, UNDEFINED_RADICAND)
     return DomainStatus(code == OK, VERDICTS[code][1], float(rad) if reached else None)
 
 

@@ -13,6 +13,8 @@ from keplerflag.curvature import (
     CallbackCartanMetric,
     _bracket_alpha,
     _bracket_plain,
+    _evaluate,
+    _powers,
     cometric_at,
     flag_curvature,
     flag_curvature_closed_form,
@@ -20,6 +22,7 @@ from keplerflag.curvature import (
     spray_coeffs,
 )
 from keplerflag.errors import DegeneracyError, DomainError
+from keplerflag.jets import Jet
 from keplerflag.metric import VERDICTS, MetricParams, PhasePoint, lstar, validate_domain
 from keplerflag.scan import GridSpec, _evaluate_points, grid_scan, slice_scan
 
@@ -303,11 +306,125 @@ class TestInputContract:
         assert result.status[0] == sample.status == "ok"
         assert abs(sample.K - result.K[0]) <= 1e-9
 
+    def test_nan_radicand_is_undefined_everywhere(self):
+        # r * r underflows with t = 0, so the radicand is 0/0: not negative
+        params, pt = MetricParams(1.0, 2.0), PhasePoint(1.0, 0.0, 1e-200, 0.0)
+        verdict = ("domain_error", "undefined_radicand")
+        sample = flag_curvature(params, pt)
+        assert (sample.status, sample.reason) == verdict and sample.K is None
+        domain = validate_domain(params, pt)
+        assert domain.reason == "undefined_radicand" and math.isnan(domain.radicand)
+        _, status, reason = _evaluate_points(
+            params, np.array([1.0]), np.array([1e-200]), np.array([0.0]), 0.0
+        )
+        assert (status[0], reason[0]) == verdict
+        # a lattice row: x * x overflows and r = sin 0 = 0, so 0 * inf
+        result, _ = grid_scan(GridSpec(x_min=1e200, x_max=1e200, nx=1, phi_min=0.0,
+                                       phi_max=0.0, nphi=1, c=2.0, a=1.0))
+        assert (result.status[0], result.reason[0]) == verdict
+        lattice_point = result.point(0)
+        assert flag_curvature(params, lattice_point).reason == "undefined_radicand"
+
     def test_one_ulp_above_critical_energy_on_the_ray(self):
         sample = flag_curvature(ONE_ULP_ABOVE, PhasePoint(1.0, 0.0, 0.0, 1.0))
         assert sample.reason == "negative_radicand"
         result = slice_scan(ONE_ULP_ABOVE.c, 1.0, 1.0, 1.0, 2)
         assert result.reason.tolist() == ["negative_radicand"] * 2
+
+
+class TestOperationBudget:
+    """Jet work per evaluation, by count: a change that adds products or
+    derivative jets fails here, not in a noisy timing."""
+
+    def counted(self, monkeypatch, evaluate, *args):
+        """``evaluate(*args)`` and its ``(products, derivatives)`` counts."""
+        counts = {"mul": 0, "derivative": 0}
+        mul, derivative = Jet.__mul__, Jet.derivative
+
+        def counting_mul(self, other):
+            counts["mul"] += 1
+            return mul(self, other)
+
+        def counting_derivative(self, index):
+            counts["derivative"] += 1
+            return derivative(self, index)
+
+        monkeypatch.setattr(Jet, "__mul__", counting_mul)
+        monkeypatch.setattr(Jet, "__rmul__", counting_mul)
+        monkeypatch.setattr(Jet, "derivative", counting_derivative)
+        result = evaluate(*args)
+        return result, (counts["mul"], counts["derivative"])
+
+    def test_point_query(self, monkeypatch):
+        sample, counts = self.counted(monkeypatch, flag_curvature, MetricParams(1.0, 2.0),
+                                      PhasePoint(1.3, 0.0, 0.4, -0.8))
+        assert sample.ok
+        assert counts == (52, 10)
+
+    def test_grid_block(self, monkeypatch):
+        phi = np.linspace(0.0, 6.0, 256)
+        (_, code), counts = self.counted(monkeypatch, _evaluate, MetricParams(1.0, 1.55),
+                                         np.linspace(0.5, 3.0, 256), 0.0,
+                                         np.sin(phi), np.cos(phi))
+        assert (code == 0).all()
+        assert counts == (52, 10)
+
+
+# float64 K of flag_curvature, recorded as hex before the scalar path was
+# trimmed; the trim keeps the arithmetic and its order, so the bits stay.
+KEPLER_PINS = [
+    ((2.4826954893044917, 4.297269735894012),
+     (3.08981157793739, 0.29722533446995403, -0.4786667418941392, -0.2359053462262806),
+     "0x1.1290459ae7fa3p+3"),
+    ((1.157981100801363, 2.5043051216166727),
+     (2.0411295845013857, -1.3923573977469745, -2.0900872008112166, -4.950454428419792),
+     "0x1.39e9edc67a836p+2"),
+    ((2.1324706850323216, 2.7130661864223553),
+     (-3.7575089913632485, -2.299765447499513, -0.4310657664648123, 0.23631611919511153),
+     "0x1.1c8c26927314fp+2"),
+    ((1.9342423999865814, 3.1246864744133487),
+     (3.892366863560824, -1.951289942826233, 1.4359964229089521, -2.046792255407535),
+     "0x1.99b3caddf70ccp+2"),
+    ((0.4161870759984455, 2.594934826335374),
+     (-0.8330196091432275, -2.673051040755001, 0.03988498091277153, -2.386291428840909),
+     "0x1.3209f44799380p+2"),
+    # the ray (x, 0, 0, x)
+    ((1.0, 1.55), (4.707446082045725, 0.0, 0.0, 4.707446082045725), "0x1.9943bbae2d658p+0"),
+    ((1.0, 1.55), (-6.096488375828793, 0.0, 0.0, -6.096488375828793), "0x1.0aaff4ae026f3p+2"),
+    ((1.0, 5.0), (-0.7695606280762983, 0.0, 0.0, -0.7695606280762983), "0x1.2a950a1bffc50p+3"),
+    ((1.0, 1.51), (1.02, 0.0, 0.0, 1.02), "0x1.488e537c5c0ddp+5"),
+    # the acceptance-3 lattice point of largest K
+    ((1.0, 1.55), (-1.0235294117647058, 0.0, -0.24391372010837756, 0.9697969360350094),
+     "0x1.e680c32e08bf2p+3"),
+]
+CALLBACK_PINS = [
+    (SPHERE, (0.3, -0.7, 1.1, 0.4), "0x1.ffffffffffffdp-1"),
+    (HYPERBOLIC, (1.7, 0.2, -0.6, 0.9), "-0x1.0000000000012p+0"),
+]
+# closed form at (c, x), the first three close to the radicand's zero set
+CLOSED_FORM_PINS = [
+    (1.5001, 1.0, "0x1.f0941f9695722p+10"),
+    (1.500001, 0.999, "-0x1.b8ce10cf28644p+18"),
+    (1.51, 1.02, "0x1.488e537c5c0bap+5"),
+    (1.55, 4.70744608, "0x1.9943bbac5ac24p+0"),
+    (2.0, -3.0, "0x1.2488b79a10b7ap+2"),
+    (5.0, 0.3, "0x1.410128643f14dp+3"),
+]
+
+
+class TestBitPins:
+    @pytest.mark.parametrize("ac, point, pin", KEPLER_PINS)
+    def test_kepler(self, ac, point, pin):
+        assert flag_curvature(MetricParams(*ac), PhasePoint(*point)).K.hex() == pin
+
+    @pytest.mark.parametrize("metric, point, pin", CALLBACK_PINS,
+                             ids=["sphere", "hyperbolic"])
+    def test_callback(self, metric, point, pin):
+        assert flag_curvature(metric, PhasePoint(*point)).K.hex() == pin
+
+    @pytest.mark.parametrize("c, x, pin", CLOSED_FORM_PINS)
+    def test_closed_form(self, c, x, pin):
+        assert flag_curvature_closed_form(c, x).hex() == pin
 
 
 # ----------------------------------------------------------------------
@@ -351,8 +468,9 @@ class TestClosedFormTranscription:
             x = Fraction(int(rng.integers(-50, 50)), int(rng.integers(1, 20)))
             c = Fraction(int(rng.integers(1, 80)), int(rng.integers(1, 20)))
             plain_table, alpha_table = table_parts(x, c)
-            assert _bracket_plain(x, c) == plain_table
-            assert _bracket_alpha(x, c) == alpha_table
+            xp, cp = _powers(x, 14), _powers(c, 8)
+            assert _bracket_plain(xp, cp) == plain_table
+            assert _bracket_alpha(xp, cp) == alpha_table
 
     def test_term_count(self):
         assert len(BRACKET_TABLE) == 49

@@ -269,6 +269,14 @@ class TestStructure:
         assert fx.value == pytest.approx(2.0 * 2.0 * -1.0)
         assert fx.extract((1, 1)) == pytest.approx(2.0)
 
+    @pytest.mark.parametrize("num_vars", range(1, MAX_VARS + 1))
+    def test_unit_position_holds_the_first_derivative(self, num_vars):
+        sp = _space(num_vars, 3)
+        jet = Jet(sp, np.random.default_rng(num_vars).normal(size=sp.ncoeff))
+        for var, slot in enumerate(sp.unit):
+            assert sp.monomials[slot] == tuple(int(k == var) for k in range(num_vars))
+            assert jet.coeffs[slot] == jet.derivative(var).coeffs[0]
+
     def test_derivative_of_order_zero_fails(self):
         j = Jet.constant(1.0, 2, 0)
         with pytest.raises(ValueError):
@@ -359,6 +367,45 @@ def test_composition_matches_full_product_horner(op, p, batch):
         want = reference_power(jet, p).coeffs
         assert got.shape == want.shape
         assert np.array_equal(got, want)
+
+
+# Compositions write only into their own fresh product: the operand keeps
+# its coefficients, batched or not, and a failed check says why.
+@pytest.mark.parametrize("batch", [(), (257,)], ids=["scalar", "batched"])
+@pytest.mark.parametrize(
+    "op",
+    [Jet.sqrt, Jet.reciprocal, lambda j: j.power(-1.5), lambda j: j.power(3)],
+    ids=["sqrt", "reciprocal", "power_-1.5", "power_3"],
+)
+def test_composition_leaves_its_operand_alone(op, batch):
+    jet = _random_jet(np.random.default_rng(5), batch)
+    before = jet.coeffs.copy()
+    result = op(jet)
+    assert result.coeffs is not jet.coeffs
+    assert np.array_equal(jet.coeffs.view(np.int64), before.view(np.int64))
+
+
+@pytest.mark.parametrize("batched", [False, True], ids=["scalar", "batched"])
+@pytest.mark.parametrize(
+    "op, c0, message",
+    [
+        (Jet.sqrt, -2.0, "sqrt of a jet requires a positive constant term, got -2.0"),
+        (Jet.reciprocal, 0.0, "reciprocal of a jet with zero constant term"),
+        (lambda j: j.power(-1.5), -2.0,
+         "power -1.5 of a jet requires a positive constant term, got -2.0"),
+        (lambda j: j.power(-1), 0.0,
+         "negative integer power of a jet with zero constant term"),
+    ],
+    ids=["sqrt", "reciprocal", "power_-1.5", "power_-1"],
+)
+def test_composition_domain_messages(op, c0, message, batched):
+    jet = Jet.variable(0, [1.0, c0, 3.0] if batched else c0, 2, 3)
+    before = jet.coeffs.copy()
+    with pytest.raises(DomainError) as err:
+        op(jet)
+    assert str(err.value) == message
+    assert err.value.value == min(c0, 0.0)
+    assert np.array_equal(jet.coeffs, before)
 
 
 # ----------------------------------------------------------------------
