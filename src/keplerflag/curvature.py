@@ -357,18 +357,23 @@ def _guarded(kernel, *columns):
 
     Jets check a whole block at once, so one lane whose constant term
     underflows to zero (say ``x = 1e-200``) raises DomainError for all of
-    them.  The block is then rerun lane by lane, which keeps every other
-    lane's bits, and the failing lane ends as ``nonfinite_result``.
+    them.  The block is then split in halves, and each half guarded in
+    turn, down to single lanes.  A lane's bits do not depend on the block
+    it runs in, so the other lanes keep theirs while staying batched, and
+    the failing lane ends as ``nonfinite_result``.
     """
     try:
         return kernel(*columns)
     except DomainError:
+        shape = np.shape(columns[0])
         if columns[0].size == 1:
-            nan = np.full(columns[0].shape, np.nan)
+            nan = np.full(shape, np.nan)
             return nan, nan, nan
-        lanes = [_guarded(kernel, *(c[i:i + 1] for c in columns))
-                 for i in range(columns[0].size)]
-        return tuple(np.concatenate(v) for v in zip(*lanes))
+        flat = [c.ravel() for c in np.broadcast_arrays(*columns)]
+        mid = flat[0].size // 2
+        halves = [_guarded(kernel, *(c[s] for c in flat))
+                  for s in (slice(None, mid), slice(mid, None))]
+        return tuple(np.concatenate(v).reshape(shape) for v in zip(*halves))
 
 
 def _evaluate(metric, x, y, r, t, exclude_band=0.0):

@@ -23,9 +23,11 @@ Conventions
 Coefficients may be scalars or NumPy arrays of a common batch shape, in
 which case every operation acts elementwise across the batch.  Jets are
 immutable values: operations return fresh jets and never write to their
-operands, so they are safe to share between threads.  The one write is
-inside ``_compose``, which adds each Horner constant to the constant term
-of the product it has just made, a fresh array no caller has seen.
+operands, so they are safe to share between threads.  The writes are
+private: ``_compose`` adds each Horner constant to the constant term of the
+product it has just made, a fresh array no caller has seen, and a batched
+product gathers its operands into scratch buffers that belong to one space
+and one thread (``threading.local``) and never leave the product.
 
 Summation order
 ---------------
@@ -50,6 +52,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import threading
 from functools import lru_cache
 
 import numpy as np
@@ -58,6 +61,10 @@ from .errors import DomainError
 
 MAX_VARS = 4
 MAX_ORDER = 4
+
+# A space keeps a thread's gather buffers only while each holds at most this
+# many coefficients (4 MiB of doubles); wider products allocate their own.
+_SCRATCH_LIMIT = 1 << 19
 
 __all__ = ["Jet", "MAX_VARS", "MAX_ORDER"]
 
@@ -78,6 +85,7 @@ class _JetSpace:
         "num_vars", "max_order", "monomials", "index", "ncoeff",
         "_mul_i", "_mul_j", "_mul_starts", "_sched_i", "_sched_j",
         "_n_long", "_n_sum", "_chain", "_unsort", "_d_src", "_d_fac", "unit",
+        "_scratch",
     )
 
     def __init__(self, num_vars, max_order):
@@ -113,6 +121,7 @@ class _JetSpace:
         # monomial), so these reduceat segments are never empty.
         self._mul_starts = np.searchsorted(mul_k, np.arange(self.ncoeff))
         self._build_schedule(len(pairs))
+        self._scratch = threading.local()
 
         # Partial-derivative tables, target order max_order - 1.  The target
         # monomials are exactly the prefix of this space's graded enumeration.
@@ -184,12 +193,33 @@ class _JetSpace:
             unsort[k] = position
         self._unsort = np.array(unsort, dtype=np.intp)
 
+    def gathered_products(self, a, b):
+        """Pair products of batched coefficients of one shape and dtype, in
+        schedule order, in this thread's reused buffers for this space.
+
+        Fresh 210 x 256 temporaries would be mapped and unmapped by glibc
+        on every product.  A thread keeps one pair per space, of at most
+        ``_SCRATCH_LIMIT`` coefficients each, so at most 8 MiB per space.
+        The indices are valid, so ``"clip"`` changes no value; it spares
+        ``take`` the copy of ``out`` it makes under ``"raise"``.
+        """
+        shape = (self._sched_i.size,) + a.shape[1:]
+        pa, pb = getattr(self._scratch, "pair", (None, None))
+        if pa is None or pa.shape != shape or pa.dtype != a.dtype:
+            pa, pb = np.empty(shape, a.dtype), np.empty(shape, a.dtype)
+            if pa.size <= _SCRATCH_LIMIT:
+                self._scratch.pair = pa, pb
+        a.take(self._sched_i, 0, pa, "clip")
+        b.take(self._sched_j, 0, pb, "clip")
+        return np.multiply(pa, pb, out=pa)
+
     def scheduled_sum(self, prod):
         """Coefficients from products gathered in schedule order.
 
         Sums in the order of the module docstring, bit for bit equal to
         ``np.add.reduceat`` over the same products in pair order.  Works in
-        place in ``prod``, which must be a fresh temporary.
+        place in ``prod``, which no caller may hold; the coefficients are a
+        fresh array.
         """
         n_sum = self._n_sum
         S = prod[self.ncoeff : self.ncoeff + n_sum]
@@ -346,9 +376,11 @@ class Jet:
         if self.coeffs.ndim == 1 and other.coeffs.ndim == 1:
             prod = self.coeffs[sp._mul_i] * other.coeffs[sp._mul_j]
             return Jet(sp, np.add.reduceat(prod, sp._mul_starts, axis=0))
-        a = np.take(self.coeffs, sp._sched_i, axis=0)
-        b = np.take(other.coeffs, sp._sched_j, axis=0)
-        prod = np.multiply(a, b, out=a if a.shape == b.shape else None)
+        a, b = self.coeffs, other.coeffs
+        if a.shape == b.shape and a.dtype == b.dtype:
+            prod = sp.gathered_products(a, b)
+        else:  # broadcast batches
+            prod = np.take(a, sp._sched_i, axis=0) * np.take(b, sp._sched_j, axis=0)
         return Jet(sp, sp.scheduled_sum(prod))
 
     __rmul__ = __mul__

@@ -12,8 +12,10 @@ bit-identical files.
 
 Results are columns, not per-point objects: a :class:`ScanResult` holds
 one NumPy array each for ``x``, ``phi``, ``r``, ``t``, ``K``, ``status`` and
-``reason``.  CSV emission formats each lattice axis once, then ``K`` and
-the status per row.
+``reason``.  Emission formats and writes them in blocks of rows, so its
+memory is one block's text whatever the scan's size.  CSV formats each
+lattice axis once, then ``K`` and the status per row; JSON fills one
+template per sample, with the bytes ``json.dumps`` would write.
 """
 
 from __future__ import annotations
@@ -47,16 +49,14 @@ DEFAULT_EXCLUDE_BAND = 1e-3
 _STATUS, _REASON = (np.array(column, dtype=object) for column in zip(*VERDICTS))
 
 # Lanes per kernel block.  A batched order-4 product makes about 15 NumPy
-# calls whatever the lane count, plus two gather temporaries of
-# 210 x _CHUNK doubles: the calls favour wide blocks, the page faults of
-# the temporaries narrow ones.  At 8192 lanes (14 MB each) glibc maps and
-# unmaps them on every call; below that the count follows glibc's adaptive
-# mmap and trim thresholds.  Minor faults per 256^2 pass in a fresh
-# process, first pass then second: 128 lanes 3.2k and 2.8k, 256 lanes
-# (430 KiB temporaries) 152k and 107k, 512 lanes 487k and 482k.  256 lanes
-# still give the fastest pass on the 2-vCPU Xeon: two 20-second perfbench
-# grid-accept3 runs each gave wall_s 1.05 and 1.33 s, against 1.50 and
-# 1.57 s at 128 lanes.  Every lane's arithmetic is independent of the
+# calls whatever the lane count, which favours wide blocks, and gathers
+# into two 210 x _CHUNK buffers that each thread keeps per jet space
+# (``jets._JetSpace.gathered_products``), which favours narrow ones.  Minor
+# faults and time of a 256^2 grid_scan pass in a fresh process on the
+# 2-vCPU Xeon, first pass then second: 128 lanes 1.6k and 1.3k (0.56 s),
+# 256 lanes 1.8k and 1.3k (0.44 s), 512 lanes 16k and 28k (0.45 s); from
+# 4096 lanes on the buffers are too wide to keep and a pass takes 120k-260k
+# faults and 0.8-0.9 s.  Every lane's arithmetic is independent of the
 # block size, so the output is too.
 _CHUNK = 256
 
@@ -221,32 +221,71 @@ def slice_scan(c, a, x_min=-10.0, x_max=10.0, n=2048,
 # emission
 
 
-def _fmt(values):
-    """CSV fields of a float column: 17 significant digits, NaN empty."""
-    return ["" if v != v else "%.17g" % v for v in values.tolist()]
+# Rows per written block: emission holds one block's text at a time.
+_ROWS = 4096
+
+# One JSON sample, as json.dumps(doc, indent=2) writes it.
+_SAMPLE = ('    {\n      "x": %s,\n      "phi": %s,\n      "r": %s,\n      "t": %s,\n'
+           '      "K": %s,\n      "status": %s\n    }')
 
 
-def _json_floats(values):
-    return [None if v != v else v for v in values.tolist()]
+def _fmt(values, fmt="%.17g", nan=""):
+    """Fields of a float column: ``fmt % v``, and ``nan`` for NaN."""
+    return [nan if v != v else fmt % v for v in values.tolist()]
 
 
-def _status_fields(result):
-    """``status`` on ok rows, ``status:reason`` on the others."""
-    return [f"{s}:{r}" if r else s
-            for s, r in zip(result.status.tolist(), result.reason.tolist())]
+def _json_fmt(values):
+    """Fields of a float column as ``json`` writes them, NaN as null."""
+    if np.isinf(values).any():
+        return [json.dumps(None if v != v else v) for v in values.tolist()]
+    return _fmt(values, "%r", "null")
 
 
-def _csv_prefixes(result, spec):
-    """The ``x,phi,r,t,`` start of every CSV row."""
-    columns = (result.x, result.phi, result.r, result.t)
+def _blocks(result):
+    """Each block's row slice and status fields (``status:reason`` off ok)."""
+    for lo in range(0, len(result), _ROWS):
+        rows = slice(lo, lo + _ROWS)
+        yield rows, [f"{s}:{r}" if r else s for s, r in
+                     zip(result.status[rows].tolist(), result.reason[rows].tolist())]
+
+
+def _csv_text(result, spec):
+    yield "x,phi,r,t,K,status\n"
+    columns = (result.x, result.phi, result.r, result.t, result.K)
     if not (isinstance(spec, GridSpec) and len(result) == spec.nx * spec.nphi):
-        return [",".join(f) + "," for f in zip(*map(_fmt, columns))]
+        for rows, status in _blocks(result):
+            fields = zip(*(_fmt(c[rows]) for c in columns), status)
+            yield "".join([",".join(f) + "\n" for f in fields])
+        return
     # A lattice repeats its axes: format x once per row of the lattice and
     # phi, r, t once per column.
     n = spec.nphi
     heads = [f + "," for f in _fmt(result.x[::n])]
-    tails = [",".join(f) + "," for f in zip(*(_fmt(c[:n]) for c in columns[1:]))]
-    return [h + t for h in heads for t in tails]
+    tails = [",".join(f) + "," for f in zip(*(_fmt(c[:n]) for c in columns[1:4]))]
+    for rows, status in _blocks(result):
+        yield "".join([f"{heads[i // n]}{tails[i % n]}{k},{s}\n" for i, k, s in
+                       zip(range(rows.start, rows.stop), _fmt(result.K[rows]), status)])
+
+
+def _json_text(result, summary, spec, include_samples):
+    doc = {}
+    if spec is not None:
+        kind = "grid" if isinstance(spec, GridSpec) else "slice"
+        doc["spec"] = {"kind": kind, **asdict(spec)}
+    doc["summary"] = asdict(summary)
+    if include_samples:
+        doc["samples"] = []
+    text = json.dumps(doc, indent=2)
+    if not (include_samples and len(result)):
+        yield text + "\n"
+        return
+    yield text[:-len("]\n}")] + "\n"  # '"samples": [' ends the head
+    columns = (result.x, result.phi, result.r, result.t, result.K)
+    for rows, status in _blocks(result):
+        quoted = {s: json.dumps(s) for s in set(status)}
+        fields = zip(*(_json_fmt(c[rows]) for c in columns), map(quoted.get, status))
+        yield ("" if rows.start == 0 else ",\n") + ",\n".join([_SAMPLE % f for f in fields])
+    yield "\n  ]\n}\n"
 
 
 def emit(result, summary, format, destination, spec=None, include_samples=True):
@@ -254,33 +293,22 @@ def emit(result, summary, format, destination, spec=None, include_samples=True):
 
     ``destination`` may be a path or ``None``/``"-"`` for standard output.
     CSV columns are exactly ``x,phi,r,t,K,status``; slice output leaves
-    ``phi`` empty.  Floats are serialized with 17 significant digits.
+    ``phi`` empty, and floats have 17 significant digits.  JSON has the
+    bytes of ``json.dumps(doc, indent=2)``.  Rows are formatted and written
+    ``_ROWS`` at a time, so only one block's text is held in memory.
     """
     if format == "csv":
-        rows = zip(_csv_prefixes(result, spec), _fmt(result.K), _status_fields(result))
-        text = "x,phi,r,t,K,status\n" + "".join([f"{p}{k},{s}\n" for p, k, s in rows])
+        text = _csv_text(result, spec)
     elif format == "json":
-        doc = {}
-        if spec is not None:
-            kind = "grid" if isinstance(spec, GridSpec) else "slice"
-            doc["spec"] = {"kind": kind, **asdict(spec)}
-        doc["summary"] = asdict(summary)
-        if include_samples:
-            columns = [_json_floats(c) for c in
-                       (result.x, result.phi, result.r, result.t, result.K)]
-            doc["samples"] = [
-                {"x": x, "phi": phi, "r": r, "t": t, "K": K, "status": s}
-                for x, phi, r, t, K, s in zip(*columns, _status_fields(result))
-            ]
-        text = json.dumps(doc, indent=2) + "\n"
+        text = _json_text(result, summary, spec, include_samples)
     else:
         raise ValueError(f"unknown output format: {format!r}")
 
     if destination is None or destination == "-":
-        sys.stdout.write(text)
+        sys.stdout.writelines(text)
     else:
         try:
             with open(destination, "w", encoding="utf-8") as handle:
-                handle.write(text)
+                handle.writelines(text)
         except OSError as exc:
             raise OSError(f"cannot write scan output to {destination}: {exc}") from exc

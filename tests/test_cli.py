@@ -138,6 +138,18 @@ class TestGrid:
         rows = out_path.read_text().splitlines()
         assert len(rows) == 65
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_stdout_matches_file(self, capsys, tmp_path, fmt):
+        # 21 x 25 rows over x = 0 give ok, domain_error and singular_v rows
+        out_path = tmp_path / f"grid.{fmt}"
+        argv = ["grid", "--c", "1.51", "--x-range", "-2:2", "--nx", "21",
+                "--nphi", "25", "--format", fmt, "--out"]
+        code, _, _ = run(capsys, *argv, str(out_path))
+        assert code == 0
+        code, out, _ = run(capsys, *argv, "-")
+        assert code == 0
+        assert out.encode("utf-8") == out_path.read_bytes()
+
     def test_invalid_grid_exits_one(self, capsys, tmp_path):
         out_path = tmp_path / "grid.csv"
         code, _, err = run(capsys, "grid", "--a", "1", "--c", "1.4",

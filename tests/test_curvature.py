@@ -3,6 +3,7 @@
 import math
 import warnings
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 import pytest
@@ -14,6 +15,8 @@ from keplerflag.curvature import (
     _bracket_alpha,
     _bracket_plain,
     _evaluate,
+    _guarded,
+    _kepler_flag_batch,
     _powers,
     cometric_at,
     flag_curvature,
@@ -368,6 +371,73 @@ class TestOperationBudget:
                                          np.sin(phi), np.cos(phi))
         assert (code == 0).all()
         assert counts == (52, 10)
+
+
+class TestGuardedBlock:
+    """A block whose jets raise is bisected; the result is the one a
+    lane-by-lane rerun gives."""
+
+    PARAMS = MetricParams(1.0, 2.0)
+    FAILING = [0, 5, 6, 20, 35]  # lanes whose x * x underflows
+
+    def columns(self):
+        rng = np.random.default_rng(5)
+        x = rng.uniform(0.5, 1.0, 36)
+        x[self.FAILING] = 1e-200
+        phi = rng.uniform(0.0, 2.0 * math.pi, 36)
+        return x, np.sin(phi), np.cos(phi)
+
+    def lane_by_lane(self, kernel, *columns):
+        lanes = []
+        for i in range(columns[0].size):
+            try:
+                lanes.append(kernel(*(c[i:i + 1] for c in columns)))
+            except DomainError:
+                lanes.append((np.full(1, np.nan),) * 3)
+        return [np.concatenate(v) for v in zip(*lanes)]
+
+    def test_matches_lane_by_lane(self):
+        kernel = partial(_kepler_flag_batch, self.PARAMS)
+        columns = self.columns()
+        with pytest.raises(DomainError):
+            kernel(*columns)
+        got = _guarded(kernel, *columns)
+        for g, w in zip(got, self.lane_by_lane(kernel, *columns)):
+            assert np.array_equal(g.view(np.int64), w.view(np.int64))
+        ok = np.ones(36, bool)
+        ok[self.FAILING] = False
+        assert np.isnan(got[0][~ok]).all() and np.isfinite(got[0][ok]).all()
+        # the other lanes, batched on their own, give the same bits
+        alone = kernel(*(c[ok] for c in columns))
+        for g, w in zip(got, alone):
+            assert np.array_equal(g[ok].view(np.int64), w.view(np.int64))
+
+    def test_keeps_the_block_shape(self):
+        kernel = partial(_kepler_flag_batch, self.PARAMS)
+        columns = self.columns()
+        flat = _guarded(kernel, *columns)
+        square = _guarded(kernel, *(c.reshape(6, 6) for c in columns))
+        for g, w in zip(square, flat):
+            assert g.shape == (6, 6)
+            assert np.array_equal(g.ravel().view(np.int64), w.view(np.int64))
+
+
+def test_steady_256_lane_evaluate_peaks_under_one_megabyte():
+    # the product's gather buffers are reused, not reallocated per product
+    import tracemalloc
+
+    phi = np.linspace(0.0, 6.0, 256)
+    args = (MetricParams(1.0, 1.55), np.linspace(0.5, 3.0, 256), 0.0,
+            np.sin(phi), np.cos(phi))
+    _evaluate(*args)
+    tracemalloc.start()
+    try:
+        _, code = _evaluate(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code == 0).all()
+    assert peak < 1 << 20
 
 
 # float64 K of flag_curvature, recorded as hex before the scalar path was

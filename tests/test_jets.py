@@ -453,3 +453,39 @@ def test_batched_product_sums_like_reduceat(num_vars, max_order):
                 )
                 got = (Jet(sp, a) * Jet(sp, b)).coeffs
             assert_same_bits(got, want)
+
+
+def test_threads_multiplying_at_once_match_a_serial_run():
+    # Each thread gathers into its own scratch buffers, so two threads
+    # multiplying 256-lane order-4 jets at once get the serial bits.
+    import threading
+
+    sp = _space(3, 4)
+    rng = np.random.default_rng(11)
+    operands = [[Jet(sp, rng.standard_normal((sp.ncoeff, 256))) for _ in range(4)]
+                for _ in range(2)]
+
+    def products(jets):
+        out = []
+        for _ in range(25):
+            for a in jets:
+                out.extend((a * b).coeffs for b in jets)
+        return out
+
+    serial = [products(jets) for jets in operands]
+    results = [None, None]
+    start = threading.Barrier(2)
+
+    def work(k):
+        start.wait()
+        results[k] = products(operands[k])
+
+    threads = [threading.Thread(target=work, args=(k,)) for k in range(2)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    for got, want in zip(results, serial):
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert np.array_equal(g.view(np.int64), w.view(np.int64))

@@ -1,5 +1,6 @@
 """Tests for grid/slice scanning and emission."""
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -7,6 +8,7 @@ import math
 import numpy as np
 import pytest
 
+import keplerflag.scan as scan_module
 from keplerflag.curvature import flag_curvature
 from keplerflag.metric import MetricParams, PhasePoint
 from keplerflag.scan import (
@@ -325,6 +327,22 @@ class TestEmit:
         assert doc["spec"]["kind"] == "slice"
         assert doc["samples"][0]["phi"] is None
 
+    def test_json_is_json_dumps_of_the_document(self, tmp_path, monkeypatch):
+        # infinities, signed zeros and NaN across blocks of two rows
+        monkeypatch.setattr(scan_module, "_ROWS", 2)
+        result = columns([1.5, math.inf, math.nan, -math.inf, -0.0],
+                         ["ok", "ok", "domain_error", "ok", "ok"])
+        summary = summarize(result)
+        out = tmp_path / "doc.json"
+        emit(result, summary, "json", str(out))
+        floats = [[None if v != v else v for v in c.tolist()]
+                  for c in (result.x, result.phi, result.r, result.t, result.K)]
+        status = [f"{s}:{r}" if r else s for s, r in zip(result.status, result.reason)]
+        samples = [dict(zip(("x", "phi", "r", "t", "K", "status"), row))
+                   for row in zip(*floats, status)]
+        doc = {"summary": dataclasses.asdict(summary), "samples": samples}
+        assert out.read_text() == json.dumps(doc, indent=2) + "\n"
+
     def test_unknown_format_rejected(self, tmp_path):
         result = slice_scan(2.0, 1.0, 0.5, 1.5, 3)
         with pytest.raises(ValueError):
@@ -356,8 +374,6 @@ class TestDeterminism:
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
     def test_chunked_evaluation_matches_unchunked(self, monkeypatch):
-        import keplerflag.scan as scan_module
-
         # 525 lanes span more than two default blocks; x = 0 is a lattice
         # row, so chart_singularity rows fall inside a block, and the
         # phi = pi/2 column gives singular_v lanes.
@@ -387,23 +403,65 @@ class TestBytePins:
         emit(result, summary, fmt, str(out), spec=spec, include_samples=include_samples)
         return hashlib.sha256(out.read_bytes()).hexdigest()
 
-    @pytest.mark.parametrize("fmt, include_samples, sha256", [
+    GRID_PINS = [
         ("csv", True, "e05235ce7db6323bb366f786caf1e8a0abf9dbd6b4e678679a904d9b2a2ba22f"),
         ("json", True, "5faa859e33b84ca18d854a39d6a0a84fdb168e070035bf74f6b40568c9404ecd"),
         ("json", False, "14d07bf40c249dcf67a38278295d4638f0e22e4e8bca5b9c16321492d2f70935"),
-    ])
+    ]
+    SLICE_PINS = [
+        ("csv", "014f04831181ff934c52db1cb4e4a0db3d145a404fca535c7506bb08c95d5bcf"),
+        ("json", "b4967244b24a46b14787025953ae0cf7339ea5cb3afa471934b5c6ba4a23e9bb"),
+    ]
+
+    @pytest.mark.parametrize("fmt, include_samples, sha256", GRID_PINS)
     def test_grid(self, tmp_path, fmt, include_samples, sha256):
         result, summary = grid_scan(PINNED_GRID)
         assert set(result.status) == {"ok", "domain_error", "singular_v"}
         assert self.digest(tmp_path, result, summary, fmt, PINNED_GRID,
                            include_samples) == sha256
 
-    @pytest.mark.parametrize("fmt, sha256", [
-        ("csv", "014f04831181ff934c52db1cb4e4a0db3d145a404fca535c7506bb08c95d5bcf"),
-        ("json", "b4967244b24a46b14787025953ae0cf7339ea5cb3afa471934b5c6ba4a23e9bb"),
-    ])
+    @pytest.mark.parametrize("fmt, sha256", SLICE_PINS)
     def test_slice(self, tmp_path, fmt, sha256):
         spec = PINNED_SLICE
         result = slice_scan(spec.c, spec.a, spec.x_min, spec.x_max, spec.n)
         assert result.status[20] == "domain_error" and result.x[20] == 0.0
         assert self.digest(tmp_path, result, summarize(result), fmt, spec) == sha256
+
+    # Blocks of 7 rows end inside lattice rows (25 columns) and inside
+    # runs of one status; the bytes must not show where.
+    @pytest.mark.parametrize("fmt, include_samples, sha256", GRID_PINS)
+    def test_grid_in_small_blocks(self, tmp_path, monkeypatch, fmt, include_samples,
+                                  sha256):
+        monkeypatch.setattr(scan_module, "_ROWS", 7)
+        self.test_grid(tmp_path, fmt, include_samples, sha256)
+
+    @pytest.mark.parametrize("fmt, sha256", SLICE_PINS)
+    def test_slice_in_small_blocks(self, tmp_path, monkeypatch, fmt, sha256):
+        monkeypatch.setattr(scan_module, "_ROWS", 7)
+        self.test_slice(tmp_path, fmt, sha256)
+
+
+@pytest.fixture(scope="module")
+def accept3():
+    """The 256 x 256 acceptance-3 lattice's result and summary."""
+    spec = GridSpec(x_min=-3.0, x_max=3.0, nx=256, phi_min=0.0, phi_max=TAU,
+                    nphi=256, c=1.55, a=1.0)
+    return (*grid_scan(spec), spec)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_emission_memory_is_bounded(tmp_path, accept3, fmt):
+    # 65,536 rows emitted a block at a time: the traced peak is a block's
+    # text, not the file's (24 MB of CSV text, 109 MB for JSON in one piece)
+    import tracemalloc
+
+    result, summary, spec = accept3
+    out = tmp_path / f"accept3.{fmt}"
+    tracemalloc.start()
+    try:
+        emit(result, summary, fmt, str(out), spec=spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(out.read_bytes().splitlines()) > len(result)
+    assert peak < 4 << 20
