@@ -13,6 +13,8 @@ import json
 import math
 import sys
 
+import numpy as np
+
 from .convexity import verify_convexity
 from .curvature import flag_curvature, flag_curvature_closed_form
 from .errors import DegeneracyError, DomainError, PreconditionError
@@ -238,11 +240,19 @@ def _cmd_closed_form(args):
     if args.x is not None:
         print(f"{flag_curvature_closed_form(args.c, args.x):.17g}")
         return 0
+    if args.n < 2:
+        raise ValueError(f"closed-form curve needs n >= 2, got {args.n}")
     lo, hi = args.x_range
+    # The x column of `slice` over the same range.  A range with a nonfinite
+    # end has no defined points (np.linspace would still end on hi).
+    if math.isfinite(lo) and math.isfinite(hi):
+        if not math.isfinite(hi - lo):
+            raise ValueError(f"x range {lo}:{hi} must have a finite width")
+        xs = np.linspace(lo, hi, args.n)
+    else:
+        xs = np.full(args.n, math.nan)
     lines = ["x,K,status"]
-    step = (hi - lo) / (args.n - 1) if args.n > 1 else 0.0
-    for i in range(args.n):
-        x = lo + i * step
+    for x in xs.tolist():
         try:
             k = flag_curvature_closed_form(args.c, x)
             lines.append(f"{x:.17g},{k:.17g},ok")

@@ -25,7 +25,8 @@ which case every operation acts elementwise across the batch.  Jets are
 immutable values: operations return fresh jets and never write to their
 operands, so they are safe to share between threads.  The writes are
 private: ``_compose`` adds each Horner constant to the constant term of the
-product it has just made, a fresh array no caller has seen, and a batched
+product it has just made, a fresh array no caller has seen, a shifted
+product (below) adds into the array it has just made, and a batched
 product gathers its operands into scratch buffers that belong to one space
 and one thread (``threading.local``) and never leave the product.
 
@@ -46,6 +47,35 @@ Higham, *Accuracy and Stability of Numerical Algorithms*, 2nd ed., 4.2).
 Scalar jets call ``reduceat``; batched jets run the same order as a fixed
 schedule vectorised across lanes, because ``reduceat`` along the pair axis
 makes one strided call per output coefficient and lane.
+
+Structural zeros
+----------------
+Two kinds of pair product have a factor that is zero by construction, and
+neither is formed (Griewank & Walther, *Evaluating Derivatives*, 2nd ed.,
+ch. 13, on Taylor arithmetic):
+
+* Horner steps in compositions.  ``delta = self - c0`` has a zero
+  constant term, so while ``s`` products with ``delta`` are still to come,
+  the degrees of the running result above ``max_order - s`` never reach
+  the output.  Each step multiplies in the lowest space that still holds
+  what matters (:meth:`Jet._compose`).
+* Batched products with a coordinate jet.  A jet from
+  :meth:`Jet.variable`, or one scaled by finite numbers per lane, is zero
+  but for its constant term and its variable's unit position ``e``, so its
+  product with ``b`` is ``c_k = lin[0] * b[k] + lin[e] * b[k - e]``
+  (``_JetSpace.shifted``), whichever side it is on.  Only that scaling
+  keeps the mark; every other operation drops it.  On one lane the dense
+  product, a single ``reduceat``, costs less than the shifted one's
+  indexing, so single-lane jets multiply densely.
+
+The bits of every nonzero coefficient are the dense product's.  A skipped
+product is ``0 * finite``, a zero, and adding a zero to a nonzero partial
+sum leaves it as it is, so what remains is the same nonzero products
+summed in the same order with the same roundings; IEEE ``+`` and ``*``
+commute, so the side a coordinate jet is on does not matter.  Two things
+can differ: the sign of a coefficient that is zero, because the skipped
+zeros took part in its sum, and a NaN the dense product makes from a
+structural zero and an infinite coefficient.
 """
 
 from __future__ import annotations
@@ -83,9 +113,9 @@ class _JetSpace:
 
     __slots__ = (
         "num_vars", "max_order", "monomials", "index", "ncoeff",
-        "_mul_i", "_mul_j", "_mul_starts", "_sched_i", "_sched_j",
-        "_n_long", "_n_sum", "_chain", "_unsort", "_d_src", "_d_fac", "unit",
-        "_scratch",
+        "_mul_i", "_mul_lo_i", "_mul_j", "_mul_starts", "_sched_i", "_sched_lo_i",
+        "_sched_j", "_n_long", "_n_sum", "_chain", "_unsort", "_d_src", "_d_fac",
+        "unit", "_scratch",
     )
 
     def __init__(self, num_vars, max_order):
@@ -117,6 +147,12 @@ class _JetSpace:
         mul_k = np.array([p[0] for p in pairs], dtype=np.intp)
         self._mul_i = np.array([p[1] for p in pairs], dtype=np.intp)
         self._mul_j = np.array([p[2] for p in pairs], dtype=np.intp)
+        # A graded product's left operand stops one order short (_compose):
+        # its missing top-degree entries pair only with b[0], and these
+        # indices read a[0] there.  Not its last entry, as "clip" would:
+        # that one can be infinite where a[0] is not, and inf * 0 is NaN.
+        small = _monomials(num_vars, max_order - 1)
+        self._mul_lo_i = np.where(self._mul_i < len(small), self._mul_i, 0)
         # Every output index occurs at least once (pair with the constant
         # monomial), so these reduceat segments are never empty.
         self._mul_starts = np.searchsorted(mul_k, np.arange(self.ncoeff))
@@ -128,7 +164,6 @@ class _JetSpace:
         self._d_src = []
         self._d_fac = []
         if max_order >= 1:
-            small = _monomials(num_vars, max_order - 1)
             for var in range(num_vars):
                 src = np.empty(len(small), dtype=np.intp)
                 fac = np.empty(len(small))
@@ -185,6 +220,7 @@ class _JetSpace:
                 rows += tail + head
         assert sorted(rows) == list(range(npairs))
         self._sched_i = self._mul_i[rows]
+        self._sched_lo_i = self._mul_lo_i[rows]
         self._sched_j = self._mul_j[rows]
         self._n_long, self._n_sum = len(long_), len(short) + len(long_)
         self._chain = tuple(chain)
@@ -193,9 +229,32 @@ class _JetSpace:
             unsort[k] = position
         self._unsort = np.array(unsort, dtype=np.intp)
 
-    def gathered_products(self, a, b):
-        """Pair products of batched coefficients of one shape and dtype, in
-        schedule order, in this thread's reused buffers for this space.
+    def product(self, a, b, graded=False):
+        """Coefficients of the truncated product of coefficient arrays.
+
+        With ``graded``, ``a`` holds only the degrees below this space's
+        order and ``b[0]`` is zero: a pair that would read a missing
+        top-degree entry of ``a`` meets ``b[0]``, so it reads ``a[0]``
+        instead and its product is a zero either way.
+        """
+        mul_i = self._mul_lo_i if graded else self._mul_i
+        # Both sum in the same order.  On one lane reduceat's single call
+        # beats the schedule's fifteen; across lanes it makes one strided
+        # call per coefficient and lane.
+        if a.ndim == 1 and b.ndim == 1:
+            prod = a[mul_i] * b[self._mul_j]
+            return np.add.reduceat(prod, self._mul_starts, axis=0)
+        sched_i = self._sched_lo_i if graded else self._sched_i
+        if a.shape[1:] == b.shape[1:] and a.dtype == b.dtype:
+            prod = self.gathered_products(a, b, sched_i)
+        else:  # broadcast batches
+            prod = np.take(a, sched_i, axis=0) * np.take(b, self._sched_j, axis=0)
+        return self.scheduled_sum(prod)
+
+    def gathered_products(self, a, b, sched_i):
+        """Pair products of batched coefficients of one batch shape and
+        dtype, ``a`` read through ``sched_i``, in schedule order, in this
+        thread's reused buffers for this space.
 
         Fresh 210 x 256 temporaries would be mapped and unmapped by glibc
         on every product.  A thread keeps one pair per space, of at most
@@ -203,15 +262,28 @@ class _JetSpace:
         The indices are valid, so ``"clip"`` changes no value; it spares
         ``take`` the copy of ``out`` it makes under ``"raise"``.
         """
-        shape = (self._sched_i.size,) + a.shape[1:]
+        shape = (sched_i.size,) + a.shape[1:]
         pa, pb = getattr(self._scratch, "pair", (None, None))
         if pa is None or pa.shape != shape or pa.dtype != a.dtype:
             pa, pb = np.empty(shape, a.dtype), np.empty(shape, a.dtype)
             if pa.size <= _SCRATCH_LIMIT:
                 self._scratch.pair = pa, pb
-        a.take(self._sched_i, 0, pa, "clip")
+        a.take(sched_i, 0, pa, "clip")
         b.take(self._sched_j, 0, pb, "clip")
         return np.multiply(pa, pb, out=pa)
+
+    def shifted(self, lin, var, b):
+        """Coefficients of the product of ``lin``, zero off its constant
+        term and the unit position ``e`` of variable ``var``, with ``b``.
+
+        ``c_k = lin[0] * b[k] + lin[e] * b[k - e]``, where ``b[k - e]`` is
+        there when monomial ``k`` contains ``var``: the dense product's
+        other pairs are exact zeros (module docstring).
+        """
+        up = self._d_src[var]
+        out = lin[0] * b
+        out[up] += lin[self.unit[var]] * b[: up.size]
+        return out
 
     def scheduled_sum(self, prod):
         """Coefficients from products gathered in schedule order.
@@ -254,11 +326,14 @@ def _factorial_of(mu):
 class Jet:
     """Truncated Taylor expansion of a scalar quantity at a point."""
 
-    __slots__ = ("_space", "coeffs")
+    __slots__ = ("_space", "coeffs", "_var")
 
-    def __init__(self, space, coeffs):
+    def __init__(self, space, coeffs, var=None):
         self._space = space
         self.coeffs = coeffs
+        # Index of the variable when this is a (scaled) coordinate jet, zero
+        # but for its constant term and that variable's unit position.
+        self._var = var
 
     # ------------------------------------------------------------------
     # construction
@@ -284,7 +359,7 @@ class Jet:
         coeffs[0] = value
         unit = tuple(1 if k == index else 0 for k in range(num_vars))
         coeffs[sp.index[unit]] = 1.0
-        return cls(sp, coeffs)
+        return cls(sp, coeffs, index)
 
     @classmethod
     def constant(cls, value, num_vars, max_order):
@@ -366,22 +441,27 @@ class Jet:
 
     def __mul__(self, other):
         if not isinstance(other, Jet):
-            return Jet(self._space, self.coeffs * other)
+            # Finite values per lane keep a coordinate jet's zeros zero; a
+            # coefficient-shaped factor or an infinity need not.
+            var = self._var
+            if var is not None and not (
+                math.isfinite(other) if isinstance(other, float)
+                else np.ndim(other) < self.coeffs.ndim and np.isfinite(other).all()
+            ):
+                var = None
+            return Jet(self._space, self.coeffs * other, var)
         sp = self._space
         if other._space is not sp:
             self._check_compatible(other)
-        # Both sum in the same order.  On one lane reduceat's single call
-        # beats the schedule's fifteen; across lanes it makes one strided
-        # call per coefficient and lane.
-        if self.coeffs.ndim == 1 and other.coeffs.ndim == 1:
-            prod = self.coeffs[sp._mul_i] * other.coeffs[sp._mul_j]
-            return Jet(sp, np.add.reduceat(prod, sp._mul_starts, axis=0))
         a, b = self.coeffs, other.coeffs
-        if a.shape == b.shape and a.dtype == b.dtype:
-            prod = sp.gathered_products(a, b)
-        else:  # broadcast batches
-            prod = np.take(a, sp._sched_i, axis=0) * np.take(b, sp._sched_j, axis=0)
-        return Jet(sp, sp.scheduled_sum(prod))
+        # On one lane the dense product's single reduceat is cheaper than
+        # the shifted product's indexing; the nonzero bits are the same.
+        if a.ndim > 1 or b.ndim > 1:
+            if self._var is not None:
+                return Jet(sp, sp.shifted(a, self._var, b))
+            if other._var is not None:
+                return Jet(sp, sp.shifted(b, other._var, a))
+        return Jet(sp, sp.product(a, b))
 
     __rmul__ = __mul__
 
@@ -422,27 +502,37 @@ class Jet:
     # analytic functions
 
     def _compose(self, series):
-        """Evaluate sum_k series[k] * (self - c0)^k by Horner.
+        """Evaluate sum_k series[k] * (self - c0)^k by degree-graded Horner.
 
-        The first step scales ``delta`` by ``series[-1]`` instead of taking
-        the product of a constant jet with ``delta``: the pairs that product
-        adds beyond ``series[-1] * delta[k]`` are exact zeros.  Each
-        constant goes into the product just made, which nothing else holds.
+        ``delta = self - c0`` has a zero constant term, so while ``s``
+        products with ``delta`` are still to come, only the degrees up to
+        ``max_order - s`` of the running result reach the output.  The
+        first step scales ``delta`` by ``series[-1]`` on degrees up to 1
+        (the product with a constant jet adds only exact zeros); step ``q``
+        then multiplies by ``delta`` in the order-``q`` space, the result
+        so far holding degrees below ``q`` (:meth:`_JetSpace.product` with
+        ``graded``).  The graded enumeration makes that space a prefix of
+        this one, with the same pairs per coefficient, the same sort order
+        and the same summation schedule, so each coefficient kept is the
+        full product's.  An order-4 compose in 3 variables gathers
+        28 + 84 + 210 pair rows, not 3 x 210.  Each constant goes into the
+        product just made, which nothing else holds.
         """
         if len(series) == 1:
             return Jet.constant(
                 np.broadcast_to(series[0], self.coeffs.shape[1:]),
                 self.num_vars, self.max_order,
             )
-        delta_coeffs = self.coeffs.copy()
-        delta_coeffs[0] = 0.0
-        delta = Jet(self._space, delta_coeffs)
-        result = delta * series[-1]
-        result.coeffs[0] += series[-2]
-        for ck in series[-3::-1]:
-            result = result * delta
-            result.coeffs[0] += ck
-        return result
+        sp = self._space
+        delta = self.coeffs.copy()
+        delta[0] = 0.0
+        result = delta[: 1 + sp.num_vars] * series[-1]
+        result[0] += series[-2]
+        for q, ck in enumerate(series[-3::-1], 2):
+            step = _space(sp.num_vars, q)
+            result = step.product(result, delta[: step.ncoeff], graded=True)
+            result[0] += ck
+        return Jet(sp, result)
 
     def _power_series(self, p):
         """``self**p`` for ``p`` not a non-negative integer, once the

@@ -226,6 +226,32 @@ class TestClosedForm:
         assert lines[0] == "x,K,status"
         assert len(lines) == 33
 
+    def test_curve_samples_the_slice_x_column(self, capsys):
+        code, out, _ = run(capsys, "closed-form", "--c", "2",
+                           "--x-range", "-7.3:2.9", "--n", "513")
+        assert code == 0
+        xs = [line.split(",")[0] for line in out.splitlines()[1:]]
+        code, out, _ = run(capsys, "slice", "--c", "2", "--x-range", "-7.3:2.9",
+                           "--n", "513")
+        assert code == 0
+        assert xs == [line.split(",")[0] for line in out.splitlines()[1:]]
+        assert float(xs[-1]) == 2.9
+
+    @pytest.mark.parametrize("n", ["1", "0", "-3"])
+    def test_curve_needs_two_points(self, capsys, n):
+        code, out, err = run(capsys, "closed-form", "--c", "2",
+                             "--x-range", "-3:3", "--n", n)
+        assert code == 1
+        assert out == ""
+        assert f"n >= 2, got {n}" in err
+
+    def test_curve_range_needs_a_finite_width(self, capsys):
+        code, out, err = run(capsys, "closed-form", "--c", "2",
+                             "--x-range", "-1e308:1e308", "--n", "3")
+        assert code == 1
+        assert out == ""
+        assert "finite width" in err
+
     def test_requires_exactly_one_mode(self, capsys):
         code, _, err = run(capsys, "closed-form", "--c", "2")
         assert code == 2

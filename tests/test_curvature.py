@@ -25,7 +25,7 @@ from keplerflag.curvature import (
     spray_coeffs,
 )
 from keplerflag.errors import DegeneracyError, DomainError
-from keplerflag.jets import Jet
+from keplerflag.jets import Jet, _JetSpace
 from keplerflag.metric import VERDICTS, MetricParams, PhasePoint, lstar, validate_domain
 from keplerflag.scan import GridSpec, _evaluate_points, grid_scan, slice_scan
 
@@ -336,13 +336,16 @@ class TestInputContract:
 
 
 class TestOperationBudget:
-    """Jet work per evaluation, by count: a change that adds products or
-    derivative jets fails here, not in a noisy timing."""
+    """Jet work per evaluation, by count: a change that adds products,
+    derivative jets or dense pair rows fails here, not in a noisy timing."""
 
     def counted(self, monkeypatch, evaluate, *args):
-        """``evaluate(*args)`` and its ``(products, derivatives)`` counts."""
-        counts = {"mul": 0, "derivative": 0}
-        mul, derivative = Jet.__mul__, Jet.derivative
+        """``evaluate(*args)`` and its counts: ``Jet.__mul__`` calls (scalar
+        factors and shifted products among them), derivative jets, and the
+        pair rows each lane's dense products gather (``_JetSpace.product``,
+        Horner steps included)."""
+        counts = {"mul": 0, "derivative": 0, "pairs": 0}
+        mul, derivative, product = Jet.__mul__, Jet.derivative, _JetSpace.product
 
         def counting_mul(self, other):
             counts["mul"] += 1
@@ -352,17 +355,23 @@ class TestOperationBudget:
             counts["derivative"] += 1
             return derivative(self, index)
 
+        def counting_product(space, a, b, graded=False):
+            counts["pairs"] += space._mul_j.size
+            return product(space, a, b, graded)
+
         monkeypatch.setattr(Jet, "__mul__", counting_mul)
         monkeypatch.setattr(Jet, "__rmul__", counting_mul)
         monkeypatch.setattr(Jet, "derivative", counting_derivative)
+        monkeypatch.setattr(_JetSpace, "product", counting_product)
         result = evaluate(*args)
-        return result, (counts["mul"], counts["derivative"])
+        return result, (counts["mul"], counts["derivative"], counts["pairs"])
 
     def test_point_query(self, monkeypatch):
         sample, counts = self.counted(monkeypatch, flag_curvature, MetricParams(1.0, 2.0),
                                       PhasePoint(1.3, 0.0, 0.4, -0.8))
         assert sample.ok
-        assert counts == (52, 10)
+        # One lane multiplies coordinate jets densely: 8 products, 952 rows.
+        assert counts == (34, 10, 3864)
 
     def test_grid_block(self, monkeypatch):
         phi = np.linspace(0.0, 6.0, 256)
@@ -370,7 +379,67 @@ class TestOperationBudget:
                                          np.linspace(0.5, 3.0, 256), 0.0,
                                          np.sin(phi), np.cos(phi))
         assert (code == 0).all()
-        assert counts == (52, 10)
+        assert counts == (34, 10, 2912)
+
+
+class TestExtremeLanes:
+    """Tiny ``x`` with huge ``t``: the Horner steps' intermediates overflow
+    in their top degrees.  A graded step must read ``a[0]``, never an entry
+    that may be infinite, where a product with ``delta[0] = 0`` stands in
+    for a missing one, or ok lanes turn into ``nonfinite_result``.  Verdicts
+    and ``K`` bits (zero signs too) are pinned, batched and one by one."""
+
+    PARAMS = MetricParams(1.0, 1.55)
+    # (x, r, t, K.hex() or None for nonfinite_result)
+    LANES = [
+        (-2.2591818598608602e-23, -5.8346000116679e-49, 1.4357134848479093e+99,
+         "0x1.0e3a7e997ee12p+102"),
+        (2.7685631732656937e-27, -1.5806400299350302e-44, 2.3871586965733063e+93,
+         "-0x1.ddd8fb6e0fb34p+127"),
+        (8.668458230169411e-29, 6.514927606485219e-34, -3.677217228022736e+85,
+         "-0x1.c0e0cc6b03932p+137"),
+        (4.226304694337724e-31, -1.021439679296303e-56, -4.157467200252451e+88,
+         "0x1.1ecfd4ef75d1bp+153"),
+        (4.656281629285373e-25, 27182069.344687253, -3.6330022092024106e+98,
+         "-0x1.7e723103966aep+113"),
+        (-4.977811381886077e-27, 2.1207800404969625e-55, 7.276692546183152e+99,
+         "-0x1.6d94555c2b58dp+125"),
+        (-3.7186960619285245e-25, 5.640523480156166e-30, -4.42014567766304e+98,
+         "0x1.8b7f10baf7d7dp+115"),
+        (-1.8021419780727402e-30, -3.926706644016309e+17, 2.504979171330821e+87,
+         "-0x1.5eb4afa4c8162p+150"),
+        (-1.0155304407666008e-26, -0.36714300130301186, -1.3995402315834706e+97,
+         "0x0.0p+0"),
+        (-6.1239315570408305e-27, 3.1974499529191234e+59, -2.4810469918748877e+92,
+         "0x0.0p+0"),
+        (-6.1944732396659606e-27, 1.216479923420062e+16, -8.352926701435046e+89,
+         "-0x1.6beb3f420b2c5p+126"),
+        (1.3872706463433542e-29, 4.052869094017383e-43, -3.5804546035875477e+93,
+         "-0x1.b4e5a42d11cc6p+143"),
+        (-5.190912908815871e-40, -6.810934590798147e-25, -7.5949136175639775e+90, None),
+        (-2.5009436849802494e-270, -2.039987398911756e+28, 3.2803006152786805e+93, None),
+        (1.904858822544933e-221, -9.777467703902095e+24, -2.9411810110492083e+83, None),
+        (-1.1804988572896513e-300, -743717933399.9648, 3.0885137770897406e+80, None),
+    ]
+
+    def expected(self):
+        return [(VERDICTS[0] if pin else ("domain_error", "nonfinite_result"), pin)
+                for *_, pin in self.LANES]
+
+    def test_batched(self):
+        x, r, t = (np.array(column) for column in list(zip(*self.LANES))[:3])
+        K, code = _evaluate(self.PARAMS, x, 0.0, r, t)
+        got = [(VERDICTS[c], None if np.isnan(k) else float(k).hex())
+               for k, c in zip(K, code)]
+        assert got == self.expected()
+
+    def test_one_by_one(self):
+        got = []
+        for x, r, t, _ in self.LANES:
+            sample = flag_curvature(self.PARAMS, PhasePoint(x, 0.0, r, t))
+            got.append(((sample.status, sample.reason),
+                        None if sample.K is None else sample.K.hex()))
+        assert got == self.expected()
 
 
 class TestGuardedBlock:

@@ -341,14 +341,38 @@ def reference_power(jet, p):
     return result
 
 
-def _random_jet(rng, batch):
-    sp = _space(3, 4)
+def _random_jet(rng, batch, num_vars=3, max_order=4, extreme=False):
+    sp = _space(num_vars, max_order)
     coeffs = rng.normal(size=(sp.ncoeff,) + batch)
     coeffs[0] = rng.uniform(0.2, 3.0, size=batch)
+    if extreme:
+        # 120 decades and zeros of both signs, yet every Horner value of
+        # the four compositions below stays finite.
+        coeffs *= 10.0 ** rng.uniform(-60.0, 60.0, size=coeffs.shape)
+        pick = rng.random(coeffs.shape)
+        coeffs[pick < 0.1] = 0.0
+        coeffs[(pick >= 0.1) & (pick < 0.2)] = -0.0
+        coeffs[0] = 10.0 ** rng.uniform(-8.0, 8.0, size=batch)
     return Jet(sp, coeffs)
 
 
-@pytest.mark.parametrize("batch", [(), (257,)], ids=["scalar", "batched"])
+def assert_same_nonzero_bits(got, want):
+    """The same NaNs, a zero of either sign where ``want`` has a zero, and
+    the same bits everywhere else.  Skipping a product that is an exact
+    zero can flip the sign of a sum that is zero."""
+    nan, zero = np.isnan(want), want == 0.0
+    assert got.shape == want.shape
+    assert np.array_equal(np.isnan(got), nan)
+    assert (got[zero] == 0.0).all()
+    keep = ~(nan | zero)
+    assert np.array_equal(got.view(np.int64)[keep], want.view(np.int64)[keep])
+
+
+SPACES = [(nv, mo) for nv in range(1, MAX_VARS + 1) for mo in range(MAX_ORDER + 1)]
+
+
+@pytest.mark.parametrize("batch", [(), (257,), (3, 5)],
+                         ids=["scalar", "batched", "batched_2d"])
 @pytest.mark.parametrize(
     "op, p",
     [
@@ -360,13 +384,15 @@ def _random_jet(rng, batch):
     ids=["sqrt", "reciprocal", "power_1.5", "power_-2"],
 )
 def test_composition_matches_full_product_horner(op, p, batch):
+    # The degree-graded steps keep every nonzero bit of full-order Horner,
+    # in all 20 spaces, at moderate and extreme magnitudes.
     rng = np.random.default_rng(11)
-    for _ in range(3):
-        jet = _random_jet(rng, batch)
-        got = op(jet).coeffs
-        want = reference_power(jet, p).coeffs
-        assert got.shape == want.shape
-        assert np.array_equal(got, want)
+    for num_vars, max_order in SPACES:
+        for extreme in (False, True):
+            jet = _random_jet(rng, batch, num_vars, max_order, extreme)
+            with np.errstate(all="raise"):
+                want = reference_power(jet, p).coeffs
+            assert_same_nonzero_bits(op(jet).coeffs, want)
 
 
 # Compositions write only into their own fresh product: the operand keeps
@@ -436,6 +462,11 @@ def assert_same_bits(got, want):
     assert np.array_equal(got.view(np.int64)[~nan], want.view(np.int64)[~nan])
 
 
+def dense_product(a, b, sp):
+    """Every pair product, summed by reduceat in pair order."""
+    return np.add.reduceat(a[sp._mul_i] * b[sp._mul_j], sp._mul_starts, axis=0)
+
+
 @pytest.mark.parametrize(
     "num_vars, max_order",
     [(nv, mo) for nv in range(1, MAX_VARS + 1) for mo in range(MAX_ORDER + 1)],
@@ -448,11 +479,58 @@ def test_batched_product_sums_like_reduceat(num_vars, max_order):
             a = _coeffs(rng, (sp.ncoeff,) + batch, kind)
             b = _coeffs(rng, (sp.ncoeff,) + batch, kind)
             with np.errstate(all="ignore"):
-                want = np.add.reduceat(
-                    a[sp._mul_i] * b[sp._mul_j], sp._mul_starts, axis=0
-                )
+                want = dense_product(a, b, sp)
                 got = (Jet(sp, a) * Jet(sp, b)).coeffs
             assert_same_bits(got, want)
+
+
+@pytest.mark.parametrize("num_vars, max_order", [s for s in SPACES if s[1] >= 1])
+def test_variable_products_match_the_dense_schedule(num_vars, max_order):
+    # A coordinate jet, scaled or not, on either side, on one lane or
+    # across lanes, gives the nonzero bits of the dense product.
+    sp = _space(num_vars, max_order)
+    rng = np.random.default_rng(10 * num_vars + max_order)
+    for lanes_var, lanes_other in [((), ()), ((256,), (256,)), ((1,), (256,)),
+                                   ((256,), (1,)), ((3, 5), (3, 5))]:
+        for var in range(num_vars):
+            x = Jet.variable(var, rng.uniform(-3.0, 3.0, lanes_var), num_vars, max_order)
+            for kind in ("moderate", "extreme"):
+                other = Jet(sp, _coeffs(rng, (sp.ncoeff,) + lanes_other, kind))
+                if kind == "extreme":
+                    other.coeffs[~np.isfinite(other.coeffs)] = 1.0
+                for lin in (x, x * -2.5, x * rng.uniform(-1.0, 1.0, lanes_var)):
+                    assert lin._var == var
+                    want = dense_product(lin.coeffs, other.coeffs, sp)
+                    assert_same_nonzero_bits((lin * other).coeffs, want)
+                    want = dense_product(other.coeffs, lin.coeffs, sp)
+                    assert_same_nonzero_bits((other * lin).coeffs, want)
+            y = Jet.variable((var + 1) % num_vars, rng.uniform(-3.0, 3.0, lanes_var),
+                             num_vars, max_order)
+            assert_same_nonzero_bits((x * y).coeffs, dense_product(x.coeffs, y.coeffs, sp))
+            assert_same_nonzero_bits((x * x).coeffs, dense_product(x.coeffs, x.coeffs, sp))
+
+
+def test_only_finite_lane_scaling_keeps_a_variable_shifted():
+    x = Jet.variable(1, np.array([0.5, 2.0]), 3, 4)
+    y = Jet.variable(2, np.array([1.5, -1.0]), 3, 4)
+    assert x._var == 1
+    assert (x * 3.0)._var == (3.0 * x)._var == (x * np.array([2.0, -1.0]))._var == 1
+    coefficient_shaped = np.ones((x.coeffs.shape[0], 1))
+    with np.errstate(invalid="ignore"):  # 0 * inf
+        dropped = {
+            "+ jet": x + y, "+ scalar": x + 1.0, "- jet": x - y, "-x": -x,
+            "* jet": x * y, "/ scalar": x / 2.0,
+            "derivative": x.derivative(1), "truncated": x.truncated(2),
+            "* coefficient-shaped array": x * coefficient_shaped,
+            "* inf": x * np.inf, "* lanes with nan": x * np.array([1.0, np.nan]),
+        }
+    assert {name: jet._var for name, jet in dropped.items()} == dict.fromkeys(dropped)
+    # A scale that turns the zeros into NaN leaves the product dense.
+    with np.errstate(invalid="ignore"):
+        scaled = x * np.inf
+        other = y + 1.0
+        want = dense_product(scaled.coeffs, other.coeffs, scaled._space)
+        assert_same_nonzero_bits((scaled * other).coeffs, want)
 
 
 def test_threads_multiplying_at_once_match_a_serial_run():
