@@ -21,12 +21,12 @@ Conventions
   use :meth:`Jet.truncated` to lower an operand explicitly.
 
 Coefficients may be scalars or NumPy arrays of a common batch shape, in
-which case every operation acts elementwise across the batch.  Jets are
-immutable values: operations return fresh jets and never write to their
-operands, so they are safe to share between threads.  The writes are
+which case every operation acts elementwise across the batch; batch shapes
+broadcast as NumPy's do, a single-lane (0-d) jet against any batch.  Jets
+are immutable values: operations return fresh jets and never write to
+their operands, so they are safe to share between threads.  The writes are
 private: ``_compose`` adds each Horner constant to the constant term of the
-product it has just made, a fresh array no caller has seen, a shifted
-product (below) adds into the array it has just made, and a batched
+product it has just made, a fresh array no caller has seen, and a batched
 product gathers its operands into scratch buffers that belong to one space
 and one thread (``threading.local``) and never leave the product.
 
@@ -44,38 +44,55 @@ of output ``k`` are sorted; call their products ``p0 ... p(n-1)`` and let
 
 This is the order of ``np.add.reduceat`` (NumPy's pairwise summation, see
 Higham, *Accuracy and Stability of Numerical Algorithms*, 2nd ed., 4.2).
-Scalar jets call ``reduceat``; batched jets run the same order as a fixed
-schedule vectorised across lanes, because ``reduceat`` along the pair axis
-makes one strided call per output coefficient and lane.
+Single-lane jets call ``reduceat``; batched jets run the same order as a
+fixed schedule vectorised across lanes, because ``reduceat`` along the pair
+axis makes one strided call per output coefficient and lane.
 
-Structural zeros
-----------------
-Two kinds of pair product have a factor that is zero by construction, and
-neither is formed (Griewank & Walther, *Evaluating Derivatives*, 2nd ed.,
-ch. 13, on Taylor arithmetic):
+Sparsity masks
+--------------
+Every jet carries a static sparsity mask, an int whose bit ``k`` is set if
+coefficient ``k`` can be nonzero (sparsity patterns, Griewank & Walther,
+*Evaluating Derivatives*, 2nd ed., ch. 7, applied to the Taylor arithmetic
+of ch. 13):
 
-* Horner steps in compositions.  ``delta = self - c0`` has a zero
-  constant term, so while ``s`` products with ``delta`` are still to come,
-  the degrees of the running result above ``max_order - s`` never reach
-  the output.  Each step multiplies in the lowest space that still holds
-  what matters (:meth:`Jet._compose`).
-* Batched products with a coordinate jet.  A jet from
-  :meth:`Jet.variable`, or one scaled by finite numbers per lane, is zero
-  but for its constant term and its variable's unit position ``e``, so its
-  product with ``b`` is ``c_k = lin[0] * b[k] + lin[e] * b[k - e]``
-  (``_JetSpace.shifted``), whichever side it is on.  Only that scaling
-  keeps the mark; every other operation drops it.  On one lane the dense
-  product, a single ``reduceat``, costs less than the shifted one's
-  indexing, so single-lane jets multiply densely.
+* :meth:`Jet.variable` is ``{0, e}``, ``e`` its unit position, and
+  :meth:`Jet.constant` is ``{0}``.  A jet made from raw coefficients has
+  the full mask, and so has every single-lane jet: its products are one
+  dense ``reduceat``, cheaper on one lane than any indexing.
+* ``+`` and ``-`` between jets OR the masks; adding a number sets bit 0.
+* Negation, and scaling by a finite number or by finite values per lane,
+  keep the mask.  Any other factor (nonfinite, or shaped like the
+  coefficients) and division by a number give the full mask.
+* :meth:`Jet.derivative` maps the mask through the derivative's source
+  table; :meth:`Jet.truncated` keeps its low bits.
+* A product's mask holds the outputs with a pair whose two factors are
+  both in their masks.  Compositions multiply by ``delta = self - c0``,
+  whose mask is the operand's without bit 0.
 
-The bits of every nonzero coefficient are the dense product's.  A skipped
-product is ``0 * finite``, a zero, and adding a zero to a nonzero partial
-sum leaves it as it is, so what remains is the same nonzero products
-summed in the same order with the same roundings; IEEE ``+`` and ``*``
-commute, so the side a coordinate jet is on does not matter.  Two things
-can differ: the sign of a coefficient that is zero, because the skipped
-zeros took part in its sum, and a NaN the dense product makes from a
-structural zero and an infinite coefficient.
+A batched product gathers and sums only the pairs that can be nonzero, by a
+table built once per pair of masks (:meth:`_JetSpace.table`):
+
+* Every output keeps its ``p0``.
+* A short output (``m < 8``), and the tail ``q8 ...`` of a long one, drop
+  the ``q`` that cannot be nonzero.  Dropping an exact zero from a left
+  fold changes no rounding: ``s + 0`` is ``s``.
+* A long output drops those zeros from its 8-term tree as well: a node with
+  a zero subtree is its other subtree.  If what is left is a caterpillar,
+  every internal node with a leaf child, it is summed as a left fold,
+  deepest pair first and one leaf per level after it: the same additions of
+  the same values, because IEEE ``+`` commutes.  Otherwise all 8 rows stay.
+* Compositions use degree-graded Horner on top: while ``s`` products with
+  ``delta`` are still to come, the degrees of the running result above
+  ``max_order - s`` never reach the output, so each step multiplies in the
+  lowest space that still holds what matters (:meth:`Jet._compose`).
+
+So every nonzero coefficient has the dense product's bits: what remains is
+the same nonzero products summed in the same order with the same
+roundings.  Two things can differ: the sign of a coefficient that is zero,
+because the skipped zeros took part in its sum, and a NaN the dense product
+makes from a structural zero and an infinite coefficient.  Outside its
+mask a jet's coefficients are exactly zero on every lane where all of them
+are finite, and zero or NaN on the others.
 """
 
 from __future__ import annotations
@@ -84,6 +101,7 @@ import itertools
 import math
 import threading
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -95,6 +113,9 @@ MAX_ORDER = 4
 # A space keeps a thread's gather buffers only while each holds at most this
 # many coefficients (4 MiB of doubles); wider products allocate their own.
 _SCRATCH_LIMIT = 1 << 19
+# Product tables and derivative masks kept, over all spaces; the kernel's
+# expressions use a few dozen.
+_CACHE_LIMIT = 4096
 
 __all__ = ["Jet", "MAX_VARS", "MAX_ORDER"]
 
@@ -108,14 +129,81 @@ def _monomials(num_vars, max_order):
     return tuple(out)
 
 
+def _pruned(live, lo=0, n=8):
+    """NumPy's tree over ``q(lo) ... q(lo+n-1)`` without the terms that
+    cannot be nonzero: None if none is left, a leaf's ``q``, or a pair of
+    subtrees."""
+    if n == 1:
+        return lo if live[lo] else None
+    left, right = _pruned(live, lo, n // 2), _pruned(live, lo + n // 2, n // 2)
+    if left is None or right is None:
+        return right if left is None else left
+    return left, right
+
+
+def _caterpillar(tree):
+    """Leaves of a pruned tree in the order a left fold adds them, or None
+    if some internal node has no leaf child."""
+    if tree is None:
+        return []
+    if isinstance(tree, int):
+        return [tree]
+    left, right = tree
+    if isinstance(left, int) and not isinstance(right, int):
+        left, right = right, left
+    if not isinstance(right, int):
+        return None
+    inner = _caterpillar(left)
+    return None if inner is None else inner + [right]
+
+
+def _plan(live):
+    """How an output sums its ``q`` terms, given which can be nonzero:
+    ``(tree, fold)``.  With ``tree``, ``q0 ... q7`` sum as NumPy's tree and
+    ``fold`` lists the tail terms added to it left to right; without, the
+    output's ``S`` is the left fold of ``fold`` alone (module docstring)."""
+    if len(live) < 8:
+        return False, [q for q, keep in enumerate(live) if keep]
+    tail = [q for q in range(8, len(live)) if live[q]]
+    leaves = _caterpillar(_pruned(live))
+    return (True, tail) if leaves is None else (False, leaves + tail)
+
+
+def _aligned(a, b):
+    """Coefficient arrays with their batch axes lined up: the one with
+    fewer gains leading unit batch axes, so a single-lane jet broadcasts
+    against any batch, as a ``(1,)`` batch does."""
+    if a.ndim < b.ndim:
+        a = a.reshape(a.shape[:1] + (1,) * (b.ndim - a.ndim) + a.shape[1:])
+    elif b.ndim < a.ndim:
+        b = b.reshape(b.shape[:1] + (1,) * (a.ndim - b.ndim) + b.shape[1:])
+    return a, b
+
+
+class _Table(NamedTuple):
+    """Gather indices and summation steps of one batched product.
+
+    ``i`` and ``j`` index the two operands' coefficients, one row per pair
+    product in the order the steps consume them; ``mask`` is the
+    product's sparsity mask.
+    """
+
+    i: np.ndarray
+    j: np.ndarray
+    n_long: int
+    n_sum: int
+    chain: tuple
+    unsort: np.ndarray
+    mask: int
+
+
 class _JetSpace:
     """Precomputed index tables for one (num_vars, max_order) algebra."""
 
     __slots__ = (
-        "num_vars", "max_order", "monomials", "index", "ncoeff",
-        "_mul_i", "_mul_lo_i", "_mul_j", "_mul_starts", "_sched_i", "_sched_lo_i",
-        "_sched_j", "_n_long", "_n_sum", "_chain", "_unsort", "_d_src", "_d_fac",
-        "unit", "_scratch",
+        "num_vars", "max_order", "monomials", "index", "ncoeff", "full", "unit",
+        "_mul_i", "_mul_lo_i", "_mul_j", "_mul_starts", "_d_src", "_d_fac",
+        "_scratch",
     )
 
     def __init__(self, num_vars, max_order):
@@ -124,6 +212,7 @@ class _JetSpace:
         self.monomials = _monomials(num_vars, max_order)
         self.index = {m: i for i, m in enumerate(self.monomials)}
         self.ncoeff = len(self.monomials)
+        self.full = (1 << self.ncoeff) - 1
         # Position of each variable's first-order coefficient (None at order
         # 0).  It is a first derivative's value: derivative() multiplies it
         # by 1.  The graded order puts x0 last, so it is not 1 + var.
@@ -156,7 +245,6 @@ class _JetSpace:
         # Every output index occurs at least once (pair with the constant
         # monomial), so these reduceat segments are never empty.
         self._mul_starts = np.searchsorted(mul_k, np.arange(self.ncoeff))
-        self._build_schedule(len(pairs))
         self._scratch = threading.local()
 
         # Partial-derivative tables, target order max_order - 1.  The target
@@ -176,135 +264,162 @@ class _JetSpace:
                 self._d_src.append(src)
                 self._d_fac.append(fac)
 
-    def _build_schedule(self, npairs):
-        """Gather order and steps that sum batched products like reduceat.
+    # Spaces live as long as the process (_space), so caching methods keeps
+    # nothing alive that would otherwise go.
+    @lru_cache(maxsize=_CACHE_LIMIT)
+    def table(self, ma, mb, graded=False):
+        """The :class:`_Table` of batched products of coefficients with
+        masks ``ma`` and ``mb``: gather order and steps that sum the pairs
+        that can be nonzero as ``reduceat`` sums them all.
 
-        An output is short if ``1 <= m < 8`` and long if ``8 <= m < 16``.
-        ``S`` (module docstring) is one block of rows, one per output with
-        ``m >= 1``: the short outputs by ascending ``m``, each row starting
-        as its ``q0``, then the long ones by descending ``m``, each row
-        starting as its 8-term tree.  Chain step ``c`` adds ``q(c)`` to the
-        short rows and ``q(c+7)`` to the long rows that still have terms;
-        those are a suffix of the short rows and a prefix of the long ones,
-        so each step is one contiguous slice of ``S`` plus one contiguous
-        block of products.  Products are gathered in the order they are
-        consumed:
+        Each output keeps ``p0`` and its :func:`_plan` terms.  An output is
+        short if its ``S`` is a nonempty fold and long if it keeps its tree.
+        ``S`` (module docstring) is one block of rows, one per such output:
+        the short outputs by ascending fold length, each row starting as its
+        first term, then the long ones by descending tail length, each row
+        starting as its 8-term tree.  Chain step ``c`` adds fold term ``c``
+        to the short rows and tail term ``c - 1`` to the long rows that
+        still have terms; those are a suffix of the short rows and a prefix
+        of the long ones, so each step is one contiguous slice of ``S`` plus
+        one contiguous block of products.  Products are gathered in the
+        order they are consumed:
 
-        * ``p0`` of every output, in ``S`` order, then the ``m = 0`` outputs;
-        * ``q0`` of the short outputs, then the trees' terms as an
+        * ``p0`` of every output, in ``S`` order, then the outputs with no
+          terms;
+        * the first term of the short outputs, then the trees' terms as an
           ``(8, n_long)`` block whose first axis runs ``q0 q4 q2 q6 q1 q5
           q3 q7``: adding its second half to its first, three times over,
           sums them as NumPy does and leaves the trees in the rows that
-          follow the short ``q0``;
+          follow the short first terms;
         * the chain blocks.
+
+        With full masks this is the dense schedule.  With ``graded``, ``a``
+        holds only the degrees below this space's order (:meth:`product`).
         """
+        mul_i, mul_j = self._mul_i.tolist(), self._mul_j.tolist()
+        live = [ma >> i & 1 and mb >> j & 1 for i, j in zip(mul_i, mul_j)]
         starts = self._mul_starts.tolist()
-        m = [end - start - 1 for start, end in zip(starts, starts[1:] + [npairs])]
+        spans = list(zip(starts, starts[1:] + [len(live)]))
         # 4 variables at order 4 peak at m = 15 (x0 x1 x2 x3).  From m = 16
         # on, NumPy's 8 accumulators take a second term each, which this
         # schedule does not do.
-        assert max(m) < 16, "summation schedule covers m < 16 only"
+        assert max(end - start for start, end in spans) <= 16, \
+            "summation schedule covers m < 16 only"
+        tree, fold = zip(*(_plan(live[start + 1 : end]) for start, end in spans))
+        mask = sum(1 << k for k, (start, end) in enumerate(spans) if any(live[start:end]))
+
         outs = range(self.ncoeff)
-        short = sorted((k for k in outs if 1 <= m[k] < 8), key=lambda k: m[k])
-        long_ = sorted((k for k in outs if m[k] >= 8), key=lambda k: -m[k])
-        order = short + long_ + [k for k in outs if m[k] == 0]
-        rows = [starts[k] for k in order] + [starts[k] + 1 for k in short]
-        rows += [starts[k] + 1 + q for q in (0, 4, 2, 6, 1, 5, 3, 7) for k in long_]
+        short = sorted((k for k in outs if fold[k] and not tree[k]), key=lambda k: len(fold[k]))
+        long_ = sorted((k for k in outs if tree[k]), key=lambda k: -len(fold[k]))
+        order = short + long_ + [k for k in outs if not (fold[k] or tree[k])]
+
+        def term(k, q):
+            return starts[k] + 1 + q
+
+        rows = [starts[k] for k in order] + [term(k, fold[k][0]) for k in short]
+        rows += [term(k, q) for q in (0, 4, 2, 6, 1, 5, 3, 7) for k in long_]
         chain = []
-        for c in range(1, 8):
-            tail = [starts[k] + 1 + c for k in short if m[k] > c]
-            head = [starts[k] + 8 + c for k in long_ if m[k] > c + 7]
-            if tail or head:
-                lo, hi = len(short) - len(tail), len(short) + len(head)
-                chain.append((lo, hi, len(rows)))
-                rows += tail + head
-        assert sorted(rows) == list(range(npairs))
-        self._sched_i = self._mul_i[rows]
-        self._sched_lo_i = self._mul_lo_i[rows]
-        self._sched_j = self._mul_j[rows]
-        self._n_long, self._n_sum = len(long_), len(short) + len(long_)
-        self._chain = tuple(chain)
+        for c in itertools.count(1):
+            tail = [term(k, fold[k][c]) for k in short if len(fold[k]) > c]
+            head = [term(k, fold[k][c - 1]) for k in long_ if len(fold[k]) >= c]
+            if not (tail or head):
+                break
+            lo, hi = len(short) - len(tail), len(short) + len(head)
+            chain.append((lo, hi, len(rows)))
+            rows += tail + head
+        assert len(set(rows)) == len(rows) >= sum(live)
         unsort = [0] * self.ncoeff
         for position, k in enumerate(order):
             unsort[k] = position
-        self._unsort = np.array(unsort, dtype=np.intp)
+        return _Table(
+            i=(self._mul_lo_i if graded else self._mul_i)[rows],
+            j=self._mul_j[rows],
+            n_long=len(long_),
+            n_sum=len(short) + len(long_),
+            chain=tuple(chain),
+            unsort=np.array(unsort, dtype=np.intp),
+            mask=mask,
+        )
 
-    def product(self, a, b, graded=False):
-        """Coefficients of the truncated product of coefficient arrays.
+    @lru_cache(maxsize=_CACHE_LIMIT)
+    def derived_mask(self, var, mask):
+        """Mask of the derivative in ``var`` of coefficients with ``mask``."""
+        src = self._d_src[var].tolist()
+        return sum(1 << s for s, k in enumerate(src) if mask >> k & 1)
 
-        With ``graded``, ``a`` holds only the degrees below this space's
-        order and ``b[0]`` is zero: a pair that would read a missing
-        top-degree entry of ``a`` meets ``b[0]``, so it reads ``a[0]``
-        instead and its product is a zero either way.
+    def product(self, a, b, ma, mb, graded=False):
+        """Coefficients and mask of the truncated product of coefficient
+        arrays with masks ``ma`` and ``mb``.
+
+        Single-lane arrays take every pair, summed by one ``reduceat``, and
+        give the full mask.  Batched ones gather and sum only the pairs that
+        can be nonzero (:meth:`table`), in the same order.  With ``graded``,
+        ``a`` holds only the degrees below this space's order and ``b[0]``
+        is zero: a pair that would read a missing top-degree entry of ``a``
+        meets ``b[0]``, so it reads ``a[0]`` instead and its product is a
+        zero either way.
         """
-        mul_i = self._mul_lo_i if graded else self._mul_i
-        # Both sum in the same order.  On one lane reduceat's single call
-        # beats the schedule's fifteen; across lanes it makes one strided
-        # call per coefficient and lane.
+        # On one lane reduceat's single call beats any indexing and the
+        # schedule's steps; across lanes it makes one strided call per
+        # coefficient and lane.
         if a.ndim == 1 and b.ndim == 1:
-            prod = a[mul_i] * b[self._mul_j]
-            return np.add.reduceat(prod, self._mul_starts, axis=0)
-        sched_i = self._sched_lo_i if graded else self._sched_i
+            prod = a[self._mul_lo_i if graded else self._mul_i] * b[self._mul_j]
+            return np.add.reduceat(prod, self._mul_starts, axis=0), self.full
+        table = self.table(ma, mb, graded)
         if a.shape[1:] == b.shape[1:] and a.dtype == b.dtype:
-            prod = self.gathered_products(a, b, sched_i)
+            prod = self.gathered_products(a, b, table)
         else:  # broadcast batches
-            prod = np.take(a, sched_i, axis=0) * np.take(b, self._sched_j, axis=0)
-        return self.scheduled_sum(prod)
+            a, b = _aligned(a, b)
+            prod = np.take(a, table.i, axis=0) * np.take(b, table.j, axis=0)
+        return self.scheduled_sum(prod, table), table.mask
 
-    def gathered_products(self, a, b, sched_i):
+    def gathered_products(self, a, b, table):
         """Pair products of batched coefficients of one batch shape and
-        dtype, ``a`` read through ``sched_i``, in schedule order, in this
-        thread's reused buffers for this space.
+        dtype, as ``table`` orders them, in a prefix of this thread's
+        reused buffers for this space.
 
         Fresh 210 x 256 temporaries would be mapped and unmapped by glibc
-        on every product.  A thread keeps one pair per space, of at most
-        ``_SCRATCH_LIMIT`` coefficients each, so at most 8 MiB per space.
+        on every product.  A thread keeps one pair per space, sized for the
+        dense product and of at most ``_SCRATCH_LIMIT`` coefficients each,
+        so at most 8 MiB per space; sparser products use a prefix of it.
         The indices are valid, so ``"clip"`` changes no value; it spares
         ``take`` the copy of ``out`` it makes under ``"raise"``.
         """
-        shape = (sched_i.size,) + a.shape[1:]
+        rows = table.i.size
+        dense = (self._mul_j.size,) + a.shape[1:]
         pa, pb = getattr(self._scratch, "pair", (None, None))
-        if pa is None or pa.shape != shape or pa.dtype != a.dtype:
-            pa, pb = np.empty(shape, a.dtype), np.empty(shape, a.dtype)
-            if pa.size <= _SCRATCH_LIMIT:
+        if pa is None or pa.shape != dense or pa.dtype != a.dtype:
+            if math.prod(dense) <= _SCRATCH_LIMIT:
+                pa, pb = np.empty(dense, a.dtype), np.empty(dense, a.dtype)
                 self._scratch.pair = pa, pb
-        a.take(sched_i, 0, pa, "clip")
-        b.take(self._sched_j, 0, pb, "clip")
+            else:
+                shape = (rows,) + a.shape[1:]
+                pa, pb = np.empty(shape, a.dtype), np.empty(shape, a.dtype)
+        pa, pb = pa[:rows], pb[:rows]
+        a.take(table.i, 0, pa, "clip")
+        b.take(table.j, 0, pb, "clip")
         return np.multiply(pa, pb, out=pa)
 
-    def shifted(self, lin, var, b):
-        """Coefficients of the product of ``lin``, zero off its constant
-        term and the unit position ``e`` of variable ``var``, with ``b``.
-
-        ``c_k = lin[0] * b[k] + lin[e] * b[k - e]``, where ``b[k - e]`` is
-        there when monomial ``k`` contains ``var``: the dense product's
-        other pairs are exact zeros (module docstring).
-        """
-        up = self._d_src[var]
-        out = lin[0] * b
-        out[up] += lin[self.unit[var]] * b[: up.size]
-        return out
-
-    def scheduled_sum(self, prod):
-        """Coefficients from products gathered in schedule order.
+    def scheduled_sum(self, prod, table):
+        """Coefficients from products gathered in ``table``'s order.
 
         Sums in the order of the module docstring, bit for bit equal to
         ``np.add.reduceat`` over the same products in pair order.  Works in
         place in ``prod``, which no caller may hold; the coefficients are a
         fresh array.
         """
-        n_sum = self._n_sum
+        n_sum, n_long = table.n_sum, table.n_long
         S = prod[self.ncoeff : self.ncoeff + n_sum]
-        if self._n_long:
-            top = self.ncoeff + n_sum - self._n_long
-            tree = prod[top : top + 8 * self._n_long]
+        if n_long:
+            top = self.ncoeff + n_sum - n_long
+            tree = prod[top : top + 8 * n_long]
             for h in (4, 2, 1):
-                half = h * self._n_long
+                half = h * n_long
                 np.add(tree[:half], tree[half : 2 * half], out=tree[:half])
-        for lo, hi, row in self._chain:
+        for lo, hi, row in table.chain:
             np.add(S[lo:hi], prod[row : row + hi - lo], out=S[lo:hi])
         np.add(prod[:n_sum], S, out=prod[:n_sum])
-        return np.take(prod, self._unsort, axis=0)
+        return np.take(prod, table.unsort, axis=0)
 
 
 @lru_cache(maxsize=None)
@@ -324,16 +439,19 @@ def _factorial_of(mu):
 
 
 class Jet:
-    """Truncated Taylor expansion of a scalar quantity at a point."""
+    """Truncated Taylor expansion of a scalar quantity at a point.
 
-    __slots__ = ("_space", "coeffs", "_var")
+    ``mask`` is its sparsity mask: bit ``k`` is set if coefficient ``k``
+    can be nonzero (module docstring).  ``None`` at construction stands for
+    the full mask.
+    """
 
-    def __init__(self, space, coeffs, var=None):
+    __slots__ = ("_space", "coeffs", "mask")
+
+    def __init__(self, space, coeffs, mask=None):
         self._space = space
         self.coeffs = coeffs
-        # Index of the variable when this is a (scaled) coordinate jet, zero
-        # but for its constant term and that variable's unit position.
-        self._var = var
+        self.mask = space.full if mask is None else mask
 
     # ------------------------------------------------------------------
     # construction
@@ -357,9 +475,9 @@ class Jet:
         value = np.asarray(value, dtype=float)
         coeffs = np.zeros((sp.ncoeff,) + value.shape)
         coeffs[0] = value
-        unit = tuple(1 if k == index else 0 for k in range(num_vars))
-        coeffs[sp.index[unit]] = 1.0
-        return cls(sp, coeffs, index)
+        e = sp.unit[index]
+        coeffs[e] = 1.0
+        return cls(sp, coeffs, 1 | 1 << e if value.ndim else None)
 
     @classmethod
     def constant(cls, value, num_vars, max_order):
@@ -367,7 +485,7 @@ class Jet:
         value = np.asarray(value, dtype=float)
         coeffs = np.zeros((sp.ncoeff,) + value.shape)
         coeffs[0] = value
-        return cls(sp, coeffs)
+        return cls(sp, coeffs, 1 if value.ndim else None)
 
     # ------------------------------------------------------------------
     # introspection
@@ -417,51 +535,49 @@ class Jet:
         if isinstance(other, Jet):
             if other._space is not self._space:
                 self._check_compatible(other)
-            return Jet(self._space, self.coeffs + other.coeffs)
+            a, b = self.coeffs, other.coeffs
+            if a.ndim != b.ndim:
+                a, b = _aligned(a, b)
+            return Jet(self._space, a + b, self.mask | other.mask)
         out = self.coeffs.copy()
         out[0] = out[0] + other
-        return Jet(self._space, out)
+        return Jet(self._space, out, self.mask | 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Jet(self._space, -self.coeffs)
+        return Jet(self._space, -self.coeffs, self.mask)
 
     def __sub__(self, other):
         if isinstance(other, Jet):
             if other._space is not self._space:
                 self._check_compatible(other)
-            return Jet(self._space, self.coeffs - other.coeffs)
+            a, b = self.coeffs, other.coeffs
+            if a.ndim != b.ndim:
+                a, b = _aligned(a, b)
+            return Jet(self._space, a - b, self.mask | other.mask)
         out = self.coeffs.copy()
         out[0] = out[0] - other
-        return Jet(self._space, out)
+        return Jet(self._space, out, self.mask | 1)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
+        sp = self._space
         if not isinstance(other, Jet):
-            # Finite values per lane keep a coordinate jet's zeros zero; a
+            # Finite values per lane keep zero coefficients zero; a
             # coefficient-shaped factor or an infinity need not.
-            var = self._var
-            if var is not None and not (
+            mask = self.mask
+            if mask != sp.full and not (
                 math.isfinite(other) if isinstance(other, float)
                 else np.ndim(other) < self.coeffs.ndim and np.isfinite(other).all()
             ):
-                var = None
-            return Jet(self._space, self.coeffs * other, var)
-        sp = self._space
+                mask = None
+            return Jet(sp, self.coeffs * other, mask)
         if other._space is not sp:
             self._check_compatible(other)
-        a, b = self.coeffs, other.coeffs
-        # On one lane the dense product's single reduceat is cheaper than
-        # the shifted product's indexing; the nonzero bits are the same.
-        if a.ndim > 1 or b.ndim > 1:
-            if self._var is not None:
-                return Jet(sp, sp.shifted(a, self._var, b))
-            if other._var is not None:
-                return Jet(sp, sp.shifted(b, other._var, a))
-        return Jet(sp, sp.product(a, b))
+        return Jet(sp, *sp.product(self.coeffs, other.coeffs, self.mask, other.mask))
 
     __rmul__ = __mul__
 
@@ -487,7 +603,8 @@ class Jet:
         sp = self._space
         target = _space(sp.num_vars, sp.max_order - 1)
         fac = sp._d_fac[index].reshape((-1,) + (1,) * (self.coeffs.ndim - 1))
-        return Jet(target, self.coeffs[sp._d_src[index]] * fac)
+        mask = None if self.mask == sp.full else sp.derived_mask(index, self.mask)
+        return Jet(target, self.coeffs[sp._d_src[index]] * fac, mask)
 
     def truncated(self, max_order):
         """Copy of this jet truncated to a lower order."""
@@ -496,7 +613,7 @@ class Jet:
                 f"cannot truncate an order-{self.max_order} jet to order {max_order}"
             )
         target = _space(self.num_vars, max_order)
-        return Jet(target, self.coeffs[: target.ncoeff].copy())
+        return Jet(target, self.coeffs[: target.ncoeff].copy(), self.mask & target.full)
 
     # ------------------------------------------------------------------
     # analytic functions
@@ -514,9 +631,14 @@ class Jet:
         ``graded``).  The graded enumeration makes that space a prefix of
         this one, with the same pairs per coefficient, the same sort order
         and the same summation schedule, so each coefficient kept is the
-        full product's.  An order-4 compose in 3 variables gathers
-        28 + 84 + 210 pair rows, not 3 x 210.  Each constant goes into the
-        product just made, which nothing else holds.
+        full product's.  The steps run on ``delta``'s mask, the operand's
+        without bit 0, so a batched step also skips every pair with
+        ``delta[0]`` and every pair with a coefficient the operand cannot
+        have: an order-4 compose of a full jet in 3 variables gathers
+        19 + 65 + 179 pair rows, where unmasked graded steps gather
+        28 + 84 + 210 and dense ones 3 x 210.
+        Each constant goes into the product just made, which nothing else
+        holds.
         """
         if len(series) == 1:
             return Jet.constant(
@@ -526,13 +648,17 @@ class Jet:
         sp = self._space
         delta = self.coeffs.copy()
         delta[0] = 0.0
+        dmask = self.mask & ~1
         result = delta[: 1 + sp.num_vars] * series[-1]
         result[0] += series[-2]
+        mask = dmask & ((2 << sp.num_vars) - 1) | 1
         for q, ck in enumerate(series[-3::-1], 2):
             step = _space(sp.num_vars, q)
-            result = step.product(result, delta[: step.ncoeff], graded=True)
+            result, mask = step.product(result, delta[: step.ncoeff], mask,
+                                        dmask & step.full, graded=True)
             result[0] += ck
-        return Jet(sp, result)
+            mask |= 1
+        return Jet(sp, result, mask)
 
     def _power_series(self, p):
         """``self**p`` for ``p`` not a non-negative integer, once the

@@ -25,8 +25,16 @@ from keplerflag.curvature import (
     spray_coeffs,
 )
 from keplerflag.errors import DegeneracyError, DomainError
+from keplerflag.identities import random_admissible
 from keplerflag.jets import Jet, _JetSpace
-from keplerflag.metric import VERDICTS, MetricParams, PhasePoint, lstar, validate_domain
+from keplerflag.metric import (
+    VERDICTS,
+    MetricParams,
+    PhasePoint,
+    lstar,
+    scaling_reduce,
+    validate_domain,
+)
 from keplerflag.scan import GridSpec, _evaluate_points, grid_scan, slice_scan
 
 
@@ -341,9 +349,9 @@ class TestOperationBudget:
 
     def counted(self, monkeypatch, evaluate, *args):
         """``evaluate(*args)`` and its counts: ``Jet.__mul__`` calls (scalar
-        factors and shifted products among them), derivative jets, and the
-        pair rows each lane's dense products gather (``_JetSpace.product``,
-        Horner steps included)."""
+        factors among them), derivative jets, and the pair rows each lane's
+        products gather (``_JetSpace.product``, Horner steps included): all
+        pairs on one lane, and the rows of the masked table on a batch."""
         counts = {"mul": 0, "derivative": 0, "pairs": 0}
         mul, derivative, product = Jet.__mul__, Jet.derivative, _JetSpace.product
 
@@ -355,9 +363,11 @@ class TestOperationBudget:
             counts["derivative"] += 1
             return derivative(self, index)
 
-        def counting_product(space, a, b, graded=False):
-            counts["pairs"] += space._mul_j.size
-            return product(space, a, b, graded)
+        def counting_product(space, a, b, ma, mb, graded=False):
+            one_lane = a.ndim == 1 and b.ndim == 1
+            counts["pairs"] += (space._mul_j.size if one_lane
+                                else space.table(ma, mb, graded).i.size)
+            return product(space, a, b, ma, mb, graded)
 
         monkeypatch.setattr(Jet, "__mul__", counting_mul)
         monkeypatch.setattr(Jet, "__rmul__", counting_mul)
@@ -379,7 +389,7 @@ class TestOperationBudget:
                                          np.linspace(0.5, 3.0, 256), 0.0,
                                          np.sin(phi), np.cos(phi))
         assert (code == 0).all()
-        assert counts == (34, 10, 2912)
+        assert counts == (34, 10, 2065)
 
 
 class TestExtremeLanes:
@@ -489,6 +499,63 @@ class TestGuardedBlock:
         for g, w in zip(square, flat):
             assert g.shape == (6, 6)
             assert np.array_equal(g.ravel().view(np.int64), w.view(np.int64))
+
+
+def test_callback_mixing_a_single_lane_constant_into_a_batch():
+    # Jet.constant(1.0, 4, 4) is single-lane: on a 2-lane block it broadcasts
+    # as a one-lane batch would, and each lane keeps the bits it has alone.
+    metric = CallbackCartanMetric(
+        lambda x, y, r, t: (r * r + t * t).sqrt() * (x * x + Jet.constant(1.0, 4, 4))
+    )
+    columns = [np.array(v) for v in ([0.7, 1.3], [0.1, -0.4], [0.3, -0.9], [1.1, 0.6])]
+    K, code = _evaluate(metric, *columns)
+    assert (code == 0).all()
+    for lane in range(2):
+        K_lane, code_lane = _evaluate(metric, *(c[lane:lane + 1] for c in columns))
+        assert code_lane[0] == code[lane]
+        assert K_lane.view(np.int64)[0] == K.view(np.int64)[lane]
+
+
+class TestScalingIdentity:
+    """``K_{c,a}(pt) = a^(2/3) K_{c a^(-2/3), 1}(pt')`` under
+    ``scaling_reduce``: a check of ``K`` off the oracle ray, which with the
+    closed form reaches every ``a > 0``.  Point queries take the dense
+    single-lane path, blocks the masked one."""
+
+    TOL = 1e-9
+
+    def assert_scaled(self, a, lhs, rhs):
+        lhs, rhs = np.asarray(lhs), a ** (2.0 / 3.0) * np.asarray(rhs)
+        rel = np.abs(lhs - rhs) / np.maximum(np.abs(lhs), np.abs(rhs))
+        assert rel.max() <= self.TOL
+
+    def test_point_queries(self):
+        rng = np.random.default_rng(7)
+        ok = 0
+        for _ in range(400):
+            params, pt = random_admissible(rng)
+            if params.a == 0.0:
+                continue
+            here, there = flag_curvature(params, pt), flag_curvature(*scaling_reduce(params, pt))
+            assert (here.status, here.reason) == (there.status, there.reason)
+            if here.ok:
+                self.assert_scaled(params.a, here.K, there.K)
+                ok += 1
+        assert ok >= 300
+
+    @pytest.mark.parametrize("a", [0.5, 1.5, 2.5])
+    def test_blocks(self, a):
+        rng = np.random.default_rng(8)
+        params = MetricParams(a, 2.5 * a ** (2.0 / 3.0))
+        points = [random_admissible(rng, a=params.a, c=params.c)[1] for _ in range(300)]
+        pt = PhasePoint(*(np.array([getattr(p, f) for p in points]) for f in "xyrt"))
+        reduced, moved = scaling_reduce(params, pt)
+        K, code = _evaluate(params, pt.x, pt.y, pt.r, pt.t)
+        K_moved, code_moved = _evaluate(reduced, moved.x, moved.y, moved.r, moved.t)
+        assert np.array_equal(code, code_moved)
+        ok = code == 0
+        assert ok.sum() >= 250
+        self.assert_scaled(a, K[ok], K_moved[ok])
 
 
 def test_steady_256_lane_evaluate_peaks_under_one_megabyte():

@@ -332,10 +332,10 @@ def reference_power(jet, p):
     delta_coeffs = jet.coeffs.copy()
     delta_coeffs[0] = 0.0
     delta = Jet(jet._space, delta_coeffs)
-    result = Jet.constant(
-        np.broadcast_to(series[-1], jet.coeffs.shape[1:]),
-        jet.num_vars, jet.max_order,
-    )
+    # Raw jets have the full mask, so every step is the dense product.
+    start = np.zeros_like(jet.coeffs)
+    start[0] = series[-1]
+    result = Jet(jet._space, start)
     for ck in series[-2::-1]:
         result = result * delta + ck
     return result
@@ -499,7 +499,7 @@ def test_variable_products_match_the_dense_schedule(num_vars, max_order):
                 if kind == "extreme":
                     other.coeffs[~np.isfinite(other.coeffs)] = 1.0
                 for lin in (x, x * -2.5, x * rng.uniform(-1.0, 1.0, lanes_var)):
-                    assert lin._var == var
+                    assert lin.mask == (1 | 1 << sp.unit[var] if lanes_var else sp.full)
                     want = dense_product(lin.coeffs, other.coeffs, sp)
                     assert_same_nonzero_bits((lin * other).coeffs, want)
                     want = dense_product(other.coeffs, lin.coeffs, sp)
@@ -510,21 +510,40 @@ def test_variable_products_match_the_dense_schedule(num_vars, max_order):
             assert_same_nonzero_bits((x * x).coeffs, dense_product(x.coeffs, x.coeffs, sp))
 
 
-def test_only_finite_lane_scaling_keeps_a_variable_shifted():
+def assert_sound(jet):
+    """Outside its mask a jet's coefficients are zero on every lane whose
+    coefficients are all finite, and zero or NaN on the others."""
+    outside = [k for k in range(jet._space.ncoeff) if not jet.mask >> k & 1]
+    c = jet.coeffs[outside]
+    assert ((c == 0.0) | np.isnan(c)).all()
+    assert (c[..., np.isfinite(jet.coeffs).all(axis=0)] == 0.0).all()
+
+
+def test_only_finite_lane_scaling_keeps_a_variable_sparse():
     x = Jet.variable(1, np.array([0.5, 2.0]), 3, 4)
     y = Jet.variable(2, np.array([1.5, -1.0]), 3, 4)
-    assert x._var == 1
-    assert (x * 3.0)._var == (3.0 * x)._var == (x * np.array([2.0, -1.0]))._var == 1
+    sp = x._space
+    ex, ey = 1 << sp.unit[1], 1 << sp.unit[2]
+    assert x.mask == 1 | ex
+    assert (x * 3.0).mask == (3.0 * x).mask == (x * np.array([2.0, -1.0])).mask == 1 | ex
     coefficient_shaped = np.ones((x.coeffs.shape[0], 1))
     with np.errstate(invalid="ignore"):  # 0 * inf
-        dropped = {
+        ops = {
             "+ jet": x + y, "+ scalar": x + 1.0, "- jet": x - y, "-x": -x,
             "* jet": x * y, "/ scalar": x / 2.0,
             "derivative": x.derivative(1), "truncated": x.truncated(2),
             "* coefficient-shaped array": x * coefficient_shaped,
             "* inf": x * np.inf, "* lanes with nan": x * np.array([1.0, np.nan]),
         }
-    assert {name: jet._var for name, jet in dropped.items()} == dict.fromkeys(dropped)
+    for jet in ops.values():
+        assert_sound(jet)
+    xy = sum(1 << sp.index[mu] for mu in [(0, 0, 0), (0, 1, 0), (0, 0, 1), (0, 1, 1)])
+    assert {name: jet.mask for name, jet in ops.items()} == {
+        "+ jet": 1 | ex | ey, "+ scalar": 1 | ex, "- jet": 1 | ex | ey, "-x": 1 | ex,
+        "* jet": xy, "/ scalar": sp.full, "derivative": 1, "truncated": 1 | ex,
+        "* coefficient-shaped array": sp.full, "* inf": sp.full,
+        "* lanes with nan": sp.full,
+    }
     # A scale that turns the zeros into NaN leaves the product dense.
     with np.errstate(invalid="ignore"):
         scaled = x * np.inf
@@ -567,3 +586,123 @@ def test_threads_multiplying_at_once_match_a_serial_run():
         assert len(got) == len(want)
         for g, w in zip(got, want):
             assert np.array_equal(g.view(np.int64), w.view(np.int64))
+
+
+# ----------------------------------------------------------------------
+# Sparsity masks.  Random expressions in every space: every jet's mask is
+# sound, and every masked product and composition keeps the nonzero bits of
+# its dense counterpart on the lanes where its operands are finite.
+
+COMPOSITIONS = [(Jet.sqrt, 0.5), (Jet.reciprocal, -1.0),
+                (lambda j: j.power(1.5), 1.5), (lambda j: j.power(-2), -2.0)]
+
+
+def _lanes(rng, batch, extreme):
+    v = rng.normal(size=batch)
+    return v * 10.0 ** rng.uniform(-60.0, 60.0, size=batch) if extreme else v
+
+
+def assert_same_bits_where_finite(got, want, *operands):
+    lanes = np.ones(got.shape[1:], bool)
+    for c in operands:
+        lanes &= np.isfinite(c).all(axis=0)
+    assert_same_nonzero_bits(got[..., lanes], want[..., lanes])
+
+
+def _random_step(data, rng, pool, batch, extreme):
+    """One random operation on jets drawn from ``pool``; returns the new jet
+    after checking it against its dense counterpart."""
+    a, b = data.draw(st.sampled_from(pool)), data.draw(st.sampled_from(pool))
+    order = min(a.max_order, b.max_order)
+    a, b = a.truncated(order), b.truncated(order)
+    num_vars = a.num_vars
+    op = data.draw(st.sampled_from(
+        ["variable", "constant", "+", "-", "+ number", "scale", "* lanes", "*", "*",
+         "derivative", "truncated", "compose"]))
+    if op == "variable" and order:
+        return Jet.variable(data.draw(st.integers(0, num_vars - 1)),
+                            _lanes(rng, batch, extreme), num_vars, order)
+    if op == "constant":
+        return Jet.constant(_lanes(rng, batch, extreme), num_vars, order)
+    if op == "+":
+        return a + b
+    if op == "-":
+        return a - b
+    if op == "+ number":
+        return 1.5 + a
+    if op == "scale":
+        return a * -0.75 if data.draw(st.booleans()) else -0.75 * a
+    if op == "* lanes":
+        return a * _lanes(rng, batch, extreme)
+    if op == "*":
+        got = a * b
+        want = dense_product(a.coeffs, b.coeffs, a._space)
+        assert_same_bits_where_finite(got.coeffs, want, a.coeffs, b.coeffs)
+        return got
+    if op == "derivative" and order:
+        return a.derivative(data.draw(st.integers(0, num_vars - 1)))
+    if op == "truncated":
+        return a.truncated(data.draw(st.integers(0, order)))
+    if op == "compose":
+        fn, p = data.draw(st.sampled_from(COMPOSITIONS))
+        base = a + (np.abs(a.coeffs[0]) + 1.0 - a.coeffs[0])  # constant term > 0
+        got, want = fn(base), reference_power(base, p)
+        assert_same_bits_where_finite(got.coeffs, want.coeffs, base.coeffs, want.coeffs)
+        return got
+    return -a
+
+
+@pytest.mark.parametrize("num_vars, max_order", SPACES)
+@settings(max_examples=12, deadline=None)
+@given(data=st.data())
+def test_random_expressions_keep_sound_masks_and_dense_bits(num_vars, max_order, data):
+    batch = data.draw(st.sampled_from([(257,), (3, 5)]))
+    extreme = data.draw(st.booleans())
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    pool = [Jet.constant(_lanes(rng, batch, extreme), num_vars, max_order)]
+    if max_order:
+        pool += [Jet.variable(v, _lanes(rng, batch, extreme), num_vars, max_order)
+                 for v in range(num_vars)]
+    with np.errstate(all="ignore"):
+        for _ in range(data.draw(st.integers(1, 12))):
+            jet = _random_step(data, rng, pool, batch, extreme)
+            assert jet.coeffs.shape[1:] == batch
+            assert_sound(jet)
+            pool.append(jet)
+
+
+# In two variables at order 4 only x^2 y^2 has a long sum: q0 ... q7 pair
+# a's (0,1) (1,0) (0,2) (1,1) (2,0) (1,2) (2,1) (2,2) with the rest of b.
+@pytest.mark.parametrize("left, keeps_tree", [
+    ([(0, 0), (0, 1), (1, 0), (2, 0)], False),          # (q0 + q1) + q4
+    ([(0, 0), (0, 1), (1, 0), (0, 2), (1, 1)], True),   # (q0 + q1) + (q2 + q3)
+], ids=["caterpillar", "not_a_caterpillar"])
+def test_a_long_output_folds_only_a_caterpillar(left, keeps_tree):
+    sp = _space(2, 4)
+    ma = sum(1 << sp.index[mu] for mu in left)
+    assert sp.table(ma, sp.full).n_long == int(keeps_tree)
+    rng = np.random.default_rng(17)
+    for kind in ("moderate", "extreme"):
+        a = _coeffs(rng, (sp.ncoeff, 257), kind)
+        b = _coeffs(rng, (sp.ncoeff, 257), kind)
+        a[[k for k in range(sp.ncoeff) if not ma >> k & 1]] = 0.0
+        a[~np.isfinite(a)], b[~np.isfinite(b)] = 1.0, -1.0
+        with np.errstate(all="ignore"):
+            got = (Jet(sp, a, ma) * Jet(sp, b)).coeffs
+            want = dense_product(a, b, sp)
+        assert_same_nonzero_bits(got, want)
+
+
+@pytest.mark.parametrize("batch", [(256,), (3, 5)], ids=["batched", "batched_2d"])
+def test_a_single_lane_jet_broadcasts_like_a_one_lane_batch(batch):
+    y = Jet.variable(1, np.linspace(0.5, 2.0, math.prod(batch)).reshape(batch), 3, 4)
+    x0, x1 = Jet.variable(0, 0.7, 3, 4), Jet.variable(0, [0.7], 3, 4)
+    for op in (lambda u, v: u + v, lambda u, v: u - v):
+        for got, want in [(op(x0, y), op(x1, y)), (op(y, x0), op(y, x1))]:
+            assert got.coeffs.shape == (35,) + batch
+            assert_same_bits(got.coeffs, np.broadcast_to(want.coeffs, got.coeffs.shape))
+            assert_sound(got)
+    for got, want in [(x0 * y, x1 * y), (y * x0, y * x1)]:
+        assert got.coeffs.shape == (35,) + batch
+        assert_same_nonzero_bits(got.coeffs, np.broadcast_to(want.coeffs, got.coeffs.shape))
+        assert_sound(got)
