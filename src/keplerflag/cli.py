@@ -54,14 +54,9 @@ def _merge_range_values(argv):
     argparse would otherwise read a value starting with '-' as a flag.
     """
     out = []
-    skip = False
-    for i, arg in enumerate(argv):
-        if skip:
-            skip = False
-            continue
-        if arg in _RANGE_FLAGS and i + 1 < len(argv) and ":" in argv[i + 1]:
-            out.append(f"{arg}={argv[i + 1]}")
-            skip = True
+    for arg in argv:
+        if out and out[-1] in _RANGE_FLAGS and ":" in arg:
+            out[-1] += "=" + arg
         else:
             out.append(arg)
     return out
@@ -279,10 +274,7 @@ def main(argv=None):
     args = parser.parse_args(_merge_range_values(list(argv)))
     try:
         return _COMMANDS[args.command](args)
-    except (DomainError, PreconditionError, DegeneracyError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (DomainError, PreconditionError, DegeneracyError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

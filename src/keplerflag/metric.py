@@ -138,14 +138,9 @@ def _sqrt(u):
 
 
 def _clamped_radicand(rad):
-    """Apply the boundary clamp; jets must stay strictly inside the domain."""
+    """Apply the boundary clamp to a scalar; a jet is left to ``Jet.sqrt``,
+    which rejects a constant term at or below zero."""
     if isinstance(rad, Jet):
-        if (rad.coeffs[0] <= 0.0).any():
-            raise DomainError(
-                "inner radicand must be strictly positive for jet evaluation, "
-                f"got {float(np.min(rad.coeffs[0]))}",
-                value=float(np.min(rad.coeffs[0])),
-            )
         return rad
     v = float(rad)
     if v < -RADICAND_CLAMP:
@@ -153,13 +148,18 @@ def _clamped_radicand(rad):
     return max(v, 0.0)
 
 
-def _fstar_expr(x, r, t, a, c):
-    """The polar fundamental function on floats, arrays, or jets."""
+def _radicand(x, r, t, a, c):
+    """``(x^2 + 2c, |q|, inner radicand)`` of the polar F*, unclamped."""
     xx = x * x
     norm_q = _sqrt(r * r + (t * t) / xx)
     w = xx + 2.0 * c
-    rad = _clamped_radicand(1.0 - (16.0 * a) * t / (norm_q * (w * w)))
-    return 0.25 * w * norm_q * (1.0 + _sqrt(rad))
+    return w, norm_q, 1.0 - (16.0 * a) * t / (norm_q * (w * w))
+
+
+def _fstar_expr(x, r, t, a, c):
+    """The polar fundamental function on floats, arrays, or jets."""
+    w, norm_q, rad = _radicand(x, r, t, a, c)
+    return 0.25 * w * norm_q * (1.0 + _sqrt(_clamped_radicand(rad)))
 
 
 def fstar_cartesian(pt, a=1.0):
@@ -184,9 +184,7 @@ def inner_radicand(params, x, r, t):
     """
     x = np.asarray(x, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        norm_q = np.sqrt(r * r + (t * t) / (x * x))
-        w = x * x + 2.0 * params.c
-        out = 1.0 - (16.0 * params.a) * t / (norm_q * w * w)
+        out = _radicand(x, r, t, params.a, params.c)[2]
     return float(out) if out.ndim == 0 else out
 
 
@@ -251,10 +249,20 @@ def _require_evaluable(params, pt):
         raise DomainError("zero fiber direction", value=0.0)
 
 
+def _finite(value, name, pt):
+    if not math.isfinite(value):
+        raise DomainError(f"{name} is not finite at {pt}: {value}", value=value)
+    return value
+
+
 def fstar_polar(params, pt):
-    """Scalar value of the polar fundamental function ``F*_{c,a}``."""
+    """Scalar value of the polar fundamental function ``F*_{c,a}``; raises
+    DomainError where it is not finite (``x * x`` underflows, say)."""
     _require_evaluable(params, pt)
-    return float(_fstar_expr(pt.x, pt.r, pt.t, params.a, params.c))
+    # x as a NumPy float divides by zero without raising, in the same bits
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        f = float(_fstar_expr(np.float64(pt.x), pt.r, pt.t, params.a, params.c))
+    return _finite(f, "F*", pt)
 
 
 def fstar_polar_jet(params, pt, max_order=4, include_y=False):
@@ -282,7 +290,7 @@ def _fstar_jet_batch(params, x, r, t, max_order=4):
 def lstar(params, pt):
     """Half the squared fundamental function, ``L* = F*^2 / 2``."""
     f = fstar_polar(params, pt)
-    return 0.5 * f * f
+    return _finite(0.5 * f * f, "L*", pt)
 
 
 def lstar_jet(params, pt, max_order=4, include_y=False):

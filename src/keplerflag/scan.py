@@ -11,11 +11,12 @@ decided by the lattice index alone, so identical specs produce
 bit-identical files.
 
 Results are columns, not per-point objects: a :class:`ScanResult` holds
-one NumPy array each for ``x``, ``phi``, ``r``, ``t``, ``K``, ``status`` and
-``reason``.  Emission formats and writes them in blocks of rows, so its
-memory is one block's text whatever the scan's size.  CSV formats each
-lattice axis once, then ``K`` and the status per row; JSON fills one
-template per sample, with the bytes ``json.dumps`` would write.
+one NumPy array each for ``x``, ``phi``, ``r``, ``t``, ``K`` and the int8
+verdict ``code`` into ``metric.VERDICTS``.  Emission formats and writes them
+in blocks of rows, so its memory is one block's text whatever the scan's
+size.  CSV formats each lattice axis once, then ``K`` per row; JSON fills
+one template per sample, with the bytes ``json.dumps`` would write.  Status
+text is looked up by code, in tables built once from ``VERDICTS``.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .curvature import _evaluate
-from .metric import VERDICTS, MetricParams, PhasePoint
+from .metric import OK, VERDICTS, MetricParams, PhasePoint
 
 __all__ = [
     "GridSpec",
@@ -45,8 +46,10 @@ __all__ = [
 # Half-width of the excluded band around the chart singularity x = 0.
 DEFAULT_EXCLUDE_BAND = 1e-3
 
-# status and reason columns by verdict code
+# status and reason strings, and the emitted status field, by verdict code
 _STATUS, _REASON = (np.array(column, dtype=object) for column in zip(*VERDICTS))
+_FIELD = np.array([f"{s}:{r}" if r else s for s, r in VERDICTS], dtype=object)
+_JSON_FIELD = np.array([json.dumps(f) for f in _FIELD], dtype=object)
 
 # Lanes per kernel block.  A batched order-4 product makes about 15 NumPy
 # calls whatever the lane count, which favours wide blocks, and gathers
@@ -73,6 +76,10 @@ def _require_finite_span(lo, hi, name):
         raise ValueError(f"{name} range {lo}:{hi} must have a finite width")
 
 
+def _params(spec):
+    return MetricParams(spec.a, spec.c)
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """A rectangular (x, phi) lattice for one parameter pair (c, a)."""
@@ -86,6 +93,7 @@ class GridSpec:
     c: float
     a: float
     exclude_band: float = DEFAULT_EXCLUDE_BAND
+    params = property(_params)
 
     def __post_init__(self):
         if self.nx < 1 or self.nphi < 1:
@@ -99,10 +107,6 @@ class GridSpec:
             raise ValueError("exclude_band must be nonnegative")
         MetricParams(self.a, self.c)  # parameter validation
 
-    @property
-    def params(self):
-        return MetricParams(self.a, self.c)
-
 
 @dataclass(frozen=True)
 class SliceSpec:
@@ -114,6 +118,7 @@ class SliceSpec:
     x_max: float = 10.0
     n: int = 2048
     exclude_band: float = DEFAULT_EXCLUDE_BAND
+    params = property(_params)
 
     def __post_init__(self):
         if self.n < 2:
@@ -126,23 +131,20 @@ class SliceSpec:
             raise ValueError("exclude_band must be nonnegative")
         MetricParams(self.a, self.c)
 
-    @property
-    def params(self):
-        return MetricParams(self.a, self.c)
-
 
 @dataclass(frozen=True, eq=False)
 class ScanResult:
     """A scan's columns in output order: ``phi`` is NaN on slices, ``K`` NaN
-    off ``ok``; ``status`` and ``reason`` (``None`` on ``ok``) hold strings."""
+    off ``ok``; ``status`` and ``reason`` look ``code`` up in ``VERDICTS``."""
 
     x: np.ndarray
     phi: np.ndarray
     r: np.ndarray
     t: np.ndarray
     K: np.ndarray
-    status: np.ndarray
-    reason: np.ndarray
+    code: np.ndarray
+    status = property(lambda self: _STATUS[self.code])
+    reason = property(lambda self: _REASON[self.code])
 
     def __len__(self):
         return self.x.size
@@ -167,7 +169,7 @@ def summarize(result):
 
     On ties the first row in output order wins.
     """
-    ok = np.flatnonzero(result.status == "ok")
+    ok = np.flatnonzero(result.code == OK)
     n_skipped = len(result) - ok.size
     if ok.size == 0:
         return ScanSummary(0, n_skipped, None, None, None, None)
@@ -178,18 +180,18 @@ def summarize(result):
 
 
 def _evaluate_points(params, x, r, t, exclude_band):
-    """Statuses and curvature values over coordinate arrays, evaluated in
-    blocks of ``_CHUNK`` lanes.
+    """Curvature values and verdict codes over coordinate arrays, evaluated
+    in blocks of ``_CHUNK`` lanes.
 
-    Returns ``(K, status, reason)`` aligned with the inputs; ``K`` is NaN
-    wherever the status is not ``ok``.
+    Returns ``(K, code)`` aligned with the inputs, ``code`` int8 into
+    ``VERDICTS``; ``K`` is NaN wherever ``code`` is not ``OK``.
     """
     K = np.empty(x.size)
     code = np.empty(x.size, np.int8)
     for lo in range(0, x.size, _CHUNK):
         b = slice(lo, lo + _CHUNK)
         K[b], code[b] = _evaluate(params, x[b], 0.0, r[b], t[b], exclude_band)
-    return K, _STATUS[code], _REASON[code]
+    return K, code
 
 
 def grid_scan(spec):
@@ -200,8 +202,8 @@ def grid_scan(spec):
     # evaluates exactly the values emit formats once per axis.
     X = np.repeat(xs, spec.nphi)
     PHI, R, T = (np.tile(v, spec.nx) for v in (phis, np.sin(phis), np.cos(phis)))
-    K, status, reason = _evaluate_points(spec.params, X, R, T, spec.exclude_band)
-    result = ScanResult(X, PHI, R, T, K, status, reason)
+    K, code = _evaluate_points(spec.params, X, R, T, spec.exclude_band)
+    result = ScanResult(X, PHI, R, T, K, code)
     return result, summarize(result)
 
 
@@ -213,8 +215,8 @@ def slice_scan(c, a, x_min=-10.0, x_max=10.0, n=2048,
     xs = np.linspace(spec.x_min, spec.x_max, spec.n)
     R = np.zeros_like(xs)
     T = xs.copy()
-    K, status, reason = _evaluate_points(spec.params, xs, R, T, spec.exclude_band)
-    return ScanResult(xs, np.full_like(xs, np.nan), R, T, K, status, reason)
+    K, code = _evaluate_points(spec.params, xs, R, T, spec.exclude_band)
+    return ScanResult(xs, np.full_like(xs, np.nan), R, T, K, code)
 
 
 # ----------------------------------------------------------------------
@@ -241,19 +243,18 @@ def _json_fmt(values):
     return _fmt(values, "%r", "null")
 
 
-def _blocks(result):
-    """Each block's row slice and status fields (``status:reason`` off ok)."""
+def _blocks(result, fields):
+    """Each block's row slice and status fields, read from ``fields`` by code."""
     for lo in range(0, len(result), _ROWS):
         rows = slice(lo, lo + _ROWS)
-        yield rows, [f"{s}:{r}" if r else s for s, r in
-                     zip(result.status[rows].tolist(), result.reason[rows].tolist())]
+        yield rows, fields[result.code[rows]].tolist()
 
 
 def _csv_text(result, spec):
     yield "x,phi,r,t,K,status\n"
     columns = (result.x, result.phi, result.r, result.t, result.K)
     if not (isinstance(spec, GridSpec) and len(result) == spec.nx * spec.nphi):
-        for rows, status in _blocks(result):
+        for rows, status in _blocks(result, _FIELD):
             fields = zip(*(_fmt(c[rows]) for c in columns), status)
             yield "".join([",".join(f) + "\n" for f in fields])
         return
@@ -262,7 +263,7 @@ def _csv_text(result, spec):
     n = spec.nphi
     heads = [f + "," for f in _fmt(result.x[::n])]
     tails = [",".join(f) + "," for f in zip(*(_fmt(c[:n]) for c in columns[1:4]))]
-    for rows, status in _blocks(result):
+    for rows, status in _blocks(result, _FIELD):
         yield "".join([f"{heads[i // n]}{tails[i % n]}{k},{s}\n" for i, k, s in
                        zip(range(rows.start, rows.stop), _fmt(result.K[rows]), status)])
 
@@ -281,9 +282,8 @@ def _json_text(result, summary, spec, include_samples):
         return
     yield text[:-len("]\n}")] + "\n"  # '"samples": [' ends the head
     columns = (result.x, result.phi, result.r, result.t, result.K)
-    for rows, status in _blocks(result):
-        quoted = {s: json.dumps(s) for s in set(status)}
-        fields = zip(*(_json_fmt(c[rows]) for c in columns), map(quoted.get, status))
+    for rows, status in _blocks(result, _JSON_FIELD):
+        fields = zip(*(_json_fmt(c[rows]) for c in columns), status)
         yield ("" if rows.start == 0 else ",\n") + ",\n".join([_SAMPLE % f for f in fields])
     yield "\n  ]\n}\n"
 

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from keplerflag.curvature import flag_curvature
 from keplerflag.errors import DomainError
 from keplerflag.metric import (
     CartesianFiberPoint,
@@ -21,6 +22,8 @@ from keplerflag.metric import (
     perp_inner,
     scaling_reduce,
     validate_domain,
+    _radicand,
+    _variables,
 )
 
 
@@ -271,10 +274,60 @@ class TestDomainValidation:
         assert status.reason == "energy_below_critical"
 
     def test_scalar_clamps_boundary_rounding(self):
-        # radicands in [-1e-12, 0) evaluate as boundary points
-        params = MetricParams(1.0, 2.0)
+        # radicands in [-1e-12, 0) evaluate as boundary points, where F* is
+        # 0.25 w |q| with w = x^2 + 2c; below -1e-12 they are rejected
         pt = PhasePoint(1.0, 0.0, 0.0, 1.0)
-        assert fstar_polar(params, pt) > 0.0
+        params = MetricParams(1.0, 1.5 - 1e-13)
+        assert -1e-12 < inner_radicand(params, pt.x, pt.r, pt.t) < 0.0
+        assert fstar_polar(params, pt) == 0.25 * (1.0 + 2.0 * params.c)
+        assert fstar_polar(params, pt) == pytest.approx(0.99999999999995, rel=1e-14)
+        params = MetricParams(1.0, 1.5 - 1e-11)
+        rad = inner_radicand(params, pt.x, pt.r, pt.t)
+        assert rad == pytest.approx(-1e-11, rel=1e-3)
+        with pytest.raises(DomainError) as err:
+            fstar_polar(params, pt)
+        assert err.value.value == rad
+
+    def test_inner_radicand_is_the_kernel_expression(self):
+        # one 256-lane block of the acceptance-3 lattice, at x = -1
+        params = MetricParams(1.0, 1.55)
+        phi = np.linspace(0.0, 2.0 * math.pi, 256)
+        x, r, t = np.full(256, np.linspace(-3.0, 3.0, 256)[85]), np.sin(phi), np.cos(phi)
+        rad = inner_radicand(params, x, r, t)
+        # bit for bit the radicand F* evaluates, on arrays and per scalar
+        assert np.array_equal(rad, _radicand(x, r, t, params.a, params.c)[2])
+        scalar = [_radicand(*v, params.a, params.c)[2]
+                  for v in zip(x.tolist(), r.tolist(), t.tolist())]
+        assert rad.tolist() == scalar
+        # an order-4 jet divides by a reciprocal product, so its constant
+        # term may differ in the last bits, never in sign
+        jet = _radicand(*_variables((x, r, t), 4), params.a, params.c)[2].coeffs[0]
+        assert np.all(np.abs(jet - rad) <= 4 * np.finfo(float).eps)
+        assert np.all(rad > 0.0) and np.all(jet > 0.0)
+
+    UNDERFLOW = [(x, r, t) for x in (1e-200, -1e-170)
+                 for r, t in ((1.0, 0.0), (0.0, 1.0), (1.0, 1.0))]
+    NONFINITE = [(1e-160, 0.0, 1.0), (1e-160, 1.0, 1.0), (math.nan, 0.0, 1.0),
+                 (math.inf, 1.0, 0.0), (1.0, math.inf, 0.0), (1.0, 1e-200, 0.0),
+                 (1e160, 1.0, 1.0)]
+
+    @pytest.mark.parametrize("x, r, t", UNDERFLOW + NONFINITE)
+    @pytest.mark.parametrize("fn", [fstar_polar, lstar])
+    def test_nonfinite_value_raises_domain_error(self, fn, x, r, t):
+        # x * x underflows to 0 (x = 1e-200) or overflows, |q| overflows
+        # (x = 1e-160), r * r underflows with t = 0, or a coordinate is not
+        # finite; the point query reports each of these with a reason
+        params, pt = MetricParams(1.0, 2.0), PhasePoint(x, 0.0, r, t)
+        with pytest.raises(DomainError, match="not finite"):
+            fn(params, pt)
+        assert flag_curvature(params, pt).reason in (
+            "undefined_radicand", "nonfinite_result", "nonfinite_input")
+
+    def test_lstar_overflow_raises_domain_error(self):
+        params, pt = MetricParams(1.0, 2.0), PhasePoint(1e100, 0.0, 1.0, 0.0)
+        assert fstar_polar(params, pt) == pytest.approx(5e199)
+        with pytest.raises(DomainError, match="L\\* is not finite"):
+            lstar(params, pt)
 
 
 class TestScaling:

@@ -10,7 +10,14 @@ import pytest
 
 import keplerflag.scan as scan_module
 from keplerflag.curvature import flag_curvature
-from keplerflag.metric import MetricParams, PhasePoint
+from keplerflag.metric import (
+    CHART_SINGULARITY,
+    DENOMINATOR_BELOW_TOLERANCE,
+    OK,
+    VERDICTS,
+    MetricParams,
+    PhasePoint,
+)
 from keplerflag.scan import (
     GridSpec,
     ScanResult,
@@ -129,10 +136,10 @@ class TestGridScan:
     def test_singular_lane_reason_matches_point_query(self):
         params = MetricParams(1.0, 2.0)
         single = flag_curvature(params, PhasePoint(1.0, 0.0, 1.0, 0.0))
-        K, status, reason = _evaluate_points(
+        K, code = _evaluate_points(
             params, np.array([1.0]), np.array([1.0]), np.array([0.0]), 1e-3
         )
-        assert f"{status[0]}:{reason[0]}" == f"{single.status}:{single.reason}"
+        assert VERDICTS[code[0]] == (single.status, single.reason)
         assert single.status == "singular_v"
         assert math.isnan(K[0]) and single.K is None
 
@@ -199,14 +206,16 @@ def summarize_by_loop(result):
     return ScanSummary(n_ok, len(result) - n_ok, min_K, max_K, argmin, argmax)
 
 
-def columns(K, status):
-    """A ScanResult with the given K and status columns, x = 1, 2, ..."""
+def columns(K, code):
+    """A ScanResult with the given K and verdict code columns, x = 1, 2, ..."""
     n = len(K)
     x = np.arange(1.0, n + 1.0)
-    reason = np.array([None if s == "ok" else "chart_singularity" for s in status],
-                      dtype=object)
     return ScanResult(x, np.full(n, np.nan), np.zeros(n), x.copy(),
-                      np.array(K, dtype=float), np.array(status, dtype=object), reason)
+                      np.array(K, dtype=float), np.array(code, dtype=np.int8))
+
+
+# non-ok codes of either status
+DE, SV = CHART_SINGULARITY, DENOMINATOR_BELOW_TOLERANCE
 
 
 class TestSummarize:
@@ -214,7 +223,7 @@ class TestSummarize:
         nan = math.nan
         result = columns(
             [nan, 0.0, -2.0, 3.0, -0.0, -2.0, 3.0, nan, -2.0],
-            ["domain_error", "ok", "ok", "ok", "ok", "ok", "ok", "singular_v", "ok"],
+            [DE, OK, OK, OK, OK, OK, OK, SV, OK],
         )
         summary = summarize(result)
         assert summary == summarize_by_loop(result)
@@ -223,13 +232,13 @@ class TestSummarize:
 
     def test_signed_zero_tie_keeps_the_first(self):
         for K in ([0.0, -0.0], [-0.0, 0.0]):
-            summary = summarize(columns(K, ["ok", "ok"]))
-            assert summary == summarize_by_loop(columns(K, ["ok", "ok"]))
+            summary = summarize(columns(K, [OK, OK]))
+            assert summary == summarize_by_loop(columns(K, [OK, OK]))
             assert math.copysign(1.0, summary.min_K) == math.copysign(1.0, K[0])
             assert summary.argmin.x == summary.argmax.x == 1.0
 
     def test_no_ok_rows(self):
-        result = columns([math.nan] * 3, ["domain_error"] * 3)
+        result = columns([math.nan] * 3, [DE] * 3)
         assert summarize(result) == ScanSummary(0, 3, None, None, None, None)
 
     def test_lattice_matches_the_loop(self):
@@ -331,7 +340,7 @@ class TestEmit:
         # infinities, signed zeros and NaN across blocks of two rows
         monkeypatch.setattr(scan_module, "_ROWS", 2)
         result = columns([1.5, math.inf, math.nan, -math.inf, -0.0],
-                         ["ok", "ok", "domain_error", "ok", "ok"])
+                         [OK, OK, DE, OK, OK])
         summary = summarize(result)
         out = tmp_path / "doc.json"
         emit(result, summary, "json", str(out))
@@ -342,6 +351,23 @@ class TestEmit:
                    for row in zip(*floats, status)]
         doc = {"summary": dataclasses.asdict(summary), "samples": samples}
         assert out.read_text() == json.dumps(doc, indent=2) + "\n"
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_every_verdict_field(self, tmp_path, monkeypatch, fmt):
+        # one row per verdict code, in code order, across blocks of three
+        monkeypatch.setattr(scan_module, "_ROWS", 3)
+        codes = range(len(VERDICTS))
+        result = columns([1.0 if c == OK else math.nan for c in codes], codes)
+        assert all(c.dtype != object for c in dataclasses.astuple(result))
+        assert result.status.tolist() == [s for s, _ in VERDICTS]
+        assert result.reason.tolist() == [r for _, r in VERDICTS]
+        out = tmp_path / f"verdicts.{fmt}"
+        emit(result, summarize(result), fmt, str(out))
+        if fmt == "csv":
+            fields = [line.split(",")[5] for line in out.read_text().splitlines()[1:]]
+        else:
+            fields = [row["status"] for row in json.loads(out.read_text())["samples"]]
+        assert fields == ["ok"] + [f"{s}:{r}" for s, r in VERDICTS[1:]]
 
     def test_unknown_format_rejected(self, tmp_path):
         result = slice_scan(2.0, 1.0, 0.5, 1.5, 3)
