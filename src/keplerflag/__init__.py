@@ -3,10 +3,11 @@
 The cotangent-side fundamental function of the rotating Kepler problem is
 evaluated together with all partial derivatives up to total order 4 through
 exact jet arithmetic; from that single jet per point the package assembles
-the cometric, the fiber Legendre map, the spray coefficients, and the flag
-curvature.  A transcribed closed form along the fiber ray (r, t) = (0, x)
-serves as an independent oracle, and verifiers cover fiberwise convexity,
-the scaling symmetry, and the structural identities of the construction.
+the cometric, the fiber Legendre map and the spray coefficients (read
+together through ``curvature_terms``), and the flag curvature.  A
+transcribed closed form along the fiber ray (r, t) = (0, x) serves as an
+independent oracle, and verifiers cover fiberwise convexity, the scaling
+symmetry, and the structural identities of the construction.
 """
 
 from .convexity import (
@@ -20,14 +21,11 @@ from .convexity import (
 )
 from .curvature import (
     CallbackCartanMetric,
-    CometricBlock,
     CurvatureSample,
-    SprayPair,
-    cometric_at,
+    CurvatureTerms,
+    curvature_terms,
     flag_curvature,
     flag_curvature_closed_form,
-    legendre_fiber,
-    spray_coeffs,
 )
 from .errors import ConsistencyError, DegeneracyError, DomainError, PreconditionError
 from .jets import Jet
@@ -69,9 +67,8 @@ __all__ = [
     "DomainStatus",
     "KeplerCartanMetric",
     "CallbackCartanMetric",
-    "CometricBlock",
-    "SprayPair",
     "CurvatureSample",
+    "CurvatureTerms",
     "LambdaRoots",
     "ConvexityReport",
     "GridSpec",
@@ -97,9 +94,7 @@ __all__ = [
     "f_of_t",
     "hessian_form",
     "verify_convexity",
-    "cometric_at",
-    "legendre_fiber",
-    "spray_coeffs",
+    "curvature_terms",
     "flag_curvature",
     "flag_curvature_closed_form",
     "grid_scan",

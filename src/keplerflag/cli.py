@@ -24,6 +24,7 @@ from .scan import (
     DEFAULT_EXCLUDE_BAND,
     GridSpec,
     SliceSpec,
+    _require_finite_span,
     emit,
     grid_scan,
     slice_scan,
@@ -241,8 +242,7 @@ def _cmd_closed_form(args):
     # The x column of `slice` over the same range.  A range with a nonfinite
     # end has no defined points (np.linspace would still end on hi).
     if math.isfinite(lo) and math.isfinite(hi):
-        if not math.isfinite(hi - lo):
-            raise ValueError(f"x range {lo}:{hi} must have a finite width")
+        _require_finite_span(lo, hi, "x")
         xs = np.linspace(lo, hi, args.n)
     else:
         xs = np.full(args.n, math.nan)

@@ -56,7 +56,7 @@ would take itself, so the oracle's value does not move.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from functools import partial
 from typing import Callable
 
@@ -64,7 +64,7 @@ import numpy as np
 from mpmath import mp, mpf
 from mpmath import sqrt as mp_sqrt
 
-from .errors import ConsistencyError, DegeneracyError, DomainError
+from .errors import DegeneracyError, DomainError
 from .jets import Jet
 from .metric import (
     DEGENERATE_COMETRIC,
@@ -81,14 +81,11 @@ from .metric import (
 )
 
 __all__ = [
-    "CometricBlock",
-    "SprayPair",
     "CurvatureSample",
+    "CurvatureTerms",
     "CallbackCartanMetric",
     "SINGULAR_V_TOL",
-    "cometric_at",
-    "legendre_fiber",
-    "spray_coeffs",
+    "curvature_terms",
     "flag_curvature",
     "flag_curvature_closed_form",
     "closed_form_radicand",
@@ -98,27 +95,6 @@ __all__ = [
 # numerically meaningless; such points are reported, not evaluated.
 SINGULAR_V_TOL = 1e-12
 
-_RECONSTRUCTION_RTOL = 1e-10
-
-
-@dataclass(frozen=True)
-class CometricBlock:
-    """Fiber Hessian of L*, its determinant, and the inverse (metric) block."""
-
-    g11: float
-    g12: float
-    g22: float
-    det: float
-    inv11: float
-    inv12: float
-    inv22: float
-
-
-@dataclass(frozen=True)
-class SprayPair:
-    G: float
-    H_spray: float
-
 
 @dataclass(frozen=True)
 class CurvatureSample:
@@ -126,7 +102,7 @@ class CurvatureSample:
 
     point: PhasePoint
     K: float | None
-    status: str  # "ok" | "domain_error" | "singular_v"
+    status: str  # VERDICTS[code][0]
     reason: str | None = None
 
     @property
@@ -169,69 +145,48 @@ def _terms(metric, pt):
     return _assemble(0.5 * f * f, *indices, pt.r, pt.t)
 
 
-def _cometric_block(terms, pt):
-    g11, g12, g22, det = (float(v) for v in (terms.g11, terms.g12, terms.g22, terms.det))
-    if det <= 0.0:
-        raise DegeneracyError(
-            f"cometric determinant not positive at {pt}: det={det}"
-        )
-    return CometricBlock(
-        g11=g11, g12=g12, g22=g22, det=det,
-        inv11=g22 / det, inv12=-g12 / det, inv22=g11 / det,
-    )
-
-
-def cometric_at(metric, pt):
-    """Cometric block at ``pt``: fiber Hessian of L*, inverted analytically."""
-    return _cometric_block(_terms(metric, pt), pt)
-
-
-def legendre_fiber(metric, pt):
-    """Tangent-side fiber coordinates ``(u, v) = (L*_r, L*_t)``.
-
-    Asserts the inverse relation ``(r, t) = metric block applied to (u, v)``
-    before returning; failure raises :class:`ConsistencyError`.
-    """
-    terms = _terms(metric, pt)
-    block = _cometric_block(terms, pt)
-    u, v = float(terms.u), float(terms.v)
-    r_back = block.inv11 * u + block.inv12 * v
-    t_back = block.inv12 * u + block.inv22 * v
-    scale = max(abs(pt.r), abs(pt.t), 1.0)
-    if (
-        abs(r_back - pt.r) > _RECONSTRUCTION_RTOL * scale
-        or abs(t_back - pt.t) > _RECONSTRUCTION_RTOL * scale
-    ):
-        raise ConsistencyError(
-            f"Legendre reconstruction failed at {pt}: "
-            f"({r_back}, {t_back}) != ({pt.r}, {pt.t})"
-        )
-    return u, v
-
-
-def spray_coeffs(metric, pt):
-    """Spray coefficients ``(G, H_spray)`` from base derivatives of L*."""
-    terms = _terms(metric, pt)
-    return SprayPair(G=float(terms.G), H_spray=float(terms.H_spray))
-
-
 @dataclass(frozen=True)
-class _CurvatureTerms:
+class CurvatureTerms:
     """Assembled curvature pieces; fields are scalars or batch arrays.
 
-    ``g11, g12, g22`` are the cometric entries and ``det`` their
-    determinant, unshifted.
+    ``g11, g12, g22`` are the cometric entries (the fiber Hessian of ``L*``)
+    and ``det`` their determinant, unshifted; the metric block is their
+    inverse, ``(g22, -g12, g11) / det``.  ``u, v`` are the tangent fiber
+    coordinates ``(L*_r, L*_t)``, ``G, H_spray`` the spray coefficients, and
+    ``K = numerator / (v t)``.
     """
 
-    numerator: object
-    u: object
-    v: object
     g11: object
     g12: object
     g22: object
     det: object
+    u: object
+    v: object
     G: object
     H_spray: object
+    numerator: object
+
+
+def curvature_terms(metric, pt):
+    """:class:`CurvatureTerms` at one phase point, as floats.
+
+    A DomainError message starts with a reason code: the :func:`classify`
+    verdict of a point it rejects (built-in family only), or
+    ``nonfinite_result`` where the jets raise.  ``det <= 0`` raises
+    DegeneracyError."""
+    m = _as_metric(metric)
+    if isinstance(m, KeplerCartanMetric):
+        code = int(classify(m.params, pt.x, pt.r, pt.t)[0])
+        if code != OK:
+            raise DomainError(f"{VERDICTS[code][1]} at {pt}")
+    try:
+        terms = _terms(m, pt)
+    except DomainError as exc:
+        raise DomainError(f"nonfinite_result at {pt}: {exc}", exc.value) from exc
+    terms = CurvatureTerms(*(float(v) for v in astuple(terms)))
+    if terms.det <= 0.0:
+        raise DegeneracyError(f"degenerate_cometric at {pt}: det={terms.det}")
+    return terms
 
 
 def _assemble(L, ix, iy, ir, it, r0, t0):
@@ -326,9 +281,9 @@ def _assemble(L, ix, iy, ir, it, r0, t0):
 
     numerator = (Gxv - Gyu) * v0 + 2.0 * G0 * Guu + 2.0 * H0 * Guv \
         - Gu0 * Gu0 - Gv0 * Hu
-    return _CurvatureTerms(
-        numerator=numerator, u=u0, v=v0, g11=gi11.coeffs[0], g12=gi12.coeffs[0],
-        g22=gi22.coeffs[0], det=det0, G=G0, H_spray=H0,
+    return CurvatureTerms(
+        g11=gi11.coeffs[0], g12=gi12.coeffs[0], g22=gi22.coeffs[0], det=det0,
+        u=u0, v=v0, G=G0, H_spray=H0, numerator=numerator,
     )
 
 

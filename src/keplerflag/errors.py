@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+__all__ = ["DomainError", "PreconditionError", "DegeneracyError", "ConsistencyError"]
+
 
 class DomainError(ValueError):
     """An input lies outside the mathematical domain of an operation.

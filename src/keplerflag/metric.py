@@ -10,10 +10,9 @@ cross-tested against each other:
   the dual fiber coordinates, so that ``|q|^2 = r^2 + t^2/x^2``,
   ``<p_perp, q> = -t`` and ``|p| = |x|``.
 
-The polar form never depends on ``y``; its jets are taken in ``(x, r, t)``
-(optionally with a fourth, unused ``y`` slot).  Both scalar and jet
-evaluation share one expression, so there is a single source of truth for
-the formula.
+The polar form never depends on ``y``; its jets are taken in ``(x, r, t)``.
+Both scalar and jet evaluation share one expression, so there is a single
+source of truth for the formula, and one domain: :func:`classify`.
 """
 
 from __future__ import annotations
@@ -48,9 +47,9 @@ __all__ = [
     "hypothesis_gap",
 ]
 
-# Inner radicands in [-RADICAND_CLAMP, 0) are rounded up to 0 in scalar
-# evaluation: the boundary of the bounded component is a legitimate target
-# that rounding can place marginally outside.
+# fstar_cartesian rounds radicands in [-RADICAND_CLAMP, 0) up to 0: the
+# boundary of the bounded component is a legitimate target (verify_convexity
+# evaluates there) that rounding can place marginally outside.
 RADICAND_CLAMP = 1e-12
 
 # Every (status, reason) pair the package reports, indexed by verdict code:
@@ -137,19 +136,8 @@ def _sqrt(u):
     return u.sqrt() if isinstance(u, Jet) else np.sqrt(u)
 
 
-def _clamped_radicand(rad):
-    """Apply the boundary clamp to a scalar; a jet is left to ``Jet.sqrt``,
-    which rejects a constant term at or below zero."""
-    if isinstance(rad, Jet):
-        return rad
-    v = float(rad)
-    if v < -RADICAND_CLAMP:
-        raise DomainError(f"inner radicand is negative: {v}", value=v)
-    return max(v, 0.0)
-
-
 def _radicand(x, r, t, a, c):
-    """``(x^2 + 2c, |q|, inner radicand)`` of the polar F*, unclamped."""
+    """``(x^2 + 2c, |q|, inner radicand)`` of the polar F*."""
     xx = x * x
     norm_q = _sqrt(r * r + (t * t) / xx)
     w = xx + 2.0 * c
@@ -159,7 +147,7 @@ def _radicand(x, r, t, a, c):
 def _fstar_expr(x, r, t, a, c):
     """The polar fundamental function on floats, arrays, or jets."""
     w, norm_q, rad = _radicand(x, r, t, a, c)
-    return 0.25 * w * norm_q * (1.0 + _sqrt(_clamped_radicand(rad)))
+    return 0.25 * w * norm_q * (1.0 + _sqrt(rad))
 
 
 def fstar_cartesian(pt, a=1.0):
@@ -235,20 +223,6 @@ def validate_domain(params, pt):
     return DomainStatus(code == OK, VERDICTS[code][1], float(rad) if reached else None)
 
 
-def _require_evaluable(params, pt):
-    """Evaluability guard: the formula itself must make sense at ``pt``.
-
-    The global energy condition is deliberately not enforced here; the
-    scaling identity is algebraic and holds through the critical energy,
-    and the curvature and scan layers enforce full admissibility via
-    :func:`classify`.
-    """
-    if pt.x == 0.0:
-        raise DomainError("chart singularity at x = 0", value=0.0)
-    if pt.r == 0.0 and pt.t == 0.0:
-        raise DomainError("zero fiber direction", value=0.0)
-
-
 def _finite(value, name, pt):
     if not math.isfinite(value):
         raise DomainError(f"{name} is not finite at {pt}: {value}", value=value)
@@ -257,24 +231,18 @@ def _finite(value, name, pt):
 
 def fstar_polar(params, pt):
     """Scalar value of the polar fundamental function ``F*_{c,a}``; raises
-    DomainError where it is not finite (``x * x`` underflows, say)."""
-    _require_evaluable(params, pt)
+    DomainError where it is not finite (``x = 0``, ``r = t = 0``, a negative
+    radicand, ``x * x`` underflowing).  It evaluates below the critical energy."""
     # x as a NumPy float divides by zero without raising, in the same bits
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         f = float(_fstar_expr(np.float64(pt.x), pt.r, pt.t, params.a, params.c))
     return _finite(f, "F*", pt)
 
 
-def fstar_polar_jet(params, pt, max_order=4, include_y=False):
-    """Jet of ``F*_{c,a}`` at ``pt`` in the variables ``(x, r, t)``.
-
-    ``F*`` never depends on ``y``; with ``include_y=True`` the jet instead
-    lives in ``(x, y, r, t)`` and all its ``y``-coefficients are zero.
-    """
-    _require_evaluable(params, pt)
-    coords = (pt.x, pt.y, pt.r, pt.t) if include_y else (pt.x, pt.r, pt.t)
-    x, *_, r, t = _variables(coords, max_order)
-    return _fstar_expr(x, r, t, params.a, params.c)
+def fstar_polar_jet(params, pt, max_order=4):
+    """Jet of ``F*_{c,a}`` at ``pt`` in ``(x, r, t)``; ``Jet.reciprocal`` and
+    ``Jet.sqrt`` raise DomainError at ``x = 0`` and at ``r = t = 0``."""
+    return _fstar_jet_batch(params, pt.x, pt.r, pt.t, max_order)
 
 
 def _variables(coords, max_order):
@@ -293,8 +261,8 @@ def lstar(params, pt):
     return _finite(0.5 * f * f, "L*", pt)
 
 
-def lstar_jet(params, pt, max_order=4, include_y=False):
-    f = fstar_polar_jet(params, pt, max_order, include_y)
+def lstar_jet(params, pt, max_order=4):
+    f = fstar_polar_jet(params, pt, max_order)
     return 0.5 * f * f
 
 

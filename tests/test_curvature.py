@@ -18,19 +18,25 @@ from keplerflag.curvature import (
     _guarded,
     _kepler_flag_batch,
     _powers,
-    cometric_at,
+    curvature_terms,
     flag_curvature,
     flag_curvature_closed_form,
-    legendre_fiber,
-    spray_coeffs,
 )
 from keplerflag.errors import DegeneracyError, DomainError
 from keplerflag.identities import random_admissible
 from keplerflag.jets import Jet, _JetSpace
 from keplerflag.metric import (
+    CHART_SINGULARITY,
+    NEGATIVE_RADICAND,
+    NONFINITE_INPUT,
+    OK,
+    UNDEFINED_RADICAND,
     VERDICTS,
+    ZERO_FIBER_DIRECTION,
     MetricParams,
     PhasePoint,
+    classify,
+    fstar_polar,
     lstar,
     scaling_reduce,
     validate_domain,
@@ -54,23 +60,23 @@ SPHERE = CallbackCartanMetric(
 
 class TestCometric:
     def test_flat_quadratic(self):
-        block = cometric_at(FLAT, PhasePoint(0.4, 0.0, 0.3, 0.8))
-        assert block.g11 == pytest.approx(1.0, abs=1e-12)
-        assert block.g22 == pytest.approx(1.0, abs=1e-12)
-        assert block.g12 == pytest.approx(0.0, abs=1e-12)
-        assert block.det == pytest.approx(1.0, abs=1e-12)
+        terms = curvature_terms(FLAT, PhasePoint(0.4, 0.0, 0.3, 0.8))
+        assert terms.g11 == pytest.approx(1.0, abs=1e-12)
+        assert terms.g22 == pytest.approx(1.0, abs=1e-12)
+        assert terms.g12 == pytest.approx(0.0, abs=1e-12)
+        assert terms.det == pytest.approx(1.0, abs=1e-12)
 
     def test_kepler_point_positive_definite(self):
         params = MetricParams(1.0, 2.0)
-        block = cometric_at(params, PhasePoint(1.0, 0.0, 0.0, 1.0))
-        assert block.det > 0.0
-        assert block.g11 > 0.0
-        assert block.g22 > 0.0
+        terms = curvature_terms(params, PhasePoint(1.0, 0.0, 0.0, 1.0))
+        assert terms.det > 0.0
+        assert terms.g11 > 0.0
+        assert terms.g22 > 0.0
 
     def test_matches_finite_differences(self):
         params = MetricParams(1.0, 2.0)
         pt = PhasePoint(1.2, 0.0, 0.35, 0.8)
-        block = cometric_at(params, pt)
+        terms = curvature_terms(params, pt)
         h = 1e-5
 
         def L(r, t):
@@ -82,9 +88,9 @@ class TestCometric:
             L(pt.r + h, pt.t + h) - L(pt.r + h, pt.t - h)
             - L(pt.r - h, pt.t + h) + L(pt.r - h, pt.t - h)
         ) / (4 * h**2)
-        assert block.g11 == pytest.approx(g11, rel=1e-5)
-        assert block.g22 == pytest.approx(g22, rel=1e-5)
-        assert block.g12 == pytest.approx(g12, rel=1e-4, abs=1e-7)
+        assert terms.g11 == pytest.approx(g11, rel=1e-5)
+        assert terms.g22 == pytest.approx(g22, rel=1e-5)
+        assert terms.g12 == pytest.approx(g12, rel=1e-4, abs=1e-7)
 
     def test_inverse_identity(self):
         rng = np.random.default_rng(67)
@@ -92,19 +98,19 @@ class TestCometric:
         for _ in range(50):
             x = float(rng.uniform(0.3, 3.0) * rng.choice([-1, 1]))
             theta = float(rng.uniform(0, 2 * math.pi))
-            block = cometric_at(
+            terms = curvature_terms(
                 params, PhasePoint(x, 0.0, math.sin(theta), math.cos(theta))
             )
-            m = np.array([[block.g11, block.g12], [block.g12, block.g22]])
-            inv = np.array([[block.inv11, block.inv12], [block.inv12, block.inv22]])
+            m = np.array([[terms.g11, terms.g12], [terms.g12, terms.g22]])
+            inv = np.array([[terms.g22, -terms.g12], [-terms.g12, terms.g11]]) / terms.det
             np.testing.assert_allclose(m @ inv, np.eye(2), atol=1e-10)
 
     def test_degenerate_cometric_raises(self):
         # 1-homogeneous but non-convex in the fiber: F* = r + 2t has a
         # singular fiber Hessian
         degenerate = CallbackCartanMetric(lambda x, y, r, t: r + 2.0 * t + 0.0 * x)
-        with pytest.raises(DegeneracyError):
-            cometric_at(degenerate, PhasePoint(1.0, 0.0, 0.5, 1.0))
+        with pytest.raises(DegeneracyError, match="^degenerate_cometric"):
+            curvature_terms(degenerate, PhasePoint(1.0, 0.0, 0.5, 1.0))
 
     def test_strongly_indefinite_cometric_is_degenerate(self):
         # L* = 1e9 (r^2 - t^2)/2 has det = -1e18, beyond 2**53, where
@@ -114,15 +120,15 @@ class TestCometric:
         )
         pt = PhasePoint(1.0, 0.0, 2.0, 1.0)
         with pytest.raises(DegeneracyError):
-            cometric_at(indefinite, pt)
+            curvature_terms(indefinite, pt)
         assert flag_curvature(indefinite, pt).reason == "degenerate_cometric"
 
 
 class TestLegendreFiber:
     def test_flat_self_dual(self):
-        u, v = legendre_fiber(FLAT, PhasePoint(0.5, 0.0, 0.3, 0.7))
-        assert u == pytest.approx(0.3, rel=1e-12)
-        assert v == pytest.approx(0.7, rel=1e-12)
+        terms = curvature_terms(FLAT, PhasePoint(0.5, 0.0, 0.3, 0.7))
+        assert terms.u == pytest.approx(0.3, rel=1e-12)
+        assert terms.v == pytest.approx(0.7, rel=1e-12)
 
     def test_euler_identity(self):
         rng = np.random.default_rng(71)
@@ -132,22 +138,27 @@ class TestLegendreFiber:
             theta = float(rng.uniform(0, 2 * math.pi))
             s = float(10.0 ** rng.uniform(-0.5, 0.5))
             pt = PhasePoint(x, 0.0, s * math.sin(theta), s * math.cos(theta))
-            u, v = legendre_fiber(params, pt)
-            assert pt.r * u + pt.t * v == pytest.approx(
+            g = curvature_terms(params, pt)
+            assert pt.r * g.u + pt.t * g.v == pytest.approx(
                 2.0 * lstar(params, pt), rel=1e-10
             )
+            # the inverse Legendre map: the metric block takes (u, v) back
+            # to (r, t)
+            scale = 1e-10 * max(abs(pt.r), abs(pt.t), 1.0)
+            assert abs((g.g22 * g.u - g.g12 * g.v) / g.det - pt.r) <= scale
+            assert abs((g.g11 * g.v - g.g12 * g.u) / g.det - pt.t) <= scale
 
     def test_kepler_reference_point(self):
-        u, v = legendre_fiber(MetricParams(1.0, 2.0), PhasePoint(1.0, 0.0, 0.0, 1.0))
-        assert u == pytest.approx(0.0, abs=1e-12)
-        assert v > 0.0
+        terms = curvature_terms(MetricParams(1.0, 2.0), PhasePoint(1.0, 0.0, 0.0, 1.0))
+        assert terms.u == pytest.approx(0.0, abs=1e-12)
+        assert terms.v > 0.0
 
 
 class TestSpray:
     def test_base_independent_metric_has_zero_spray(self):
-        pair = spray_coeffs(FLAT, PhasePoint(0.8, 0.0, 0.4, 0.9))
-        assert pair.G == pytest.approx(0.0, abs=1e-12)
-        assert pair.H_spray == pytest.approx(0.0, abs=1e-12)
+        terms = curvature_terms(FLAT, PhasePoint(0.8, 0.0, 0.4, 0.9))
+        assert terms.G == pytest.approx(0.0, abs=1e-12)
+        assert terms.H_spray == pytest.approx(0.0, abs=1e-12)
 
     @pytest.mark.parametrize("depends_on_y", [False, True])
     def test_power_conformal_hand_formula(self, depends_on_y):
@@ -158,17 +169,74 @@ class TestSpray:
             depends_on_y=depends_on_y,
         )
         for (x, r, t) in [(1.1, 0.3, 0.8), (0.7, -0.5, 0.4), (1.6, 0.0, 1.0)]:
-            pair = spray_coeffs(metric, PhasePoint(x, 0.2, r, t))
-            assert pair.G == pytest.approx(x**7 * (t * t - r * r), rel=1e-11)
-            assert pair.H_spray == pytest.approx(-2.0 * x**7 * r * t,
-                                                 rel=1e-11, abs=1e-11)
+            terms = curvature_terms(metric, PhasePoint(x, 0.2, r, t))
+            assert terms.G == pytest.approx(x**7 * (t * t - r * r), rel=1e-11)
+            assert terms.H_spray == pytest.approx(-2.0 * x**7 * r * t,
+                                                  rel=1e-11, abs=1e-11)
 
     def test_kepler_spray_is_finite(self):
         params = MetricParams(0.0, 2.0)
-        pair = spray_coeffs(params, PhasePoint(1.3, 0.0, 0.4, 0.7))
-        assert math.isfinite(pair.G)
-        assert math.isfinite(pair.H_spray)
-        assert pair.G != 0.0
+        terms = curvature_terms(params, PhasePoint(1.3, 0.0, 0.4, 0.7))
+        assert math.isfinite(terms.G)
+        assert math.isfinite(terms.H_spray)
+        assert terms.G != 0.0
+
+
+class TestCurvatureTerms:
+    # (a, c), (x, y, r, t), then g11 g12 g22 det u v G H_spray as float.hex,
+    # the values the three per-quantity reads that curvature_terms replaced
+    # returned
+    PINS = [
+        ((1.0, 2.0), (1.2, 0.0, 0.35, 0.8),
+         ["0x1.a451780ce5583p+2", "-0x1.3432ef6dcc480p-4", "0x1.a42096a82d4f6p+1",
+          "0x1.58ce64965ee09p+4", "0x1.1e848e0caea23p+1", "0x1.4cbb1d1b57368p+1",
+          "-0x1.d9ded2b22998cp+1", "0x1.1cc3bbc46873ep+1"]),
+        ((1.0, 1.55), (-1.0235294117647058, 0.0, -0.24391372010837756, 0.9697969360350094),
+         ["0x1.c27fb65241ccep+1", "-0x1.06879a799b2d4p-3", "0x1.81159ee0491d7p+0",
+          "0x1.51c6d4c8911f6p+2", "-0x1.f72e7a2af9c42p-1", "0x1.7d7542bc71c83p+0",
+          "0x1.63c6a0c47f276p+0", "0x1.43d3a3bf829adp-1"]),
+        ((0.0, 2.0), (1.3, 0.0, 0.4, 0.7),
+         ["0x1.030240b780348p+3", "-0x1.0000000000000p-50", "0x1.3284f02f80ffep+2",
+          "0x1.361f3186e276dp+5", "0x1.9e6a012599ed9p+1", "0x1.ad208375b4998p+1",
+          "-0x1.57179feabf8dfp+2", "0x1.b1e08a65b46a4p+1"]),
+    ]
+
+    @pytest.mark.parametrize("ac, point, pins", PINS)
+    def test_bit_pins(self, ac, point, pins):
+        terms = curvature_terms(MetricParams(*ac), PhasePoint(*point))
+        got = [terms.g11, terms.g12, terms.g22, terms.det, terms.u, terms.v,
+               terms.G, terms.H_spray]
+        assert [v.hex() for v in got] == pins
+
+    def test_numerator_is_the_point_query(self):
+        params, pt = MetricParams(1.0, 2.0), PhasePoint(1.3, 0.0, 0.4, -0.8)
+        terms = curvature_terms(params, pt)
+        assert terms.numerator / (terms.v * pt.t) == pytest.approx(
+            flag_curvature(params, pt).K, rel=1e-12)
+
+    REJECTED = [
+        ("nonfinite_input", MetricParams(1.0, 2.0), (math.nan, 0.0, 0.3, 0.7)),
+        ("chart_singularity", MetricParams(1.0, 2.0), (0.0, 0.0, 0.3, 0.7)),
+        ("zero_fiber_direction", MetricParams(1.0, 2.0), (1.0, 0.0, 0.0, 0.0)),
+        ("energy_below_critical", MetricParams(1.0, 1.4), (1.0, 0.0, 0.0, 1.0)),
+        ("negative_radicand", MetricParams(1.0, 1.5000000000000002), (1.0, 0.0, 0.0, 1.0)),
+        ("undefined_radicand", MetricParams(1.0, 2.0), (1.0, 0.0, 1e-200, 0.0)),
+    ]
+
+    @pytest.mark.parametrize("reason, params, point", REJECTED,
+                             ids=[reason for reason, *_ in REJECTED])
+    def test_rejected_point_raises_its_reason(self, reason, params, point):
+        pt = PhasePoint(*point)
+        assert flag_curvature(params, pt).reason == reason
+        with pytest.raises(DomainError, match=f"^{reason} at "):
+            curvature_terms(params, pt)
+
+    def test_jet_failure_raises_nonfinite_result(self):
+        # classify admits x = 1e-200, but x * x underflows in the jets
+        params, pt = MetricParams(1.0, 2.0), PhasePoint(1e-200, 0.0, 0.3, 0.7)
+        assert flag_curvature(params, pt).reason == "nonfinite_result"
+        with pytest.raises(DomainError, match="^nonfinite_result at "):
+            curvature_terms(params, pt)
 
 
 class TestRiemannianOracles:
@@ -307,6 +375,30 @@ class TestInputContract:
         )
         assert code.dtype == np.int8
         assert VERDICTS[code[0]] == (sample.status, sample.reason)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(CONTRACT_PARAMS), ANY_FLOAT, ANY_FLOAT, ANY_FLOAT)
+    def test_scalar_fstar_agrees_with_classify(self, params, x, r, t):
+        # The scalar F* keeps no domain rules of its own.  It raises where
+        # classify rejects a chart, fiber, input or radicand (NaN or below
+        # 0), and is finite where classify admits a point, unless x * x,
+        # t * t / x^2 or L* itself leaves the float range (x = 1e308 or
+        # 1e-200): classify judges the radicand, not the value.
+        code, rad = classify(params, x, r, t)
+        rejects = code in (NONFINITE_INPUT, CHART_SINGULARITY, ZERO_FIBER_DIRECTION,
+                           UNDEFINED_RADICAND) or (code == NEGATIVE_RADICAND and rad < 0.0)
+        moderate = all(v == 0.0 or 2.0**-100 < abs(v) < 2.0**100 for v in (x, r, t))
+        for fn in (fstar_polar, lstar):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                try:
+                    value = fn(params, PhasePoint(x, 0.0, r, t))
+                except DomainError:
+                    value = None
+            if rejects:
+                assert value is None
+            elif code == OK and moderate:
+                assert value is not None and math.isfinite(value)
 
     def test_one_ulp_above_critical_energy_matches_grid(self):
         # rounding fails the hypothesis certificate a|x| < (x^2/4 + c/2)^2

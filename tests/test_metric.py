@@ -1,6 +1,7 @@
 """Tests for the fundamental-function module."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -193,15 +194,6 @@ class TestJetMode:
             lhs = pt.r * L.extract((0, 1, 0)) + pt.t * L.extract((0, 0, 1))
             assert lhs == pytest.approx(2.0 * lstar(params, pt), rel=1e-10)
 
-    def test_y_slot_jet_has_zero_y_derivatives(self):
-        params = MetricParams(1.0, 2.0)
-        pt = PhasePoint(1.0, 0.7, 0.2, 0.9)
-        jet = fstar_polar_jet(params, pt, max_order=3, include_y=True)
-        assert jet.num_vars == 4
-        assert jet.extract((0, 1, 0, 0)) == 0.0
-        assert jet.extract((1, 1, 0, 0)) == 0.0
-        assert jet.extract((0, 2, 0, 0)) == 0.0
-
     def test_jet_rejects_boundary_radicand(self):
         # a point with inner radicand exactly zero cannot be jetted
         params = MetricParams(1.0, 1.5000000001)
@@ -273,20 +265,24 @@ class TestDomainValidation:
         status = validate_domain(params, pt)
         assert status.reason == "energy_below_critical"
 
-    def test_scalar_clamps_boundary_rounding(self):
-        # radicands in [-1e-12, 0) evaluate as boundary points, where F* is
-        # 0.25 w |q| with w = x^2 + 2c; below -1e-12 they are rejected
+    def test_scalar_rejects_boundary_rounding(self):
+        # the scalar F* clamps no radicand: one just below 0 (by 1e-13)
+        # raises as one further out (by 1e-11) does
         pt = PhasePoint(1.0, 0.0, 0.0, 1.0)
-        params = MetricParams(1.0, 1.5 - 1e-13)
-        assert -1e-12 < inner_radicand(params, pt.x, pt.r, pt.t) < 0.0
-        assert fstar_polar(params, pt) == 0.25 * (1.0 + 2.0 * params.c)
-        assert fstar_polar(params, pt) == pytest.approx(0.99999999999995, rel=1e-14)
-        params = MetricParams(1.0, 1.5 - 1e-11)
-        rad = inner_radicand(params, pt.x, pt.r, pt.t)
-        assert rad == pytest.approx(-1e-11, rel=1e-3)
-        with pytest.raises(DomainError) as err:
-            fstar_polar(params, pt)
-        assert err.value.value == rad
+        for c, rad in ((1.5 - 1e-13, -1e-13), (1.5 - 1e-11, -1e-11)):
+            params = MetricParams(1.0, c)
+            assert inner_radicand(params, pt.x, pt.r, pt.t) == pytest.approx(rad, rel=1e-2)
+            with pytest.raises(DomainError, match="F\\* is not finite"):
+                fstar_polar(params, pt)
+
+    @pytest.mark.parametrize("x, r, t", [(0.0, 0.3, 0.7), (-0.0, 0.3, 0.7), (0.0, 1.0, 0.0),
+                                         (1.0, 0.0, 0.0), (-2.0, -0.0, 0.0)])
+    def test_jet_raises_at_chart_and_zero_fiber(self, x, r, t):
+        # x = 0 fails Jet.reciprocal, r = t = 0 fails Jet.sqrt
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(DomainError):
+                fstar_polar_jet(MetricParams(1.0, 2.0), PhasePoint(x, 0.0, r, t))
 
     def test_inner_radicand_is_the_kernel_expression(self):
         # one 256-lane block of the acceptance-3 lattice, at x = -1
