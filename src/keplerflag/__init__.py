@@ -40,7 +40,6 @@ from .metric import (
     fstar_polar,
     fstar_polar_jet,
     hypothesis_gap,
-    inner_radicand,
     lstar,
     lstar_jet,
     scaling_reduce,
@@ -84,7 +83,6 @@ __all__ = [
     "fstar_polar_jet",
     "lstar",
     "lstar_jet",
-    "inner_radicand",
     "validate_domain",
     "scaling_reduce",
     "cartesian_fiber_point",

@@ -24,7 +24,7 @@ from .scan import (
     DEFAULT_EXCLUDE_BAND,
     GridSpec,
     SliceSpec,
-    _require_finite_span,
+    _require_range,
     emit,
     grid_scan,
     slice_scan,
@@ -158,7 +158,8 @@ def _cmd_point(args):
     if args.format == "json":
         doc = {
             "a": args.a, "c": args.c,
-            "point": {"x": pt.x, "y": pt.y, "r": pt.r, "t": pt.t},
+            # JSON has no NaN or infinity: a coordinate that is not finite is null
+            "point": {k: v if math.isfinite(v) else None for k, v in vars(pt).items()},
             "K": sample.K, "status": sample.status, "reason": sample.reason,
         }
         print(json.dumps(doc, indent=2))
@@ -202,13 +203,15 @@ def _cmd_grid(args):
 
 
 def _cmd_verify_convexity(args):
-    if args.C is None and args.c is None:
-        print("error: provide --C or --c", file=sys.stderr)
+    if (args.C is None) == (args.c is None):
+        print("error: provide exactly one of --C or --c", file=sys.stderr)
         return 2
     C = args.C
     if C is None:
-        # 2C = |p|^2/2 + c
-        C = ((args.px**2 + args.py**2) / 2.0 + args.c) / 2.0
+        try:  # 2C = |p|^2/2 + c
+            C = ((args.px**2 + args.py**2) / 2.0 + args.c) / 2.0
+        except OverflowError:
+            raise ValueError("C = (|p|^2/2 + c)/2 is beyond the float range") from None
     report = verify_convexity((args.px, args.py), C, args.a, args.n)
     _write(json.dumps(report.to_dict(), indent=2) + "\n", args.out)
     return 0 if report.verdict in (True, None) else 1
@@ -242,7 +245,7 @@ def _cmd_closed_form(args):
     # The x column of `slice` over the same range.  A range with a nonfinite
     # end has no defined points (np.linspace would still end on hi).
     if math.isfinite(lo) and math.isfinite(hi):
-        _require_finite_span(lo, hi, "x")
+        _require_range(lo, hi, "x")
         xs = np.linspace(lo, hi, args.n)
     else:
         xs = np.full(args.n, math.nan)

@@ -12,10 +12,11 @@ sweeps fiber directions and reports the minimal form value.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .errors import ConsistencyError, DomainError, PreconditionError
-from .metric import CartesianFiberPoint, fstar_cartesian, perp_inner
+from .metric import CartesianFiberPoint, _fiber_norm, fstar_cartesian, perp_inner
 
 __all__ = [
     "LambdaRoots",
@@ -72,10 +73,7 @@ class ConvexityReport:
 
 def hp_value(pt):
     """The level function ``H_p(q) = <p_perp, q> - 1/|q| + 2C``."""
-    qn = math.hypot(*pt.q)
-    if qn == 0.0:
-        raise DomainError("fiber point q must be nonzero", value=0.0)
-    return perp_inner(pt.p, pt.q) - 1.0 / qn + 2.0 * pt.C
+    return perp_inner(pt.p, pt.q) - 1.0 / _fiber_norm(pt.q) + 2.0 * pt.C
 
 
 def lambda_roots(pt):
@@ -87,11 +85,9 @@ def lambda_roots(pt):
     pn = math.hypot(*pt.p)
     if not pn < pt.C * pt.C:
         raise PreconditionError(
-            f"lambda_roots requires |p| < C^2 (got |p|={pn}, C^2={pt.C**2})"
+            f"lambda_roots requires |p| < C^2 (got |p|={pn}, C^2={pt.C * pt.C})"
         )
-    qn = math.hypot(*pt.q)
-    if qn == 0.0:
-        raise DomainError("fiber point q must be nonzero", value=0.0)
+    qn = _fiber_norm(pt.q)
     ip = perp_inner(pt.p, pt.q)
     flipped = ip < 0.0
     ratio = abs(ip) / (qn * pt.C * pt.C)
@@ -128,10 +124,10 @@ def hessian_form(pt):
     """
     q1, q2 = pt.q
     p1, p2 = pt.p
-    qn = math.hypot(q1, q2)
-    if qn == 0.0:
-        raise DomainError("fiber point q must be nonzero", value=0.0)
+    qn = _fiber_norm(pt.q)
     qn3 = qn**3
+    if qn3 < sys.float_info.min:  # 0 or subnormal: the two routes lose their bits
+        raise DomainError(f"|q|^3 underflows at q = {pt.q}", value=qn)
     v1 = p1 - q2 / qn3
     v2 = p2 + q1 / qn3
     h11 = qn * qn - 3.0 * q1 * q1

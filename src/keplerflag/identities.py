@@ -45,7 +45,7 @@ def random_admissible(rng, a=None, c=None, x_scale=4.0):
     while True:
         aa = float(rng.uniform(0.0, 3.0)) if a is None else a
         if c is None:
-            crit = 1.5 * aa ** (2.0 / 3.0)
+            crit = MetricParams(aa, 1.0).critical_c
             cc = float((crit if crit > 0 else 0.5) * rng.uniform(1.05, 3.0) + 0.1)
         else:
             cc = c

@@ -11,8 +11,11 @@ cross-tested against each other:
   ``<p_perp, q> = -t`` and ``|p| = |x|``.
 
 The polar form never depends on ``y``; its jets are taken in ``(x, r, t)``.
-Both scalar and jet evaluation share one expression, so there is a single
-source of truth for the formula, and one domain: :func:`classify`.
+Both scalar and jet evaluation share one expression and one root rule (a
+positive argument gets its root, anything else NaN, or DomainError on a
+jet), so there is a single source of truth for the formula, and one domain:
+:func:`classify`, whose second return is the one read of the inner
+radicand.  One check, ``q != 0``, guards every Cartesian fiber.
 """
 
 from __future__ import annotations
@@ -39,7 +42,6 @@ __all__ = [
     "fstar_polar_jet",
     "lstar",
     "lstar_jet",
-    "inner_radicand",
     "classify",
     "validate_domain",
     "scaling_reduce",
@@ -114,8 +116,8 @@ class CartesianFiberPoint:
     C: float
 
     def __post_init__(self):
-        if not self.C > 0.0:
-            raise ValueError(f"half-offset C must be positive, got {self.C}")
+        if not 0.0 < self.C < math.inf:
+            raise ValueError(f"half-offset C must be positive and finite, got {self.C}")
 
 
 @dataclass(frozen=True)
@@ -132,8 +134,22 @@ def perp_inner(p, q):
     return p[1] * q[0] - p[0] * q[1]
 
 
+def _fiber_norm(q):
+    """``|q|`` of a Cartesian fiber point, which must be nonzero."""
+    qn = math.hypot(*q)
+    if qn == 0.0:
+        raise DomainError("fiber point q must be nonzero", value=0.0)
+    return qn
+
+
 def _sqrt(u):
-    return u.sqrt() if isinstance(u, Jet) else np.sqrt(u)
+    """``Jet.sqrt``'s rule on floats and arrays too: the root of a positive
+    argument, NaN without a warning for anything else."""
+    if isinstance(u, Jet):
+        return u.sqrt()
+    if isinstance(u, np.ndarray):
+        return np.sqrt(np.where(u > 0.0, u, np.nan))
+    return math.sqrt(u) if u > 0.0 else math.nan
 
 
 def _radicand(x, r, t, a, c):
@@ -156,24 +172,11 @@ def fstar_cartesian(pt, a=1.0):
     Returns the unique positive scale placing ``q/F*`` on the bounded
     component of the zero level of ``H_p``.
     """
-    qn = math.hypot(*pt.q)
-    if qn == 0.0:
-        raise DomainError("fiber point q must be nonzero", value=0.0)
+    qn = _fiber_norm(pt.q)
     rad = 1.0 + a * perp_inner(pt.p, pt.q) / (qn * pt.C * pt.C)
     if rad < -RADICAND_CLAMP:
         raise DomainError(f"radicand is negative: {rad}", value=rad)
     return pt.C * qn * (1.0 + math.sqrt(max(rad, 0.0)))
-
-
-def inner_radicand(params, x, r, t):
-    """Radicand under the inner square root of the polar F*; no clamping.
-
-    Accepts scalars or arrays; ``x`` must be nonzero elementwise.
-    """
-    x = np.asarray(x, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        out = _radicand(x, r, t, params.a, params.c)[2]
-    return float(out) if out.ndim == 0 else out
 
 
 def _first_broken(rules, shape):
@@ -189,23 +192,25 @@ def _first_broken(rules, shape):
 
 def classify(params, x, r, t, exclude_band=0.0):
     """Domain verdict codes over coordinate arrays of one shape (0-d for one
-    point), and the inner radicand.
+    point), and the inner radicand: the one read of it.
 
     The rules, in precedence order: ``nonfinite_input`` (``x``, ``r`` or
     ``t`` not finite), ``chart_singularity`` (``x == 0`` or
     ``|x| < exclude_band``), ``zero_fiber_direction`` (``r == t == 0``),
-    ``energy_below_critical`` (``c`` at or below the critical energy), and
-    ``negative_radicand`` (the inner radicand zero or negative) or
-    ``undefined_radicand`` (the inner radicand NaN: ``0/0`` once ``r * r``
-    underflows with ``t = 0``, or ``inf/inf``).
+    ``energy_below_critical`` (no bounded component,
+    :attr:`MetricParams.has_bounded_component`), and ``negative_radicand``
+    (the inner radicand zero or negative) or ``undefined_radicand`` (the
+    inner radicand NaN: ``|q|`` underflows to 0 though ``r`` or ``t`` is
+    not, or ``x * x`` overflows with ``r = 0``).
     """
     x, r, t = (np.asarray(v, dtype=float) for v in (x, r, t))
-    rad = np.asarray(inner_radicand(params, x, r, t))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        rad = _radicand(x, r, t, params.a, params.c)[2]
     code = _first_broken([
         (NONFINITE_INPUT, ~(np.isfinite(x) & np.isfinite(r) & np.isfinite(t))),
         (CHART_SINGULARITY, (x == 0.0) | (np.abs(x) < exclude_band)),
         (ZERO_FIBER_DIRECTION, (r == 0.0) & (t == 0.0)),
-        (ENERGY_BELOW_CRITICAL, params.a > 0.0 and params.c <= params.critical_c),
+        (ENERGY_BELOW_CRITICAL, not params.has_bounded_component),
         (NEGATIVE_RADICAND, rad <= 0.0),
         (UNDEFINED_RADICAND, np.isnan(rad)),
     ], x.shape)
@@ -231,8 +236,9 @@ def _finite(value, name, pt):
 
 def fstar_polar(params, pt):
     """Scalar value of the polar fundamental function ``F*_{c,a}``; raises
-    DomainError where it is not finite (``x = 0``, ``r = t = 0``, a negative
-    radicand, ``x * x`` underflowing).  It evaluates below the critical energy."""
+    DomainError where it is not finite (``x = 0``, ``r = t = 0``, a radicand
+    at or below 0, ``|q|`` or ``x * x`` underflowing).  It evaluates below
+    the critical energy."""
     # x as a NumPy float divides by zero without raising, in the same bits
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         f = float(_fstar_expr(np.float64(pt.x), pt.r, pt.t, params.a, params.c))
@@ -285,7 +291,7 @@ def cartesian_fiber_point(params, pt):
     ``2C = |p|^2/2 + c``.
     """
     if pt.x == 0.0:
-        raise DomainError("chart singularity at x = 0", value=0.0)
+        raise DomainError(f"chart_singularity at {pt}", value=0.0)
     cy, sy = math.cos(pt.y), math.sin(pt.y)
     p = (pt.x * cy, pt.x * sy)
     q = (cy * pt.r - sy * pt.t / pt.x, sy * pt.r + cy * pt.t / pt.x)

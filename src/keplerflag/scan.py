@@ -64,20 +64,29 @@ _JSON_FIELD = np.array([json.dumps(f) for f in _FIELD], dtype=object)
 _CHUNK = 256
 
 
-def _require_finite_bounds(*bounds):
-    if not all(math.isfinite(b) for b in bounds):
-        raise ValueError(f"range bounds must be finite, got {bounds}")
-
-
-def _require_finite_span(lo, hi, name):
-    # np.linspace steps by (hi - lo) / (n - 1), which overflows for finite
-    # bounds more than the float range apart.
+def _require_range(lo, hi, name):
+    """A sampled range: finite ends, ``lo <= hi``, and a finite width, since
+    np.linspace steps by ``(hi - lo) / (n - 1)``."""
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError(f"{name} range {lo}:{hi} must have finite bounds")
+    if not lo <= hi:
+        raise ValueError(f"{name} range {lo}:{hi} must be nondecreasing")
     if not math.isfinite(hi - lo):
         raise ValueError(f"{name} range {lo}:{hi} must have a finite width")
 
 
 def _params(spec):
     return MetricParams(spec.a, spec.c)
+
+
+def _check_spec(spec, **ranges):
+    """The checks a grid and a slice share: each sampled range, the
+    exclusion band and the parameters."""
+    for name, (lo, hi) in ranges.items():
+        _require_range(lo, hi, name)
+    if not spec.exclude_band >= 0.0:  # NaN fails too
+        raise ValueError("exclude_band must be nonnegative")
+    _params(spec)  # parameter validation
 
 
 @dataclass(frozen=True)
@@ -98,14 +107,7 @@ class GridSpec:
     def __post_init__(self):
         if self.nx < 1 or self.nphi < 1:
             raise ValueError(f"grid needs nx, nphi >= 1, got {self.nx}, {self.nphi}")
-        _require_finite_bounds(self.x_min, self.x_max, self.phi_min, self.phi_max)
-        if self.x_min > self.x_max or self.phi_min > self.phi_max:
-            raise ValueError("grid ranges must be nondecreasing")
-        _require_finite_span(self.x_min, self.x_max, "x")
-        _require_finite_span(self.phi_min, self.phi_max, "phi")
-        if not self.exclude_band >= 0.0:  # NaN fails too
-            raise ValueError("exclude_band must be nonnegative")
-        MetricParams(self.a, self.c)  # parameter validation
+        _check_spec(self, x=(self.x_min, self.x_max), phi=(self.phi_min, self.phi_max))
 
 
 @dataclass(frozen=True)
@@ -123,13 +125,7 @@ class SliceSpec:
     def __post_init__(self):
         if self.n < 2:
             raise ValueError(f"slice needs n >= 2, got {self.n}")
-        _require_finite_bounds(self.x_min, self.x_max)
-        if self.x_min > self.x_max:
-            raise ValueError("slice range must be nondecreasing")
-        _require_finite_span(self.x_min, self.x_max, "x")
-        if not self.exclude_band >= 0.0:
-            raise ValueError("exclude_band must be nonnegative")
-        MetricParams(self.a, self.c)
+        _check_spec(self, x=(self.x_min, self.x_max))
 
 
 @dataclass(frozen=True, eq=False)

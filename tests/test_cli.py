@@ -70,6 +70,25 @@ class TestPoint:
         assert code == 1
         assert "nonfinite_input" in err
 
+    @pytest.mark.parametrize("field, value", [("x", "nan"), ("y", "inf"),
+                                              ("r", "-inf"), ("t", "nan")])
+    def test_json_writes_null_for_a_nonfinite_coordinate(self, capsys, field, value):
+        # NaN and Infinity are not JSON; strict parsers reject them.  The
+        # family does not read y, so an infinite y still evaluates.
+        code, out, _ = run(capsys, "point", "--c", "2", "--x", "1",
+                           f"--{field}={value}", "--format", "json")
+
+        def reject(token):
+            raise ValueError(f"not JSON: {token}")
+
+        doc = json.loads(out, parse_constant=reject)
+        assert doc["point"][field] is None
+        assert [v is None for v in doc["point"].values()].count(True) == 1
+        if field == "y":
+            assert code == 0 and doc["status"] == "ok"
+        else:
+            assert code == 1 and doc["reason"] == "nonfinite_input" and doc["K"] is None
+
 
 class TestArgumentErrors:
     def test_unknown_flag_exits_two(self, capsys):
@@ -205,6 +224,24 @@ class TestVerifiers:
         code, _, err = run(capsys, "verify-convexity", "--px", "1")
         assert code == 2
 
+    def test_verify_convexity_takes_one_offset(self, capsys):
+        code, out, err = run(capsys, "verify-convexity", "--C", "1", "--c", "2")
+        assert code == 2
+        assert out == ""
+        assert "exactly one of --C or --c" in err
+
+    @pytest.mark.parametrize("argv, cause", [
+        (["--px", "1e200", "--c", "2"], "C = (|p|^2/2 + c)/2 is beyond the float range"),
+        (["--C", "1e200"], "|q|^3 underflows"),
+        (["--C", "inf"], "half-offset C must be positive and finite, got inf"),
+    ])
+    def test_verify_convexity_out_of_float_range_exits_one(self, capsys, argv, cause):
+        code, out, err = run(capsys, "verify-convexity", *argv, "--n", "8")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and cause in err
+        assert "nonzero" not in err
+
     def test_verify_identities_passes(self, capsys):
         code, out, _ = run(capsys, "verify-identities")
         assert code == 0
@@ -251,6 +288,16 @@ class TestClosedForm:
         assert code == 1
         assert out == ""
         assert "finite width" in err
+
+    def test_decreasing_range_exits_one(self, capsys):
+        # the rule of slice over the same range
+        code, out, err = run(capsys, "closed-form", "--c", "2",
+                             "--x-range", "1:0", "--n", "3")
+        assert code == 1
+        assert out == ""
+        assert "x range 1.0:0.0 must be nondecreasing" in err
+        code, out, err_slice = run(capsys, "slice", "--c", "2", "--x-range", "1:0", "--n", "3")
+        assert code == 1 and out == "" and err_slice == err
 
     def test_requires_exactly_one_mode(self, capsys):
         code, _, err = run(capsys, "closed-form", "--c", "2")

@@ -41,6 +41,12 @@ class TestLevelFunction:
         with pytest.raises(DomainError):
             hp_value(CartesianFiberPoint((1.0, 0.0), (0.0, 0.0), 1.0))
 
+    @pytest.mark.parametrize("fn", [fstar_cartesian, hp_value, lambda_roots, hessian_form])
+    def test_every_fiber_function_rejects_zero_q(self, fn):
+        # one check, metric._fiber_norm, behind all four
+        with pytest.raises(DomainError, match="fiber point q must be nonzero"):
+            fn(CartesianFiberPoint((0.1, 0.0), (0.0, 0.0), 1.0))
+
     def test_root_rescaling_lands_on_level(self):
         rng = np.random.default_rng(31)
         for _ in range(100):
@@ -204,6 +210,18 @@ class TestVerifyConvexity:
         assert report.n == 0
         assert report.verdict is None
         assert report.min_form is None
+
+    def test_infinite_offset_rejected(self):
+        # at C = inf every direction would rescale to q = 0
+        with pytest.raises(ValueError, match="half-offset C must be positive and finite"):
+            verify_convexity((0.0, 0.0), math.inf, 1.0, 8)
+
+    @pytest.mark.parametrize("C", [1e105, 1e200])
+    def test_underflowing_cube_of_q_raises(self, C):
+        # the level curve lies at |q| = 1/(2C): |q|^3 is subnormal at
+        # C = 1e105, where the two routes disagreed, and 0 at C = 1e200
+        with pytest.raises(DomainError, match="\\|q\\|\\^3 underflows"):
+            verify_convexity((0.0, 0.0), C, 1.0, 8)
 
     def test_hypothesis_precondition(self):
         with pytest.raises(PreconditionError):

@@ -316,7 +316,7 @@ class TestFlagCurvatureKepler:
     @pytest.mark.parametrize("x", [1e150, -1e150, 1e-200])
     def test_extreme_x_reported_without_warnings(self, x):
         # 1e150 used to overflow in validate_domain's certificate, 1e-200
-        # to leak "divide by zero" from inner_radicand
+        # to leak "divide by zero" from the radicand
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             sample = flag_curvature(MetricParams(1.0, 2.0),
@@ -380,13 +380,13 @@ class TestInputContract:
     @given(st.sampled_from(CONTRACT_PARAMS), ANY_FLOAT, ANY_FLOAT, ANY_FLOAT)
     def test_scalar_fstar_agrees_with_classify(self, params, x, r, t):
         # The scalar F* keeps no domain rules of its own.  It raises where
-        # classify rejects a chart, fiber, input or radicand (NaN or below
-        # 0), and is finite where classify admits a point, unless x * x,
-        # t * t / x^2 or L* itself leaves the float range (x = 1e308 or
-        # 1e-200): classify judges the radicand, not the value.
-        code, rad = classify(params, x, r, t)
+        # classify rejects a chart, fiber, input or radicand (NaN, 0 or
+        # below), and is finite where classify admits a point, unless
+        # x * x, t * t / x^2 or L* itself leaves the float range (x = 1e308
+        # or 1e-200): classify judges the radicand, not the value.
+        code = classify(params, x, r, t)[0]
         rejects = code in (NONFINITE_INPUT, CHART_SINGULARITY, ZERO_FIBER_DIRECTION,
-                           UNDEFINED_RADICAND) or (code == NEGATIVE_RADICAND and rad < 0.0)
+                           NEGATIVE_RADICAND, UNDEFINED_RADICAND)
         moderate = all(v == 0.0 or 2.0**-100 < abs(v) < 2.0**100 for v in (x, r, t))
         for fn in (fstar_polar, lstar):
             with warnings.catch_warnings():
@@ -428,6 +428,21 @@ class TestInputContract:
         assert (result.status[0], result.reason[0]) == verdict
         lattice_point = result.point(0)
         assert flag_curvature(params, lattice_point).reason == "undefined_radicand"
+
+    @pytest.mark.parametrize("t", [1e-200, -1e-200])
+    def test_underflowing_fiber_norm_is_undefined_everywhere(self, t):
+        # r * r and t * t / x^2 underflow to 0 though t != 0, so |q| reads 0
+        # where it is about 1.4e-200; the true radicand is about 0.55 (t > 0)
+        params, pt = MetricParams(1.0, 2.0), PhasePoint(1.0, 0.0, 1e-200, t)
+        verdict = ("domain_error", "undefined_radicand")
+        sample = flag_curvature(params, pt)
+        assert (sample.status, sample.reason) == verdict and sample.K is None
+        domain = validate_domain(params, pt)
+        assert domain.reason == "undefined_radicand" and math.isnan(domain.radicand)
+        _, code = _evaluate_points(
+            params, np.array([1.0]), np.array([1e-200]), np.array([t]), 0.0
+        )
+        assert VERDICTS[code[0]] == verdict
 
     def test_one_ulp_above_critical_energy_on_the_ray(self):
         sample = flag_curvature(ONE_ULP_ABOVE, PhasePoint(1.0, 0.0, 0.0, 1.0))

@@ -9,21 +9,24 @@ import pytest
 from keplerflag.curvature import flag_curvature
 from keplerflag.errors import DomainError
 from keplerflag.metric import (
+    NEGATIVE_RADICAND,
+    OK,
     CartesianFiberPoint,
     MetricParams,
     PhasePoint,
     cartesian_fiber_point,
+    classify,
     fstar_cartesian,
     fstar_polar,
     fstar_polar_jet,
     hypothesis_gap,
-    inner_radicand,
     lstar,
     lstar_jet,
     perp_inner,
     scaling_reduce,
     validate_domain,
     _radicand,
+    _sqrt,
     _variables,
 )
 
@@ -71,6 +74,15 @@ class TestCartesianFiber:
     def test_zero_fiber_rejected(self):
         with pytest.raises(DomainError):
             fstar_cartesian(CartesianFiberPoint((0.0, 0.0), (0.0, 0.0), 1.0))
+
+    @pytest.mark.parametrize("C", [0.0, -1.0, math.nan, math.inf])
+    def test_offset_must_be_positive_and_finite(self, C):
+        with pytest.raises(ValueError, match="positive and finite"):
+            CartesianFiberPoint((0.0, 0.0), (1.0, 0.0), C)
+
+    def test_change_of_variables_rejects_the_chart_singularity(self):
+        with pytest.raises(DomainError, match="^chart_singularity at "):
+            cartesian_fiber_point(MetricParams(1.0, 2.0), PhasePoint(0.0, 0.0, 0.3, 0.7))
 
     def test_against_scalar_root_oracle(self):
         # F* is the positive root of |l| l - 2C|q| l - |q| <ap_perp, q> = 0
@@ -199,7 +211,7 @@ class TestJetMode:
         params = MetricParams(1.0, 1.5000000001)
         # near-critical: find x where radicand is very small but positive
         pt = PhasePoint(1.0, 0.0, 0.0, 1.0)
-        rad = inner_radicand(params, pt.x, pt.r, pt.t)
+        rad = classify(params, pt.x, pt.r, pt.t)[1]
         assert rad > 0  # sanity: still strictly inside
         fstar_polar_jet(params, pt, max_order=2)
 
@@ -244,10 +256,8 @@ class TestDomainValidation:
             c = 1.5 * a ** (2.0 / 3.0) * float(rng.uniform(1.0001, 3.0))
             x = float(rng.uniform(1e-3, 20.0) * rng.choice([-1.0, 1.0]))
             theta = float(rng.uniform(0.0, 2.0 * math.pi))
-            rad = inner_radicand(
-                MetricParams(a, c), x, math.sin(theta), math.cos(theta)
-            )
-            assert rad > 0.0
+            code, rad = classify(MetricParams(a, c), x, math.sin(theta), math.cos(theta))
+            assert code == OK and rad > 0.0
 
     def test_negative_radicand_raises_on_cartesian_fiber(self):
         # reachable with a free half-offset: strongly negative <ap_perp, q>
@@ -261,7 +271,7 @@ class TestDomainValidation:
         # the radicand is negative too
         params = MetricParams(1.0, 1.2)
         pt = PhasePoint(1.0, 0.0, 1e-4, 1.0)
-        assert inner_radicand(params, pt.x, pt.r, pt.t) < 0.0
+        assert classify(params, pt.x, pt.r, pt.t)[1] < 0.0
         status = validate_domain(params, pt)
         assert status.reason == "energy_below_critical"
 
@@ -271,9 +281,36 @@ class TestDomainValidation:
         pt = PhasePoint(1.0, 0.0, 0.0, 1.0)
         for c, rad in ((1.5 - 1e-13, -1e-13), (1.5 - 1e-11, -1e-11)):
             params = MetricParams(1.0, c)
-            assert inner_radicand(params, pt.x, pt.r, pt.t) == pytest.approx(rad, rel=1e-2)
+            assert classify(params, pt.x, pt.r, pt.t)[1] == pytest.approx(rad, rel=1e-2)
             with pytest.raises(DomainError, match="F\\* is not finite"):
                 fstar_polar(params, pt)
+
+    @pytest.mark.parametrize("fn", [fstar_polar, lstar])
+    def test_scalar_raises_at_zero_radicand(self, fn):
+        # one ulp above the critical energy the radicand at (1, 0, 0, 1)
+        # rounds to exactly 0, which classify rejects and the root rule
+        # maps to NaN, as Jet.sqrt raises there
+        params, pt = MetricParams(1.0, 1.5000000000000002), PhasePoint(1.0, 0.0, 0.0, 1.0)
+        code, rad = classify(params, pt.x, pt.r, pt.t)
+        assert code == NEGATIVE_RADICAND and rad == 0.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(DomainError, match="not finite"):
+                fn(params, pt)
+        with pytest.raises(DomainError):
+            fstar_polar_jet(params, pt)
+
+    def test_root_rule_on_floats_and_arrays(self):
+        # Jet.sqrt's rule: a positive argument gets its root, anything else
+        # NaN, with no warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert _sqrt(np.float64(4.0)) == 2.0
+            assert _sqrt(np.float64(np.inf)) == np.inf
+            assert all(math.isnan(_sqrt(np.float64(u))) for u in (0.0, -0.0, -1.0, np.nan))
+            got = _sqrt(np.array([4.0, 0.0, -0.0, -1e-300, np.nan, 5e-324]))
+        assert np.array_equal(got, [2.0, np.nan, np.nan, np.nan, np.nan, np.sqrt(5e-324)],
+                              equal_nan=True)
 
     @pytest.mark.parametrize("x, r, t", [(0.0, 0.3, 0.7), (-0.0, 0.3, 0.7), (0.0, 1.0, 0.0),
                                          (1.0, 0.0, 0.0), (-2.0, -0.0, 0.0)])
@@ -289,7 +326,8 @@ class TestDomainValidation:
         params = MetricParams(1.0, 1.55)
         phi = np.linspace(0.0, 2.0 * math.pi, 256)
         x, r, t = np.full(256, np.linspace(-3.0, 3.0, 256)[85]), np.sin(phi), np.cos(phi)
-        rad = inner_radicand(params, x, r, t)
+        code, rad = classify(params, x, r, t)
+        assert np.all(code == OK)
         # bit for bit the radicand F* evaluates, on arrays and per scalar
         assert np.array_equal(rad, _radicand(x, r, t, params.a, params.c)[2])
         scalar = [_radicand(*v, params.a, params.c)[2]
