@@ -32,7 +32,6 @@ from .jets import Jet
 from .metric import (
     CartesianFiberPoint,
     DomainStatus,
-    KeplerCartanMetric,
     MetricParams,
     PhasePoint,
     cartesian_fiber_point,
@@ -64,7 +63,6 @@ __all__ = [
     "PhasePoint",
     "CartesianFiberPoint",
     "DomainStatus",
-    "KeplerCartanMetric",
     "CallbackCartanMetric",
     "CurvatureSample",
     "CurvatureTerms",

@@ -24,11 +24,12 @@ from .scan import (
     DEFAULT_EXCLUDE_BAND,
     GridSpec,
     SliceSpec,
+    _axis,
     _require_range,
+    _write,
     emit,
     grid_scan,
     slice_scan,
-    summarize,
 )
 
 _RANGE_FLAGS = ("--x-range", "--phi-range")
@@ -73,15 +74,9 @@ def _build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_params(p, default_a=1.0):
-        p.add_argument("--a", type=float, default=default_a,
-                       help=f"rotation rate (default {default_a})")
+    def add_params(p):
+        p.add_argument("--a", type=float, default=1.0, help="rotation rate (default 1.0)")
         p.add_argument("--c", type=float, required=True, help="energy parameter")
-
-    def add_output(p, default_format="csv"):
-        p.add_argument("--format", choices=("csv", "json"), default=default_format)
-        p.add_argument("--out", default=None,
-                       help="output path (default: standard output)")
 
     p_point = sub.add_parser("point", help="flag curvature at one phase point")
     add_params(p_point)
@@ -91,30 +86,28 @@ def _build_parser():
     p_point.add_argument("--t", type=float, default=1.0)
     p_point.add_argument("--format", choices=("plain", "json"), default="plain")
 
+    def add_scan(p):
+        """The arguments a slice and a grid share."""
+        add_params(p)
+        p.add_argument("--x-range", type=_parse_range, default=(-10.0, 10.0),
+                       metavar="LO:HI")
+        p.add_argument("--exclude-band", type=float, default=DEFAULT_EXCLUDE_BAND)
+        p.add_argument("--format", choices=("csv", "json"), default="csv")
+        p.add_argument("--out", default=None,
+                       help="output path (default: standard output)")
+        p.add_argument("--no-samples", action="store_true",
+                       help="JSON only: omit the samples array")
+
     p_slice = sub.add_parser("slice", help="K along the fiber ray (x, 0, 0, x)")
-    add_params(p_slice)
-    p_slice.add_argument("--x-range", type=_parse_range, default=(-10.0, 10.0),
-                         metavar="LO:HI")
+    add_scan(p_slice)
     p_slice.add_argument("--n", type=int, default=2048)
-    p_slice.add_argument("--exclude-band", type=float,
-                         default=DEFAULT_EXCLUDE_BAND)
-    add_output(p_slice)
-    p_slice.add_argument("--no-samples", action="store_true",
-                         help="JSON only: omit the samples array")
 
     p_grid = sub.add_parser("grid", help="K over an (x, phi) lattice")
-    add_params(p_grid)
-    p_grid.add_argument("--x-range", type=_parse_range, default=(-10.0, 10.0),
-                        metavar="LO:HI")
+    add_scan(p_grid)
     p_grid.add_argument("--phi-range", type=_parse_range, default=(0.0, TAU),
                         metavar="LO:HI")
     p_grid.add_argument("--nx", type=int, default=256)
     p_grid.add_argument("--nphi", type=int, default=256)
-    p_grid.add_argument("--exclude-band", type=float,
-                        default=DEFAULT_EXCLUDE_BAND)
-    add_output(p_grid)
-    p_grid.add_argument("--no-samples", action="store_true",
-                        help="JSON only: omit the samples array")
 
     p_conv = sub.add_parser("verify-convexity",
                             help="sweep the fiber Hessian form over one level curve")
@@ -143,14 +136,6 @@ def _build_parser():
     return parser
 
 
-def _write(text, destination):
-    if destination is None or destination == "-":
-        sys.stdout.write(text)
-    else:
-        with open(destination, "w", encoding="utf-8") as handle:
-            handle.write(text)
-
-
 def _cmd_point(args):
     params = MetricParams(args.a, args.c)
     pt = PhasePoint(args.x, args.y, args.r, args.t)
@@ -171,27 +156,14 @@ def _cmd_point(args):
     return 0
 
 
-def _cmd_slice(args):
-    lo, hi = args.x_range
-    spec = SliceSpec(c=args.c, a=args.a, x_min=lo, x_max=hi, n=args.n,
-                     exclude_band=args.exclude_band)
-    result = slice_scan(args.c, args.a, lo, hi, args.n, args.exclude_band)
-    emit(result, summarize(result), args.format, args.out, spec=spec,
-         include_samples=not args.no_samples)
-    return 0
-
-
-def _cmd_grid(args):
-    spec = GridSpec(
-        x_min=args.x_range[0], x_max=args.x_range[1], nx=args.nx,
-        phi_min=args.phi_range[0], phi_max=args.phi_range[1], nphi=args.nphi,
-        c=args.c, a=args.a, exclude_band=args.exclude_band,
-    )
-    result, summary = grid_scan(spec)
+def _scan(args, spec, scan, points):
+    """Run ``scan(spec)``, emit its rows, and report its extremes on stderr;
+    1 when no ``points`` are admissible."""
+    result, summary = scan(spec)
     emit(result, summary, args.format, args.out, spec=spec,
          include_samples=not args.no_samples)
     if summary.n_ok == 0:
-        print("warning: no admissible lattice points", file=sys.stderr)
+        print(f"warning: no admissible {points} points", file=sys.stderr)
         return 1
     print(
         f"min K = {summary.min_K:.6g} at x={summary.argmin.x:.6g}; "
@@ -200,6 +172,17 @@ def _cmd_grid(args):
         file=sys.stderr,
     )
     return 0
+
+
+def _cmd_slice(args):
+    spec = SliceSpec(args.c, args.a, *args.x_range, args.n, args.exclude_band)
+    return _scan(args, spec, slice_scan, "slice")
+
+
+def _cmd_grid(args):
+    spec = GridSpec(*args.x_range, args.nx, *args.phi_range, args.nphi,
+                    args.c, args.a, args.exclude_band)
+    return _scan(args, spec, grid_scan, "lattice")
 
 
 def _cmd_verify_convexity(args):
@@ -213,7 +196,7 @@ def _cmd_verify_convexity(args):
         except OverflowError:
             raise ValueError("C = (|p|^2/2 + c)/2 is beyond the float range") from None
     report = verify_convexity((args.px, args.py), C, args.a, args.n)
-    _write(json.dumps(report.to_dict(), indent=2) + "\n", args.out)
+    _write([json.dumps(report.to_dict(), indent=2) + "\n"], args.out)
     return 0 if report.verdict in (True, None) else 1
 
 
@@ -246,17 +229,17 @@ def _cmd_closed_form(args):
     # end has no defined points (np.linspace would still end on hi).
     if math.isfinite(lo) and math.isfinite(hi):
         _require_range(lo, hi, "x")
-        xs = np.linspace(lo, hi, args.n)
+        xs = _axis(lo, hi, args.n)
     else:
         xs = np.full(args.n, math.nan)
-    lines = ["x,K,status"]
+    lines = ["x,K,status\n"]
     for x in xs.tolist():
         try:
             k = flag_curvature_closed_form(args.c, x)
-            lines.append(f"{x:.17g},{k:.17g},ok")
+            lines.append(f"{x:.17g},{k:.17g},ok\n")
         except DomainError:
-            lines.append(f"{x:.17g},,domain_error")
-    _write("\n".join(lines) + "\n", args.out)
+            lines.append(f"{x:.17g},,domain_error\n")
+    _write(lines, args.out)
     return 0
 
 

@@ -125,7 +125,10 @@ def hessian_form(pt):
     q1, q2 = pt.q
     p1, p2 = pt.p
     qn = _fiber_norm(pt.q)
-    qn3 = qn**3
+    try:
+        qn3, qn4 = qn**3, qn**4
+    except OverflowError:
+        raise DomainError(f"|q|^4 overflows at q = {pt.q}", value=qn) from None
     if qn3 < sys.float_info.min:  # 0 or subnormal: the two routes lose their bits
         raise DomainError(f"|q|^3 underflows at q = {pt.q}", value=qn)
     v1 = p1 - q2 / qn3
@@ -140,7 +143,7 @@ def hessian_form(pt):
     ip = p1 * q1 + p2 * q2
     pn2 = p1 * p1 + p2 * p2
     reduced = (
-        pn2 * qn**4 + 2.0 * qn * ip_perp + 1.0 - 3.0 * qn * qn * ip * ip
+        pn2 * qn4 + 2.0 * qn * ip_perp + 1.0 - 3.0 * qn * qn * ip * ip
     ) / (qn * qn)
 
     scale = max(abs(matrix_route), abs(reduced), 1e-300)

@@ -28,9 +28,12 @@ evaluation point.  The chain of quantities is:
   ``(dr/dx)|_{u,v} = (dg_11/dx) u + (dg_12/dx) v`` (same shape for ``t``
   and for ``y``).
 
-For the built-in rotating-Kepler family nothing depends on ``y``; the
-assembly is shared with generic callback metrics and leaves out every
-``y``-derivative term when there is no ``y``.
+A metric is either the built-in family itself, a
+:class:`~keplerflag.metric.MetricParams`, or a :class:`CallbackCartanMetric`.
+The family does not depend on ``y``: its jets are taken in ``(x, r, t)`` and
+the assembly leaves out every ``y``-derivative term.  A callback receives
+jets of ``(x, y, r, t)``.  :func:`_terms` is the one place that tells the
+two apart for the jets, and only the family has a domain classifier.
 
 One evaluator serves point queries and scans: the domain classifier of
 :mod:`keplerflag.metric`, the kernel on the lanes it admits, and the
@@ -72,10 +75,10 @@ from .metric import (
     NONFINITE_RESULT,
     OK,
     VERDICTS,
-    KeplerCartanMetric,
     MetricParams,
     PhasePoint,
     _first_broken,
+    _fstar_jet_batch,
     _variables,
     classify,
 )
@@ -114,35 +117,23 @@ class CurvatureSample:
 class CallbackCartanMetric:
     """Extension hook: a user fundamental function evaluated on jets.
 
-    ``fstar`` receives jets of ``(x, y, r, t)`` (``y`` is passed as a float
-    or 0-d array when ``depends_on_y`` is False, in which case jets live in
-    ``(x, r, t)``) and must return the fundamental-function jet built with
-    jet arithmetic only.
+    ``fstar`` receives jets of ``(x, y, r, t)`` and must return the
+    fundamental-function jet built with jet arithmetic only.  A callback has
+    no domain rules: a point where its jets raise is ``nonfinite_result``.
     """
 
     fstar: Callable
-    depends_on_y: bool = True
-
-    def fstar_jet(self, pt, max_order):
-        if self.depends_on_y:
-            return self.fstar(*_variables((pt.x, pt.y, pt.r, pt.t), max_order))
-        x, r, t = _variables((pt.x, pt.r, pt.t), max_order)
-        return self.fstar(x, pt.y, r, t)
 
 
-def _as_metric(metric):
+def _terms(metric, x, y, r, t):
+    """:func:`_assemble`'s terms from the order-4 jet of ``L*`` at
+    coordinates that may be arrays of one shape: jets in ``(x, r, t)`` for
+    the built-in family, in ``(x, y, r, t)`` for a callback."""
     if isinstance(metric, MetricParams):
-        return KeplerCartanMetric(metric)
-    return metric
-
-
-def _terms(metric, pt):
-    """:func:`_assemble`'s terms from the order-4 jet of ``L*`` at ``pt``,
-    whose coordinates may be arrays of one shape."""
-    m = _as_metric(metric)
-    f = m.fstar_jet(pt, 4)
-    indices = (0, 1, 2, 3) if getattr(m, "depends_on_y", False) else (0, None, 1, 2)
-    return _assemble(0.5 * f * f, *indices, pt.r, pt.t)
+        f, indices = _fstar_jet_batch(metric, x, r, t), (0, None, 1, 2)
+    else:
+        f, indices = metric.fstar(*_variables((x, y, r, t), 4)), (0, 1, 2, 3)
+    return _assemble(0.5 * f * f, *indices, r, t)
 
 
 @dataclass(frozen=True)
@@ -174,13 +165,12 @@ def curvature_terms(metric, pt):
     verdict of a point it rejects (built-in family only), or
     ``nonfinite_result`` where the jets raise.  ``det <= 0`` raises
     DegeneracyError."""
-    m = _as_metric(metric)
-    if isinstance(m, KeplerCartanMetric):
-        code = int(classify(m.params, pt.x, pt.r, pt.t)[0])
+    if isinstance(metric, MetricParams):
+        code = int(classify(metric, pt.x, pt.r, pt.t)[0])
         if code != OK:
             raise DomainError(f"{VERDICTS[code][1]} at {pt}")
     try:
-        terms = _terms(m, pt)
+        terms = _terms(metric, pt.x, pt.y, pt.r, pt.t)
     except DomainError as exc:
         raise DomainError(f"nonfinite_result at {pt}: {exc}", exc.value) from exc
     terms = CurvatureTerms(*(float(v) for v in astuple(terms)))
@@ -292,7 +282,7 @@ def _flag_batch(metric, x, y, r, t):
     # Lanes that overflow end as nonfinite_result, so the floating-point
     # warnings are noise.
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        terms = _terms(metric, PhasePoint(x, y, r, t))
+        terms = _terms(metric, x, y, r, t)
         vt = terms.v * t
         K = terms.numerator / vt
     return K, vt, terms.det
@@ -304,7 +294,7 @@ def _kepler_flag_batch(params, x, r, t):
     Returns ``(K, vt, det)``; :func:`_evaluate` turns ``det <= 0`` and
     ``|vt| < SINGULAR_V_TOL`` into verdicts.
     """
-    return _flag_batch(KeplerCartanMetric(params), x, 0.0, r, t)
+    return _flag_batch(params, x, 0.0, r, t)
 
 
 def _guarded(kernel, *columns):
@@ -340,14 +330,13 @@ def _evaluate(metric, x, y, r, t, exclude_band=0.0):
     NaN wherever ``code`` is not ``OK``; ``VERDICTS[code]`` is the
     ``(status, reason)`` pair.
     """
-    m = _as_metric(metric)
     x, y, r, t = (np.asarray(v, dtype=float) for v in (x, y, r, t))
-    if isinstance(m, KeplerCartanMetric):
-        code = classify(m.params, x, r, t, exclude_band)[0]
-        kernel, columns = partial(_kepler_flag_batch, m.params), (x, r, t)
+    if isinstance(metric, MetricParams):
+        code = classify(metric, x, r, t, exclude_band)[0]
+        kernel, columns = partial(_kepler_flag_batch, metric), (x, r, t)
     else:
         code = np.zeros(x.shape, np.int8)
-        kernel, columns = partial(_flag_batch, m), (x, y, r, t)
+        kernel, columns = partial(_flag_batch, metric), (x, y, r, t)
     K = np.full(x.shape, np.nan)
     lanes = code == OK
     if not lanes.any():

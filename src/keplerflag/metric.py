@@ -11,6 +11,8 @@ cross-tested against each other:
   ``<p_perp, q> = -t`` and ``|p| = |x|``.
 
 The polar form never depends on ``y``; its jets are taken in ``(x, r, t)``.
+A :class:`MetricParams` is the family itself: the curvature layer takes it
+as a metric as it stands, with :func:`_fstar_jet_batch` as its jets.
 Both scalar and jet evaluation share one expression and one root rule (a
 positive argument gets its root, anything else NaN, or DomainError on a
 jet), so there is a single source of truth for the formula, and one domain:
@@ -33,7 +35,6 @@ __all__ = [
     "PhasePoint",
     "CartesianFiberPoint",
     "DomainStatus",
-    "KeplerCartanMetric",
     "RADICAND_CLAMP",
     "VERDICTS",
     "perp_inner",
@@ -308,25 +309,3 @@ def hypothesis_gap(x):
     x = np.asarray(x, dtype=float)
     out = x**4 + 6.0 * x**2 - 16.0 * x + 9.0
     return float(out) if out.ndim == 0 else out
-
-
-class KeplerCartanMetric:
-    """Jet provider for the built-in family, consumed by the curvature layer.
-
-    The fiber Hessian data lives in the cotangent variables ``(x, r, t)``;
-    the family does not depend on ``y``, so ``depends_on_y`` is False and
-    the curvature layer leaves out every ``y``-derivative term.  Its domain
-    is :func:`classify`.
-    """
-
-    depends_on_y = False
-
-    def __init__(self, params):
-        self.params = params
-
-    def fstar_jet(self, pt, max_order):
-        """Jet of ``F*`` at ``pt``, whose coordinates may be arrays."""
-        return _fstar_jet_batch(self.params, pt.x, pt.r, pt.t, max_order)
-
-    def __repr__(self):
-        return f"KeplerCartanMetric(a={self.params.a}, c={self.params.c})"

@@ -2,7 +2,9 @@
 
 Grids are row-major over ``(x, phi)`` with endpoints included and the fiber
 direction ``(r, t) = (sin phi, cos phi)``; slices evaluate along the ray
-``(x, 0, 0, x)``.  Inadmissible or denominator-singular lattice points are
+``(x, 0, 0, x)``.  :func:`grid_scan` and :func:`slice_scan` each take their
+spec, a :class:`GridSpec` or a :class:`SliceSpec`, and return the columns
+with their :class:`ScanSummary`.  Inadmissible or denominator-singular lattice points are
 kept as first-class rows with a non-``ok`` status so downstream plotting can
 see exactly where the domain boundary runs.  Evaluation is vectorized in
 blocks of 256 lanes over a preallocated, index-addressed buffer.  Each
@@ -17,6 +19,7 @@ in blocks of rows, so its memory is one block's text whatever the scan's
 size.  CSV formats each lattice axis once, then ``K`` per row; JSON fills
 one template per sample, with the bytes ``json.dumps`` would write.  Status
 text is looked up by code, in tables built once from ``VERDICTS``.
+:func:`_write` writes every output destination, the CLI's included.
 """
 
 from __future__ import annotations
@@ -73,6 +76,13 @@ def _require_range(lo, hi, name):
         raise ValueError(f"{name} range {lo}:{hi} must be nondecreasing")
     if not math.isfinite(hi - lo):
         raise ValueError(f"{name} range {lo}:{hi} must have a finite width")
+
+
+def _axis(lo, hi, n):
+    """``np.linspace(lo, hi, n)``, whose last step may overflow near the float
+    range; linspace then sets that point to ``hi``, so the warning is noise."""
+    with np.errstate(over="ignore"):
+        return np.linspace(lo, hi, n)
 
 
 def _params(spec):
@@ -192,8 +202,8 @@ def _evaluate_points(params, x, r, t, exclude_band):
 
 def grid_scan(spec):
     """Row-major columns over the (x, phi) lattice, plus their summary."""
-    xs = np.linspace(spec.x_min, spec.x_max, spec.nx)
-    phis = np.linspace(spec.phi_min, spec.phi_max, spec.nphi)
+    xs = _axis(spec.x_min, spec.x_max, spec.nx)
+    phis = _axis(spec.phi_min, spec.phi_max, spec.nphi)
     # (r, t) are taken on the phi axis and tiled, so every lattice column
     # evaluates exactly the values emit formats once per axis.
     X = np.repeat(xs, spec.nphi)
@@ -203,16 +213,15 @@ def grid_scan(spec):
     return result, summarize(result)
 
 
-def slice_scan(c, a, x_min=-10.0, x_max=10.0, n=2048,
-               exclude_band=DEFAULT_EXCLUDE_BAND):
-    """Columns of K along (x, 0, 0, x) for x in [x_min, x_max]."""
-    spec = SliceSpec(c=c, a=a, x_min=x_min, x_max=x_max, n=n,
-                     exclude_band=exclude_band)
-    xs = np.linspace(spec.x_min, spec.x_max, spec.n)
+def slice_scan(spec):
+    """Columns of K along the ray (x, 0, 0, x) of a :class:`SliceSpec`, plus
+    their summary."""
+    xs = _axis(spec.x_min, spec.x_max, spec.n)
     R = np.zeros_like(xs)
     T = xs.copy()
     K, code = _evaluate_points(spec.params, xs, R, T, spec.exclude_band)
-    return ScanResult(xs, np.full_like(xs, np.nan), R, T, K, code)
+    result = ScanResult(xs, np.full_like(xs, np.nan), R, T, K, code)
+    return result, summarize(result)
 
 
 # ----------------------------------------------------------------------
@@ -299,12 +308,17 @@ def emit(result, summary, format, destination, spec=None, include_samples=True):
         text = _json_text(result, summary, spec, include_samples)
     else:
         raise ValueError(f"unknown output format: {format!r}")
+    _write(text, destination)
 
+
+def _write(chunks, destination):
+    """Write the strings ``chunks`` to ``destination``, a path, or to standard
+    output for ``None`` or ``"-"``: the one writer of output destinations."""
     if destination is None or destination == "-":
-        sys.stdout.writelines(text)
-    else:
-        try:
-            with open(destination, "w", encoding="utf-8") as handle:
-                handle.writelines(text)
-        except OSError as exc:
-            raise OSError(f"cannot write scan output to {destination}: {exc}") from exc
+        sys.stdout.writelines(chunks)
+        return
+    try:
+        with open(destination, "w", encoding="utf-8") as handle:
+            handle.writelines(chunks)
+    except OSError as exc:
+        raise OSError(f"cannot write output to {destination}: {exc}") from exc

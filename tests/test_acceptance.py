@@ -23,7 +23,7 @@ from keplerflag.metric import (
     scaling_reduce,
     validate_domain,
 )
-from keplerflag.scan import GridSpec, grid_scan, slice_scan
+from keplerflag.scan import GridSpec, SliceSpec, grid_scan, slice_scan
 
 TAU = 2.0 * math.pi
 
@@ -57,10 +57,10 @@ def test_acceptance_1_oracle_equivalence():
 def test_acceptance_2_negative_curvature_low_energy():
     """K < 0 occurs on the c = 1.51 slice; none on the c = 10 slice."""
     start = time.time()
-    low = slice_scan(1.51, 1.0, -10.0, 10.0, 2048)
+    low, _ = slice_scan(SliceSpec(c=1.51, a=1.0))
     low_ks = low.K[low.status == "ok"]
     assert min(low_ks) < 0.0
-    high = slice_scan(10.0, 1.0, -10.0, 10.0, 2048)
+    high, _ = slice_scan(SliceSpec(c=10.0, a=1.0))
     high_ks = high.K[high.status == "ok"]
     assert min(high_ks) > 0.0
     elapsed = time.time() - start

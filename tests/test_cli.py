@@ -1,8 +1,14 @@
 """CLI tests: thin-adapter behavior, formats, exit codes."""
 
+import contextlib
+import io
 import json
+import math
+import warnings
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from keplerflag.cli import main
 from keplerflag.curvature import flag_curvature, flag_curvature_closed_form
@@ -137,6 +143,21 @@ class TestSlice:
         assert doc["spec"]["kind"] == "slice"
         assert len(doc["samples"]) == 8
 
+    def test_summary_on_stderr(self, capsys):
+        code, out, err = run(capsys, "slice", "--c", "2", "--x-range", "-1:1", "--n", "5")
+        assert code == 0
+        assert len(out.splitlines()) == 6
+        assert err.startswith("min K = ") and err.endswith("(4 ok, 1 skipped)\n")
+
+    def test_no_admissible_point_exits_one(self, capsys):
+        # below the critical energy every row is energy_below_critical
+        code, out, err = run(capsys, "slice", "--c", "0.5", "--a", "1", "--n", "4")
+        assert code == 1
+        rows = out.splitlines()[1:]
+        assert len(rows) == 4
+        assert all(row.endswith(",domain_error:energy_below_critical") for row in rows)
+        assert err == "warning: no admissible slice points\n"
+
     def test_no_samples_flag(self, capsys, tmp_path):
         out_path = tmp_path / "slice.json"
         code, _, _ = run(capsys, "slice", "--a", "1", "--c", "2",
@@ -234,6 +255,7 @@ class TestVerifiers:
         (["--px", "1e200", "--c", "2"], "C = (|p|^2/2 + c)/2 is beyond the float range"),
         (["--C", "1e200"], "|q|^3 underflows"),
         (["--C", "inf"], "half-offset C must be positive and finite, got inf"),
+        (["--px=0", "--py=0", "--C=1e-80"], "|q|^4 overflows"),
     ])
     def test_verify_convexity_out_of_float_range_exits_one(self, capsys, argv, cause):
         code, out, err = run(capsys, "verify-convexity", *argv, "--n", "8")
@@ -323,3 +345,89 @@ class TestClosedForm:
                            "--x-range", "nan:1", "--n", "3")
         assert code == 0
         assert out.splitlines()[1:] == ["nan,,domain_error"] * 3
+
+
+# ----------------------------------------------------------------------
+# No input gives a traceback: every run ends in an exit code.
+
+FLOATS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300, 1e300, -1e300,
+                     1.7976931348623157e308, -1.7976931348623157e308,
+                     math.nan, math.inf, -math.inf]),
+    st.floats(-10.0, 10.0),
+    st.floats(0.5, 5.0),
+)
+
+
+@st.composite
+def cli_argv(draw):
+    """Arguments of one command: each number from ``FLOATS`` or, for an
+    optional flag, left out, and each size at most 5.  Values are written
+    as ``--name=value`` so that a sign cannot read as a flag."""
+    def number(name, optional=True):
+        value = draw(st.one_of(st.none(), FLOATS) if optional else FLOATS)
+        return [] if value is None else [f"--{name}={value!r}"]
+
+    def span(name):
+        pairs = st.tuples(FLOATS, FLOATS)
+        ends = draw(st.one_of(st.none(), pairs, pairs.map(sorted)))
+        return [] if ends is None else [f"--{name}={ends[0]!r}:{ends[1]!r}"]
+
+    def size(name):
+        return [f"--{name}={draw(st.one_of(st.integers(1, 5), st.integers(-1, 5)))}"]
+
+    def choice(name, values):
+        return [f"--{name}={draw(st.sampled_from(values))}"]
+
+    command = draw(st.sampled_from(
+        ["point", "slice", "grid", "closed-form", "verify-convexity"]))
+    if command == "point":
+        flags = [number(name) for name in "ayrt"]
+        flags += [number("c", False), number("x", False), choice("format", ["plain", "json"])]
+    elif command == "closed-form":
+        mode = [number("x", False)] if draw(st.booleans()) else [span("x-range"), size("n")]
+        flags = [number("c", False), *mode]
+    elif command == "verify-convexity":
+        offset = number(draw(st.sampled_from(["C", "c"])), False)
+        flags = [number("px"), number("py"), number("a"), offset, size("n")]
+    else:
+        sizes = [size("n")] if command == "slice" else [span("phi-range"), size("nx"),
+                                                        size("nphi")]
+        flags = [number("a"), number("c", False), span("x-range"), *sizes,
+                 number("exclude-band"), choice("format", ["csv", "json"])]
+    return [command, *(arg for flag in flags for arg in flag)]
+
+
+def run_quietly(argv):
+    """``(exit code, stdout, stderr)`` of ``main(argv)``, with a
+    RuntimeWarning raised as an error; argparse's exit gives its code."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def has_ok_row(out):
+    if out.startswith("{"):
+        return json.loads(out)["summary"]["n_ok"] > 0
+    return any(row.endswith(",ok") for row in out.splitlines()[1:])
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(argv=cli_argv())
+@example(argv=["verify-convexity", "--px=0", "--py=0", "--C=1e-80", "--n=4"])
+@example(argv=["slice", "--c=0.5", "--a=1", "--n=4"])
+@example(argv=["grid", "--c=2", "--x-range=0:1.7976931348623157e+308", "--nx=4", "--nphi=1"])
+def test_every_input_ends_in_an_exit_code(argv):
+    code, out, err = run_quietly(argv)
+    assert code in (0, 1, 2)
+    if code == 1 and not out:
+        assert err.startswith("error: ")
+    if argv[0] in ("slice", "grid") and out:
+        # a scan exits 0 exactly when some row is ok
+        assert (code == 0) == has_ok_row(out)

@@ -223,6 +223,15 @@ class TestVerifyConvexity:
         with pytest.raises(DomainError, match="\\|q\\|\\^3 underflows"):
             verify_convexity((0.0, 0.0), C, 1.0, 8)
 
+    @pytest.mark.parametrize("C", [1e-80, 1e-110])
+    def test_overflowing_powers_of_q_raise(self, C):
+        # |q| = 1/(2C): |q|^4 leaves the float range at C = 1e-80, and
+        # |q|^3 too at C = 1e-110
+        with pytest.raises(DomainError, match="\\|q\\|\\^4 overflows"):
+            verify_convexity((0.0, 0.0), C, 1.0, 4)
+        with pytest.raises(DomainError, match="\\|q\\|\\^4 overflows"):
+            hessian_form(CartesianFiberPoint((0.0, 0.0), (0.5 / C, 0.0), 1.0))
+
     def test_hypothesis_precondition(self):
         with pytest.raises(PreconditionError):
             verify_convexity((3.0, 0.0), 1.0, 1.0, 8)

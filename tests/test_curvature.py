@@ -1,7 +1,9 @@
 """Tests for the curvature pipeline and its closed-form oracle."""
 
+import hashlib
 import math
 import warnings
+from dataclasses import astuple
 from fractions import Fraction
 from functools import partial
 
@@ -41,7 +43,7 @@ from keplerflag.metric import (
     scaling_reduce,
     validate_domain,
 )
-from keplerflag.scan import GridSpec, _evaluate_points, grid_scan, slice_scan
+from keplerflag.scan import GridSpec, SliceSpec, _evaluate_points, grid_scan, slice_scan
 
 
 FLAT = CallbackCartanMetric(lambda x, y, r, t: (r * r + t * t).sqrt())
@@ -160,16 +162,11 @@ class TestSpray:
         assert terms.G == pytest.approx(0.0, abs=1e-12)
         assert terms.H_spray == pytest.approx(0.0, abs=1e-12)
 
-    @pytest.mark.parametrize("depends_on_y", [False, True])
-    def test_power_conformal_hand_formula(self, depends_on_y):
+    def test_power_conformal_hand_formula(self):
         # L* = x^4 (r^2 + t^2)/2 gives, by direct substitution into the
         # spray formulas, G = x^7 (t^2 - r^2) and H = -2 x^7 r t.
-        metric = CallbackCartanMetric(
-            lambda x, y, r, t: (x * x) * (r * r + t * t).sqrt(),
-            depends_on_y=depends_on_y,
-        )
         for (x, r, t) in [(1.1, 0.3, 0.8), (0.7, -0.5, 0.4), (1.6, 0.0, 1.0)]:
-            terms = curvature_terms(metric, PhasePoint(x, 0.2, r, t))
+            terms = curvature_terms(POWER_TWO, PhasePoint(x, 0.2, r, t))
             assert terms.G == pytest.approx(x**7 * (t * t - r * r), rel=1e-11)
             assert terms.H_spray == pytest.approx(-2.0 * x**7 * r * t,
                                                   rel=1e-11, abs=1e-11)
@@ -447,7 +444,7 @@ class TestInputContract:
     def test_one_ulp_above_critical_energy_on_the_ray(self):
         sample = flag_curvature(ONE_ULP_ABOVE, PhasePoint(1.0, 0.0, 0.0, 1.0))
         assert sample.reason == "negative_radicand"
-        result = slice_scan(ONE_ULP_ABOVE.c, 1.0, 1.0, 1.0, 2)
+        result, _ = slice_scan(SliceSpec(c=ONE_ULP_ABOVE.c, a=1.0, x_min=1.0, x_max=1.0, n=2))
         assert result.reason.tolist() == ["negative_radicand"] * 2
 
 
@@ -739,6 +736,48 @@ class TestBitPins:
     @pytest.mark.parametrize("c, x, pin", CLOSED_FORM_PINS)
     def test_closed_form(self, c, x, pin):
         assert flag_curvature_closed_form(c, x).hex() == pin
+
+
+def scalar_path_lines():
+    """One line per scalar query: ``flag_curvature``'s ``K`` bits, status and
+    reason, then ``curvature_terms``' field bits (or the raised error's
+    type and reason code) at every twentieth query and at each edge point."""
+    rng = np.random.default_rng(20261019)
+    queries = [random_admissible(rng) for _ in range(150)]
+    queries += [(MetricParams(1.0, c), PhasePoint(x, 0.0, 0.0, x))
+                for c in (1.51, 1.55, 2.0, 5.0)
+                for x in np.linspace(-6.0, 6.0, 25).tolist()]
+    edges = [
+        (MetricParams(1.0, 1.4), PhasePoint(1.0, 0.0, 0.0, 1.0)),
+        (MetricParams(1.0, 2.0), PhasePoint(1.0, 0.0, 1.0, 0.0)),
+        (MetricParams(1.0, 2.0), PhasePoint(1e-200, 0.0, 0.3, 0.7)),
+        (MetricParams(1.0, 2.0), PhasePoint(1.0, 0.0, 1e-200, 0.0)),
+        (MetricParams(1.0, 2.0), PhasePoint(math.nan, 0.0, 0.3, 0.7)),
+        (HYPERBOLIC, PhasePoint(0.0, 0.0, 0.3, 0.7)),
+        (SPHERE, PhasePoint(0.5, 0.1, 0.0, 0.0)),
+    ]
+    for metric in (SPHERE, HYPERBOLIC):
+        queries += [(metric, PhasePoint(*rng.uniform(-2.0, 2.0, 4).tolist()))
+                    for _ in range(20)]
+    for metric, pt in queries + edges:
+        s = flag_curvature(metric, pt)
+        yield f"K {s.K.hex() if s.ok else None} {s.status} {s.reason}"
+    for metric, pt in queries[::20] + edges:
+        try:
+            terms = curvature_terms(metric, pt)
+        except (DomainError, DegeneracyError) as exc:
+            yield f"terms {type(exc).__name__} {str(exc).split()[0]}"
+        else:
+            yield "terms " + " ".join(float(v).hex() for v in astuple(terms))
+
+
+def test_scalar_path_digest():
+    # sha256 of scalar_path_lines, recorded before the metric adapter
+    # classes went; the point path must keep every bit and verdict.
+    lines = list(scalar_path_lines())
+    assert sum(line.startswith("K 0x") or line.startswith("K -0x") for line in lines) > 250
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "92b788dcf0ad3bbeb5add23a69f838864d7809730de463b58301a05fc651575f"
 
 
 # ----------------------------------------------------------------------

@@ -37,6 +37,7 @@ TAU = 2.0 * math.pi
 PINNED_GRID = GridSpec(x_min=-2.0, x_max=2.0, nx=21, phi_min=0.0, phi_max=TAU,
                        nphi=25, c=1.51, a=1.0)
 PINNED_SLICE = SliceSpec(c=1.51, a=1.0, x_min=-2.0, x_max=2.0, n=41)
+SMALL_SLICE = SliceSpec(c=2.0, a=1.0, x_min=0.5, x_max=1.5, n=3)
 
 
 class TestGridSpec:
@@ -83,8 +84,6 @@ class TestSliceSpec:
     def test_rejects_bad_exclude_band(self, band):
         with pytest.raises(ValueError, match="exclude_band"):
             SliceSpec(c=2.0, a=1.0, x_min=0.5, x_max=1.0, n=3, exclude_band=band)
-        with pytest.raises(ValueError, match="exclude_band"):
-            slice_scan(2.0, 1.0, 0.5, 1.0, 3, exclude_band=band)
 
     def test_rejects_span_beyond_float_range(self):
         with pytest.raises(ValueError, match="finite width"):
@@ -249,27 +248,28 @@ class TestSummarize:
 class TestSliceScan:
     def test_rejects_short_slice(self):
         with pytest.raises(ValueError):
-            slice_scan(2.0, 1.0, -1.0, 1.0, 1)
+            SliceSpec(c=2.0, a=1.0, x_min=-1.0, x_max=1.0, n=1)
 
     def test_zero_rotation_slice_is_constant(self):
-        result = slice_scan(2.0, 0.0, -5.0, 5.0, 101)
+        result, _ = slice_scan(SliceSpec(c=2.0, a=0.0, x_min=-5.0, x_max=5.0, n=101))
         ks = result.K[result.status == "ok"].tolist()
         assert ks
         spread = (max(ks) - min(ks)) / max(abs(k) for k in ks)
         assert spread < 1e-6
 
     def test_low_energy_slice_has_negative_curvature(self):
-        result = slice_scan(1.51, 1.0, -10.0, 10.0, 1024)
+        result, _ = slice_scan(SliceSpec(c=1.51, a=1.0, n=1024))
         ks = result.K[result.status == "ok"].tolist()
         assert min(ks) < 0.0
 
     def test_high_energy_slice_is_positive(self):
-        result = slice_scan(10.0, 1.0, -10.0, 10.0, 1024)
+        result, _ = slice_scan(SliceSpec(c=10.0, a=1.0, n=1024))
         ks = result.K[result.status == "ok"].tolist()
         assert min(ks) > 0.0
 
     def test_band_points_are_skipped_rows(self):
-        result = slice_scan(2.0, 1.0, -1.0, 1.0, 9, exclude_band=0.3)
+        result, _ = slice_scan(SliceSpec(c=2.0, a=1.0, x_min=-1.0, x_max=1.0, n=9,
+                                         exclude_band=0.3))
         n_banned = np.count_nonzero(result.status != "ok")
         assert n_banned == np.count_nonzero(np.abs(result.x) < 0.3)
         assert len(result) == 9
@@ -291,17 +291,16 @@ class TestEmit:
         assert fields[5] == "ok"
 
     def test_csv_slice_leaves_phi_empty(self, tmp_path):
-        result = slice_scan(2.0, 1.0, 0.5, 1.5, 3)
-        spec = SliceSpec(c=2.0, a=1.0, x_min=0.5, x_max=1.5, n=3)
+        result, summary = slice_scan(SMALL_SLICE)
         out = tmp_path / "slice.csv"
-        emit(result, summarize(result), "csv", str(out), spec=spec)
+        emit(result, summary, "csv", str(out), spec=SMALL_SLICE)
         rows = out.read_text().splitlines()[1:]
         assert all(row.split(",")[1] == "" for row in rows)
 
     def test_csv_serializes_17_significant_digits(self, tmp_path):
-        result = slice_scan(2.0, 1.0, 0.5, 1.5, 3)
+        result, summary = slice_scan(SMALL_SLICE)
         out = tmp_path / "digits.csv"
-        emit(result, summarize(result), "csv", str(out))
+        emit(result, summary, "csv", str(out))
         row = out.read_text().splitlines()[1].split(",")
         assert float(row[4]) == result.K[0]  # round-trips exactly
 
@@ -327,10 +326,9 @@ class TestEmit:
         assert doc["summary"]["n_ok"] == summary.n_ok
 
     def test_json_with_samples(self, tmp_path):
-        result = slice_scan(2.0, 1.0, 0.5, 1.5, 3)
-        spec = SliceSpec(c=2.0, a=1.0, x_min=0.5, x_max=1.5, n=3)
+        result, summary = slice_scan(SMALL_SLICE)
         out = tmp_path / "doc.json"
-        emit(result, summarize(result), "json", str(out), spec=spec)
+        emit(result, summary, "json", str(out), spec=SMALL_SLICE)
         doc = json.loads(out.read_text())
         assert len(doc["samples"]) == 3
         assert doc["spec"]["kind"] == "slice"
@@ -370,19 +368,19 @@ class TestEmit:
         assert fields == ["ok"] + [f"{s}:{r}" for s, r in VERDICTS[1:]]
 
     def test_unknown_format_rejected(self, tmp_path):
-        result = slice_scan(2.0, 1.0, 0.5, 1.5, 3)
+        result, summary = slice_scan(SMALL_SLICE)
         with pytest.raises(ValueError):
-            emit(result, summarize(result), "xml", str(tmp_path / "x"))
+            emit(result, summary, "xml", str(tmp_path / "x"))
 
     def test_unwritable_destination_raises(self, tmp_path):
-        result = slice_scan(2.0, 1.0, 0.5, 1.5, 3)
+        result, summary = slice_scan(SMALL_SLICE)
         bad = tmp_path / "missing_dir" / "out.csv"
-        with pytest.raises(OSError):
-            emit(result, summarize(result), "csv", str(bad))
+        with pytest.raises(OSError, match="cannot write output to .*missing_dir"):
+            emit(result, summary, "csv", str(bad))
 
     def test_stdout_destination(self, capsys):
-        result = slice_scan(2.0, 1.0, 0.5, 1.5, 3)
-        emit(result, summarize(result), "csv", None)
+        result, summary = slice_scan(SMALL_SLICE)
+        emit(result, summary, "csv", None)
         captured = capsys.readouterr().out
         assert captured.startswith("x,phi,r,t,K,status")
 
@@ -448,10 +446,9 @@ class TestBytePins:
 
     @pytest.mark.parametrize("fmt, sha256", SLICE_PINS)
     def test_slice(self, tmp_path, fmt, sha256):
-        spec = PINNED_SLICE
-        result = slice_scan(spec.c, spec.a, spec.x_min, spec.x_max, spec.n)
+        result, summary = slice_scan(PINNED_SLICE)
         assert result.status[20] == "domain_error" and result.x[20] == 0.0
-        assert self.digest(tmp_path, result, summarize(result), fmt, spec) == sha256
+        assert self.digest(tmp_path, result, summary, fmt, PINNED_SLICE) == sha256
 
     # Blocks of 7 rows end inside lattice rows (25 columns) and inside
     # runs of one status; the bytes must not show where.
