@@ -17,7 +17,7 @@ import numpy as np
 
 from .convexity import verify_convexity
 from .curvature import flag_curvature, flag_curvature_closed_form
-from .errors import DegeneracyError, DomainError, PreconditionError
+from .errors import ConsistencyError, DegeneracyError, DomainError, PreconditionError
 from .identities import DEFAULT_SEED, run_identity_checks
 from .metric import MetricParams, PhasePoint
 from .scan import (
@@ -260,7 +260,8 @@ def main(argv=None):
     args = parser.parse_args(_merge_range_values(list(argv)))
     try:
         return _COMMANDS[args.command](args)
-    except (DomainError, PreconditionError, DegeneracyError, ValueError, OSError) as exc:
+    except (ConsistencyError, DomainError, PreconditionError, DegeneracyError,
+            ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

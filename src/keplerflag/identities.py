@@ -40,7 +40,7 @@ class CheckResult:
     detail: str = ""
 
 
-def random_admissible(rng, a=None, c=None, x_scale=4.0):
+def random_admissible(rng, a=None, c=None):
     """One admissible ``(MetricParams, PhasePoint)`` pair by rejection."""
     while True:
         aa = float(rng.uniform(0.0, 3.0)) if a is None else a
@@ -50,7 +50,7 @@ def random_admissible(rng, a=None, c=None, x_scale=4.0):
         else:
             cc = c
         params = MetricParams(aa, cc)
-        x = float(rng.uniform(0.2, x_scale) * rng.choice([-1.0, 1.0]))
+        x = float(rng.uniform(0.2, 4.0) * rng.choice([-1.0, 1.0]))
         y = float(rng.uniform(-math.pi, math.pi))
         theta = float(rng.uniform(0.0, 2.0 * math.pi))
         scale = float(10.0 ** rng.uniform(-1.0, 1.0))

@@ -70,17 +70,15 @@ of ch. 13):
   whose mask is the operand's without bit 0.
 
 A batched product gathers and sums only the pairs that can be nonzero, by a
-table built once per pair of masks (:meth:`_JetSpace.table`):
+table built once per pair of masks (:meth:`_JetSpace.table`), by one rule:
 
-* Every output keeps its ``p0``.
-* A short output (``m < 8``), and the tail ``q8 ...`` of a long one, drop
-  the ``q`` that cannot be nonzero.  Dropping an exact zero from a left
-  fold changes no rounding: ``s + 0`` is ``s``.
-* A long output drops those zeros from its 8-term tree as well: a node with
-  a zero subtree is its other subtree.  If what is left is a caterpillar,
-  every internal node with a leaf child, it is summed as a left fold,
-  deepest pair first and one leaf per level after it: the same additions of
-  the same values, because IEEE ``+`` commutes.  Otherwise all 8 rows stay.
+* An output with a pair that can be nonzero keeps its ``p0``.  A short
+  output (``m < 8``), and the tail ``q8 ...`` of a long one, drop the ``q``
+  that cannot be nonzero.  Dropping an exact zero from a left fold changes
+  no rounding: ``s + 0`` is ``s``.  A long output keeps its whole 8-term
+  tree.
+* An output with no pair that can be nonzero has no row of its own: all
+  such outputs read one shared product that cannot be nonzero.
 * Compositions use degree-graded Horner on top: while ``s`` products with
   ``delta`` are still to come, the degrees of the running result above
   ``max_order - s`` never reach the output, so each step multiplies in the
@@ -89,16 +87,19 @@ table built once per pair of masks (:meth:`_JetSpace.table`):
 So every nonzero coefficient has the dense product's bits: what remains is
 the same nonzero products summed in the same order with the same
 roundings.  Two things can differ: the sign of a coefficient that is zero,
-because the skipped zeros took part in its sum, and a NaN the dense product
-makes from a structural zero and an infinite coefficient.  Outside its
-mask a jet's coefficients are exactly zero on every lane where all of them
-are finite, and zero or NaN on the others.
+because the skipped zeros took part in its sum, and a NaN from a structural
+zero times an infinite coefficient, because the dense product meets the
+pairs the table skips and an output outside the mask reads the shared
+product, not its own pairs.  Outside its mask a jet's coefficients are
+exactly zero on every lane where all of them are finite, and zero or NaN on
+the others.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 import threading
 from functools import lru_cache
 from typing import NamedTuple
@@ -129,46 +130,6 @@ def _monomials(num_vars, max_order):
     return tuple(out)
 
 
-def _pruned(live, lo=0, n=8):
-    """NumPy's tree over ``q(lo) ... q(lo+n-1)`` without the terms that
-    cannot be nonzero: None if none is left, a leaf's ``q``, or a pair of
-    subtrees."""
-    if n == 1:
-        return lo if live[lo] else None
-    left, right = _pruned(live, lo, n // 2), _pruned(live, lo + n // 2, n // 2)
-    if left is None or right is None:
-        return right if left is None else left
-    return left, right
-
-
-def _caterpillar(tree):
-    """Leaves of a pruned tree in the order a left fold adds them, or None
-    if some internal node has no leaf child."""
-    if tree is None:
-        return []
-    if isinstance(tree, int):
-        return [tree]
-    left, right = tree
-    if isinstance(left, int) and not isinstance(right, int):
-        left, right = right, left
-    if not isinstance(right, int):
-        return None
-    inner = _caterpillar(left)
-    return None if inner is None else inner + [right]
-
-
-def _plan(live):
-    """How an output sums its ``q`` terms, given which can be nonzero:
-    ``(tree, fold)``.  With ``tree``, ``q0 ... q7`` sum as NumPy's tree and
-    ``fold`` lists the tail terms added to it left to right; without, the
-    output's ``S`` is the left fold of ``fold`` alone (module docstring)."""
-    if len(live) < 8:
-        return False, [q for q, keep in enumerate(live) if keep]
-    tail = [q for q in range(8, len(live)) if live[q]]
-    leaves = _caterpillar(_pruned(live))
-    return (True, tail) if leaves is None else (False, leaves + tail)
-
-
 def _aligned(a, b):
     """Coefficient arrays with their batch axes lined up: the one with
     fewer gains leading unit batch axes, so a single-lane jet broadcasts
@@ -184,15 +145,15 @@ class _Table(NamedTuple):
     """Gather indices and summation steps of one batched product.
 
     ``i`` and ``j`` index the two operands' coefficients, one row per pair
-    product in the order the steps consume them; ``mask`` is the
+    product in the order the steps consume them.  Step ``(lo, hi, src)``
+    adds the rows from ``src`` on to rows ``lo ... hi - 1``, ``unsort``
+    picks each output's row after the last step, and ``mask`` is the
     product's sparsity mask.
     """
 
     i: np.ndarray
     j: np.ndarray
-    n_long: int
-    n_sum: int
-    chain: tuple
+    steps: tuple
     unsort: np.ndarray
     mask: int
 
@@ -272,27 +233,27 @@ class _JetSpace:
         masks ``ma`` and ``mb``: gather order and steps that sum the pairs
         that can be nonzero as ``reduceat`` sums them all.
 
-        Each output keeps ``p0`` and its :func:`_plan` terms.  An output is
-        short if its ``S`` is a nonempty fold and long if it keeps its tree.
-        ``S`` (module docstring) is one block of rows, one per such output:
-        the short outputs by ascending fold length, each row starting as its
-        first term, then the long ones by descending tail length, each row
-        starting as its 8-term tree.  Chain step ``c`` adds fold term ``c``
-        to the short rows and tail term ``c - 1`` to the long rows that
-        still have terms; those are a suffix of the short rows and a prefix
-        of the long ones, so each step is one contiguous slice of ``S`` plus
-        one contiguous block of products.  Products are gathered in the
-        order they are consumed:
+        An output with a pair that can be nonzero keeps ``p0`` and sums its
+        ``S`` (module docstring) from its ``q`` that can be nonzero if it is
+        short, and from its whole ``q0 ... q7`` tree and its tail terms that
+        can be nonzero if it is long.  Every other output reads one shared
+        product that cannot be nonzero.  Products are gathered in the order
+        they are consumed:
 
-        * ``p0`` of every output, in ``S`` order, then the outputs with no
-          terms;
-        * the first term of the short outputs, then the trees' terms as an
-          ``(8, n_long)`` block whose first axis runs ``q0 q4 q2 q6 q1 q5
-          q3 q7``: adding its second half to its first, three times over,
-          sums them as NumPy does and leaves the trees in the rows that
-          follow the short first terms;
-        * the chain blocks.
+        * ``p0`` of the outputs with an ``S``, the short ones by ascending
+          term count and the long ones by descending tail length, then of
+          the outputs whose ``S`` is empty, then the shared product;
+        * ``S``: the first term of the short outputs, then the trees' terms
+          as an ``(8, n)`` block, ``n`` long outputs, whose first axis runs
+          ``q0 q4 q2 q6 q1 q5 q3 q7``: adding its second half to its first,
+          three times over, sums them as NumPy does and leaves the trees in
+          the rows that follow the short first terms;
+        * one block per fold step, which adds the next term to the rows of
+          ``S`` that still have one: a suffix of the short rows and a
+          prefix of the long ones, so one contiguous slice.
 
+        The tree's three halvings, the fold blocks and a last addition of
+        ``S`` to its outputs' ``p0`` are the table's steps, in that order.
         With full masks this is the dense schedule.  With ``graded``, ``a``
         holds only the degrees below this space's order (:meth:`product`).
         """
@@ -305,40 +266,43 @@ class _JetSpace:
         # schedule does not do.
         assert max(end - start for start, end in spans) <= 16, \
             "summation schedule covers m < 16 only"
-        tree, fold = zip(*(_plan(live[start + 1 : end]) for start, end in spans))
-        mask = sum(1 << k for k, (start, end) in enumerate(spans) if any(live[start:end]))
+        short, long_, alone, terms = [], [], [], {}
+        for k, (start, end) in enumerate(spans):
+            if any(live[start:end]):
+                tree = end - start > 8  # m >= 8
+                terms[k] = [p for p in range(start + (9 if tree else 1), end) if live[p]]
+                (long_ if tree else short if terms[k] else alone).append(k)
+        short.sort(key=lambda k: len(terms[k]))
+        long_.sort(key=lambda k: -len(terms[k]))
+        order = short + long_ + alone
+        dead = [starts[k] for k in range(self.ncoeff) if k not in terms][:1]
 
-        outs = range(self.ncoeff)
-        short = sorted((k for k in outs if fold[k] and not tree[k]), key=lambda k: len(fold[k]))
-        long_ = sorted((k for k in outs if tree[k]), key=lambda k: -len(fold[k]))
-        order = short + long_ + [k for k in outs if not (fold[k] or tree[k])]
-
-        def term(k, q):
-            return starts[k] + 1 + q
-
-        rows = [starts[k] for k in order] + [term(k, fold[k][0]) for k in short]
-        rows += [term(k, q) for q in (0, 4, 2, 6, 1, 5, 3, 7) for k in long_]
-        chain = []
-        for c in itertools.count(1):
-            tail = [term(k, fold[k][c]) for k in short if len(fold[k]) > c]
-            head = [term(k, fold[k][c - 1]) for k in long_ if len(fold[k]) >= c]
-            if not (tail or head):
+        rows = [starts[k] for k in order] + dead
+        top, n = len(rows), len(long_)
+        rows += [terms[k][0] for k in short]
+        rows += [starts[k] + 1 + q for q in (0, 4, 2, 6, 1, 5, 3, 7) for k in long_]
+        trees = top + len(short)
+        steps = [(trees, trees + h * n, trees + h * n) for h in (4, 2, 1) if n]
+        # What each row of S still adds, one term per fold step.
+        rest = [terms[k][1:] for k in short] + [terms[k] for k in long_]
+        for c in itertools.count():
+            add = [s for s, more in enumerate(rest) if len(more) > c]
+            if not add:
                 break
-            lo, hi = len(short) - len(tail), len(short) + len(head)
-            chain.append((lo, hi, len(rows)))
-            rows += tail + head
+            steps.append((top + add[0], top + add[-1] + 1, len(rows)))
+            rows += [rest[s][c] for s in add]
+        if rest:
+            steps.append((0, len(rest), top))
         assert len(set(rows)) == len(rows) >= sum(live)
-        unsort = [0] * self.ncoeff
+        unsort = [len(order)] * self.ncoeff
         for position, k in enumerate(order):
             unsort[k] = position
         return _Table(
             i=(self._mul_lo_i if graded else self._mul_i)[rows],
             j=self._mul_j[rows],
-            n_long=len(long_),
-            n_sum=len(short) + len(long_),
-            chain=tuple(chain),
+            steps=tuple(steps),
             unsort=np.array(unsort, dtype=np.intp),
-            mask=mask,
+            mask=sum(1 << k for k in terms),
         )
 
     @lru_cache(maxsize=_CACHE_LIMIT)
@@ -408,17 +372,8 @@ class _JetSpace:
         place in ``prod``, which no caller may hold; the coefficients are a
         fresh array.
         """
-        n_sum, n_long = table.n_sum, table.n_long
-        S = prod[self.ncoeff : self.ncoeff + n_sum]
-        if n_long:
-            top = self.ncoeff + n_sum - n_long
-            tree = prod[top : top + 8 * n_long]
-            for h in (4, 2, 1):
-                half = h * n_long
-                np.add(tree[:half], tree[half : 2 * half], out=tree[:half])
-        for lo, hi, row in table.chain:
-            np.add(S[lo:hi], prod[row : row + hi - lo], out=S[lo:hi])
-        np.add(prod[:n_sum], S, out=prod[:n_sum])
+        for lo, hi, src in table.steps:
+            np.add(prod[lo:hi], prod[src : src + hi - lo], out=prod[lo:hi])
         return np.take(prod, table.unsort, axis=0)
 
 
@@ -436,6 +391,21 @@ def _factorial_of(mu):
     for m in mu:
         out *= math.factorial(m)
     return out
+
+
+def _added(jet, other, op):
+    """``op(jet, other)`` for ``op`` one of ``operator.add`` and
+    ``operator.sub``, ``other`` a jet or a number."""
+    if isinstance(other, Jet):
+        if other._space is not jet._space:
+            jet._check_compatible(other)
+        a, b = jet.coeffs, other.coeffs
+        if a.ndim != b.ndim:
+            a, b = _aligned(a, b)
+        return Jet(jet._space, op(a, b), jet.mask | other.mask)
+    out = jet.coeffs.copy()
+    out[0] = op(out[0], other)
+    return Jet(jet._space, out, jet.mask | 1)
 
 
 class Jet:
@@ -532,16 +502,7 @@ class Jet:
             )
 
     def __add__(self, other):
-        if isinstance(other, Jet):
-            if other._space is not self._space:
-                self._check_compatible(other)
-            a, b = self.coeffs, other.coeffs
-            if a.ndim != b.ndim:
-                a, b = _aligned(a, b)
-            return Jet(self._space, a + b, self.mask | other.mask)
-        out = self.coeffs.copy()
-        out[0] = out[0] + other
-        return Jet(self._space, out, self.mask | 1)
+        return _added(self, other, operator.add)
 
     __radd__ = __add__
 
@@ -549,16 +510,7 @@ class Jet:
         return Jet(self._space, -self.coeffs, self.mask)
 
     def __sub__(self, other):
-        if isinstance(other, Jet):
-            if other._space is not self._space:
-                self._check_compatible(other)
-            a, b = self.coeffs, other.coeffs
-            if a.ndim != b.ndim:
-                a, b = _aligned(a, b)
-            return Jet(self._space, a - b, self.mask | other.mask)
-        out = self.coeffs.copy()
-        out[0] = out[0] - other
-        return Jet(self._space, out, self.mask | 1)
+        return _added(self, other, operator.sub)
 
     def __rsub__(self, other):
         return (-self) + other

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from keplerflag import convexity
 from keplerflag.cli import main
 from keplerflag.curvature import flag_curvature, flag_curvature_closed_form
 from keplerflag.metric import MetricParams, PhasePoint
@@ -263,6 +264,16 @@ class TestVerifiers:
         assert out == ""
         assert err.startswith("error: ") and cause in err
         assert "nonzero" not in err
+
+    def test_verify_convexity_reports_disagreeing_routes(self, capsys, monkeypatch):
+        # Shift the reduced form's <p_perp, q> so it leaves the matrix route.
+        perp_inner = convexity.perp_inner
+        monkeypatch.setattr(convexity, "perp_inner", lambda p, q: perp_inner(p, q) + 1.0)
+        code, out, err = run(capsys, "verify-convexity", "--px", "0", "--py", "0",
+                             "--C", "1", "--n", "8")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: Hessian form disagreement at ")
 
     def test_verify_identities_passes(self, capsys):
         code, out, _ = run(capsys, "verify-identities")

@@ -494,7 +494,7 @@ class TestOperationBudget:
                                          np.linspace(0.5, 3.0, 256), 0.0,
                                          np.sin(phi), np.cos(phi))
         assert (code == 0).all()
-        assert counts == (34, 10, 2065)
+        assert counts == (34, 10, 2012)
 
 
 class TestExtremeLanes:

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from keplerflag.errors import DomainError
+from keplerflag.identities import _finite_difference
 from keplerflag.jets import MAX_ORDER, MAX_VARS, Jet, _space
 
 
@@ -187,31 +188,7 @@ class TestRingAxioms:
 # ----------------------------------------------------------------------
 # Finite-difference cross-check on smooth built-in test functions.
 
-FD_STEPS = {1: 1e-6, 2: 1e-4, 3: 3e-4, 4: 1e-3}
 FD_RTOL = {1: 1e-5, 2: 1e-5, 3: 1e-3, 4: 1e-3}
-
-
-def central_difference(fn, point, mu):
-    order = sum(mu)
-    h = FD_STEPS[order]
-
-    def diff(f, var, times):
-        if times == 0:
-            return f
-
-        def stepped(p):
-            lo, hi = list(p), list(p)
-            lo[var] -= h
-            hi[var] += h
-            inner = diff(f, var, times - 1)
-            return (inner(tuple(hi)) - inner(tuple(lo))) / (2.0 * h)
-
-        return stepped
-
-    f = fn
-    for var, times in enumerate(mu):
-        f = diff(f, var, times)
-    return f(point)
 
 
 def smooth_cases():
@@ -252,7 +229,7 @@ def test_all_partials_match_finite_differences(case):
         if order == 0:
             continue
         exact = jet.extract(mu)
-        approx = central_difference(scalar, point, mu)
+        approx = _finite_difference(scalar, point, mu)
         scale = max(abs(exact), abs(approx), 1.0)
         assert abs(exact - approx) <= FD_RTOL[order] * scale, (
             f"partial {mu}: jet {exact} vs finite difference {approx}"
@@ -472,7 +449,14 @@ def dense_product(a, b, sp):
     [(nv, mo) for nv in range(1, MAX_VARS + 1) for mo in range(MAX_ORDER + 1)],
 )
 def test_batched_product_sums_like_reduceat(num_vars, max_order):
+    # Full masks give the dense schedule: every output can be nonzero, so
+    # each pair is gathered once and each output has its own row.
     sp = _space(num_vars, max_order)
+    table = sp.table(sp.full, sp.full)
+    assert table.mask == sp.full
+    pairs = sorted(zip(table.i.tolist(), table.j.tolist()))
+    assert pairs == sorted(zip(sp._mul_i.tolist(), sp._mul_j.tolist()))
+    assert sorted(table.unsort.tolist()) == list(range(sp.ncoeff))
     rng = np.random.default_rng(100 * num_vars + max_order)
     for batch in [(1,), (2,), (128,), (257,), (3, 5)]:
         for kind in ("moderate", "extreme"):
@@ -673,14 +657,18 @@ def test_random_expressions_keep_sound_masks_and_dense_bits(num_vars, max_order,
 
 # In two variables at order 4 only x^2 y^2 has a long sum: q0 ... q7 pair
 # a's (0,1) (1,0) (0,2) (1,1) (2,0) (1,2) (2,1) (2,2) with the rest of b.
-@pytest.mark.parametrize("left, keeps_tree", [
-    ([(0, 0), (0, 1), (1, 0), (2, 0)], False),          # (q0 + q1) + q4
-    ([(0, 0), (0, 1), (1, 0), (0, 2), (1, 1)], True),   # (q0 + q1) + (q2 + q3)
-], ids=["caterpillar", "not_a_caterpillar"])
-def test_a_long_output_folds_only_a_caterpillar(left, keeps_tree):
+@pytest.mark.parametrize("left", [
+    [(0, 0), (0, 1), (1, 0), (2, 0)],          # q0 q1 q4 can be nonzero
+    [(0, 0), (0, 1), (1, 0), (0, 2), (1, 1)],  # q0 q1 q2 q3
+], ids=["three_leaves", "four_leaves"])
+def test_a_long_output_gathers_its_whole_tree(left):
     sp = _space(2, 4)
     ma = sum(1 << sp.index[mu] for mu in left)
-    assert sp.table(ma, sp.full).n_long == int(keeps_tree)
+    table = sp.table(ma, sp.full)
+    start = sp._mul_starts[sp.index[(2, 2)]]
+    q = slice(start + 1, start + 9)  # q0 ... q7
+    tree = set(zip(sp._mul_i[q].tolist(), sp._mul_j[q].tolist()))
+    assert tree <= set(zip(table.i.tolist(), table.j.tolist()))
     rng = np.random.default_rng(17)
     for kind in ("moderate", "extreme"):
         a = _coeffs(rng, (sp.ncoeff, 257), kind)
@@ -691,6 +679,20 @@ def test_a_long_output_folds_only_a_caterpillar(left, keeps_tree):
             got = (Jet(sp, a, ma) * Jet(sp, b)).coeffs
             want = dense_product(a, b, sp)
         assert_same_nonzero_bits(got, want)
+
+
+def test_an_output_that_cannot_be_nonzero_gathers_no_row_of_its_own():
+    x = Jet.variable(0, np.linspace(0.5, 2.0, 256), 3, 4)
+    sp = x._space
+    table = sp.table(x.mask, x.mask)
+    # p0 of 1, x and x^2, the other pair of x and (x, x) of x^2, and one
+    # product all 32 other outputs share.
+    assert table.i.size == 6
+    dead = [k for k in range(sp.ncoeff) if not table.mask >> k & 1]
+    assert len(dead) == 32 and len(set(table.unsort[dead].tolist())) == 1
+    got = (x * x).coeffs
+    assert_same_nonzero_bits(got, dense_product(x.coeffs, x.coeffs, sp))
+    assert not got[dead].any()
 
 
 @pytest.mark.parametrize("batch", [(256,), (3, 5)], ids=["batched", "batched_2d"])
