@@ -39,12 +39,15 @@ One evaluator serves point queries and scans: the domain classifier of
 :mod:`keplerflag.metric`, the kernel on the lanes it admits, and the
 kernel's verdicts, all over arrays of any shape.  A point query is the
 0-d case, a scan row a lane of a 1-d block, and both get the same status
-and reason.  Their ``K`` can differ in the last bits: ``Jet.power`` takes
+and reason.  On arrays the built-in family's kernel replays an operation
+tape (:mod:`keplerflag.tape`), its jet arithmetic recorded once per
+process, with the jets' bits; 0-d arrays and callbacks run the jets.  A
+point's ``K`` and a row's can differ in the last bits: ``Jet.power`` takes
 ``c0**e`` with libm's ``pow`` on a NumPy scalar but with NumPy's own
-vectorised ``pow`` on an array, and the two round differently (970 of
-20,000 uniform draws on ``[0.1, 100]`` at ``e = -1.5``).  On the 64x64
-``c = 1.55`` lattice over ``x in [-3, 3]``, 1,745 of 4,096 values differ,
-by at most 5.6e-11 relative.
+vectorised ``pow`` on an array, as the tape does, and the two round
+differently (970 of 20,000 uniform draws on ``[0.1, 100]`` at ``e =
+-1.5``).  On the 64x64 ``c = 1.55`` lattice over ``x in [-3, 3]``, 1,745
+of 4,096 values differ, by at most 5.6e-11 relative.
 
 A transcription of the closed-form curvature along the fiber ray
 ``(r, t) = (0, x)`` at rotation rate 1 serves as the independent oracle; it
@@ -60,7 +63,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import astuple, dataclass
-from functools import partial
+from functools import lru_cache, partial
 from typing import Callable
 
 import numpy as np
@@ -78,6 +81,7 @@ from .metric import (
     MetricParams,
     PhasePoint,
     _first_broken,
+    _fstar_expr,
     _fstar_jet_batch,
     _variables,
     classify,
@@ -194,14 +198,12 @@ def _assemble(L, ix, iy, ir, it, r0, t0):
     gi22 = Lt.derivative(it)
     det = gi11 * gi22 - gi12 * gi12
 
-    det0 = np.asarray(det.coeffs[0])
-    bad_det = det0 <= 0.0
-    if bad_det.any():
-        # Give degenerate lanes the dummy determinant 1 so the batch can
-        # proceed; their results are discarded via the returned det.  Two
-        # steps, since det0 + (1 - det0) is 0 once |det0| reaches 2**53.
-        det = (det - np.where(bad_det, det0, 0.0)) + np.where(bad_det, 1.0, 0.0)
-    det_inv = det.reciprocal()
+    # Give degenerate lanes the dummy determinant 1 so the batch can
+    # proceed; their results are discarded via the returned det.
+    det0 = det.coeffs[0]
+    coeffs = det.coeffs.copy()
+    coeffs[0] = np.where(det0 <= 0.0, 1.0, det0)
+    det_inv = Jet(det._space, coeffs).reciprocal()
     g11 = gi22 * det_inv                  # metric coefficients, order 2
     g12 = -(gi12 * det_inv)
     g22 = gi11 * det_inv
@@ -277,35 +279,65 @@ def _assemble(L, ix, iy, ir, it, r0, t0):
     )
 
 
+def _flag(terms, t):
+    """``(K, vt, det)`` from the assembled terms."""
+    vt = terms.v * t
+    return terms.numerator / vt, vt, terms.det
+
+
 def _flag_batch(metric, x, y, r, t):
-    """``(K, vt, det)`` of any metric over coordinate arrays of one shape."""
-    # Lanes that overflow end as nonfinite_result, so the floating-point
-    # warnings are noise.
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        terms = _terms(metric, x, y, r, t)
-        vt = terms.v * t
-        K = terms.numerator / vt
-    return K, vt, terms.det
+    """``(K, vt, det)`` of any metric over coordinate arrays, from its jets."""
+    # Lanes that overflow end as nonfinite_result: the warnings are noise.
+    with np.errstate(all="ignore"):
+        return _flag(_terms(metric, x, y, r, t), t)
+
+
+@lru_cache(maxsize=None)
+def _kernel_tape():
+    """:func:`_flag_batch`'s arithmetic for the built-in family as a tape with
+    inputs ``(x, r, t, a, c)``, recorded once for every parameter pair."""
+    from . import tape  # on the first array call: point queries never load it
+
+    def kernel(x, r, t, a, c):
+        f = _fstar_expr(*_variables((x, r, t), 4), a, c)
+        return _flag(_assemble(0.5 * f * f, 0, None, 1, 2, r, t), t)
+
+    return tape.record(kernel, 5)
 
 
 def _kepler_flag_batch(params, x, r, t):
     """Curvature of the built-in family over coordinate arrays it admits.
 
     Returns ``(K, vt, det)``; :func:`_evaluate` turns ``det <= 0`` and
-    ``|vt| < SINGULAR_V_TOL`` into verdicts.
+    ``|vt| < SINGULAR_V_TOL`` into verdicts.  Arrays replay the tape, and
+    the jets run the lanes its guard fails and a lone lane it raises on;
+    0-d arrays run the jets.
     """
-    return _flag_batch(params, x, 0.0, r, t)
+    if np.ndim(x) == 0:
+        return _flag_batch(params, x, 0.0, r, t)
+    try:
+        with np.errstate(all="ignore"):
+            *out, exact = _kernel_tape().replay(x, r, t, params.a, params.c)
+    except DomainError:
+        if np.size(x) > 1:
+            raise  # _guarded bisects down to the lanes that fail
+        return _flag_batch(params, x, 0.0, r, t)
+    if not exact.all():
+        lanes = ~exact
+        for column, jets in zip(out, _flag_batch(params, x[lanes], 0.0, r[lanes], t[lanes])):
+            column[lanes] = jets
+    return tuple(out)
 
 
 def _guarded(kernel, *columns):
     """``kernel(*columns)``, with NaN for a lane whose jets raise.
 
-    Jets check a whole block at once, so one lane whose constant term
-    underflows to zero (say ``x = 1e-200``) raises DomainError for all of
-    them.  The block is then split in halves, and each half guarded in
-    turn, down to single lanes.  A lane's bits do not depend on the block
-    it runs in, so the other lanes keep theirs while staying batched, and
-    the failing lane ends as ``nonfinite_result``.
+    Jets, and the tape, check a whole block at once, so one lane whose
+    constant term underflows to zero (say ``x = 1e-200``) raises
+    DomainError for all of them.  The block is then split in halves, and
+    each half guarded in turn, down to single lanes.  A lane's bits do not
+    depend on the block it runs in, so the other lanes keep theirs while
+    staying batched, and the failing lane ends as ``nonfinite_result``.
     """
     try:
         return kernel(*columns)

@@ -24,11 +24,9 @@ Coefficients may be scalars or NumPy arrays of a common batch shape, in
 which case every operation acts elementwise across the batch; batch shapes
 broadcast as NumPy's do, a single-lane (0-d) jet against any batch.  Jets
 are immutable values: operations return fresh jets and never write to
-their operands, so they are safe to share between threads.  The writes are
-private: ``_compose`` adds each Horner constant to the constant term of the
-product it has just made, a fresh array no caller has seen, and a batched
-product gathers its operands into scratch buffers that belong to one space
-and one thread (``threading.local``) and never leave the product.
+their operands, so they are safe to share between threads.  The one write
+is private: ``_compose`` adds each Horner constant to the constant term of
+the product it has just made, a fresh array no caller has seen.
 
 Summation order
 ---------------
@@ -44,55 +42,12 @@ of output ``k`` are sorted; call their products ``p0 ... p(n-1)`` and let
 
 This is the order of ``np.add.reduceat`` (NumPy's pairwise summation, see
 Higham, *Accuracy and Stability of Numerical Algorithms*, 2nd ed., 4.2).
-Single-lane jets call ``reduceat``; batched jets run the same order as a
-fixed schedule vectorised across lanes, because ``reduceat`` along the pair
-axis makes one strided call per output coefficient and lane.
-
-Sparsity masks
---------------
-Every jet carries a static sparsity mask, an int whose bit ``k`` is set if
-coefficient ``k`` can be nonzero (sparsity patterns, Griewank & Walther,
-*Evaluating Derivatives*, 2nd ed., ch. 7, applied to the Taylor arithmetic
-of ch. 13):
-
-* :meth:`Jet.variable` is ``{0, e}``, ``e`` its unit position, and
-  :meth:`Jet.constant` is ``{0}``.  A jet made from raw coefficients has
-  the full mask, and so has every single-lane jet: its products are one
-  dense ``reduceat``, cheaper on one lane than any indexing.
-* ``+`` and ``-`` between jets OR the masks; adding a number sets bit 0.
-* Negation, and scaling by a finite number or by finite values per lane,
-  keep the mask.  Any other factor (nonfinite, or shaped like the
-  coefficients) and division by a number give the full mask.
-* :meth:`Jet.derivative` maps the mask through the derivative's source
-  table; :meth:`Jet.truncated` keeps its low bits.
-* A product's mask holds the outputs with a pair whose two factors are
-  both in their masks.  Compositions multiply by ``delta = self - c0``,
-  whose mask is the operand's without bit 0.
-
-A batched product gathers and sums only the pairs that can be nonzero, by a
-table built once per pair of masks (:meth:`_JetSpace.table`), by one rule:
-
-* An output with a pair that can be nonzero keeps its ``p0``.  A short
-  output (``m < 8``), and the tail ``q8 ...`` of a long one, drop the ``q``
-  that cannot be nonzero.  Dropping an exact zero from a left fold changes
-  no rounding: ``s + 0`` is ``s``.  A long output keeps its whole 8-term
-  tree.
-* An output with no pair that can be nonzero has no row of its own: all
-  such outputs read one shared product that cannot be nonzero.
-* Compositions use degree-graded Horner on top: while ``s`` products with
-  ``delta`` are still to come, the degrees of the running result above
-  ``max_order - s`` never reach the output, so each step multiplies in the
-  lowest space that still holds what matters (:meth:`Jet._compose`).
-
-So every nonzero coefficient has the dense product's bits: what remains is
-the same nonzero products summed in the same order with the same
-roundings.  Two things can differ: the sign of a coefficient that is zero,
-because the skipped zeros took part in its sum, and a NaN from a structural
-zero times an infinite coefficient, because the dense product meets the
-pairs the table skips and an output outside the mask reads the shared
-product, not its own pairs.  Outside its mask a jet's coefficients are
-exactly zero on every lane where all of them are finite, and zero or NaN on
-the others.
+Single-lane float jets call ``reduceat``.  Batched jets and object
+coefficients (the nodes :mod:`keplerflag.tape` records) write the order
+out (:func:`_ordered_sum`), one addition at a time across the lanes of the
+outputs with as many pairs: ``reduceat`` along the pair axis makes one
+strided call per output coefficient and lane, and sums objects left to
+right.
 """
 
 from __future__ import annotations
@@ -100,9 +55,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-import threading
-from functools import lru_cache
-from typing import NamedTuple
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -110,13 +63,6 @@ from .errors import DomainError
 
 MAX_VARS = 4
 MAX_ORDER = 4
-
-# A space keeps a thread's gather buffers only while each holds at most this
-# many coefficients (4 MiB of doubles); wider products allocate their own.
-_SCRATCH_LIMIT = 1 << 19
-# Product tables and derivative masks kept, over all spaces; the kernel's
-# expressions use a few dozen.
-_CACHE_LIMIT = 4096
 
 __all__ = ["Jet", "MAX_VARS", "MAX_ORDER"]
 
@@ -141,30 +87,21 @@ def _aligned(a, b):
     return a, b
 
 
-class _Table(NamedTuple):
-    """Gather indices and summation steps of one batched product.
-
-    ``i`` and ``j`` index the two operands' coefficients, one row per pair
-    product in the order the steps consume them.  Step ``(lo, hi, src)``
-    adds the rows from ``src`` on to rows ``lo ... hi - 1``, ``unsort``
-    picks each output's row after the last step, and ``mask`` is the
-    product's sparsity mask.
-    """
-
-    i: np.ndarray
-    j: np.ndarray
-    steps: tuple
-    unsort: np.ndarray
-    mask: int
+def _ordered_sum(p):
+    """``p0 + S`` over one output's pair products, as the module docstring
+    writes it down."""
+    q = list(p[1:])
+    if len(q) >= 8:
+        q[:8] = [((q[0] + q[1]) + (q[2] + q[3])) + ((q[4] + q[5]) + (q[6] + q[7]))]
+    return p[0] + reduce(operator.add, q) if q else p[0]
 
 
 class _JetSpace:
     """Precomputed index tables for one (num_vars, max_order) algebra."""
 
     __slots__ = (
-        "num_vars", "max_order", "monomials", "index", "ncoeff", "full", "unit",
-        "_mul_i", "_mul_lo_i", "_mul_j", "_mul_starts", "_d_src", "_d_fac",
-        "_scratch",
+        "num_vars", "max_order", "monomials", "index", "ncoeff", "unit",
+        "_mul_i", "_mul_lo_i", "_mul_j", "_mul_starts", "_sums", "_d_src", "_d_fac",
     )
 
     def __init__(self, num_vars, max_order):
@@ -173,7 +110,6 @@ class _JetSpace:
         self.monomials = _monomials(num_vars, max_order)
         self.index = {m: i for i, m in enumerate(self.monomials)}
         self.ncoeff = len(self.monomials)
-        self.full = (1 << self.ncoeff) - 1
         # Position of each variable's first-order coefficient (None at order
         # 0).  It is a first derivative's value: derivative() multiplies it
         # by 1.  The graded order puts x0 last, so it is not 1 + var.
@@ -206,7 +142,16 @@ class _JetSpace:
         # Every output index occurs at least once (pair with the constant
         # monomial), so these reduceat segments are never empty.
         self._mul_starts = np.searchsorted(mul_k, np.arange(self.ncoeff))
-        self._scratch = threading.local()
+        # Outputs with as many pairs sum as one batch: rows, (pairs, rows) operand
+        # indices.  From 17 pairs on, NumPy's 8 accumulators take a second term
+        # each, which _ordered_sum does not do; 4 variables at order 4 reach 16.
+        n = np.bincount(mul_k)
+        assert n.max() <= 16
+        self._sums = []
+        for m in sorted(set(n.tolist())):
+            rows = (n == m).nonzero()[0]
+            p = (self._mul_starts[rows, None] + np.arange(m)).T
+            self._sums.append((rows, self._mul_i[p], self._mul_lo_i[p], self._mul_j[p]))
 
         # Partial-derivative tables, target order max_order - 1.  The target
         # monomials are exactly the prefix of this space's graded enumeration.
@@ -225,156 +170,20 @@ class _JetSpace:
                 self._d_src.append(src)
                 self._d_fac.append(fac)
 
-    # Spaces live as long as the process (_space), so caching methods keeps
-    # nothing alive that would otherwise go.
-    @lru_cache(maxsize=_CACHE_LIMIT)
-    def table(self, ma, mb, graded=False):
-        """The :class:`_Table` of batched products of coefficients with
-        masks ``ma`` and ``mb``: gather order and steps that sum the pairs
-        that can be nonzero as ``reduceat`` sums them all.
-
-        An output with a pair that can be nonzero keeps ``p0`` and sums its
-        ``S`` (module docstring) from its ``q`` that can be nonzero if it is
-        short, and from its whole ``q0 ... q7`` tree and its tail terms that
-        can be nonzero if it is long.  Every other output reads one shared
-        product that cannot be nonzero.  Products are gathered in the order
-        they are consumed:
-
-        * ``p0`` of the outputs with an ``S``, the short ones by ascending
-          term count and the long ones by descending tail length, then of
-          the outputs whose ``S`` is empty, then the shared product;
-        * ``S``: the first term of the short outputs, then the trees' terms
-          as an ``(8, n)`` block, ``n`` long outputs, whose first axis runs
-          ``q0 q4 q2 q6 q1 q5 q3 q7``: adding its second half to its first,
-          three times over, sums them as NumPy does and leaves the trees in
-          the rows that follow the short first terms;
-        * one block per fold step, which adds the next term to the rows of
-          ``S`` that still have one: a suffix of the short rows and a
-          prefix of the long ones, so one contiguous slice.
-
-        The tree's three halvings, the fold blocks and a last addition of
-        ``S`` to its outputs' ``p0`` are the table's steps, in that order.
-        With full masks this is the dense schedule.  With ``graded``, ``a``
-        holds only the degrees below this space's order (:meth:`product`).
-        """
-        mul_i, mul_j = self._mul_i.tolist(), self._mul_j.tolist()
-        live = [ma >> i & 1 and mb >> j & 1 for i, j in zip(mul_i, mul_j)]
-        starts = self._mul_starts.tolist()
-        spans = list(zip(starts, starts[1:] + [len(live)]))
-        # 4 variables at order 4 peak at m = 15 (x0 x1 x2 x3).  From m = 16
-        # on, NumPy's 8 accumulators take a second term each, which this
-        # schedule does not do.
-        assert max(end - start for start, end in spans) <= 16, \
-            "summation schedule covers m < 16 only"
-        short, long_, alone, terms = [], [], [], {}
-        for k, (start, end) in enumerate(spans):
-            if any(live[start:end]):
-                tree = end - start > 8  # m >= 8
-                terms[k] = [p for p in range(start + (9 if tree else 1), end) if live[p]]
-                (long_ if tree else short if terms[k] else alone).append(k)
-        short.sort(key=lambda k: len(terms[k]))
-        long_.sort(key=lambda k: -len(terms[k]))
-        order = short + long_ + alone
-        dead = [starts[k] for k in range(self.ncoeff) if k not in terms][:1]
-
-        rows = [starts[k] for k in order] + dead
-        top, n = len(rows), len(long_)
-        rows += [terms[k][0] for k in short]
-        rows += [starts[k] + 1 + q for q in (0, 4, 2, 6, 1, 5, 3, 7) for k in long_]
-        trees = top + len(short)
-        steps = [(trees, trees + h * n, trees + h * n) for h in (4, 2, 1) if n]
-        # What each row of S still adds, one term per fold step.
-        rest = [terms[k][1:] for k in short] + [terms[k] for k in long_]
-        for c in itertools.count():
-            add = [s for s, more in enumerate(rest) if len(more) > c]
-            if not add:
-                break
-            steps.append((top + add[0], top + add[-1] + 1, len(rows)))
-            rows += [rest[s][c] for s in add]
-        if rest:
-            steps.append((0, len(rest), top))
-        assert len(set(rows)) == len(rows) >= sum(live)
-        unsort = [len(order)] * self.ncoeff
-        for position, k in enumerate(order):
-            unsort[k] = position
-        return _Table(
-            i=(self._mul_lo_i if graded else self._mul_i)[rows],
-            j=self._mul_j[rows],
-            steps=tuple(steps),
-            unsort=np.array(unsort, dtype=np.intp),
-            mask=sum(1 << k for k in terms),
-        )
-
-    @lru_cache(maxsize=_CACHE_LIMIT)
-    def derived_mask(self, var, mask):
-        """Mask of the derivative in ``var`` of coefficients with ``mask``."""
-        src = self._d_src[var].tolist()
-        return sum(1 << s for s, k in enumerate(src) if mask >> k & 1)
-
-    def product(self, a, b, ma, mb, graded=False):
-        """Coefficients and mask of the truncated product of coefficient
-        arrays with masks ``ma`` and ``mb``.
-
-        Single-lane arrays take every pair, summed by one ``reduceat``, and
-        give the full mask.  Batched ones gather and sum only the pairs that
-        can be nonzero (:meth:`table`), in the same order.  With ``graded``,
-        ``a`` holds only the degrees below this space's order and ``b[0]``
-        is zero: a pair that would read a missing top-degree entry of ``a``
-        meets ``b[0]``, so it reads ``a[0]`` instead and its product is a
-        zero either way.
-        """
-        # On one lane reduceat's single call beats any indexing and the
-        # schedule's steps; across lanes it makes one strided call per
-        # coefficient and lane.
-        if a.ndim == 1 and b.ndim == 1:
-            prod = a[self._mul_lo_i if graded else self._mul_i] * b[self._mul_j]
-            return np.add.reduceat(prod, self._mul_starts, axis=0), self.full
-        table = self.table(ma, mb, graded)
-        if a.shape[1:] == b.shape[1:] and a.dtype == b.dtype:
-            prod = self.gathered_products(a, b, table)
-        else:  # broadcast batches
-            a, b = _aligned(a, b)
-            prod = np.take(a, table.i, axis=0) * np.take(b, table.j, axis=0)
-        return self.scheduled_sum(prod, table), table.mask
-
-    def gathered_products(self, a, b, table):
-        """Pair products of batched coefficients of one batch shape and
-        dtype, as ``table`` orders them, in a prefix of this thread's
-        reused buffers for this space.
-
-        Fresh 210 x 256 temporaries would be mapped and unmapped by glibc
-        on every product.  A thread keeps one pair per space, sized for the
-        dense product and of at most ``_SCRATCH_LIMIT`` coefficients each,
-        so at most 8 MiB per space; sparser products use a prefix of it.
-        The indices are valid, so ``"clip"`` changes no value; it spares
-        ``take`` the copy of ``out`` it makes under ``"raise"``.
-        """
-        rows = table.i.size
-        dense = (self._mul_j.size,) + a.shape[1:]
-        pa, pb = getattr(self._scratch, "pair", (None, None))
-        if pa is None or pa.shape != dense or pa.dtype != a.dtype:
-            if math.prod(dense) <= _SCRATCH_LIMIT:
-                pa, pb = np.empty(dense, a.dtype), np.empty(dense, a.dtype)
-                self._scratch.pair = pa, pb
-            else:
-                shape = (rows,) + a.shape[1:]
-                pa, pb = np.empty(shape, a.dtype), np.empty(shape, a.dtype)
-        pa, pb = pa[:rows], pb[:rows]
-        a.take(table.i, 0, pa, "clip")
-        b.take(table.j, 0, pb, "clip")
-        return np.multiply(pa, pb, out=pa)
-
-    def scheduled_sum(self, prod, table):
-        """Coefficients from products gathered in ``table``'s order.
-
-        Sums in the order of the module docstring, bit for bit equal to
-        ``np.add.reduceat`` over the same products in pair order.  Works in
-        place in ``prod``, which no caller may hold; the coefficients are a
-        fresh array.
-        """
-        for lo, hi, src in table.steps:
-            np.add(prod[lo:hi], prod[src : src + hi - lo], out=prod[lo:hi])
-        return np.take(prod, table.unsort, axis=0)
+    def product(self, a, b, graded=False):
+        """The truncated product of coefficient arrays, by one ``reduceat``
+        on single-lane floats and :func:`_ordered_sum` otherwise.  With
+        ``graded``, ``a`` lacks this space's top degree and ``b[0]`` is
+        zero, so a pair reads ``a[0]`` for a missing entry of ``a``."""
+        if a.ndim == 1 and b.ndim == 1 and not (a.dtype.hasobject or b.dtype.hasobject):
+            i = self._mul_lo_i if graded else self._mul_i
+            return np.add.reduceat(a[i] * b[self._mul_j], self._mul_starts, axis=0)
+        a, b = _aligned(a, b)
+        out = np.empty((self.ncoeff,) + np.broadcast_shapes(a.shape[1:], b.shape[1:]),
+                       np.result_type(a, b))
+        for rows, i, lo_i, j in self._sums:
+            out[rows] = _ordered_sum(np.take(a, lo_i if graded else i, 0) * np.take(b, j, 0))
+        return out
 
 
 @lru_cache(maxsize=None)
@@ -402,26 +211,20 @@ def _added(jet, other, op):
         a, b = jet.coeffs, other.coeffs
         if a.ndim != b.ndim:
             a, b = _aligned(a, b)
-        return Jet(jet._space, op(a, b), jet.mask | other.mask)
+        return Jet(jet._space, op(a, b))
     out = jet.coeffs.copy()
     out[0] = op(out[0], other)
-    return Jet(jet._space, out, jet.mask | 1)
+    return Jet(jet._space, out)
 
 
 class Jet:
-    """Truncated Taylor expansion of a scalar quantity at a point.
+    """Truncated Taylor expansion of a scalar quantity at a point."""
 
-    ``mask`` is its sparsity mask: bit ``k`` is set if coefficient ``k``
-    can be nonzero (module docstring).  ``None`` at construction stands for
-    the full mask.
-    """
+    __slots__ = ("_space", "coeffs")
 
-    __slots__ = ("_space", "coeffs", "mask")
-
-    def __init__(self, space, coeffs, mask=None):
+    def __init__(self, space, coeffs):
         self._space = space
         self.coeffs = coeffs
-        self.mask = space.full if mask is None else mask
 
     # ------------------------------------------------------------------
     # construction
@@ -442,20 +245,18 @@ class Jet:
             raise ValueError(
                 f"variable index {index} out of range for {num_vars} variables"
             )
-        value = np.asarray(value, dtype=float)
-        coeffs = np.zeros((sp.ncoeff,) + value.shape)
-        coeffs[0] = value
-        e = sp.unit[index]
-        coeffs[e] = 1.0
-        return cls(sp, coeffs, 1 | 1 << e if value.ndim else None)
+        jet = cls.constant(value, num_vars, max_order)
+        jet.coeffs[sp.unit[index]] = 1.0
+        return jet
 
     @classmethod
     def constant(cls, value, num_vars, max_order):
+        """Jet of a constant: floats, or objects such as tape nodes."""
         sp = _space(num_vars, max_order)
-        value = np.asarray(value, dtype=float)
-        coeffs = np.zeros((sp.ncoeff,) + value.shape)
-        coeffs[0] = value
-        return cls(sp, coeffs, 1 if value.ndim else None)
+        value = np.asarray(value)
+        coeffs = np.zeros((sp.ncoeff,) + value.shape, object if value.dtype.hasobject else float)
+        coeffs[:1] = value  # a 0-d object array gives its element
+        return cls(sp, coeffs)
 
     # ------------------------------------------------------------------
     # introspection
@@ -507,7 +308,7 @@ class Jet:
     __radd__ = __add__
 
     def __neg__(self):
-        return Jet(self._space, -self.coeffs, self.mask)
+        return Jet(self._space, -self.coeffs)
 
     def __sub__(self, other):
         return _added(self, other, operator.sub)
@@ -518,18 +319,10 @@ class Jet:
     def __mul__(self, other):
         sp = self._space
         if not isinstance(other, Jet):
-            # Finite values per lane keep zero coefficients zero; a
-            # coefficient-shaped factor or an infinity need not.
-            mask = self.mask
-            if mask != sp.full and not (
-                math.isfinite(other) if isinstance(other, float)
-                else np.ndim(other) < self.coeffs.ndim and np.isfinite(other).all()
-            ):
-                mask = None
-            return Jet(sp, self.coeffs * other, mask)
+            return Jet(sp, self.coeffs * other)
         if other._space is not sp:
             self._check_compatible(other)
-        return Jet(sp, *sp.product(self.coeffs, other.coeffs, self.mask, other.mask))
+        return Jet(sp, sp.product(self.coeffs, other.coeffs))
 
     __rmul__ = __mul__
 
@@ -555,8 +348,7 @@ class Jet:
         sp = self._space
         target = _space(sp.num_vars, sp.max_order - 1)
         fac = sp._d_fac[index].reshape((-1,) + (1,) * (self.coeffs.ndim - 1))
-        mask = None if self.mask == sp.full else sp.derived_mask(index, self.mask)
-        return Jet(target, self.coeffs[sp._d_src[index]] * fac, mask)
+        return Jet(target, self.coeffs[sp._d_src[index]] * fac)
 
     def truncated(self, max_order):
         """Copy of this jet truncated to a lower order."""
@@ -565,7 +357,7 @@ class Jet:
                 f"cannot truncate an order-{self.max_order} jet to order {max_order}"
             )
         target = _space(self.num_vars, max_order)
-        return Jet(target, self.coeffs[: target.ncoeff].copy(), self.mask & target.full)
+        return Jet(target, self.coeffs[: target.ncoeff].copy())
 
     # ------------------------------------------------------------------
     # analytic functions
@@ -583,34 +375,24 @@ class Jet:
         ``graded``).  The graded enumeration makes that space a prefix of
         this one, with the same pairs per coefficient, the same sort order
         and the same summation schedule, so each coefficient kept is the
-        full product's.  The steps run on ``delta``'s mask, the operand's
-        without bit 0, so a batched step also skips every pair with
-        ``delta[0]`` and every pair with a coefficient the operand cannot
-        have: an order-4 compose of a full jet in 3 variables gathers
-        19 + 65 + 179 pair rows, where unmasked graded steps gather
-        28 + 84 + 210 and dense ones 3 x 210.
+        full product's: an order-4 compose in 3 variables gathers
+        28 + 84 + 210 pair rows, where full-order steps gather 3 x 210.
         Each constant goes into the product just made, which nothing else
         holds.
         """
-        if len(series) == 1:
-            return Jet.constant(
-                np.broadcast_to(series[0], self.coeffs.shape[1:]),
-                self.num_vars, self.max_order,
-            )
         sp = self._space
         delta = self.coeffs.copy()
+        if len(series) == 1:  # order 0
+            delta[0] = series[0]
+            return Jet(sp, delta)
         delta[0] = 0.0
-        dmask = self.mask & ~1
         result = delta[: 1 + sp.num_vars] * series[-1]
         result[0] += series[-2]
-        mask = dmask & ((2 << sp.num_vars) - 1) | 1
         for q, ck in enumerate(series[-3::-1], 2):
             step = _space(sp.num_vars, q)
-            result, mask = step.product(result, delta[: step.ncoeff], mask,
-                                        dmask & step.full, graded=True)
+            result = step.product(result, delta[: step.ncoeff], graded=True)
             result[0] += ck
-            mask |= 1
-        return Jet(sp, result, mask)
+        return Jet(sp, result)
 
     def _power_series(self, p):
         """``self**p`` for ``p`` not a non-negative integer, once the

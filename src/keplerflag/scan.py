@@ -7,9 +7,10 @@ spec, a :class:`GridSpec` or a :class:`SliceSpec`, and return the columns
 with their :class:`ScanSummary`.  Inadmissible or denominator-singular lattice points are
 kept as first-class rows with a non-``ok`` status so downstream plotting can
 see exactly where the domain boundary runs.  Evaluation is vectorized in
-blocks of 256 lanes over a preallocated, index-addressed buffer.  Each
-lane's arithmetic is the same whatever the block size, and output order is
-decided by the lattice index alone, so identical specs produce
+blocks of ``_CHUNK`` lanes, each a replay of the kernel's operation tape
+(:mod:`keplerflag.tape`), into a preallocated, index-addressed buffer.
+Each lane's arithmetic is the same whatever the block size, and output
+order is decided by the lattice index alone, so identical specs produce
 bit-identical files.
 
 Results are columns, not per-point objects: a :class:`ScanResult` holds
@@ -54,17 +55,14 @@ _STATUS, _REASON = (np.array(column, dtype=object) for column in zip(*VERDICTS))
 _FIELD = np.array([f"{s}:{r}" if r else s for s, r in VERDICTS], dtype=object)
 _JSON_FIELD = np.array([json.dumps(f) for f in _FIELD], dtype=object)
 
-# Lanes per kernel block.  A batched order-4 product makes about 15 NumPy
-# calls whatever the lane count, which favours wide blocks, and gathers
-# into two 210 x _CHUNK buffers that each thread keeps per jet space
-# (``jets._JetSpace.gathered_products``), which favours narrow ones.  Minor
-# faults and time of a 256^2 grid_scan pass in a fresh process on the
-# 2-vCPU Xeon, first pass then second: 128 lanes 1.6k and 1.3k (0.56 s),
-# 256 lanes 1.8k and 1.3k (0.44 s), 512 lanes 16k and 28k (0.45 s); from
-# 4096 lanes on the buffers are too wide to keep and a pass takes 120k-260k
-# faults and 0.8-0.9 s.  Every lane's arithmetic is independent of the
-# block size, so the output is too.
-_CHUNK = 256
+# Lanes per kernel block: one tape replay, about 2,400 NumPy calls whatever
+# the width, into its own 124-row buffer (1 MB at 1,024 lanes).  perfbench/
+# sweep_chunk.py, 2-vCPU Xeon, medians of 3, kernel_s/wall_s/peak_rss_mb:
+# 256 0.35/0.43/87.8, 512 0.24/0.33/87.8, 1,024 0.20/0.28/87.9, 2,048
+# 0.21/0.31/87.7, 4,096 0.14/0.21/87.8, 8,192 0.16/0.24/89.0, 16,384
+# 0.17/0.23/97.0 (its references dominate RSS).  grid-accept3 peak_rss_mb
+# was 0.8 MB below the batched jets' at 1,024 lanes, 0.25 MB above at 2,048.
+_CHUNK = 1024
 
 
 def _require_range(lo, hi, name):

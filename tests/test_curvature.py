@@ -19,6 +19,7 @@ from keplerflag.curvature import (
     _evaluate,
     _guarded,
     _kepler_flag_batch,
+    _kernel_tape,
     _powers,
     curvature_terms,
     flag_curvature,
@@ -449,14 +450,14 @@ class TestInputContract:
 
 
 class TestOperationBudget:
-    """Jet work per evaluation, by count: a change that adds products,
-    derivative jets or dense pair rows fails here, not in a noisy timing."""
+    """Work per evaluation, by count: a change that adds products,
+    derivative jets, pair rows or tape operations fails here, not in a
+    noisy timing."""
 
     def counted(self, monkeypatch, evaluate, *args):
         """``evaluate(*args)`` and its counts: ``Jet.__mul__`` calls (scalar
         factors among them), derivative jets, and the pair rows each lane's
-        products gather (``_JetSpace.product``, Horner steps included): all
-        pairs on one lane, and the rows of the masked table on a batch."""
+        products gather (``_JetSpace.product``, Horner steps included)."""
         counts = {"mul": 0, "derivative": 0, "pairs": 0}
         mul, derivative, product = Jet.__mul__, Jet.derivative, _JetSpace.product
 
@@ -468,11 +469,9 @@ class TestOperationBudget:
             counts["derivative"] += 1
             return derivative(self, index)
 
-        def counting_product(space, a, b, ma, mb, graded=False):
-            one_lane = a.ndim == 1 and b.ndim == 1
-            counts["pairs"] += (space._mul_j.size if one_lane
-                                else space.table(ma, mb, graded).i.size)
-            return product(space, a, b, ma, mb, graded)
+        def counting_product(space, a, b, graded=False):
+            counts["pairs"] += space._mul_j.size
+            return product(space, a, b, graded)
 
         monkeypatch.setattr(Jet, "__mul__", counting_mul)
         monkeypatch.setattr(Jet, "__rmul__", counting_mul)
@@ -489,12 +488,19 @@ class TestOperationBudget:
         assert counts == (34, 10, 3864)
 
     def test_grid_block(self, monkeypatch):
+        # A block replays the recorded tape and runs no jet arithmetic.
+        tape = _kernel_tape()
         phi = np.linspace(0.0, 6.0, 256)
         (_, code), counts = self.counted(monkeypatch, _evaluate, MetricParams(1.0, 1.55),
                                          np.linspace(0.5, 3.0, 256), 0.0,
                                          np.sin(phi), np.cos(phi))
         assert (code == 0).all()
-        assert counts == (34, 10, 2012)
+        assert counts == (0, 0, 0)
+        # 2,315 lane operations, 51 finiteness guards on folded zeros, and
+        # the 5 domain checks of Jet.sqrt and Jet.reciprocal
+        assert tape.ops == {"mul": 1360, "add": 869, "neg": 33, "sub": 28, "pow": 23,
+                            "div": 1, "where": 1, "finite": 51, "nonzero": 3, "positive": 2}
+        assert (sum(tape.ops.values()), tape.slots) == (2371, 124)
 
 
 class TestExtremeLanes:
@@ -624,8 +630,8 @@ def test_callback_mixing_a_single_lane_constant_into_a_batch():
 class TestScalingIdentity:
     """``K_{c,a}(pt) = a^(2/3) K_{c a^(-2/3), 1}(pt')`` under
     ``scaling_reduce``: a check of ``K`` off the oracle ray, which with the
-    closed form reaches every ``a > 0``.  Point queries take the dense
-    single-lane path, blocks the masked one."""
+    closed form reaches every ``a > 0``.  Point queries run the dense
+    single-lane jets, blocks replay the tape."""
 
     TOL = 1e-9
 
@@ -664,7 +670,7 @@ class TestScalingIdentity:
 
 
 def test_steady_256_lane_evaluate_peaks_under_one_megabyte():
-    # the product's gather buffers are reused, not reallocated per product
+    # the tape replays into one buffer of 124 rows, 248 KiB at 256 lanes
     import tracemalloc
 
     phi = np.linspace(0.0, 6.0, 256)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from keplerflag import tape
 from keplerflag.errors import DomainError
 from keplerflag.identities import _finite_difference
 from keplerflag.jets import MAX_ORDER, MAX_VARS, Jet, _space
@@ -309,7 +310,7 @@ def reference_power(jet, p):
     delta_coeffs = jet.coeffs.copy()
     delta_coeffs[0] = 0.0
     delta = Jet(jet._space, delta_coeffs)
-    # Raw jets have the full mask, so every step is the dense product.
+    # Every step is a full-order product.
     start = np.zeros_like(jet.coeffs)
     start[0] = series[-1]
     result = Jet(jet._space, start)
@@ -449,14 +450,7 @@ def dense_product(a, b, sp):
     [(nv, mo) for nv in range(1, MAX_VARS + 1) for mo in range(MAX_ORDER + 1)],
 )
 def test_batched_product_sums_like_reduceat(num_vars, max_order):
-    # Full masks give the dense schedule: every output can be nonzero, so
-    # each pair is gathered once and each output has its own row.
     sp = _space(num_vars, max_order)
-    table = sp.table(sp.full, sp.full)
-    assert table.mask == sp.full
-    pairs = sorted(zip(table.i.tolist(), table.j.tolist()))
-    assert pairs == sorted(zip(sp._mul_i.tolist(), sp._mul_j.tolist()))
-    assert sorted(table.unsort.tolist()) == list(range(sp.ncoeff))
     rng = np.random.default_rng(100 * num_vars + max_order)
     for batch in [(1,), (2,), (128,), (257,), (3, 5)]:
         for kind in ("moderate", "extreme"):
@@ -483,7 +477,6 @@ def test_variable_products_match_the_dense_schedule(num_vars, max_order):
                 if kind == "extreme":
                     other.coeffs[~np.isfinite(other.coeffs)] = 1.0
                 for lin in (x, x * -2.5, x * rng.uniform(-1.0, 1.0, lanes_var)):
-                    assert lin.mask == (1 | 1 << sp.unit[var] if lanes_var else sp.full)
                     want = dense_product(lin.coeffs, other.coeffs, sp)
                     assert_same_nonzero_bits((lin * other).coeffs, want)
                     want = dense_product(other.coeffs, lin.coeffs, sp)
@@ -494,51 +487,9 @@ def test_variable_products_match_the_dense_schedule(num_vars, max_order):
             assert_same_nonzero_bits((x * x).coeffs, dense_product(x.coeffs, x.coeffs, sp))
 
 
-def assert_sound(jet):
-    """Outside its mask a jet's coefficients are zero on every lane whose
-    coefficients are all finite, and zero or NaN on the others."""
-    outside = [k for k in range(jet._space.ncoeff) if not jet.mask >> k & 1]
-    c = jet.coeffs[outside]
-    assert ((c == 0.0) | np.isnan(c)).all()
-    assert (c[..., np.isfinite(jet.coeffs).all(axis=0)] == 0.0).all()
-
-
-def test_only_finite_lane_scaling_keeps_a_variable_sparse():
-    x = Jet.variable(1, np.array([0.5, 2.0]), 3, 4)
-    y = Jet.variable(2, np.array([1.5, -1.0]), 3, 4)
-    sp = x._space
-    ex, ey = 1 << sp.unit[1], 1 << sp.unit[2]
-    assert x.mask == 1 | ex
-    assert (x * 3.0).mask == (3.0 * x).mask == (x * np.array([2.0, -1.0])).mask == 1 | ex
-    coefficient_shaped = np.ones((x.coeffs.shape[0], 1))
-    with np.errstate(invalid="ignore"):  # 0 * inf
-        ops = {
-            "+ jet": x + y, "+ scalar": x + 1.0, "- jet": x - y, "-x": -x,
-            "* jet": x * y, "/ scalar": x / 2.0,
-            "derivative": x.derivative(1), "truncated": x.truncated(2),
-            "* coefficient-shaped array": x * coefficient_shaped,
-            "* inf": x * np.inf, "* lanes with nan": x * np.array([1.0, np.nan]),
-        }
-    for jet in ops.values():
-        assert_sound(jet)
-    xy = sum(1 << sp.index[mu] for mu in [(0, 0, 0), (0, 1, 0), (0, 0, 1), (0, 1, 1)])
-    assert {name: jet.mask for name, jet in ops.items()} == {
-        "+ jet": 1 | ex | ey, "+ scalar": 1 | ex, "- jet": 1 | ex | ey, "-x": 1 | ex,
-        "* jet": xy, "/ scalar": sp.full, "derivative": 1, "truncated": 1 | ex,
-        "* coefficient-shaped array": sp.full, "* inf": sp.full,
-        "* lanes with nan": sp.full,
-    }
-    # A scale that turns the zeros into NaN leaves the product dense.
-    with np.errstate(invalid="ignore"):
-        scaled = x * np.inf
-        other = y + 1.0
-        want = dense_product(scaled.coeffs, other.coeffs, scaled._space)
-        assert_same_nonzero_bits((scaled * other).coeffs, want)
-
-
 def test_threads_multiplying_at_once_match_a_serial_run():
-    # Each thread gathers into its own scratch buffers, so two threads
-    # multiplying 256-lane order-4 jets at once get the serial bits.
+    # Products write only arrays of their own, so two threads multiplying
+    # 256-lane order-4 jets at once get the serial bits.
     import threading
 
     sp = _space(3, 4)
@@ -573,12 +524,17 @@ def test_threads_multiplying_at_once_match_a_serial_run():
 
 
 # ----------------------------------------------------------------------
-# Sparsity masks.  Random expressions in every space: every jet's mask is
-# sound, and every masked product and composition keeps the nonzero bits of
-# its dense counterpart on the lanes where its operands are finite.
+# Sparsity on a tape.  Random expressions in every space run on lanes and
+# are recorded on tape nodes at once (keplerflag.tape): where the recording
+# folded a coefficient to a number, the jets' coefficient is that number
+# (a sound sparsity mask), and on every lane the tape's guard passes its
+# replay has the jets' nonzero bits.  Compositions on lanes keep the
+# nonzero bits of full-order Horner.
 
 COMPOSITIONS = [(Jet.sqrt, 0.5), (Jet.reciprocal, -1.0),
                 (lambda j: j.power(1.5), 1.5), (lambda j: j.power(-2), -2.0)]
+# Tape inputs per expression: at most one new one per step.
+N_INPUTS = 20
 
 
 def _lanes(rng, batch, extreme):
@@ -593,47 +549,51 @@ def assert_same_bits_where_finite(got, want, *operands):
     assert_same_nonzero_bits(got[..., lanes], want[..., lanes])
 
 
-def _random_step(data, rng, pool, batch, extreme):
-    """One random operation on jets drawn from ``pool``; returns the new jet
-    after checking it against its dense counterpart."""
-    a, b = data.draw(st.sampled_from(pool)), data.draw(st.sampled_from(pool))
+def _random_step(data, rng, pool, batch, extreme, fresh):
+    """One random operation on pairs ``(jet on lanes, jet on tape nodes)``
+    drawn from ``pool``, the same on both; ``fresh(lanes)`` is a new tape
+    input holding ``lanes``."""
+    (a, ra), (b, rb) = data.draw(st.sampled_from(pool)), data.draw(st.sampled_from(pool))
     order = min(a.max_order, b.max_order)
-    a, b = a.truncated(order), b.truncated(order)
+    a, b, ra, rb = (j.truncated(order) for j in (a, b, ra, rb))
     num_vars = a.num_vars
     op = data.draw(st.sampled_from(
         ["variable", "constant", "+", "-", "+ number", "scale", "* lanes", "*", "*",
          "derivative", "truncated", "compose"]))
     if op == "variable" and order:
-        return Jet.variable(data.draw(st.integers(0, num_vars - 1)),
-                            _lanes(rng, batch, extreme), num_vars, order)
+        var, lanes = data.draw(st.integers(0, num_vars - 1)), _lanes(rng, batch, extreme)
+        return (Jet.variable(var, lanes, num_vars, order),
+                Jet.variable(var, fresh(lanes), num_vars, order))
     if op == "constant":
-        return Jet.constant(_lanes(rng, batch, extreme), num_vars, order)
+        lanes = _lanes(rng, batch, extreme)
+        return Jet.constant(lanes, num_vars, order), Jet.constant(fresh(lanes), num_vars, order)
     if op == "+":
-        return a + b
+        return a + b, ra + rb
     if op == "-":
-        return a - b
+        return a - b, ra - rb
     if op == "+ number":
-        return 1.5 + a
+        return 1.5 + a, 1.5 + ra
     if op == "scale":
-        return a * -0.75 if data.draw(st.booleans()) else -0.75 * a
+        return (a * -0.75, ra * -0.75) if data.draw(st.booleans()) else (-0.75 * a, -0.75 * ra)
     if op == "* lanes":
-        return a * _lanes(rng, batch, extreme)
+        lanes = _lanes(rng, batch, extreme)
+        return a * lanes, ra * fresh(lanes)
     if op == "*":
-        got = a * b
-        want = dense_product(a.coeffs, b.coeffs, a._space)
-        assert_same_bits_where_finite(got.coeffs, want, a.coeffs, b.coeffs)
-        return got
+        return a * b, ra * rb
     if op == "derivative" and order:
-        return a.derivative(data.draw(st.integers(0, num_vars - 1)))
+        var = data.draw(st.integers(0, num_vars - 1))
+        return a.derivative(var), ra.derivative(var)
     if op == "truncated":
-        return a.truncated(data.draw(st.integers(0, order)))
+        k = data.draw(st.integers(0, order))
+        return a.truncated(k), ra.truncated(k)
     if op == "compose":
         fn, p = data.draw(st.sampled_from(COMPOSITIONS))
-        base = a + (np.abs(a.coeffs[0]) + 1.0 - a.coeffs[0])  # constant term > 0
+        shift = np.abs(a.coeffs[0]) + 1.0 - a.coeffs[0]  # constant term > 0
+        base = a + shift
         got, want = fn(base), reference_power(base, p)
         assert_same_bits_where_finite(got.coeffs, want.coeffs, base.coeffs, want.coeffs)
-        return got
-    return -a
+        return got, fn(ra + fresh(shift))
+    return -a, -ra
 
 
 @pytest.mark.parametrize("num_vars, max_order", SPACES)
@@ -643,16 +603,40 @@ def test_random_expressions_keep_sound_masks_and_dense_bits(num_vars, max_order,
     batch = data.draw(st.sampled_from([(257,), (3, 5)]))
     extreme = data.draw(st.booleans())
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-    pool = [Jet.constant(_lanes(rng, batch, extreme), num_vars, max_order)]
-    if max_order:
-        pool += [Jet.variable(v, _lanes(rng, batch, extreme), num_vars, max_order)
-                 for v in range(num_vars)]
-    with np.errstate(all="ignore"):
+    values, pool, nodes, returned = [], [], [], []
+
+    def fresh(lanes):
+        values.append(lanes)
+        return nodes[len(values) - 1]
+
+    def expression(*inputs):
+        nodes.extend(inputs)
+        lanes = _lanes(rng, batch, extreme)
+        pool.append((Jet.constant(lanes, num_vars, max_order),
+                     Jet.constant(fresh(lanes), num_vars, max_order)))
+        for v in range(num_vars if max_order else 0):
+            lanes = _lanes(rng, batch, extreme)
+            pool.append((Jet.variable(v, lanes, num_vars, max_order),
+                         Jet.variable(v, fresh(lanes), num_vars, max_order)))
         for _ in range(data.draw(st.integers(1, 12))):
-            jet = _random_step(data, rng, pool, batch, extreme)
-            assert jet.coeffs.shape[1:] == batch
-            assert_sound(jet)
-            pool.append(jet)
+            pool.append(_random_step(data, rng, pool, batch, extreme, fresh))
+        returned.extend({id(c): c for _, rec in pool for c in rec.coeffs
+                         if isinstance(c, tape.Node)}.values())
+        return returned
+
+    with np.errstate(all="ignore"):
+        recorded = tape.record(expression, N_INPUTS)
+        *outputs, exact = recorded.replay(*values, *[values[0]] * (N_INPUTS - len(values)))
+    assert exact.all() or extreme
+    replayed = {id(node): out for node, out in zip(returned, outputs)}
+    for jet, rec in pool:
+        assert jet.coeffs.shape[1:] == batch
+        for k, c in enumerate(rec.coeffs):
+            lanes = jet.coeffs[k][exact]
+            if isinstance(c, tape.Node):
+                assert_same_nonzero_bits(replayed[id(c)][exact], lanes)
+            else:
+                assert (lanes == c).all()
 
 
 # In two variables at order 4 only x^2 y^2 has a long sum: q0 ... q7 pair
@@ -661,38 +645,31 @@ def test_random_expressions_keep_sound_masks_and_dense_bits(num_vars, max_order,
     [(0, 0), (0, 1), (1, 0), (2, 0)],          # q0 q1 q4 can be nonzero
     [(0, 0), (0, 1), (1, 0), (0, 2), (1, 1)],  # q0 q1 q2 q3
 ], ids=["three_leaves", "four_leaves"])
-def test_a_long_output_gathers_its_whole_tree(left):
+def test_a_long_output_folds_its_zero_leaves_on_the_tape(left):
     sp = _space(2, 4)
-    ma = sum(1 << sp.index[mu] for mu in left)
-    table = sp.table(ma, sp.full)
-    start = sp._mul_starts[sp.index[(2, 2)]]
-    q = slice(start + 1, start + 9)  # q0 ... q7
-    tree = set(zip(sp._mul_i[q].tolist(), sp._mul_j[q].tolist()))
-    assert tree <= set(zip(table.i.tolist(), table.j.tolist()))
+    keep = [sp.index[mu] for mu in left]
+    k = sp.index[(2, 2)]
+
+    def x2y2(*nodes):
+        a, b = np.full(sp.ncoeff, 0.0, dtype=object), np.empty(sp.ncoeff, dtype=object)
+        a[keep], b[:] = nodes[: len(keep)], nodes[len(keep):]
+        return ((Jet(sp, a) * Jet(sp, b)).coeffs[k],)
+
+    recorded = tape.record(x2y2, len(keep) + sp.ncoeff)
+    # one product per pair whose left factor can be nonzero, summed by the
+    # tree's additions that do not add a folded zero
+    assert (recorded.ops["mul"], recorded.ops["add"]) == (len(left), len(left) - 1)
     rng = np.random.default_rng(17)
     for kind in ("moderate", "extreme"):
         a = _coeffs(rng, (sp.ncoeff, 257), kind)
         b = _coeffs(rng, (sp.ncoeff, 257), kind)
-        a[[k for k in range(sp.ncoeff) if not ma >> k & 1]] = 0.0
+        a[[i for i in range(sp.ncoeff) if i not in keep]] = 0.0
         a[~np.isfinite(a)], b[~np.isfinite(b)] = 1.0, -1.0
         with np.errstate(all="ignore"):
-            got = (Jet(sp, a, ma) * Jet(sp, b)).coeffs
-            want = dense_product(a, b, sp)
+            got, exact = recorded.replay(*a[keep], *b)
+            want = dense_product(a, b, sp)[k]
+        assert exact.all()
         assert_same_nonzero_bits(got, want)
-
-
-def test_an_output_that_cannot_be_nonzero_gathers_no_row_of_its_own():
-    x = Jet.variable(0, np.linspace(0.5, 2.0, 256), 3, 4)
-    sp = x._space
-    table = sp.table(x.mask, x.mask)
-    # p0 of 1, x and x^2, the other pair of x and (x, x) of x^2, and one
-    # product all 32 other outputs share.
-    assert table.i.size == 6
-    dead = [k for k in range(sp.ncoeff) if not table.mask >> k & 1]
-    assert len(dead) == 32 and len(set(table.unsort[dead].tolist())) == 1
-    got = (x * x).coeffs
-    assert_same_nonzero_bits(got, dense_product(x.coeffs, x.coeffs, sp))
-    assert not got[dead].any()
 
 
 @pytest.mark.parametrize("batch", [(256,), (3, 5)], ids=["batched", "batched_2d"])
@@ -703,8 +680,6 @@ def test_a_single_lane_jet_broadcasts_like_a_one_lane_batch(batch):
         for got, want in [(op(x0, y), op(x1, y)), (op(y, x0), op(y, x1))]:
             assert got.coeffs.shape == (35,) + batch
             assert_same_bits(got.coeffs, np.broadcast_to(want.coeffs, got.coeffs.shape))
-            assert_sound(got)
     for got, want in [(x0 * y, x1 * y), (y * x0, y * x1)]:
         assert got.coeffs.shape == (35,) + batch
         assert_same_nonzero_bits(got.coeffs, np.broadcast_to(want.coeffs, got.coeffs.shape))
-        assert_sound(got)

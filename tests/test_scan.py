@@ -398,17 +398,20 @@ class TestDeterminism:
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
     def test_chunked_evaluation_matches_unchunked(self, monkeypatch):
-        # 525 lanes span more than two default blocks; x = 0 is a lattice
-        # row, so chart_singularity rows fall inside a block, and the
-        # phi = pi/2 column gives singular_v lanes.
+        # 525 lanes in one block against blocks of 256 (more than two), the
+        # default, 4 and 1; x = 0 is a lattice row, so chart_singularity rows
+        # fall inside a block, and the phi = pi/2 column gives singular_v
+        # lanes.
         spec = GridSpec(x_min=-2.0, x_max=2.0, nx=21, phi_min=0.0, phi_max=TAU,
                         nphi=25, c=1.51, a=1.0)
-        assert spec.nx * spec.nphi > 2 * scan_module._CHUNK
+        assert spec.nx * spec.nphi > 2 * 256
+        chunks = (1, 4, 256, scan_module._CHUNK)
+        monkeypatch.setattr(scan_module, "_CHUNK", 8192)
         reference, _ = grid_scan(spec)
         assert set(reference.status) == {"ok", "domain_error", "singular_v"}
 
         # block size 1 runs every lane as a batch of one
-        for chunk in (1, 4, 8192):
+        for chunk in chunks:
             monkeypatch.setattr(scan_module, "_CHUNK", chunk)
             result, _ = grid_scan(spec)
             # bit-identical: same kernel, same order
