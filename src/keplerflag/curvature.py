@@ -39,15 +39,17 @@ One evaluator serves point queries and scans: the domain classifier of
 :mod:`keplerflag.metric`, the kernel on the lanes it admits, and the
 kernel's verdicts, all over arrays of any shape.  A point query is the
 0-d case, a scan row a lane of a 1-d block, and both get the same status
-and reason.  On arrays the built-in family's kernel replays an operation
-tape (:mod:`keplerflag.tape`), its jet arithmetic recorded once per
-process, with the jets' bits; 0-d arrays and callbacks run the jets.  A
-point's ``K`` and a row's can differ in the last bits: ``Jet.power`` takes
-``c0**e`` with libm's ``pow`` on a NumPy scalar but with NumPy's own
-vectorised ``pow`` on an array, as the tape does, and the two round
-differently (970 of 20,000 uniform draws on ``[0.1, 100]`` at ``e =
--1.5``).  On the 64x64 ``c = 1.55`` lattice over ``x in [-3, 3]``, 1,745
-of 4,096 values differ, by at most 5.6e-11 relative.
+and reason.  The built-in family's kernel is an operation tape
+(:mod:`keplerflag.tape`), its jet arithmetic recorded once per process,
+with the jets' bits: arrays replay it, and point queries run it emitted as
+Python over floats, all but a process's first, which runs the jets.
+Callbacks run the jets.  A point's ``K`` and a row's can differ in the
+last bits: ``Jet.power`` takes ``c0**e`` with libm's ``pow`` on a NumPy
+scalar, as the emitted tape does, but with NumPy's own vectorised ``pow``
+on an array, as the replay does, and the two round differently (970 of
+20,000 uniform draws on ``[0.1, 100]`` at ``e = -1.5``).  On the 64x64
+``c = 1.55`` lattice over ``x in [-3, 3]``, 1,745 of 4,096 values differ,
+by at most 5.6e-11 relative.
 
 A transcription of the closed-form curvature along the fiber ray
 ``(r, t) = (0, x)`` at rotation rate 1 serves as the independent oracle; it
@@ -296,7 +298,7 @@ def _flag_batch(metric, x, y, r, t):
 def _kernel_tape():
     """:func:`_flag_batch`'s arithmetic for the built-in family as a tape with
     inputs ``(x, r, t, a, c)``, recorded once for every parameter pair."""
-    from . import tape  # on the first array call: point queries never load it
+    from . import tape  # on the first array call or the second point query
 
     def kernel(x, r, t, a, c):
         f = _fstar_expr(*_variables((x, r, t), 4), a, c)
@@ -305,15 +307,38 @@ def _kernel_tape():
     return tape.record(kernel, 5)
 
 
+@lru_cache(maxsize=None)
+def _point_kernel():
+    """:func:`_kernel_tape` emitted as Python over floats, for point queries."""
+    return _kernel_tape().emit()
+
+
+# Whether a point query has run.  The first runs the jets: recording and
+# emitting cost about 100 queries, which a process that makes one query,
+# such as `keplerflag point`, should not pay.
+_queried = False
+
+
 def _kepler_flag_batch(params, x, r, t):
     """Curvature of the built-in family over coordinate arrays it admits.
 
     Returns ``(K, vt, det)``; :func:`_evaluate` turns ``det <= 0`` and
     ``|vt| < SINGULAR_V_TOL`` into verdicts.  Arrays replay the tape, and
-    the jets run the lanes its guard fails and a lone lane it raises on;
-    0-d arrays run the jets.
+    the jets run the lanes its guard fails and a lone lane it raises on.
+    A 0-d array runs the emitted tape (:func:`_point_kernel`), and the
+    jets where it raises or its guard is not finite, and on a process's
+    first point query.
     """
     if np.ndim(x) == 0:
+        global _queried
+        if _queried:
+            try:
+                *out, exact = _point_kernel()(x, r, t, params.a, params.c)
+            except (ArithmeticError, ValueError):  # DomainError is a ValueError
+                exact = False
+            if exact:
+                return tuple(out)
+        _queried = True
         return _flag_batch(params, x, 0.0, r, t)
     try:
         with np.errstate(all="ignore"):

@@ -1,6 +1,6 @@
 """Operation tapes: a jet computation recorded once as straight-line lane
-operations, and replayed over arrays (Griewank & Walther, *Evaluating
-Derivatives*, 2nd ed.).
+operations, replayed over arrays and emitted as Python over floats
+(Griewank & Walther, *Evaluating Derivatives*, 2nd ed.).
 
 :func:`record` runs a function on :class:`Node` inputs; jets made from
 nodes run their own code, so each node is one float operation of the jets,
@@ -18,10 +18,23 @@ so the row adds up each ``v`` a fold multiplied by zero, or a value it
 flows into by sums, products and numerators.  Nodes that nothing reads are
 dropped, and a buffer row is reused once its last reader has run.  Each
 replay allocates its own buffer, so threads can share a tape.
+
+:meth:`Tape.emit` writes the same operations as Python source, one line
+each (``s7 = s3 * s5``, a local per buffer row), and compiles it in
+functions of a few hundred operations that hand their live rows on: one
+function of all 2,371 operations of the curvature kernel peaks at about
+5 MB while it compiles.  A check is ``if s <= 0.0: raise DomainError``,
+``np.where`` a conditional expression, the guard row a running sum, and a
+power libm's ``pow`` (:func:`math.pow`), the ``pow`` of a NumPy scalar.  On
+floats the lines give the bits of the same operations on NumPy scalars, as
+single-lane jets take them, except where NumPy gives an infinity or NaN
+and a float operation raises.  The replay's vectorised powers round
+differently (see :mod:`keplerflag.curvature`).
 """
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from types import MappingProxyType
 from typing import NamedTuple
@@ -30,7 +43,7 @@ import numpy as np
 
 from .errors import DomainError
 
-__all__ = ["Node", "Tape", "record"]
+__all__ = ["Emitted", "Node", "Tape", "record"]
 
 _NUMBER = (int, float)
 
@@ -109,6 +122,18 @@ _LANE_OPS = {
     "where": lambda x, _, out: np.copyto(out, np.where(x <= 0.0, 1.0, x)),
     "finite": np.add, **_CHECKS,
 }
+# The same operations as lines over floats, by the replay's call ("finite"
+# is the add into the guard row).  A power is libm's, as on the NumPy
+# scalars of single-lane jets: where it raises ValueError, Python's ``**``
+# returns a complex number.
+_LINES = {
+    np.add: "{out} = {a} + {b}", np.subtract: "{out} = {a} - {b}",
+    np.multiply: "{out} = {a} * {b}", np.true_divide: "{out} = {a} / {b}",
+    _LANE_OPS["neg"]: "{out} = -{a}", _LANE_OPS["pow"]: "{out} = pow({a}, {b})",
+    _LANE_OPS["where"]: "{out} = 1.0 if {a} <= 0.0 else {a}",
+    _CHECKS["positive"]: "if {a} <= 0.0: raise DomainError('a recorded constant term is not positive')",
+    _CHECKS["nonzero"]: "if {a} == 0.0: raise DomainError('a recorded constant term is zero')",
+}
 # How many leading operands pass a value that is not finite on to the result.
 _KEEPS = {"add": 2, "sub": 2, "mul": 2, "div": 1, "neg": 1}
 
@@ -138,6 +163,70 @@ class Tape(NamedTuple):
             fn(v[a], v[b], v[out])
         return (*(buf[k].reshape(shape) for k in self.outputs),
                 np.isfinite(buf[self.inputs]).reshape(shape))
+
+    def source(self, piece=300):
+        """Python source of this tape over floats: functions ``_0``,
+        ``_1``, ... of ``piece`` operations each (the last may have fewer),
+        one line per operation on locals ``s<row>`` named for the buffer's
+        rows.  Each function takes the rows live before its operations, in
+        row order, and returns those live after them; the first takes the
+        inputs and the guard, the last returns the outputs and the guard."""
+        checks = set(_CHECKS.values())
+        steps = [self.code[k:k + piece] for k in range(0, len(self.code), piece)]
+        live_after = [(*self.outputs, self.inputs)]
+        live = set(live_after[0])
+        for step in reversed(steps[1:]):
+            for fn, a, b, out in reversed(step):
+                if fn not in checks:
+                    live.discard(out)
+                live.update(k for k in (a, b) if k < self.slots)
+            live_after.append(tuple(sorted(live)))
+        live_after.append(tuple(range(self.inputs + 1)))
+        live_after.reverse()
+
+        def name(k):
+            return f"s{k}" if k < self.slots else repr(self.consts[k - self.slots])
+
+        for k, step in enumerate(steps):
+            lines = [f"def _{k}({', '.join(map(name, live_after[k]))}):"]
+            lines += ["    " + _LINES[fn].format(a=name(a), b=name(b), out=name(out))
+                      for fn, a, b, out in step]
+            lines.append(f"    return ({''.join(name(r) + ', ' for r in live_after[k + 1])})")
+            yield "\n".join(lines)
+
+    def emit(self, piece=300):
+        """This tape as an :class:`Emitted` program, compiled one function of
+        :meth:`source` at a time: compiling one function of every operation
+        peaks at several MB."""
+        space = {"pow": math.pow, "DomainError": DomainError}
+        pieces = []
+        for k, text in enumerate(self.source(piece)):
+            exec(compile(text, f"<tape piece {k}>", "exec"), space)
+            pieces.append(space.pop(f"_{k}"))
+        n = len(self.code)
+        return Emitted(tuple(pieces), tuple(min(piece, n - k) for k in range(0, n, piece)))
+
+
+class Emitted(NamedTuple):
+    """A tape as straight-line Python over floats (:meth:`Tape.emit`):
+    ``pieces`` run in turn, each on what the one before returns, and
+    ``sizes`` counts the operations in each."""
+
+    pieces: tuple
+    sizes: tuple
+
+    def __call__(self, *inputs):
+        """The outputs as floats, then whether the guard is finite.
+
+        A check raises DomainError as the replay's does.  Where NumPy gives
+        an infinity or NaN, a float operation may raise instead:
+        ZeroDivisionError from a division by zero, OverflowError from a
+        power too large, ValueError from a power of zero or of a negative
+        number."""
+        values = (*map(float, inputs), 0.0)
+        for piece in self.pieces:
+            values = piece(*values)
+        return (*values[:-1], math.isfinite(values[-1]))
 
 
 def record(fn, n_inputs):

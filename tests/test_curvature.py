@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from keplerflag import curvature
 from keplerflag.curvature import (
     CallbackCartanMetric,
     _bracket_alpha,
@@ -20,6 +21,7 @@ from keplerflag.curvature import (
     _guarded,
     _kepler_flag_batch,
     _kernel_tape,
+    _point_kernel,
     _powers,
     curvature_terms,
     flag_curvature,
@@ -45,6 +47,7 @@ from keplerflag.metric import (
     validate_domain,
 )
 from keplerflag.scan import GridSpec, SliceSpec, _evaluate_points, grid_scan, slice_scan
+from keplerflag.tape import Emitted
 
 
 FLAT = CallbackCartanMetric(lambda x, y, r, t: (r * r + t * t).sqrt())
@@ -481,11 +484,26 @@ class TestOperationBudget:
         return result, (counts["mul"], counts["derivative"], counts["pairs"])
 
     def test_point_query(self, monkeypatch):
-        sample, counts = self.counted(monkeypatch, flag_curvature, MetricParams(1.0, 2.0),
-                                      PhasePoint(1.3, 0.0, 0.4, -0.8))
-        assert sample.ok
-        # One lane multiplies coordinate jets densely: 8 products, 952 rows.
+        args = MetricParams(1.0, 2.0), PhasePoint(1.3, 0.0, 0.4, -0.8)
+        # A process's first point query runs the jets.  One lane multiplies
+        # coordinate jets densely: 8 products, 952 rows.
+        monkeypatch.setattr(curvature, "_queried", False)
+        first, counts = self.counted(monkeypatch, flag_curvature, *args)
+        assert first.ok
         assert counts == (34, 10, 3864)
+        # A later one runs every operation of the emitted tape once, and no
+        # jet arithmetic.
+        emitted, ran = _point_kernel(), []
+
+        def counting(piece, size):
+            return lambda *values: ran.append(size) or piece(*values)
+
+        monkeypatch.setattr(curvature, "_point_kernel", lambda: Emitted(
+            tuple(map(counting, emitted.pieces, emitted.sizes)), emitted.sizes))
+        later, counts = self.counted(monkeypatch, flag_curvature, *args)
+        assert later == first
+        assert counts == (0, 0, 0)
+        assert sum(ran) == sum(_kernel_tape().ops.values()) == 2371
 
     def test_grid_block(self, monkeypatch):
         # A block replays the recorded tape and runs no jet arithmetic.
@@ -630,8 +648,8 @@ def test_callback_mixing_a_single_lane_constant_into_a_batch():
 class TestScalingIdentity:
     """``K_{c,a}(pt) = a^(2/3) K_{c a^(-2/3), 1}(pt')`` under
     ``scaling_reduce``: a check of ``K`` off the oracle ray, which with the
-    closed form reaches every ``a > 0``.  Point queries run the dense
-    single-lane jets, blocks replay the tape."""
+    closed form reaches every ``a > 0``.  Point queries run the emitted
+    tape (the first of a process, the single-lane jets), blocks replay it."""
 
     TOL = 1e-9
 

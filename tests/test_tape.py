@@ -1,21 +1,36 @@
 """The built-in kernel's tape against the jets it was recorded from.
 
-Arrays replay the tape (``curvature._kernel_tape``); the dense batched jets
+Arrays replay the tape (``curvature._kernel_tape``), and point queries after
+a process's first run it emitted as Python over floats
+(``curvature._point_kernel``); the dense batched jets
 (``curvature._flag_batch``) are the reference, and ``K``, ``v t`` and the
 determinant must keep their bits.
 """
 
 import math
+import os
+import subprocess
 import sys
 import threading
+from collections import Counter
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import keplerflag
 from keplerflag import curvature, tape
-from keplerflag.curvature import _evaluate, _flag_batch, _kepler_flag_batch, _kernel_tape
+from keplerflag.curvature import (
+    _evaluate,
+    _flag_batch,
+    _kepler_flag_batch,
+    _kernel_tape,
+    _point_kernel,
+    flag_curvature,
+)
 from keplerflag.errors import DomainError
+from keplerflag.identities import random_admissible
 from keplerflag.metric import (
     DEGENERATE_COMETRIC,
     NONFINITE_RESULT,
@@ -127,24 +142,160 @@ def test_a_degenerate_determinant_keeps_its_verdict(monkeypatch):
     assert (code[~bad] != DEGENERATE_COMETRIC).all()
 
 
-def test_one_recording_serves_every_parameter_pair(monkeypatch):
+@pytest.fixture
+def fresh_process(monkeypatch):
+    """No tape recorded or emitted and no point query run yet, as in a new
+    process; the list of ``tape.record`` calls."""
     calls = []
     record = tape.record
     monkeypatch.setattr(tape, "record", lambda *args: calls.append(args) or record(*args))
+    monkeypatch.setattr(curvature, "_queried", False)
     curvature._kernel_tape.cache_clear()
-    try:
-        # a point query runs the jets and records nothing
-        sample = curvature.flag_curvature(MetricParams(1.0, 2.0), PhasePoint(1.3, 0.0, 0.4, -0.8))
-        assert sample.ok and calls == []
-        for a, c in PAIRS:
-            params = MetricParams(a, c)
-            x, r, t = admissible(params, 256, seed=1)
-            K, code = _evaluate(params, x, 0.0, r, t)
-            assert_same_bits(K, _flag_batch(params, x, 0.0, r, t)[0])
-        assert len(calls) == 1
-        assert _kernel_tape().inputs == 5
-    finally:
-        curvature._kernel_tape.cache_clear()
+    curvature._point_kernel.cache_clear()
+    yield calls
+    curvature._kernel_tape.cache_clear()
+    curvature._point_kernel.cache_clear()
+
+
+def test_one_recording_serves_every_parameter_pair(fresh_process):
+    calls = fresh_process
+    params, pt = MetricParams(1.0, 2.0), PhasePoint(1.3, 0.0, 0.4, -0.8)
+    # the first point query runs the jets and records nothing
+    first = flag_curvature(params, pt)
+    assert first.ok and calls == []
+    assert curvature._point_kernel.cache_info().currsize == 0
+    # the second records the tape and emits it
+    assert flag_curvature(params, pt).K.hex() == first.K.hex()
+    assert len(calls) == 1 and curvature._point_kernel.cache_info().currsize == 1
+    for a, c in PAIRS:
+        params = MetricParams(a, c)
+        x, r, t = admissible(params, 256, seed=1)
+        K, code = _evaluate(params, x, 0.0, r, t)
+        assert_same_bits(K, _flag_batch(params, x, 0.0, r, t)[0])
+    assert len(calls) == 1
+    assert _kernel_tape().inputs == 5
+
+
+def test_emission_reuses_the_recording_of_an_array_call(fresh_process):
+    calls = fresh_process
+    params = MetricParams(1.0, 1.55)
+    x, r, t = admissible(params, 64, seed=2)
+    _evaluate(params, x, 0.0, r, t)
+    assert len(calls) == 1
+    for k in range(3):
+        sample = flag_curvature(params, PhasePoint(x[k], 0.0, r[k], t[k]))
+        assert sample.ok
+    assert len(calls) == 1
+    assert curvature._point_kernel.cache_info().currsize == 1
+
+
+def test_one_point_query_leaves_the_tape_unloaded():
+    # A one-shot caller, such as `keplerflag point`, pays for neither the
+    # recording nor the emission.
+    code = "\n".join([
+        "import sys",
+        "import keplerflag as kf",
+        "args = kf.MetricParams(1.0, 2.0), kf.PhasePoint(1.3, 0.0, 0.4, -0.8)",
+        "for _ in range(2):",
+        "    print(kf.flag_curvature(*args).K.hex(), 'keplerflag.tape' in sys.modules)",
+    ])
+    src = str(Path(keplerflag.__file__).resolve().parents[1])
+    path = os.pathsep.join([src, *filter(None, [os.environ.get("PYTHONPATH")])])
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=120, env={**os.environ, "PYTHONPATH": path}, check=True)
+    K = flag_curvature(MetricParams(1.0, 2.0), PhasePoint(1.3, 0.0, 0.4, -0.8)).K.hex()
+    assert proc.stdout.split("\n") == [f"{K} False", f"{K} True", ""]
+
+
+@pytest.mark.parametrize("piece", [1, 300, 5000])
+def test_emitted_pieces_hold_each_operation_once(piece):
+    tp = _kernel_tape()
+    texts = list(tp.source(piece))
+    bodies = [text.split("\n")[1:-1] for text in texts]
+    sizes = [len(body) for body in bodies]
+    emitted = tp.emit(piece)
+    assert sizes == list(emitted.sizes)
+    assert max(sizes) <= piece and sizes[:-1] == [piece] * (len(sizes) - 1)
+    lines = [line for body in bodies for line in body]
+    assert len(lines) == len(tp.code) == sum(tp.ops.values())
+    # one line per operation, by kind: "finite" is an add into the guard
+    kinds = Counter(next(k for k in ("raise", "pow(", " if ", " + ", " - ", " * ", " / ", "= -")
+                         if k in line) for line in lines)
+    ops = tp.ops
+    assert kinds == {"raise": ops["positive"] + ops["nonzero"], "pow(": ops["pow"],
+                     " if ": ops["where"], " + ": ops["add"] + ops["finite"],
+                     " - ": ops["sub"], " * ": ops["mul"], " / ": ops["div"], "= -": ops["neg"]}
+    # every way of cutting the operations gives the same bits
+    rng = np.random.default_rng(piece)
+    for params, pt in (random_admissible(rng) for _ in range(20)):
+        args = pt.x, pt.r, pt.t, params.a, params.c
+        assert emitted(*args) == _point_kernel()(*args)
+
+
+def test_emitted_kernel_matches_the_jets_at_random_points():
+    rng = np.random.default_rng(7)
+    emitted = _point_kernel()
+    for _ in range(500):
+        params, pt = random_admissible(rng)
+        x, r, t = (np.asarray(v) for v in (pt.x, pt.r, pt.t))
+        *got, exact = emitted(x, r, t, params.a, params.c)
+        assert exact
+        want = _flag_batch(params, x, 0.0, r, t)
+        assert [float(v).hex() for v in got] == [float(v).hex() for v in want]
+
+
+def test_a_power_of_a_negative_number_raises():
+    # On a negative base Python's ``**`` returns a complex number and a NumPy
+    # scalar's pow NaN; the emitted pow raises, so the jets can take over.
+    tp = tape.record(lambda x: (x ** 0.5,), 1)
+    assert tp.emit()(4.0) == (2.0, True)
+    with pytest.raises(ValueError):
+        tp.emit()(-2.0)
+
+
+class TestPointFallback:
+    """Each exit of the emitted kernel hands the point query to the jets, so
+    it gets their ``K`` bits and verdict: a process's first query runs the
+    jets and is the reference."""
+
+    def both(self, monkeypatch, params, pt):
+        monkeypatch.setattr(curvature, "_queried", False)
+        samples = [flag_curvature(params, pt) for _ in range(2)]
+        return [(s.status, s.reason, None if s.K is None else s.K.hex()) for s in samples]
+
+    def emitted(self, params, pt):
+        return _point_kernel()(pt.x, pt.r, pt.t, params.a, params.c)
+
+    @pytest.mark.parametrize("pt, error", [
+        (PhasePoint(1e-200, 0.0, 0.3, 0.7), DomainError),  # x * x underflows: a check
+        (PhasePoint(1.3, 0.0, 0.4, 0.0), ZeroDivisionError),  # v t = 0
+        (PhasePoint(1e-40, 0.0, 0.3, 0.7), OverflowError),  # a power overflows
+    ], ids=["check", "zero-division", "overflow"])
+    def test_a_raising_kernel(self, monkeypatch, pt, error):
+        params = MetricParams(1.0, 2.0)
+        with pytest.raises(error):
+            self.emitted(params, pt)
+        jets, emitted = self.both(monkeypatch, params, pt)
+        assert emitted == jets
+
+    def test_a_power_of_a_negative_base(self, monkeypatch):
+        params, pt = MetricParams(1.0, 2.0), PhasePoint(1.3, 0.0, 0.4, -0.8)
+        # the kernel's checks keep every base positive: feed pow a negated one
+        monkeypatch.setitem(_point_kernel().pieces[0].__globals__, "pow",
+                            lambda base, e: math.pow(-abs(base), e))
+        with pytest.raises(ValueError):
+            self.emitted(params, pt)
+        jets, emitted = self.both(monkeypatch, params, pt)
+        assert emitted == jets and jets[0] == "ok"
+
+    def test_a_guard_that_is_not_finite(self, monkeypatch):
+        # TestExtremeLanes' first lane: a folded zero meets an infinity
+        params = MetricParams(1.0, 1.55)
+        pt = PhasePoint(-2.2591818598608602e-23, 0.0, -5.8346000116679e-49,
+                        1.4357134848479093e+99)
+        assert self.emitted(params, pt)[-1] is False
+        jets, emitted = self.both(monkeypatch, params, pt)
+        assert [jets, emitted] == [("ok", None, "0x1.0e3a7e997ee12p+102")] * 2
 
 
 def test_threads_scanning_at_once_match_sequential_runs():
@@ -180,3 +331,39 @@ def test_threads_scanning_at_once_match_sequential_runs():
     assert not any(thread.is_alive() for thread in threads)
     for k, got in enumerate(results):
         assert got == [sequential[k % 2]] * 3
+
+
+def test_threads_querying_points_at_once_match_sequential_runs(fresh_process):
+    # Four threads on two cores make their first point queries at once:
+    # whichever threads get there run the jets, record and emit, and every
+    # query keeps the bits of a sequential run.
+    rng = np.random.default_rng(4)
+    queries = [random_admissible(rng) for _ in range(40)]
+
+    def bits():
+        return [flag_curvature(params, pt).K.hex() for params, pt in queries]
+
+    sequential = bits()
+    curvature._kernel_tape.cache_clear()
+    curvature._point_kernel.cache_clear()
+    curvature._queried = False
+    results = [None] * 4
+    start = threading.Barrier(4)
+
+    def work(k):
+        start.wait()
+        results[k] = bits()
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert results == [sequential] * 4
+    assert curvature._point_kernel.cache_info().currsize == 1
