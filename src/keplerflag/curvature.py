@@ -65,7 +65,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import astuple, dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -323,11 +323,12 @@ def _kepler_flag_batch(params, x, r, t):
     """Curvature of the built-in family over coordinate arrays it admits.
 
     Returns ``(K, vt, det)``; :func:`_evaluate` turns ``det <= 0`` and
-    ``|vt| < SINGULAR_V_TOL`` into verdicts.  Arrays replay the tape, and
-    the jets run the lanes its guard fails and a lone lane it raises on.
-    A 0-d array runs the emitted tape (:func:`_point_kernel`), and the
-    jets where it raises or its guard is not finite, and on a process's
-    first point query.
+    ``|vt| < SINGULAR_V_TOL`` into verdicts.  Arrays replay the tape,
+    which raises nothing: a lane that fails a check is NaN, the jets'
+    answer there, and the jets run the lanes its guard fails.  A 0-d array
+    runs the emitted tape (:func:`_point_kernel`), and the jets where it
+    raises or its guard is not finite, and on a process's first point
+    query.
     """
     if np.ndim(x) == 0:
         global _queried
@@ -339,33 +340,30 @@ def _kepler_flag_batch(params, x, r, t):
             if exact:
                 return tuple(out)
         _queried = True
-        return _flag_batch(params, x, 0.0, r, t)
-    try:
-        with np.errstate(all="ignore"):
-            *out, exact = _kernel_tape().replay(x, r, t, params.a, params.c)
-    except DomainError:
-        if np.size(x) > 1:
-            raise  # _guarded bisects down to the lanes that fail
-        return _flag_batch(params, x, 0.0, r, t)
+        return _guarded(params, x, 0.0, r, t)
+    with np.errstate(all="ignore"):
+        *out, exact = _kernel_tape().replay(x, r, t, params.a, params.c)
     if not exact.all():
         lanes = ~exact
+        # the tape's checks passed on these lanes, so the jets raise nothing
         for column, jets in zip(out, _flag_batch(params, x[lanes], 0.0, r[lanes], t[lanes])):
             column[lanes] = jets
     return tuple(out)
 
 
-def _guarded(kernel, *columns):
-    """``kernel(*columns)``, with NaN for a lane whose jets raise.
+def _guarded(metric, *columns):
+    """``_flag_batch(metric, *columns)``, with NaN for a lane whose jets raise.
 
-    Jets, and the tape, check a whole block at once, so one lane whose
-    constant term underflows to zero (say ``x = 1e-200``) raises
-    DomainError for all of them.  The block is then split in halves, and
-    each half guarded in turn, down to single lanes.  A lane's bits do not
-    depend on the block it runs in, so the other lanes keep theirs while
-    staying batched, and the failing lane ends as ``nonfinite_result``.
+    Jets check a whole block at once, so one lane whose constant term
+    underflows to zero (say ``x = 1e-200``) raises DomainError for all of
+    them.  The block is then split in halves, and each half guarded in
+    turn, down to single lanes.  A lane's bits do not depend on the block
+    it runs in, so the other lanes keep theirs while staying batched, and
+    the failing lane ends as ``nonfinite_result``.  Callbacks run here, and
+    so do a point query's jets.
     """
     try:
-        return kernel(*columns)
+        return _flag_batch(metric, *columns)
     except DomainError:
         shape = np.shape(columns[0])
         if columns[0].size == 1:
@@ -373,7 +371,7 @@ def _guarded(kernel, *columns):
             return nan, nan, nan
         flat = [c.ravel() for c in np.broadcast_arrays(*columns)]
         mid = flat[0].size // 2
-        halves = [_guarded(kernel, *(c[s] for c in flat))
+        halves = [_guarded(metric, *(c[s] for c in flat))
                   for s in (slice(None, mid), slice(mid, None))]
         return tuple(np.concatenate(v).reshape(shape) for v in zip(*halves))
 
@@ -390,17 +388,17 @@ def _evaluate(metric, x, y, r, t, exclude_band=0.0):
     x, y, r, t = (np.asarray(v, dtype=float) for v in (x, y, r, t))
     if isinstance(metric, MetricParams):
         code = classify(metric, x, r, t, exclude_band)[0]
-        kernel, columns = partial(_kepler_flag_batch, metric), (x, r, t)
+        kernel, columns = _kepler_flag_batch, (x, r, t)
     else:
         code = np.zeros(x.shape, np.int8)
-        kernel, columns = partial(_flag_batch, metric), (x, y, r, t)
+        kernel, columns = _guarded, (x, y, r, t)
     K = np.full(x.shape, np.nan)
     lanes = code == OK
     if not lanes.any():
         return K, code
     if lanes.all():
         lanes = ...  # no gather: a point query stays 0-d
-    Kl, vt, det = _guarded(kernel, *(c[lanes] for c in columns))
+    Kl, vt, det = kernel(metric, *(c[lanes] for c in columns))
     verdict = _first_broken([
         (DEGENERATE_COMETRIC, det <= 0.0),
         (DENOMINATOR_BELOW_TOLERANCE, np.abs(vt) < SINGULAR_V_TOL),

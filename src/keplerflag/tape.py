@@ -10,7 +10,8 @@ replays powers as ``x ** e`` on lanes, as the jets take them on arrays,
 and keeps ``np.where(v <= 0, 1.0, v)`` as it stands.  A node compared with
 zero, ``(c0 <= 0).any()`` in :meth:`Jet.sqrt` or ``(c0 == 0).any()`` in
 :meth:`Jet.reciprocal`, reads as false and is a domain check: the replay
-raises DomainError where it fails on any lane, at the jets' point.
+marks the lanes it fails on in a failure row and gives them NaN, the
+jets' answer there, and raises nothing.
 
 A guard row is finite exactly on the lanes where the outputs have the
 jets' bits, zero signs aside: ``v * 0`` is NaN where ``v`` is not finite,
@@ -21,15 +22,15 @@ replay allocates its own buffer, so threads can share a tape.
 
 :meth:`Tape.emit` writes the same operations as Python source, one line
 each (``s7 = s3 * s5``, a local per buffer row), and compiles it in
-functions of a few hundred operations that hand their live rows on: one
+functions of :data:`PIECE` operations that hand their live rows on: one
 function of all 2,371 operations of the curvature kernel peaks at about
-5 MB while it compiles.  A check is ``if s <= 0.0: raise DomainError``,
-``np.where`` a conditional expression, the guard row a running sum, and a
-power libm's ``pow`` (:func:`math.pow`), the ``pow`` of a NumPy scalar.  On
-floats the lines give the bits of the same operations on NumPy scalars, as
-single-lane jets take them, except where NumPy gives an infinity or NaN
-and a float operation raises.  The replay's vectorised powers round
-differently (see :mod:`keplerflag.curvature`).
+5 MB while it compiles.  A call is one lane, so a check is ``if s <= 0.0:
+raise DomainError``; ``np.where`` is a conditional expression, the guard
+row a running sum, and a power libm's ``pow`` (:func:`math.pow`), the
+``pow`` of a NumPy scalar.  On floats the lines give the bits of the same
+operations on NumPy scalars, as single-lane jets take them, except where
+NumPy gives an infinity or NaN and a float operation raises.  The replay's
+vectorised powers round differently (see :mod:`keplerflag.curvature`).
 """
 
 from __future__ import annotations
@@ -46,6 +47,7 @@ from .errors import DomainError
 __all__ = ["Emitted", "Node", "Tape", "record"]
 
 _NUMBER = (int, float)
+PIECE = 300  # operations in each function of emitted source
 
 
 class Node:
@@ -106,15 +108,10 @@ class _Test:
         return Node(self.node.tape, "where", self.node)
 
 
-def _check(fails, what):
-    if fails.any():
-        raise DomainError(f"a recorded constant term is {what}")
-
-
-# Each lane operation takes (a, b, out) rows; a check reads only a, and
-# "finite" adds a node's row to the guard row.
-_CHECKS = {"positive": lambda x, *_: _check(x <= 0.0, "not positive"),
-           "nonzero": lambda x, *_: _check(x == 0.0, "zero")}
+# Each lane operation takes (a, b, out) rows; a check reads only a and marks
+# the failure row, and "finite" adds a node's row to the guard row.
+_CHECKS = {"positive": lambda x, _, out: np.logical_or(out, x <= 0.0, out),
+           "nonzero": lambda x, _, out: np.logical_or(out, x == 0.0, out)}
 _LANE_OPS = {
     "add": np.add, "sub": np.subtract, "mul": np.multiply, "div": np.true_divide,
     "neg": lambda x, _, out: np.negative(x, out),
@@ -140,8 +137,8 @@ _KEEPS = {"add": 2, "sub": 2, "mul": 2, "div": 1, "neg": 1}
 
 class Tape(NamedTuple):
     """``code`` holds one ``(fn, a, b, out)`` per lane operation: indices
-    into the buffer's rows, inputs first and then the guard, and on into
-    ``consts``.  ``ops`` counts the operations by kind."""
+    into the buffer's rows, inputs first and then the guard and failure
+    rows, and on into ``consts``.  ``ops`` counts the operations by kind."""
 
     code: tuple
     consts: tuple
@@ -152,33 +149,36 @@ class Tape(NamedTuple):
 
     def replay(self, *inputs):
         """The outputs, views of this call's buffer, over the first input's
-        shape, then the lanes where the guard is finite."""
+        shape, then the lanes where they have the jets' bits: the guard is
+        finite, or a check failed and the outputs are NaN."""
         shape = np.shape(inputs[0])
         buf = np.empty((self.slots, int(np.prod(shape))))
         for row, value in zip(buf, inputs):
             row[...] = np.ravel(value)
-        buf[self.inputs] = 0.0
+        guard, fails = buf[self.inputs:self.inputs + 2]
+        buf[self.inputs:self.inputs + 2] = 0.0
         v = [*buf, *self.consts]
         for fn, a, b, out in self.code:
             fn(v[a], v[b], v[out])
+        fails = fails != 0.0
+        buf[np.ix_(self.outputs, fails)] = np.nan
         return (*(buf[k].reshape(shape) for k in self.outputs),
-                np.isfinite(buf[self.inputs]).reshape(shape))
+                (np.isfinite(guard) | fails).reshape(shape))
 
-    def source(self, piece=300):
+    def source(self):
         """Python source of this tape over floats: functions ``_0``,
-        ``_1``, ... of ``piece`` operations each (the last may have fewer),
-        one line per operation on locals ``s<row>`` named for the buffer's
-        rows.  Each function takes the rows live before its operations, in
-        row order, and returns those live after them; the first takes the
-        inputs and the guard, the last returns the outputs and the guard."""
-        checks = set(_CHECKS.values())
-        steps = [self.code[k:k + piece] for k in range(0, len(self.code), piece)]
+        ``_1``, ... of :data:`PIECE` operations each (the last may have
+        fewer), one line per operation on locals ``s<row>`` named for the
+        buffer's rows.  Each function takes the rows live before its
+        operations, in row order, and returns those live after them; the
+        first takes the inputs and the guard, the last returns the outputs
+        and the guard."""
+        steps = [self.code[k:k + PIECE] for k in range(0, len(self.code), PIECE)]
         live_after = [(*self.outputs, self.inputs)]
         live = set(live_after[0])
         for step in reversed(steps[1:]):
             for fn, a, b, out in reversed(step):
-                if fn not in checks:
-                    live.discard(out)
+                live.discard(out)
                 live.update(k for k in (a, b) if k < self.slots)
             live_after.append(tuple(sorted(live)))
         live_after.append(tuple(range(self.inputs + 1)))
@@ -194,17 +194,17 @@ class Tape(NamedTuple):
             lines.append(f"    return ({''.join(name(r) + ', ' for r in live_after[k + 1])})")
             yield "\n".join(lines)
 
-    def emit(self, piece=300):
+    def emit(self):
         """This tape as an :class:`Emitted` program, compiled one function of
         :meth:`source` at a time: compiling one function of every operation
         peaks at several MB."""
         space = {"pow": math.pow, "DomainError": DomainError}
         pieces = []
-        for k, text in enumerate(self.source(piece)):
+        for k, text in enumerate(self.source()):
             exec(compile(text, f"<tape piece {k}>", "exec"), space)
             pieces.append(space.pop(f"_{k}"))
         n = len(self.code)
-        return Emitted(tuple(pieces), tuple(min(piece, n - k) for k in range(0, n, piece)))
+        return Emitted(tuple(pieces), tuple(min(PIECE, n - k) for k in range(0, n, PIECE)))
 
 
 class Emitted(NamedTuple):
@@ -218,11 +218,11 @@ class Emitted(NamedTuple):
     def __call__(self, *inputs):
         """The outputs as floats, then whether the guard is finite.
 
-        A check raises DomainError as the replay's does.  Where NumPy gives
-        an infinity or NaN, a float operation may raise instead:
-        ZeroDivisionError from a division by zero, OverflowError from a
-        power too large, ValueError from a power of zero or of a negative
-        number."""
+        A check raises DomainError where the replay marks a failed lane.
+        Where NumPy gives an infinity or NaN, a float operation may raise
+        instead: ZeroDivisionError from a division by zero, OverflowError
+        from a power too large, ValueError from a power of zero or of a
+        negative number."""
         values = (*map(float, inputs), 0.0)
         for piece in self.pieces:
             values = piece(*values)
@@ -253,8 +253,8 @@ def record(fn, n_inputs):
             if isinstance(a, Node)}
     last.update((n.index, len(program)) for n in outputs)
 
-    slot = {n.index: k for k, n in enumerate(inputs)}  # and the guard row next
-    nslots, free, consts, code = n_inputs + 1, [], {}, []
+    slot = {n.index: k for k, n in enumerate(inputs)}  # the guard and failure rows next
+    nslots, free, consts, code = n_inputs + 2, [], {}, []
     for pos, n in enumerate(program):
         # constants are coded ~k until the row count is known
         args = [slot[a.index] if isinstance(a, Node)
@@ -265,7 +265,7 @@ def record(fn, n_inputs):
         if n.op == "finite":
             args, out = [n_inputs, *args], n_inputs
         elif n.op in _CHECKS:
-            out = args[0]
+            out = n_inputs + 1
         else:
             out = slot[n.index] = free.pop() if free else nslots
             nslots = max(nslots, out + 1)

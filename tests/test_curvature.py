@@ -5,7 +5,6 @@ import math
 import warnings
 from dataclasses import astuple
 from fractions import Fraction
-from functools import partial
 
 import numpy as np
 import pytest
@@ -18,6 +17,7 @@ from keplerflag.curvature import (
     _bracket_alpha,
     _bracket_plain,
     _evaluate,
+    _flag_batch,
     _guarded,
     _kepler_flag_batch,
     _kernel_tape,
@@ -518,7 +518,7 @@ class TestOperationBudget:
         # the 5 domain checks of Jet.sqrt and Jet.reciprocal
         assert tape.ops == {"mul": 1360, "add": 869, "neg": 33, "sub": 28, "pow": 23,
                             "div": 1, "where": 1, "finite": 51, "nonzero": 3, "positive": 2}
-        assert (sum(tape.ops.values()), tape.slots) == (2371, 124)
+        assert (sum(tape.ops.values()), tape.slots) == (2371, 125)
 
 
 class TestExtremeLanes:
@@ -582,49 +582,65 @@ class TestExtremeLanes:
 
 
 class TestGuardedBlock:
-    """A block whose jets raise is bisected; the result is the one a
-    lane-by-lane rerun gives."""
+    """A built-in block never raises: a lane that fails a tape check ends
+    NaN, as its jets give alone.  A callback block whose jets raise is
+    bisected.  Either way the result is the one a lane-by-lane rerun of the
+    jets gives."""
 
     PARAMS = MetricParams(1.0, 2.0)
-    FAILING = [0, 5, 6, 20, 35]  # lanes whose x * x underflows
+    FAILING = [0, 5, 6, 20, 35]
 
     def columns(self):
         rng = np.random.default_rng(5)
         x = rng.uniform(0.5, 1.0, 36)
-        x[self.FAILING] = 1e-200
+        x[self.FAILING] = 1e-200  # x * x underflows
         phi = rng.uniform(0.0, 2.0 * math.pi, 36)
-        return x, np.sin(phi), np.cos(phi)
+        return x, np.zeros(36), np.sin(phi), np.cos(phi)
 
-    def lane_by_lane(self, kernel, *columns):
+    def callback_columns(self):
+        x, y, r, t = self.columns()
+        x[self.FAILING] = 0.75
+        r[self.FAILING] = t[self.FAILING] = 0.0  # the fiber norm's sqrt raises
+        return x, y, r, t
+
+    def lane_by_lane(self, metric, *columns):
         lanes = []
         for i in range(columns[0].size):
             try:
-                lanes.append(kernel(*(c[i:i + 1] for c in columns)))
+                lanes.append(_flag_batch(metric, *(c[i:i + 1] for c in columns)))
             except DomainError:
                 lanes.append((np.full(1, np.nan),) * 3)
         return [np.concatenate(v) for v in zip(*lanes)]
 
-    def test_matches_lane_by_lane(self):
-        kernel = partial(_kepler_flag_batch, self.PARAMS)
-        columns = self.columns()
-        with pytest.raises(DomainError):
-            kernel(*columns)
-        got = _guarded(kernel, *columns)
-        for g, w in zip(got, self.lane_by_lane(kernel, *columns)):
+    def assert_lane_by_lane(self, got, metric, columns):
+        for g, w in zip(got, self.lane_by_lane(metric, *columns)):
             assert np.array_equal(g.view(np.int64), w.view(np.int64))
         ok = np.ones(36, bool)
         ok[self.FAILING] = False
         assert np.isnan(got[0][~ok]).all() and np.isfinite(got[0][ok]).all()
         # the other lanes, batched on their own, give the same bits
-        alone = kernel(*(c[ok] for c in columns))
+        alone = _flag_batch(metric, *(c[ok] for c in columns))
         for g, w in zip(got, alone):
             assert np.array_equal(g[ok].view(np.int64), w.view(np.int64))
 
-    def test_keeps_the_block_shape(self):
-        kernel = partial(_kepler_flag_batch, self.PARAMS)
+    def test_matches_lane_by_lane(self):
         columns = self.columns()
-        flat = _guarded(kernel, *columns)
-        square = _guarded(kernel, *(c.reshape(6, 6) for c in columns))
+        with pytest.raises(DomainError):
+            _flag_batch(self.PARAMS, *columns)
+        x, _, r, t = columns
+        got = _kepler_flag_batch(self.PARAMS, x, r, t)
+        self.assert_lane_by_lane(got, self.PARAMS, columns)
+
+    def test_a_callback_block_is_bisected(self):
+        columns = self.callback_columns()
+        with pytest.raises(DomainError):
+            _flag_batch(FLAT, *columns)
+        self.assert_lane_by_lane(_guarded(FLAT, *columns), FLAT, columns)
+
+    def test_keeps_the_block_shape(self):
+        columns = self.callback_columns()
+        flat = _guarded(FLAT, *columns)
+        square = _guarded(FLAT, *(c.reshape(6, 6) for c in columns))
         for g, w in zip(square, flat):
             assert g.shape == (6, 6)
             assert np.array_equal(g.ravel().view(np.int64), w.view(np.int64))

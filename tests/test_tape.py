@@ -13,7 +13,6 @@ import subprocess
 import sys
 import threading
 from collections import Counter
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -94,15 +93,59 @@ def test_an_underflowing_lane_ends_nonfinite_and_the_others_keep_their_bits():
     params = MetricParams(1.0, 2.0)
     x, r, t = (c[:300] for c in admissible(params, 512, seed=5))
     x[17] = 1e-200  # x * x underflows: Jet.reciprocal raises
-    for kernel in (replayed, _kepler_flag_batch, partial(_flag_batch, y=0.0)):
-        with pytest.raises(DomainError):
-            kernel(params, x, r=r, t=t)
+    with pytest.raises(DomainError):
+        _flag_batch(params, x, 0.0, r, t)
+    # the replay marks the lane failed, with NaN as the jets' answer there
+    *out, exact = replayed(params, x, r, t)
+    assert exact.all()
+    for got in (out, _kepler_flag_batch(params, x, r, t)):
+        assert all(np.isnan(v[17]) for v in got)
+        assert all(np.isfinite(np.delete(v, 17)).all() for v in got)
     K, code = _evaluate(params, x, 0.0, r, t)
     assert code[17] == NONFINITE_RESULT and np.isnan(K[17])
     others = np.arange(x.size) != 17
     assert (code[others] == OK).all()
     want = _flag_batch(params, x[others], 0.0, r[others], t[others])[0]
     assert_same_bits(K[others], want)
+
+
+def extreme(rng, n):
+    """``n`` draws at scales 1e-300 to 1e300 of either sign, with zeros of
+    both signs, subnormals and ones mixed in."""
+    v = rng.uniform(1.0, 10.0, n) * 10.0 ** rng.integers(-300, 301, n)
+    v *= rng.choice([-1.0, 1.0], n)
+    special = rng.random(n) < 0.15
+    v[special] = rng.choice([0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.5e-315, 1.0, -1.0],
+                            special.sum())
+    return v
+
+
+@pytest.mark.parametrize("a, c", [(1.0, 1.55), (0.0, 0.3), (2.5, 3.7)])
+def test_a_block_of_extreme_lanes_has_the_bits_of_each_lane_alone(a, c):
+    # A block never raises: a lane that fails a check is NaN, as its jets
+    # give alone, whether they raise or carry a NaN constant term.
+    params, rng = MetricParams(a, c), np.random.default_rng(23)
+    x, r, t = extreme(rng, 256), extreme(rng, 256), extreme(rng, 256)
+    got = _kepler_flag_batch(params, x, r, t)
+    raised = 0
+    for i in range(x.size):
+        try:
+            want = _flag_batch(params, x[i:i + 1], 0.0, r[i:i + 1], t[i:i + 1])
+        except DomainError:
+            raised += 1
+            want = (np.full(1, np.nan),) * 3
+        lane = [v[i:i + 1] for v in got]
+        if want[1][0] == 0.0:
+            # zero signs aside: the tape folds ``v * 0`` to +0.0, so a zero
+            # v t and the infinite K it gives may take the other sign;
+            # such a lane is denominator_below_tolerance either way
+            lane, want = [np.abs(v) for v in lane], [np.abs(v) for v in want]
+        for g, w in zip(lane, want):
+            assert_same_bits(g, w)
+    # the lanes take every exit: finite, a failed check, a guard that is not
+    # finite (8-9, 91 and 151 of them)
+    assert np.isfinite(got[0]).any() and raised
+    assert not replayed(params, x, r, t)[-1].all()
 
 
 def test_a_folded_zero_that_meets_an_infinity_runs_the_jets():
@@ -208,12 +251,13 @@ def test_one_point_query_leaves_the_tape_unloaded():
 
 
 @pytest.mark.parametrize("piece", [1, 300, 5000])
-def test_emitted_pieces_hold_each_operation_once(piece):
-    tp = _kernel_tape()
-    texts = list(tp.source(piece))
+def test_emitted_pieces_hold_each_operation_once(monkeypatch, piece):
+    tp, reference = _kernel_tape(), _point_kernel()
+    monkeypatch.setattr(tape, "PIECE", piece)
+    texts = list(tp.source())
     bodies = [text.split("\n")[1:-1] for text in texts]
     sizes = [len(body) for body in bodies]
-    emitted = tp.emit(piece)
+    emitted = tp.emit()
     assert sizes == list(emitted.sizes)
     assert max(sizes) <= piece and sizes[:-1] == [piece] * (len(sizes) - 1)
     lines = [line for body in bodies for line in body]
@@ -229,7 +273,7 @@ def test_emitted_pieces_hold_each_operation_once(piece):
     rng = np.random.default_rng(piece)
     for params, pt in (random_admissible(rng) for _ in range(20)):
         args = pt.x, pt.r, pt.t, params.a, params.c
-        assert emitted(*args) == _point_kernel()(*args)
+        assert emitted(*args) == reference(*args)
 
 
 def test_emitted_kernel_matches_the_jets_at_random_points():
