@@ -36,20 +36,20 @@ jets of ``(x, y, r, t)``.  :func:`_terms` is the one place that tells the
 two apart for the jets, and only the family has a domain classifier.
 
 One evaluator serves point queries and scans: the domain classifier of
-:mod:`keplerflag.metric`, the kernel on the lanes it admits, and the
-kernel's verdicts, all over arrays of any shape.  A point query is the
-0-d case, a scan row a lane of a 1-d block, and both get the same status
-and reason.  The built-in family's kernel is an operation tape
+:mod:`keplerflag.metric`, the kernel where it admits, and the kernel's
+verdicts, each rule list evaluated on floats for a point and on arrays
+for a block, so a point query and a scan row get the same status and
+reason.  The built-in family's kernel is an operation tape
 (:mod:`keplerflag.tape`), its jet arithmetic recorded once per process,
 with the jets' bits: arrays replay it, and point queries run it emitted as
-Python over floats, all but a process's first, which runs the jets.
-Callbacks run the jets.  A point's ``K`` and a row's can differ in the
-last bits: ``Jet.power`` takes ``c0**e`` with libm's ``pow`` on a NumPy
-scalar, as the emitted tape does, but with NumPy's own vectorised ``pow``
-on an array, as the replay does, and the two round differently (970 of
-20,000 uniform draws on ``[0.1, 100]`` at ``e = -1.5``).  On the 64x64
-``c = 1.55`` lattice over ``x in [-3, 3]``, 1,745 of 4,096 values differ,
-by at most 5.6e-11 relative.
+Python over floats, all but a process's first and those where it raises,
+which run the jets on 0-d arrays.  Callbacks run the jets.  A point's
+``K`` and a row's can differ in the last bits: ``Jet.power`` takes
+``c0**e`` with libm's ``pow`` on a NumPy scalar, as the emitted tape does,
+but with NumPy's own vectorised ``pow`` on an array, as the replay does,
+and the two round differently (970 of 20,000 uniform draws on
+``[0.1, 100]`` at ``e = -1.5``).  On the 64x64 ``c = 1.55`` lattice over
+``x in [-3, 3]``, 1,745 of 4,096 values differ, by at most 5.6e-11 relative.
 
 A transcription of the closed-form curvature along the fiber ray
 ``(r, t) = (0, x)`` at rotation rate 1 serves as the independent oracle; it
@@ -85,6 +85,7 @@ from .metric import (
     _first_broken,
     _fstar_expr,
     _fstar_jet_batch,
+    _is_point,
     _variables,
     classify,
 )
@@ -172,7 +173,7 @@ def curvature_terms(metric, pt):
     ``nonfinite_result`` where the jets raise.  ``det <= 0`` raises
     DegeneracyError."""
     if isinstance(metric, MetricParams):
-        code = int(classify(metric, pt.x, pt.r, pt.t)[0])
+        code = classify(metric, pt.x, pt.r, pt.t)[0]
         if code != OK:
             raise DomainError(f"{VERDICTS[code][1]} at {pt}")
     try:
@@ -322,25 +323,11 @@ _queried = False
 def _kepler_flag_batch(params, x, r, t):
     """Curvature of the built-in family over coordinate arrays it admits.
 
-    Returns ``(K, vt, det)``; :func:`_evaluate` turns ``det <= 0`` and
-    ``|vt| < SINGULAR_V_TOL`` into verdicts.  Arrays replay the tape,
+    Returns ``(K, vt, det)``; :func:`_verdict` turns ``det <= 0`` and
+    ``|vt| < SINGULAR_V_TOL`` into verdicts.  The arrays replay the tape,
     which raises nothing: a lane that fails a check is NaN, the jets'
-    answer there, and the jets run the lanes its guard fails.  A 0-d array
-    runs the emitted tape (:func:`_point_kernel`), and the jets where it
-    raises or its guard is not finite, and on a process's first point
-    query.
+    answer there, and the jets run the lanes its guard fails.
     """
-    if np.ndim(x) == 0:
-        global _queried
-        if _queried:
-            try:
-                *out, exact = _point_kernel()(x, r, t, params.a, params.c)
-            except (ArithmeticError, ValueError):  # DomainError is a ValueError
-                exact = False
-            if exact:
-                return tuple(out)
-        _queried = True
-        return _guarded(params, x, 0.0, r, t)
     with np.errstate(all="ignore"):
         *out, exact = _kernel_tape().replay(x, r, t, params.a, params.c)
     if not exact.all():
@@ -349,6 +336,22 @@ def _kepler_flag_batch(params, x, r, t):
         for column, jets in zip(out, _flag_batch(params, x[lanes], 0.0, r[lanes], t[lanes])):
             column[lanes] = jets
     return tuple(out)
+
+
+def _point_flag(metric, x, y, r, t):
+    """``(K, vt, det)`` at a point given as numbers: the emitted tape for the
+    built-in family, the jets on 0-d arrays for a callback, for a process's
+    first point query, and where the tape raises or its guard is not finite."""
+    global _queried
+    if _queried and isinstance(metric, MetricParams):
+        try:
+            *out, exact = _point_kernel()(x, r, t, metric.a, metric.c)
+        except (ArithmeticError, ValueError):  # DomainError is a ValueError
+            exact = False
+        if exact:
+            return out
+    _queried = True
+    return [float(v) for v in _guarded(metric, x, y, r, t)]
 
 
 def _guarded(metric, *columns):
@@ -366,7 +369,7 @@ def _guarded(metric, *columns):
         return _flag_batch(metric, *columns)
     except DomainError:
         shape = np.shape(columns[0])
-        if columns[0].size == 1:
+        if np.size(columns[0]) == 1:
             nan = np.full(shape, np.nan)
             return nan, nan, nan
         flat = [c.ravel() for c in np.broadcast_arrays(*columns)]
@@ -376,17 +379,30 @@ def _guarded(metric, *columns):
         return tuple(np.concatenate(v).reshape(shape) for v in zip(*halves))
 
 
-def _evaluate(metric, x, y, r, t, exclude_band=0.0):
-    """Flag curvature and verdict codes over coordinate arrays of one shape.
+def _verdict(K, vt, det):
+    """The kernel's verdict codes, on floats or on arrays."""
+    return _first_broken([(DEGENERATE_COMETRIC, det <= 0.0),
+                          (DENOMINATOR_BELOW_TOLERANCE, abs(vt) < SINGULAR_V_TOL),
+                          (NONFINITE_RESULT, (K != K) | (abs(K) == math.inf))])
 
-    The one evaluator behind point queries (0-d arrays) and scans: the
-    domain classifier (built-in family only), the kernel on the lanes it
-    admits, then the kernel's verdicts.  Returns ``(K, code)``, with ``K``
-    NaN wherever ``code`` is not ``OK``; ``VERDICTS[code]`` is the
-    ``(status, reason)`` pair.
-    """
+
+def _evaluate(metric, x, y, r, t, exclude_band=0.0):
+    """Flag curvature and verdict codes at a point (numbers: a float and an
+    int) or over coordinate arrays of one shape (arrays of it).
+
+    The one evaluator behind point queries and scans: the domain classifier
+    (built-in family only), the kernel where it admits, then the kernel's
+    verdicts.  ``K`` is NaN wherever ``VERDICTS[code]`` is not ok."""
+    kepler = isinstance(metric, MetricParams)
+    if _is_point(x, y, r, t):
+        code = classify(metric, x, r, t, exclude_band)[0] if kepler else OK
+        if code != OK:
+            return math.nan, code
+        K, vt, det = _point_flag(metric, x, y, r, t)
+        code = _verdict(K, vt, det)
+        return (K if code == OK else math.nan), code
     x, y, r, t = (np.asarray(v, dtype=float) for v in (x, y, r, t))
-    if isinstance(metric, MetricParams):
+    if kepler:
         code = classify(metric, x, r, t, exclude_band)[0]
         kernel, columns = _kepler_flag_batch, (x, r, t)
     else:
@@ -397,13 +413,9 @@ def _evaluate(metric, x, y, r, t, exclude_band=0.0):
     if not lanes.any():
         return K, code
     if lanes.all():
-        lanes = ...  # no gather: a point query stays 0-d
+        lanes = ...  # no gather
     Kl, vt, det = kernel(metric, *(c[lanes] for c in columns))
-    verdict = _first_broken([
-        (DEGENERATE_COMETRIC, det <= 0.0),
-        (DENOMINATOR_BELOW_TOLERANCE, np.abs(vt) < SINGULAR_V_TOL),
-        (NONFINITE_RESULT, ~np.isfinite(Kl)),
-    ], np.shape(Kl))
+    verdict = _verdict(Kl, vt, det)
     code[lanes] = verdict
     K[lanes] = np.where(verdict == OK, Kl, np.nan)
     return K, code
@@ -412,7 +424,7 @@ def _evaluate(metric, x, y, r, t, exclude_band=0.0):
 def flag_curvature(metric, pt):
     """Flag curvature at one phase point, as a :class:`CurvatureSample`.
 
-    The evaluator on 0-d arrays: domain violations and a vanishing
+    The evaluator on the point's floats: domain violations and a vanishing
     denominator ``v * t`` are reported in the sample's status instead of
     raising.
     """

@@ -180,20 +180,27 @@ def fstar_cartesian(pt, a=1.0):
     return pt.C * qn * (1.0 + math.sqrt(max(rad, 0.0)))
 
 
-def _first_broken(rules, shape):
+def _first_broken(rules):
     """Verdict code of the first rule each lane breaks, ``OK`` if none.
 
-    ``rules`` holds ``(code, broken)`` pairs in precedence order, ``broken``
-    a boolean array of ``shape`` or a bool; the last is applied first."""
-    code = np.zeros(shape, np.int8)
+    ``rules`` holds ``(code, broken)`` pairs in precedence order: bools at a
+    point, boolean arrays of the lanes' shape (or bools for all) on a block."""
+    if all(type(broken) is bool for _, broken in rules):
+        return next((which for which, broken in rules if broken), OK)
+    code = np.zeros(np.broadcast_shapes(*(np.shape(b) for _, b in rules)), np.int8)
     for which, broken in reversed(rules):
         code[broken] = which
     return code
 
 
+def _is_point(*coords):
+    """Whether ``coords`` are numbers, one point's, evaluated as floats."""
+    return all(isinstance(v, (int, float)) for v in coords)
+
+
 def classify(params, x, r, t, exclude_band=0.0):
-    """Domain verdict codes over coordinate arrays of one shape (0-d for one
-    point), and the inner radicand: the one read of it.
+    """Domain verdict codes and the inner radicand, the one read of it: an
+    int and a float at a point, arrays over coordinate arrays of one shape.
 
     The rules, in precedence order: ``nonfinite_input`` (``x``, ``r`` or
     ``t`` not finite), ``chart_singularity`` (``x == 0`` or
@@ -204,29 +211,40 @@ def classify(params, x, r, t, exclude_band=0.0):
     inner radicand NaN: ``|q|`` underflows to 0 though ``r`` or ``t`` is
     not, or ``x * x`` overflows with ``r = 0``).
     """
+    if _is_point(x, r, t):
+        try:
+            return _classify(params, float(x), float(r), float(t), exclude_band)
+        except ZeroDivisionError:  # x = 0, or x * x or w * w underflows: one lane
+            code, rad = classify(params, [float(x)], [float(r)], [float(t)], exclude_band)
+            return int(code[0]), float(rad[0])
     x, r, t = (np.asarray(v, dtype=float) for v in (x, r, t))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        rad = _radicand(x, r, t, params.a, params.c)[2]
-    code = _first_broken([
-        (NONFINITE_INPUT, ~(np.isfinite(x) & np.isfinite(r) & np.isfinite(t))),
-        (CHART_SINGULARITY, (x == 0.0) | (np.abs(x) < exclude_band)),
+        return _classify(params, x, r, t, exclude_band)
+
+
+def _classify(params, x, r, t, exclude_band):
+    """:func:`classify` on arrays, or on floats, which raise where NumPy
+    divides by zero."""
+    rad = _radicand(x, r, t, params.a, params.c)[2]
+    return _first_broken([
+        # a product with 0 is NaN exactly where a factor is not finite
+        (NONFINITE_INPUT, x * 0.0 + r * 0.0 + t * 0.0 != 0.0),
+        (CHART_SINGULARITY, (x == 0.0) | (abs(x) < exclude_band)),
         (ZERO_FIBER_DIRECTION, (r == 0.0) & (t == 0.0)),
         (ENERGY_BELOW_CRITICAL, not params.has_bounded_component),
         (NEGATIVE_RADICAND, rad <= 0.0),
-        (UNDEFINED_RADICAND, np.isnan(rad)),
-    ], x.shape)
-    return code, rad
+        (UNDEFINED_RADICAND, rad != rad),  # NaN
+    ]), rad
 
 
 def validate_domain(params, pt):
-    """Admissibility of one phase point: :func:`classify` on 0-d arrays.
+    """Admissibility of one phase point: :func:`classify` on its floats.
 
     ``radicand`` is reported where the radicand rule was reached.
     """
     code, rad = classify(params, pt.x, pt.r, pt.t)
-    code = int(code)
     reached = code in (OK, NEGATIVE_RADICAND, UNDEFINED_RADICAND)
-    return DomainStatus(code == OK, VERDICTS[code][1], float(rad) if reached else None)
+    return DomainStatus(code == OK, VERDICTS[code][1], rad if reached else None)
 
 
 def _finite(value, name, pt):

@@ -47,7 +47,7 @@ from .errors import DomainError
 __all__ = ["Emitted", "Node", "Tape", "record"]
 
 _NUMBER = (int, float)
-PIECE = 300  # operations in each function of emitted source
+PIECE = 600  # operations in each function of emitted source
 
 
 class Node:

@@ -1,6 +1,7 @@
 """Tests for the curvature pipeline and its closed-form oracle."""
 
 import hashlib
+import itertools
 import math
 import warnings
 from dataclasses import astuple
@@ -11,8 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from keplerflag import curvature
+from keplerflag import curvature, metric
 from keplerflag.curvature import (
+    SINGULAR_V_TOL,
     CallbackCartanMetric,
     _bracket_alpha,
     _bracket_plain,
@@ -23,6 +25,7 @@ from keplerflag.curvature import (
     _kernel_tape,
     _point_kernel,
     _powers,
+    _verdict,
     curvature_terms,
     flag_curvature,
     flag_curvature_closed_form,
@@ -32,8 +35,11 @@ from keplerflag.identities import random_admissible
 from keplerflag.jets import Jet, _JetSpace
 from keplerflag.metric import (
     CHART_SINGULARITY,
+    DEGENERATE_COMETRIC,
+    DENOMINATOR_BELOW_TOLERANCE,
     NEGATIVE_RADICAND,
     NONFINITE_INPUT,
+    NONFINITE_RESULT,
     OK,
     UNDEFINED_RADICAND,
     VERDICTS,
@@ -450,6 +456,106 @@ class TestInputContract:
         assert sample.reason == "negative_radicand"
         result, _ = slice_scan(SliceSpec(c=ONE_ULP_ABOVE.c, a=1.0, x_min=1.0, x_max=1.0, n=2))
         assert result.reason.tolist() == ["negative_radicand"] * 2
+
+
+def extreme_draws(n, seed):
+    """``(params, x, r, t, exclude_band)`` from seeded extreme draws: zeros
+    of both signs, subnormals, infinities, NaN, the float range's ends,
+    squares that underflow, ``a = 0``, ``c`` a few ulps off the critical
+    energy or anywhere in ``1e-300 .. 1e300``, and excluded bands."""
+    rng = np.random.default_rng(seed)
+    specials = [0.0, -0.0, 5e-324, -5e-324, 2.2e-310, math.inf, -math.inf, math.nan,
+                1e300, -1e300, 1e-300, 1e-200, -1e-170, 1e154, 1.0]
+
+    def coordinate():
+        kind = rng.integers(4)
+        if kind == 0:
+            return float(rng.choice(specials))
+        scale = (10.0 ** rng.uniform(-300, 300), 10.0 ** rng.uniform(-200, -150), 4.0)
+        return float(rng.uniform(-1.0, 1.0) * scale[kind - 1])
+
+    draws = []
+    for _ in range(n):
+        a = float(rng.choice([0.0, 1.0, 2.5]))
+        kind = rng.integers(3)
+        if kind == 0:
+            critical = MetricParams(a, 1.0).critical_c
+            c = critical * (1.0 + float(rng.integers(-3, 4)) * 2.0**-52) or 1.5  # a = 0
+        else:
+            c = float(10.0 ** rng.uniform(-300, 300)) if kind == 1 else float(rng.uniform(0.1, 5.0))
+        x, r, t = coordinate(), coordinate(), coordinate()
+        if rng.integers(8) == 0:  # the fiber ray at x = 1, where the radicand is least
+            a, c = 1.0, 1.5 + float(rng.integers(0, 4)) * 2.0**-52
+            x, r, t = 1.0, 0.0, 1.0
+        band = float(rng.choice([0.0, 0.0, 1e-3, 0.5]))
+        draws.append((MetricParams(a, c), x, r, t, band))
+    return draws
+
+
+class TestPointsOnFloats:
+    """A point query runs on floats from input to verdict: the same rule
+    lists as a block's, with NumPy's values where a float operation raises,
+    and no NumPy array once the emitted kernel is in place."""
+
+    DRAWS = extreme_draws(1200, seed=18)
+
+    def test_classify_on_floats_matches_one_lane_arrays(self):
+        codes = set()
+        for params, x, r, t, band in self.DRAWS:
+            code, rad = classify(params, x, r, t, band)
+            lane_code, lane_rad = classify(params, *(np.array([v]) for v in (x, r, t)), band)
+            assert type(code) is int and type(rad) is float
+            assert code == lane_code[0]
+            assert (math.isnan(rad) and np.isnan(lane_rad[0])) or \
+                rad.hex() == float(lane_rad[0]).hex()
+            codes.add(code)
+        assert codes == set(range(NEGATIVE_RADICAND + 2))  # every domain rule fires
+
+    def test_kernel_verdicts_on_floats_match_one_lane_arrays(self):
+        values = [0.0, -0.0, 5e-324, 1e-13, -1.0, 1e300, math.inf, -math.inf, math.nan]
+        for K, vt, det in itertools.product(values, repeat=3):
+            want = (DEGENERATE_COMETRIC if det <= 0.0
+                    else DENOMINATOR_BELOW_TOLERANCE if abs(vt) < SINGULAR_V_TOL
+                    else NONFINITE_RESULT if not math.isfinite(K) else OK)
+            lane = _verdict(*(np.array([v]) for v in (K, vt, det)))
+            assert _verdict(K, vt, det) == lane[0] == want
+
+    def test_warm_point_queries_match_a_first_query(self, monkeypatch):
+        verdicts = set()
+        for params, x, r, t, _ in self.DRAWS:
+            pt = PhasePoint(x, 0.0, r, t)
+            monkeypatch.setattr(curvature, "_queried", False)  # runs the jets
+            first, warm = flag_curvature(params, pt), flag_curvature(params, pt)
+            assert (warm.status, warm.reason) == (first.status, first.reason)
+            assert (warm.K is None and first.K is None) or warm.K.hex() == first.K.hex()
+            verdicts.add(warm.reason)
+        assert {None, "denominator_below_tolerance", "nonfinite_result"} <= verdicts
+
+    def test_a_warm_point_query_makes_no_array(self, monkeypatch):
+        params = MetricParams(1.0, 2.0)
+        points = [PhasePoint(1.3, 0.0, 0.4, -0.8), PhasePoint(-2.1, 0.0, 0.9, 0.3),
+                  PhasePoint(1.3, 0.0, 0.4, 1e-13), PhasePoint(math.nan, 0.0, 0.3, 0.7),
+                  PhasePoint(1.0, 0.0, 0.0, 0.0)]
+        want = [flag_curvature(params, pt) for pt in points * 2]
+
+        class NoArrays:
+            ndarray = np.ndarray  # an isinstance check makes none
+
+            def __getattr__(self, name):
+                raise AssertionError(f"np.{name} on a point query")
+
+        def no_block(*args):
+            raise AssertionError("a point query ran a block path")
+
+        for module in (metric, curvature):
+            monkeypatch.setattr(module, "np", NoArrays())
+        for name in ("_kepler_flag_batch", "_guarded"):
+            monkeypatch.setattr(curvature, name, no_block)
+        assert [flag_curvature(params, pt) for pt in points] == want[len(points):]
+        assert [s.reason for s in want[:len(points)]] == [
+            None, None, "denominator_below_tolerance", "nonfinite_input",
+            "zero_fiber_direction"]
+        assert validate_domain(params, points[0]).ok
 
 
 class TestOperationBudget:
