@@ -39,11 +39,12 @@ One evaluator serves point queries and scans: the domain classifier of
 :mod:`keplerflag.metric`, the kernel where it admits, and the kernel's
 verdicts, each rule list evaluated on floats for a point and on arrays
 for a block, so a point query and a scan row get the same status and
-reason.  The built-in family's kernel is an operation tape
-(:mod:`keplerflag.tape`), its jet arithmetic recorded once per process,
-with the jets' bits: arrays replay it, and point queries run it emitted as
-Python over floats, all but a process's first and those where it raises,
-which run the jets on 0-d arrays.  Callbacks run the jets.  A point's
+reason.  Every metric's kernel is an operation tape
+(:mod:`keplerflag.tape`), its jet arithmetic recorded once per process
+with the jets' bits: one for the built-in family and every parameter
+pair, one for each callback.  Arrays replay it, and point queries run it
+emitted as Python over floats, all but the first of each tape and those
+where it raises, which run the jets on 0-d arrays.  A point's
 ``K`` and a row's can differ in the last bits: ``Jet.power`` takes
 ``c0**e`` with libm's ``pow`` on a NumPy scalar, as the emitted tape does,
 but with NumPy's own vectorised ``pow`` on an array, as the replay does,
@@ -84,7 +85,6 @@ from .metric import (
     PhasePoint,
     _first_broken,
     _fstar_expr,
-    _fstar_jet_batch,
     _is_point,
     _variables,
     classify,
@@ -125,22 +125,38 @@ class CallbackCartanMetric:
     """Extension hook: a user fundamental function evaluated on jets.
 
     ``fstar`` receives jets of ``(x, y, r, t)`` and must return the
-    fundamental-function jet built with jet arithmetic only.  A callback has
-    no domain rules: a point where its jets raise is ``nonfinite_result``.
+    fundamental-function jet built with jet arithmetic only, for it runs
+    once on jets of tape nodes and is replayed from its tape: a comparison
+    can only take ``.any()``, as :meth:`Jet.sqrt`'s check does, and a
+    branch on one raises TypeError at the recording (a first block, or a
+    second point query).  A callback has no domain rules: a point where a
+    jet check fails is ``nonfinite_result``.
     """
 
     fstar: Callable
 
 
-def _terms(metric, x, y, r, t):
-    """:func:`_assemble`'s terms from the order-4 jet of ``L*`` at
-    coordinates that may be arrays of one shape: jets in ``(x, r, t)`` for
-    the built-in family, in ``(x, y, r, t)`` for a callback."""
+def _kernel_inputs(metric, x, y, r, t):
+    """The key of ``metric``'s tape, the arguments of :func:`_kernel_tape`,
+    and the kernel's inputs: ``()`` and ``(x, r, t, a, c)`` for the
+    built-in family, ``(fstar,)`` and ``(x, y, r, t)`` for a callback."""
     if isinstance(metric, MetricParams):
-        f, indices = _fstar_jet_batch(metric, x, r, t), (0, None, 1, 2)
+        return (), (x, r, t, metric.a, metric.c)
+    return (metric.fstar,), (x, y, r, t)
+
+
+def _terms(key, inputs):
+    """:func:`_assemble`'s terms, and ``t``, from the order-4 jet of ``L*``
+    over a kernel's inputs (:func:`_kernel_inputs`), numbers, arrays of one
+    shape or tape nodes: jets in ``(x, r, t)`` for the built-in family, in
+    ``(x, y, r, t)`` for a callback."""
+    if key:
+        _, _, r, t = inputs
+        f, indices = key[0](*_variables(inputs, 4)), (0, 1, 2, 3)
     else:
-        f, indices = metric.fstar(*_variables((x, y, r, t), 4)), (0, 1, 2, 3)
-    return _assemble(0.5 * f * f, *indices, r, t)
+        x, r, t, a, c = inputs
+        f, indices = _fstar_expr(*_variables((x, r, t), 4), a, c), (0, None, 1, 2)
+    return _assemble(0.5 * f * f, *indices, r, t), t
 
 
 @dataclass(frozen=True)
@@ -177,7 +193,7 @@ def curvature_terms(metric, pt):
         if code != OK:
             raise DomainError(f"{VERDICTS[code][1]} at {pt}")
     try:
-        terms = _terms(metric, pt.x, pt.y, pt.r, pt.t)
+        terms = _terms(*_kernel_inputs(metric, pt.x, pt.y, pt.r, pt.t))[0]
     except DomainError as exc:
         raise DomainError(f"nonfinite_result at {pt}: {exc}", exc.value) from exc
     terms = CurvatureTerms(*(float(v) for v in astuple(terms)))
@@ -292,91 +308,69 @@ def _flag_batch(metric, x, y, r, t):
     """``(K, vt, det)`` of any metric over coordinate arrays, from its jets."""
     # Lanes that overflow end as nonfinite_result: the warnings are noise.
     with np.errstate(all="ignore"):
-        return _flag(_terms(metric, x, y, r, t), t)
+        return _flag(*_terms(*_kernel_inputs(metric, x, y, r, t)))
 
 
-@lru_cache(maxsize=None)
-def _kernel_tape():
-    """:func:`_flag_batch`'s arithmetic for the built-in family as a tape with
-    inputs ``(x, r, t, a, c)``, recorded once for every parameter pair."""
+@lru_cache(maxsize=8)
+def _kernel_tape(*key):
+    """:func:`_flag_batch`'s arithmetic as a tape over the inputs of
+    :func:`_kernel_inputs`: for ``key`` ``()`` the built-in family's,
+    recorded once for every parameter pair, for ``(fstar,)`` a callback's."""
     from . import tape  # on the first array call or the second point query
 
-    def kernel(x, r, t, a, c):
-        f = _fstar_expr(*_variables((x, r, t), 4), a, c)
-        return _flag(_assemble(0.5 * f * f, 0, None, 1, 2, r, t), t)
-
-    return tape.record(kernel, 5)
+    with np.errstate(all="ignore"):  # a degenerate callback folds 0 / 0
+        return tape.record(lambda *inputs: _flag(*_terms(key, inputs)), 4 if key else 5)
 
 
-@lru_cache(maxsize=None)
-def _point_kernel():
-    """:func:`_kernel_tape` emitted as Python over floats, for point queries."""
-    return _kernel_tape().emit()
+@lru_cache(maxsize=8)
+def _point_kernel(*key):
+    """The tape of ``key`` emitted as Python over floats, for point queries."""
+    return _kernel_tape(*key).emit()
 
 
-# Whether a point query has run.  The first runs the jets: recording and
-# emitting cost about 100 queries, which a process that makes one query,
-# such as `keplerflag point`, should not pay.
-_queried = False
+# The keys of the tapes a point query has run on.  The first query of each
+# runs the jets: recording and emitting cost about 100 queries, which a
+# process that makes one query, such as `keplerflag point`, should not pay.
+_queried = set()
 
 
-def _kepler_flag_batch(params, x, r, t):
-    """Curvature of the built-in family over coordinate arrays it admits.
+def _kepler_flag_batch(metric, x, y, r, t):
+    """``(K, vt, det)`` of any metric over coordinate arrays of one shape:
+    for the built-in family, lanes its domain classifier admits.
 
-    Returns ``(K, vt, det)``; :func:`_verdict` turns ``det <= 0`` and
-    ``|vt| < SINGULAR_V_TOL`` into verdicts.  The arrays replay the tape,
-    which raises nothing: a lane that fails a check is NaN, the jets'
-    answer there, and the jets run the lanes its guard fails.
+    :func:`_verdict` turns ``det <= 0`` and ``|vt| < SINGULAR_V_TOL`` into
+    verdicts.  The arrays replay the metric's tape, which raises nothing: a
+    lane that fails a check is NaN, the jets' answer there, and the jets run
+    the lanes its guard fails.
     """
+    key, inputs = _kernel_inputs(metric, x, y, r, t)
     with np.errstate(all="ignore"):
-        *out, exact = _kernel_tape().replay(x, r, t, params.a, params.c)
+        *out, exact = _kernel_tape(*key).replay(*inputs)
     if not exact.all():
         lanes = ~exact
         # the tape's checks passed on these lanes, so the jets raise nothing
-        for column, jets in zip(out, _flag_batch(params, x[lanes], 0.0, r[lanes], t[lanes])):
+        for column, jets in zip(out, _flag_batch(metric, *(c[lanes] for c in (x, y, r, t)))):
             column[lanes] = jets
     return tuple(out)
 
 
 def _point_flag(metric, x, y, r, t):
-    """``(K, vt, det)`` at a point given as numbers: the emitted tape for the
-    built-in family, the jets on 0-d arrays for a callback, for a process's
-    first point query, and where the tape raises or its guard is not finite."""
-    global _queried
-    if _queried and isinstance(metric, MetricParams):
+    """``(K, vt, det)`` at a point given as numbers: the metric's emitted
+    tape, or the jets on 0-d arrays for the first point query of each tape
+    and where the tape raises or its guard is not finite."""
+    key, inputs = _kernel_inputs(metric, x, y, r, t)
+    if key in _queried:
         try:
-            *out, exact = _point_kernel()(x, r, t, metric.a, metric.c)
+            *out, exact = _point_kernel(*key)(*inputs)
         except (ArithmeticError, ValueError):  # DomainError is a ValueError
             exact = False
         if exact:
             return out
-    _queried = True
-    return [float(v) for v in _guarded(metric, x, y, r, t)]
-
-
-def _guarded(metric, *columns):
-    """``_flag_batch(metric, *columns)``, with NaN for a lane whose jets raise.
-
-    Jets check a whole block at once, so one lane whose constant term
-    underflows to zero (say ``x = 1e-200``) raises DomainError for all of
-    them.  The block is then split in halves, and each half guarded in
-    turn, down to single lanes.  A lane's bits do not depend on the block
-    it runs in, so the other lanes keep theirs while staying batched, and
-    the failing lane ends as ``nonfinite_result``.  Callbacks run here, and
-    so do a point query's jets.
-    """
+    _queried.add(key)
     try:
-        return _flag_batch(metric, *columns)
-    except DomainError:
-        shape = np.shape(columns[0])
-        if np.size(columns[0]) == 1:
-            nan = np.full(shape, np.nan)
-            return nan, nan, nan
-        flat = [c.ravel() for c in np.broadcast_arrays(*columns)]
-        mid = flat[0].size // 2
-        halves = [_guarded(metric, *(c[s] for c in flat))
-                  for s in (slice(None, mid), slice(mid, None))]
-        return tuple(np.concatenate(v).reshape(shape) for v in zip(*halves))
+        return [float(v) for v in _flag_batch(metric, x, y, r, t)]
+    except DomainError:  # a check fails, as the tape's would
+        return [math.nan] * 3
 
 
 def _verdict(K, vt, det):
@@ -401,20 +395,15 @@ def _evaluate(metric, x, y, r, t, exclude_band=0.0):
         K, vt, det = _point_flag(metric, x, y, r, t)
         code = _verdict(K, vt, det)
         return (K if code == OK else math.nan), code
-    x, y, r, t = (np.asarray(v, dtype=float) for v in (x, y, r, t))
-    if kepler:
-        code = classify(metric, x, r, t, exclude_band)[0]
-        kernel, columns = _kepler_flag_batch, (x, r, t)
-    else:
-        code = np.zeros(x.shape, np.int8)
-        kernel, columns = _guarded, (x, y, r, t)
+    x, y, r, t = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (x, y, r, t)))
+    code = classify(metric, x, r, t, exclude_band)[0] if kepler else np.zeros(x.shape, np.int8)
     K = np.full(x.shape, np.nan)
     lanes = code == OK
     if not lanes.any():
         return K, code
     if lanes.all():
         lanes = ...  # no gather
-    Kl, vt, det = kernel(metric, *(c[lanes] for c in columns))
+    Kl, vt, det = _kepler_flag_batch(metric, *(c[lanes] for c in (x, y, r, t)))
     verdict = _verdict(Kl, vt, det)
     code[lanes] = verdict
     K[lanes] = np.where(verdict == OK, Kl, np.nan)

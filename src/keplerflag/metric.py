@@ -12,7 +12,7 @@ cross-tested against each other:
 
 The polar form never depends on ``y``; its jets are taken in ``(x, r, t)``.
 A :class:`MetricParams` is the family itself: the curvature layer takes it
-as a metric as it stands, with :func:`_fstar_jet_batch` as its jets.
+as a metric as it stands, with :func:`_fstar_expr` over its jets.
 Both scalar and jet evaluation share one expression and one root rule (a
 positive argument gets its root, anything else NaN, or DomainError on a
 jet), so there is a single source of truth for the formula, and one domain:

@@ -56,7 +56,7 @@ _FIELD = np.array([f"{s}:{r}" if r else s for s, r in VERDICTS], dtype=object)
 _JSON_FIELD = np.array([json.dumps(f) for f in _FIELD], dtype=object)
 
 # Lanes per kernel block: one tape replay, about 2,400 NumPy calls whatever
-# the width, into its own 124-row buffer (1 MB at 1,024 lanes).  perfbench/
+# the width, into its own 125-row buffer (1 MB at 1,024 lanes).  perfbench/
 # sweep_chunk.py, 2-vCPU Xeon, medians of 3, kernel_s/wall_s/peak_rss_mb:
 # 256 0.35/0.43/87.8, 512 0.24/0.33/87.8, 1,024 0.20/0.28/87.9, 2,048
 # 0.21/0.31/87.7, 4,096 0.14/0.21/87.8, 8,192 0.16/0.24/89.0, 16,384

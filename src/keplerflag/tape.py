@@ -11,7 +11,8 @@ and keeps ``np.where(v <= 0, 1.0, v)`` as it stands.  A node compared with
 zero, ``(c0 <= 0).any()`` in :meth:`Jet.sqrt` or ``(c0 == 0).any()`` in
 :meth:`Jet.reciprocal`, reads as false and is a domain check: the replay
 marks the lanes it fails on in a failure row and gives them NaN, the
-jets' answer there, and raises nothing.
+jets' answer there, and raises nothing.  Any other use of the comparison,
+such as a branch, raises TypeError: a tape holds one path for all lanes.
 
 A guard row is finite exactly on the lanes where the outputs have the
 jets' bits, zero signs aside: ``v * 0`` is NaN where ``v`` is not finite,
@@ -100,6 +101,10 @@ class _Test:
         Node(self.node.tape, self.check, self.node)
         return False
 
+    def __bool__(self):
+        raise TypeError("a recorded function is jet arithmetic only; "
+                        "a comparison can only take .any()")
+
     def __array_function__(self, func, types, args, kwargs):
         if not (func is np.where and self.check == "positive" and len(args) == 3
                 and isinstance(args[1], _NUMBER) and args[1] == 1.0
@@ -117,6 +122,7 @@ _LANE_OPS = {
     "neg": lambda x, _, out: np.negative(x, out),
     "pow": lambda x, e, out: np.copyto(out, x ** e),  # the jets' operator
     "where": lambda x, _, out: np.copyto(out, np.where(x <= 0.0, 1.0, x)),
+    "const": lambda x, _, out: np.copyto(out, x),
     "finite": np.add, **_CHECKS,
 }
 # The same operations as lines over floats, by the replay's call ("finite"
@@ -128,6 +134,7 @@ _LINES = {
     np.multiply: "{out} = {a} * {b}", np.true_divide: "{out} = {a} / {b}",
     _LANE_OPS["neg"]: "{out} = -{a}", _LANE_OPS["pow"]: "{out} = pow({a}, {b})",
     _LANE_OPS["where"]: "{out} = 1.0 if {a} <= 0.0 else {a}",
+    _LANE_OPS["const"]: "{out} = {a}",
     _CHECKS["positive"]: "if {a} <= 0.0: raise DomainError('a recorded constant term is not positive')",
     _CHECKS["nonzero"]: "if {a} == 0.0: raise DomainError('a recorded constant term is zero')",
 }
@@ -184,8 +191,8 @@ class Tape(NamedTuple):
         live_after.append(tuple(range(self.inputs + 1)))
         live_after.reverse()
 
-        def name(k):
-            return f"s{k}" if k < self.slots else repr(self.consts[k - self.slots])
+        def name(k):  # numbers as floats, spelled with at most nan and inf
+            return f"s{k}" if k < self.slots else repr(float(self.consts[k - self.slots]))
 
         for k, step in enumerate(steps):
             lines = [f"def _{k}({', '.join(map(name, live_after[k]))}):"]
@@ -198,7 +205,7 @@ class Tape(NamedTuple):
         """This tape as an :class:`Emitted` program, compiled one function of
         :meth:`source` at a time: compiling one function of every operation
         peaks at several MB."""
-        space = {"pow": math.pow, "DomainError": DomainError}
+        space = {"pow": math.pow, "DomainError": DomainError, "nan": math.nan, "inf": math.inf}
         pieces = []
         for k, text in enumerate(self.source()):
             exec(compile(text, f"<tape piece {k}>", "exec"), space)
@@ -230,10 +237,11 @@ class Emitted(NamedTuple):
 
 
 def record(fn, n_inputs):
-    """The :class:`Tape` of ``fn(*inputs)``, which returns nodes."""
+    """The :class:`Tape` of ``fn(*inputs)``, which returns nodes and
+    numbers; an output that folds to a number gets a row of its own."""
     tape = []
     inputs = [Node(tape, "input") for _ in range(n_inputs)]
-    outputs = fn(*inputs)
+    outputs = [v if isinstance(v, Node) else Node(tape, "const", v) for v in fn(*inputs)]
     # A folded node needs no guard of its own where it flows into a guarded
     # one by operations that keep a value that is not finite so.
     covered = set()

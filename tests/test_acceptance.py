@@ -43,7 +43,8 @@ def test_acceptance_1_oracle_equivalence():
         )
         if np.any(xs**4 + 4 * xs**2 * c + 4 * c**2 - 16 * xs < 0):
             pytest.fail("radicand violation inside the declared grid")
-        K, vt, det = _kepler_flag_batch(params, xs, np.zeros_like(xs), xs.copy())
+        zero = np.zeros_like(xs)
+        K, vt, det = _kepler_flag_batch(params, xs, zero, zero, xs.copy())
         assert np.all(det > 0) and np.all(np.abs(vt) > 1e-12)
         for x, k in zip(xs, K):
             oracle = flag_curvature_closed_form(c, float(x))
@@ -116,7 +117,7 @@ def test_acceptance_4_moser_limit_constancy():
         rs.append(r)
         ts.append(t)
     K, vt, det = _kepler_flag_batch(
-        MetricParams(0.0, 2.0), np.array(xs), np.array(rs), np.array(ts)
+        MetricParams(0.0, 2.0), np.array(xs), np.zeros(len(xs)), np.array(rs), np.array(ts)
     )
     assert np.all(np.isfinite(K))
     spread = (np.max(K) - np.min(K)) / np.max(np.abs(K))

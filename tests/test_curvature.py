@@ -20,7 +20,6 @@ from keplerflag.curvature import (
     _bracket_plain,
     _evaluate,
     _flag_batch,
-    _guarded,
     _kepler_flag_batch,
     _kernel_tape,
     _point_kernel,
@@ -53,7 +52,7 @@ from keplerflag.metric import (
     validate_domain,
 )
 from keplerflag.scan import GridSpec, SliceSpec, _evaluate_points, grid_scan, slice_scan
-from keplerflag.tape import Emitted
+from keplerflag.tape import Emitted, Tape
 
 
 FLAT = CallbackCartanMetric(lambda x, y, r, t: (r * r + t * t).sqrt())
@@ -524,7 +523,7 @@ class TestPointsOnFloats:
         verdicts = set()
         for params, x, r, t, _ in self.DRAWS:
             pt = PhasePoint(x, 0.0, r, t)
-            monkeypatch.setattr(curvature, "_queried", False)  # runs the jets
+            monkeypatch.setattr(curvature, "_queried", set())  # runs the jets
             first, warm = flag_curvature(params, pt), flag_curvature(params, pt)
             assert (warm.status, warm.reason) == (first.status, first.reason)
             assert (warm.K is None and first.K is None) or warm.K.hex() == first.K.hex()
@@ -549,7 +548,7 @@ class TestPointsOnFloats:
 
         for module in (metric, curvature):
             monkeypatch.setattr(module, "np", NoArrays())
-        for name in ("_kepler_flag_batch", "_guarded"):
+        for name in ("_kepler_flag_batch", "_flag_batch"):
             monkeypatch.setattr(curvature, name, no_block)
         assert [flag_curvature(params, pt) for pt in points] == want[len(points):]
         assert [s.reason for s in want[:len(points)]] == [
@@ -589,27 +588,46 @@ class TestOperationBudget:
         result = evaluate(*args)
         return result, (counts["mul"], counts["derivative"], counts["pairs"])
 
+    def warm(self, monkeypatch, metric, pt, *key):
+        """A point query after the first of its tape, with its counts; the
+        operations the emitted tape ran."""
+        emitted, ran = _point_kernel(*key), []
+
+        def counting(piece, size):
+            return lambda *values: ran.append(size) or piece(*values)
+
+        monkeypatch.setattr(curvature, "_point_kernel", lambda *_: Emitted(
+            tuple(map(counting, emitted.pieces, emitted.sizes)), emitted.sizes))
+        sample, counts = self.counted(monkeypatch, flag_curvature, metric, pt)
+        return sample, counts, sum(ran)
+
     def test_point_query(self, monkeypatch):
         args = MetricParams(1.0, 2.0), PhasePoint(1.3, 0.0, 0.4, -0.8)
-        # A process's first point query runs the jets.  One lane multiplies
+        # A tape's first point query runs the jets.  One lane multiplies
         # coordinate jets densely: 8 products, 952 rows.
-        monkeypatch.setattr(curvature, "_queried", False)
+        monkeypatch.setattr(curvature, "_queried", set())
         first, counts = self.counted(monkeypatch, flag_curvature, *args)
         assert first.ok
         assert counts == (34, 10, 3864)
         # A later one runs every operation of the emitted tape once, and no
         # jet arithmetic.
-        emitted, ran = _point_kernel(), []
-
-        def counting(piece, size):
-            return lambda *values: ran.append(size) or piece(*values)
-
-        monkeypatch.setattr(curvature, "_point_kernel", lambda: Emitted(
-            tuple(map(counting, emitted.pieces, emitted.sizes)), emitted.sizes))
-        later, counts = self.counted(monkeypatch, flag_curvature, *args)
+        later, counts, ran = self.warm(monkeypatch, *args)
         assert later == first
         assert counts == (0, 0, 0)
-        assert sum(ran) == sum(_kernel_tape().ops.values()) == 2371
+        assert ran == sum(_kernel_tape().ops.values()) == 2371
+
+    def test_callback_point_query(self, monkeypatch):
+        # A callback's tape is its own: a warm query runs each of its
+        # operations once and no jet arithmetic.
+        pt = PhasePoint(0.6, -0.8, 0.35, 0.7)
+        monkeypatch.setattr(curvature, "_queried", set())
+        first, counts = self.counted(monkeypatch, flag_curvature, SPHERE, pt)
+        assert first.ok and counts[0] > 0
+        later, counts, ran = self.warm(monkeypatch, SPHERE, pt, SPHERE.fstar)
+        assert later == first
+        assert counts == (0, 0, 0)
+        tape = _kernel_tape(SPHERE.fstar)
+        assert ran == sum(tape.ops.values()) and tape.inputs == 4
 
     def test_grid_block(self, monkeypatch):
         # A block replays the recorded tape and runs no jet arithmetic.
@@ -625,6 +643,15 @@ class TestOperationBudget:
         assert tape.ops == {"mul": 1360, "add": 869, "neg": 33, "sub": 28, "pow": 23,
                             "div": 1, "where": 1, "finite": 51, "nonzero": 3, "positive": 2}
         assert (sum(tape.ops.values()), tape.slots) == (2371, 125)
+
+    def test_callback_block(self, monkeypatch):
+        # A callback block whose guard is finite replays its tape alone.
+        rng = np.random.default_rng(11)
+        columns = rng.uniform(0.5, 2.0, (4, 256))
+        assert _kernel_tape(SPHERE.fstar).replay(*columns)[-1].all()
+        (K, code), counts = self.counted(monkeypatch, _evaluate, SPHERE, *columns)
+        assert (code == OK).all() and np.allclose(K, 1.0)
+        assert counts == (0, 0, 0)
 
 
 class TestExtremeLanes:
@@ -687,14 +714,30 @@ class TestExtremeLanes:
         assert got == self.expected()
 
 
+def lane_by_lane(metric, *columns):
+    """``(K, vt, det)`` of the jets run on each lane alone, NaN where they
+    raise."""
+    lanes = []
+    for i in range(columns[0].size):
+        try:
+            lanes.append(_flag_batch(metric, *(c[i:i + 1] for c in columns)))
+        except DomainError:
+            lanes.append((np.full(1, np.nan),) * 3)
+    return [np.concatenate(v) for v in zip(*lanes)]
+
+
 class TestGuardedBlock:
-    """A built-in block never raises: a lane that fails a tape check ends
-    NaN, as its jets give alone.  A callback block whose jets raise is
-    bisected.  Either way the result is the one a lane-by-lane rerun of the
-    jets gives."""
+    """A block never raises: a lane that fails a tape check ends NaN, as
+    its jets give alone, for the built-in family and for a callback, which
+    replays a tape of its own.  Either way the result is the one a
+    lane-by-lane rerun of the jets gives."""
 
     PARAMS = MetricParams(1.0, 2.0)
     FAILING = [0, 5, 6, 20, 35]
+    # L* = 1e9 (r^2 - t^2) / 2: the sqrt check fails where |r| <= |t|
+    INDEFINITE = CallbackCartanMetric(
+        lambda x, y, r, t: (1e9 * r * r - 1e9 * t * t + 0.0 * x).sqrt()
+    )
 
     def columns(self):
         rng = np.random.default_rng(5)
@@ -709,17 +752,8 @@ class TestGuardedBlock:
         r[self.FAILING] = t[self.FAILING] = 0.0  # the fiber norm's sqrt raises
         return x, y, r, t
 
-    def lane_by_lane(self, metric, *columns):
-        lanes = []
-        for i in range(columns[0].size):
-            try:
-                lanes.append(_flag_batch(metric, *(c[i:i + 1] for c in columns)))
-            except DomainError:
-                lanes.append((np.full(1, np.nan),) * 3)
-        return [np.concatenate(v) for v in zip(*lanes)]
-
     def assert_lane_by_lane(self, got, metric, columns):
-        for g, w in zip(got, self.lane_by_lane(metric, *columns)):
+        for g, w in zip(got, lane_by_lane(metric, *columns)):
             assert np.array_equal(g.view(np.int64), w.view(np.int64))
         ok = np.ones(36, bool)
         ok[self.FAILING] = False
@@ -733,23 +767,77 @@ class TestGuardedBlock:
         columns = self.columns()
         with pytest.raises(DomainError):
             _flag_batch(self.PARAMS, *columns)
-        x, _, r, t = columns
-        got = _kepler_flag_batch(self.PARAMS, x, r, t)
+        got = _kepler_flag_batch(self.PARAMS, *columns)
         self.assert_lane_by_lane(got, self.PARAMS, columns)
 
-    def test_a_callback_block_is_bisected(self):
+    def test_a_callback_block_matches_lane_by_lane(self):
         columns = self.callback_columns()
         with pytest.raises(DomainError):
             _flag_batch(FLAT, *columns)
-        self.assert_lane_by_lane(_guarded(FLAT, *columns), FLAT, columns)
+        self.assert_lane_by_lane(_kepler_flag_batch(FLAT, *columns), FLAT, columns)
 
     def test_keeps_the_block_shape(self):
         columns = self.callback_columns()
-        flat = _guarded(FLAT, *columns)
-        square = _guarded(FLAT, *(c.reshape(6, 6) for c in columns))
+        flat = _kepler_flag_batch(FLAT, *columns)
+        square = _kepler_flag_batch(FLAT, *(c.reshape(6, 6) for c in columns))
         for g, w in zip(square, flat):
             assert g.shape == (6, 6)
             assert np.array_equal(g.ravel().view(np.int64), w.view(np.int64))
+
+    def test_an_indefinite_callback_block_replays_once(self, monkeypatch):
+        # About half the lanes fail the sqrt check: one replay marks them,
+        # and no lane whose guard is finite runs the jets.
+        rng = np.random.default_rng(8)
+        columns = rng.uniform(-2.0, 2.0, (4, 512))
+        columns[2:, :16] = 0.0  # r = t = 0
+        columns[0, 16:32] = 0.0
+        columns[0, 32:48] = 1e-200
+        with np.errstate(all="ignore"):
+            assert _kernel_tape(self.INDEFINITE.fstar).replay(*columns)[-1].all()
+        replays, jets = [], []
+        replay, flag_batch = Tape.replay, curvature._flag_batch
+        monkeypatch.setattr(Tape, "replay",
+                            lambda self, *inputs: replays.append(1) or replay(self, *inputs))
+        monkeypatch.setattr(curvature, "_flag_batch",
+                            lambda metric, *lanes: jets.append(lanes) or flag_batch(metric, *lanes))
+        K, code = _evaluate(self.INDEFINITE, *columns)
+        assert (replays, jets) == ([1], [])
+        monkeypatch.undo()
+        # every lane the sqrt admits is degenerate_cometric: det = -1e18
+        want = lane_by_lane(self.INDEFINITE, *columns)
+        assert np.array_equal(code, _verdict(*want)) and np.isnan(K).all()
+        assert 0.3 < (code == NONFINITE_RESULT).mean() < 0.7
+        assert set(code.tolist()) == {DEGENERATE_COMETRIC, NONFINITE_RESULT}
+        for g, w in zip(_kepler_flag_batch(self.INDEFINITE, *columns), want):
+            assert np.array_equal(g.view(np.int64), w.view(np.int64))
+
+
+CALLBACKS = {
+    "flat": FLAT, "hyperbolic": HYPERBOLIC, "power_two": POWER_TWO, "sphere": SPHERE,
+    "degenerate": CallbackCartanMetric(lambda x, y, r, t: r + 2.0 * t + 0.0 * x),
+    "indefinite": TestGuardedBlock.INDEFINITE,
+    "single_lane_constant": CallbackCartanMetric(
+        lambda x, y, r, t: (r * r + t * t).sqrt() * (x * x + Jet.constant(1.0, 4, 4))),
+}
+
+
+@pytest.mark.parametrize("name", CALLBACKS)
+def test_a_callback_tape_keeps_the_bits_of_its_jets(name):
+    # Lanes in [-2, 2]^4, some at x = 0, at r = t = 0 or at x = 1e-200.
+    metric = CALLBACKS[name]
+    columns = np.random.default_rng(12).uniform(-2.0, 2.0, (4, 256))
+    columns[0, :8], columns[2:, 8:16], columns[0, 16:24] = 0.0, 0.0, 1e-200
+    got = _kepler_flag_batch(metric, *columns)
+    want = lane_by_lane(metric, *columns)
+    # zero signs of v t aside: the tape folds ``v * 0`` to +0.0
+    zero = want[1] == 0.0
+    assert (got[1][zero] == 0.0).all()
+    got[1][zero] = want[1][zero]
+    for g, w in zip(got, want):
+        nan = np.isnan(w)
+        assert np.array_equal(np.isnan(g), nan)
+        assert np.array_equal(g[~nan].view(np.int64), w[~nan].view(np.int64))
+    assert np.array_equal(_verdict(*got), _verdict(*want))
 
 
 def test_callback_mixing_a_single_lane_constant_into_a_batch():
@@ -771,7 +859,7 @@ class TestScalingIdentity:
     """``K_{c,a}(pt) = a^(2/3) K_{c a^(-2/3), 1}(pt')`` under
     ``scaling_reduce``: a check of ``K`` off the oracle ray, which with the
     closed form reaches every ``a > 0``.  Point queries run the emitted
-    tape (the first of a process, the single-lane jets), blocks replay it."""
+    tape (the first of each tape, the single-lane jets), blocks replay it."""
 
     TOL = 1e-9
 

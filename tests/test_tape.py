@@ -1,7 +1,8 @@
-"""The built-in kernel's tape against the jets it was recorded from.
+"""The kernel tapes against the jets they were recorded from: the built-in
+family's, and a callback's where a test says so.
 
-Arrays replay the tape (``curvature._kernel_tape``), and point queries after
-a process's first run it emitted as Python over floats
+Arrays replay a tape (``curvature._kernel_tape``), and point queries after
+the first of each tape run it emitted as Python over floats
 (``curvature._point_kernel``); the dense batched jets
 (``curvature._flag_batch``) are the reference, and ``K``, ``v t`` and the
 determinant must keep their bits.
@@ -21,6 +22,7 @@ import pytest
 import keplerflag
 from keplerflag import curvature, tape
 from keplerflag.curvature import (
+    CallbackCartanMetric,
     _evaluate,
     _flag_batch,
     _kepler_flag_batch,
@@ -98,7 +100,7 @@ def test_an_underflowing_lane_ends_nonfinite_and_the_others_keep_their_bits():
     # the replay marks the lane failed, with NaN as the jets' answer there
     *out, exact = replayed(params, x, r, t)
     assert exact.all()
-    for got in (out, _kepler_flag_batch(params, x, r, t)):
+    for got in (out, _kepler_flag_batch(params, x, np.zeros_like(x), r, t)):
         assert all(np.isnan(v[17]) for v in got)
         assert all(np.isfinite(np.delete(v, 17)).all() for v in got)
     K, code = _evaluate(params, x, 0.0, r, t)
@@ -126,7 +128,7 @@ def test_a_block_of_extreme_lanes_has_the_bits_of_each_lane_alone(a, c):
     # give alone, whether they raise or carry a NaN constant term.
     params, rng = MetricParams(a, c), np.random.default_rng(23)
     x, r, t = extreme(rng, 256), extreme(rng, 256), extreme(rng, 256)
-    got = _kepler_flag_batch(params, x, r, t)
+    got = _kepler_flag_batch(params, x, np.zeros_like(x), r, t)
     raised = 0
     for i in range(x.size):
         try:
@@ -155,7 +157,8 @@ def test_a_folded_zero_that_meets_an_infinity_runs_the_jets():
     params = MetricParams(1.0, 1.5000000000000002)
     x, r, t = np.array([1.9344921105120957e-39, 2.0]), np.zeros(2), np.ones(2)
     assert replayed(params, x, r, t)[-1].tolist() == [False, True]
-    for g, w in zip(_kepler_flag_batch(params, x, r, t), _flag_batch(params, x, 0.0, r, t)):
+    got = _kepler_flag_batch(params, x, np.zeros_like(x), r, t)
+    for g, w in zip(got, _flag_batch(params, x, 0.0, r, t)):
         assert_same_bits(g, w)
     _, code = _evaluate(params, x, 0.0, r, t)
     point = curvature.flag_curvature(params, PhasePoint(x[0], 0.0, 0.0, 1.0))
@@ -192,7 +195,7 @@ def fresh_process(monkeypatch):
     calls = []
     record = tape.record
     monkeypatch.setattr(tape, "record", lambda *args: calls.append(args) or record(*args))
-    monkeypatch.setattr(curvature, "_queried", False)
+    monkeypatch.setattr(curvature, "_queried", set())
     curvature._kernel_tape.cache_clear()
     curvature._point_kernel.cache_clear()
     yield calls
@@ -297,13 +300,49 @@ def test_a_power_of_a_negative_number_raises():
         tp.emit()(-2.0)
 
 
+@pytest.mark.parametrize("fstar", [
+    # the fiber Hessian is the constant [[1, 2], [2, 4]]: det folds to 0
+    lambda x, y, r, t: r + 2.0 * t + 0.0 * x,
+    # F* = |r|: v folds to 0, and a structural 0 / 0 to a NaN constant
+    lambda x, y, r, t: (r * r + 0.0 * t + 0.0 * x).sqrt(),
+], ids=["det", "nan"])
+def test_an_output_that_folds_to_a_number_gets_a_row_of_its_own(fstar):
+    tp = _kernel_tape(fstar)
+    assert tp.ops["const"] >= 1
+    columns = np.random.default_rng(9).uniform(-2.0, 2.0, (4, 256))
+    with np.errstate(all="ignore"):
+        K, vt, det, exact = tp.replay(*columns)
+    assert exact.all() and (det == 0.0).all()
+    assert tp.emit()(*columns[:, 0])[2] == 0.0
+    _, code = _evaluate(CallbackCartanMetric(fstar), *columns)
+    assert (code == DEGENERATE_COMETRIC).all()
+
+
+def test_a_branching_callback_raises_when_it_is_recorded(monkeypatch):
+    # A branch on a recorded comparison would keep one side for every lane.
+    def fstar(x, y, r, t):
+        norm = (r * r + t * t).sqrt()
+        return norm * x if x.coeffs[0] <= 0.0 else norm
+
+    branching = CallbackCartanMetric(fstar)
+    with pytest.raises(TypeError, match="jet arithmetic only"):
+        _evaluate(branching, *np.ones((4, 3)))
+    # a point query records on the second query of a tape: the first runs
+    # the jets, which compare floats
+    monkeypatch.setattr(curvature, "_queried", set())
+    pt = PhasePoint(0.5, 0.0, 0.3, 0.7)
+    assert flag_curvature(branching, pt).ok
+    with pytest.raises(TypeError, match="jet arithmetic only"):
+        flag_curvature(branching, pt)
+
+
 class TestPointFallback:
     """Each exit of the emitted kernel hands the point query to the jets, so
-    it gets their ``K`` bits and verdict: a process's first query runs the
+    it gets their ``K`` bits and verdict: a tape's first query runs the
     jets and is the reference."""
 
     def both(self, monkeypatch, params, pt):
-        monkeypatch.setattr(curvature, "_queried", False)
+        monkeypatch.setattr(curvature, "_queried", set())
         samples = [flag_curvature(params, pt) for _ in range(2)]
         return [(s.status, s.reason, None if s.K is None else s.K.hex()) for s in samples]
 
@@ -390,7 +429,7 @@ def test_threads_querying_points_at_once_match_sequential_runs(fresh_process):
     sequential = bits()
     curvature._kernel_tape.cache_clear()
     curvature._point_kernel.cache_clear()
-    curvature._queried = False
+    curvature._queried.clear()
     results = [None] * 4
     start = threading.Barrier(4)
 
