@@ -43,8 +43,8 @@ reason.  Every metric's kernel is an operation tape
 (:mod:`keplerflag.tape`), its jet arithmetic recorded once per process
 with the jets' bits: one for the built-in family and every parameter
 pair, one for each callback.  Arrays replay it, and point queries run it
-emitted as Python over floats, all but the first of each tape and those
-where it raises, which run the jets on 0-d arrays.  A point's
+emitted as Python over floats, all but the built-in family's first and
+those where it raises, which run the jets on 0-d arrays.  A point's
 ``K`` and a row's can differ in the last bits: ``Jet.power`` takes
 ``c0**e`` with libm's ``pow`` on a NumPy scalar, as the emitted tape does,
 but with NumPy's own vectorised ``pow`` on an array, as the replay does,
@@ -66,7 +66,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import astuple, dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Callable
 
 import numpy as np
@@ -84,7 +84,7 @@ from .metric import (
     MetricParams,
     PhasePoint,
     _first_broken,
-    _fstar_expr,
+    _fstar_jet_batch,
     _is_point,
     _variables,
     classify,
@@ -125,37 +125,34 @@ class CallbackCartanMetric:
     """Extension hook: a user fundamental function evaluated on jets.
 
     ``fstar`` receives jets of ``(x, y, r, t)`` and must return the
-    fundamental-function jet built with jet arithmetic only, for it runs
-    once on jets of tape nodes and is replayed from its tape: a comparison
-    can only take ``.any()``, as :meth:`Jet.sqrt`'s check does, and a
-    branch on one raises TypeError at the recording (a first block, or a
-    second point query).  A callback has no domain rules: a point where a
-    jet check fails is ``nonfinite_result``.
+    fundamental-function jet built with jet arithmetic only: its first block
+    or point query records it on a tape, where a comparison can only take
+    ``np.any`` and a branch on one raises TypeError.  A callback has no
+    domain rules: a point where a jet check fails is ``nonfinite_result``.
     """
 
     fstar: Callable
 
 
 def _kernel_inputs(metric, x, y, r, t):
-    """The key of ``metric``'s tape, the arguments of :func:`_kernel_tape`,
-    and the kernel's inputs: ``()`` and ``(x, r, t, a, c)`` for the
-    built-in family, ``(fstar,)`` and ``(x, y, r, t)`` for a callback."""
+    """``metric``'s :class:`_Kernel` and its inputs: ``(x, r, t, a, c)`` for
+    the built-in family, ``(x, y, r, t)`` for a callback."""
     if isinstance(metric, MetricParams):
-        return (), (x, r, t, metric.a, metric.c)
-    return (metric.fstar,), (x, y, r, t)
+        return _FAMILY, (x, r, t, metric.a, metric.c)
+    return _callback_kernel(metric.fstar), (x, y, r, t)
 
 
-def _terms(key, inputs):
+def _terms(kernel, inputs):
     """:func:`_assemble`'s terms, and ``t``, from the order-4 jet of ``L*``
-    over a kernel's inputs (:func:`_kernel_inputs`), numbers, arrays of one
-    shape or tape nodes: jets in ``(x, r, t)`` for the built-in family, in
-    ``(x, y, r, t)`` for a callback."""
-    if key:
-        _, _, r, t = inputs
-        f, indices = key[0](*_variables(inputs, 4)), (0, 1, 2, 3)
+    over a kernel's inputs, numbers, arrays of one shape or tape nodes: jets
+    in ``(x, r, t)`` for the built-in family, in ``(x, y, r, t)`` for a
+    callback."""
+    if kernel.fstar is None:
+        r, t = inputs[1:3]
+        f, indices = _fstar_jet_batch(*inputs), (0, None, 1, 2)
     else:
-        x, r, t, a, c = inputs
-        f, indices = _fstar_expr(*_variables((x, r, t), 4), a, c), (0, None, 1, 2)
+        r, t = inputs[2:]
+        f, indices = kernel.fstar(*_variables(inputs, 4)), (0, 1, 2, 3)
     return _assemble(0.5 * f * f, *indices, r, t), t
 
 
@@ -311,41 +308,51 @@ def _flag_batch(metric, x, y, r, t):
         return _flag(*_terms(*_kernel_inputs(metric, x, y, r, t)))
 
 
-@lru_cache(maxsize=8)
-def _kernel_tape(*key):
-    """:func:`_flag_batch`'s arithmetic as a tape over the inputs of
-    :func:`_kernel_inputs`: for ``key`` ``()`` the built-in family's,
-    recorded once for every parameter pair, for ``(fstar,)`` a callback's."""
-    from . import tape  # on the first array call or the second point query
+class _Kernel:
+    """A metric's tape of :func:`_flag_batch`'s arithmetic, recorded at its
+    first use, and emitted as Python over floats for point queries.
 
-    with np.errstate(all="ignore"):  # a degenerate callback folds 0 / 0
-        return tape.record(lambda *inputs: _flag(*_terms(key, inputs)), 4 if key else 5)
+    ``warm``: whether a point query runs the emitted tape.  The family's
+    first runs the jets, for recording and emitting cost about 100 queries,
+    which a process that makes one, such as `keplerflag point`, should not
+    pay; a callback's first records, so one that is not jet arithmetic
+    fails at once."""
+
+    def __init__(self, fstar=None):
+        self.fstar, self.warm = fstar, fstar is not None
+
+    @cached_property
+    def tape(self):
+        from . import tape  # on the first array call or point query that runs it
+
+        n = 5 if self.fstar is None else 4
+        with np.errstate(all="ignore"):  # a degenerate callback folds 0 / 0
+            try:
+                return tape.record(lambda *inputs: _flag(*_terms(self, inputs)), n)
+            except DomainError:  # a jet check failed on a number, so on every lane
+                return tape.record(lambda *inputs: (math.nan,) * 3, n)
+
+    @cached_property
+    def emitted(self):
+        return self.tape.emit()
 
 
-@lru_cache(maxsize=8)
-def _point_kernel(*key):
-    """The tape of ``key`` emitted as Python over floats, for point queries."""
-    return _kernel_tape(*key).emit()
-
-
-# The keys of the tapes a point query has run on.  The first query of each
-# runs the jets: recording and emitting cost about 100 queries, which a
-# process that makes one query, such as `keplerflag point`, should not pay.
-_queried = set()
+# The built-in family's kernel, one for every parameter pair, and those of
+# the 16 callbacks last used: the round sphere's holds 240 kB with its
+# emitted program, so 16 stay within about 4 MB.
+_FAMILY = _Kernel()
+_callback_kernel = lru_cache(maxsize=16)(_Kernel)
 
 
 def _kepler_flag_batch(metric, x, y, r, t):
-    """``(K, vt, det)`` of any metric over coordinate arrays of one shape:
-    for the built-in family, lanes its domain classifier admits.
-
-    :func:`_verdict` turns ``det <= 0`` and ``|vt| < SINGULAR_V_TOL`` into
-    verdicts.  The arrays replay the metric's tape, which raises nothing: a
+    """``(K, vt, det)``, for :func:`_verdict`, of any metric over coordinate
+    arrays of one shape (for the built-in family, lanes its classifier
+    admits).  The arrays replay the metric's tape, which raises nothing: a
     lane that fails a check is NaN, the jets' answer there, and the jets run
-    the lanes its guard fails.
-    """
-    key, inputs = _kernel_inputs(metric, x, y, r, t)
+    the lanes its guard fails."""
+    kernel, inputs = _kernel_inputs(metric, x, y, r, t)
     with np.errstate(all="ignore"):
-        *out, exact = _kernel_tape(*key).replay(*inputs)
+        *out, exact = kernel.tape.replay(*inputs)
     if not exact.all():
         lanes = ~exact
         # the tape's checks passed on these lanes, so the jets raise nothing
@@ -356,17 +363,17 @@ def _kepler_flag_batch(metric, x, y, r, t):
 
 def _point_flag(metric, x, y, r, t):
     """``(K, vt, det)`` at a point given as numbers: the metric's emitted
-    tape, or the jets on 0-d arrays for the first point query of each tape
-    and where the tape raises or its guard is not finite."""
-    key, inputs = _kernel_inputs(metric, x, y, r, t)
-    if key in _queried:
+    tape, or the jets on 0-d arrays for the built-in family's first point
+    query and where the tape raises or its guard is not finite."""
+    kernel, inputs = _kernel_inputs(metric, x, y, r, t)
+    if kernel.warm:
         try:
-            *out, exact = _point_kernel(*key)(*inputs)
+            *out, exact = kernel.emitted(*inputs)
         except (ArithmeticError, ValueError):  # DomainError is a ValueError
             exact = False
         if exact:
             return out
-    _queried.add(key)
+    kernel.warm = True
     try:
         return [float(v) for v in _flag_batch(metric, x, y, r, t)]
     except DomainError:  # a check fails, as the tape's would

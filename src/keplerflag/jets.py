@@ -432,12 +432,12 @@ class Jet:
             return result
         c0 = self.coeffs[0]
         if p.is_integer():
-            if (c0 == 0.0).any():
+            if np.any(c0 == 0.0):
                 raise DomainError(
                     "negative integer power of a jet with zero constant term",
                     value=0.0,
                 )
-        elif (c0 <= 0.0).any():
+        elif np.any(c0 <= 0.0):
             raise DomainError(
                 f"power {p} of a jet requires a positive constant term, "
                 f"got {float(np.min(c0))}",
@@ -448,7 +448,7 @@ class Jet:
     def sqrt(self):
         """Square root; the constant term must be strictly positive."""
         c0 = self.coeffs[0]
-        if (c0 <= 0.0).any():
+        if np.any(c0 <= 0.0):
             raise DomainError(
                 f"sqrt of a jet requires a positive constant term, got "
                 f"{float(np.min(c0))}",
@@ -458,7 +458,7 @@ class Jet:
 
     def reciprocal(self):
         """Multiplicative inverse; the constant term must be nonzero."""
-        if (self.coeffs[0] == 0.0).any():
+        if np.any(self.coeffs[0] == 0.0):
             raise DomainError(
                 "reciprocal of a jet with zero constant term", value=0.0
             )

@@ -12,7 +12,7 @@ cross-tested against each other:
 
 The polar form never depends on ``y``; its jets are taken in ``(x, r, t)``.
 A :class:`MetricParams` is the family itself: the curvature layer takes it
-as a metric as it stands, with :func:`_fstar_expr` over its jets.
+as a metric as it stands, with :func:`_fstar_jet_batch` as its jets.
 Both scalar and jet evaluation share one expression and one root rule (a
 positive argument gets its root, anything else NaN, or DomainError on a
 jet), so there is a single source of truth for the formula, and one domain:
@@ -267,7 +267,7 @@ def fstar_polar(params, pt):
 def fstar_polar_jet(params, pt, max_order=4):
     """Jet of ``F*_{c,a}`` at ``pt`` in ``(x, r, t)``; ``Jet.reciprocal`` and
     ``Jet.sqrt`` raise DomainError at ``x = 0`` and at ``r = t = 0``."""
-    return _fstar_jet_batch(params, pt.x, pt.r, pt.t, max_order)
+    return _fstar_jet_batch(pt.x, pt.r, pt.t, params.a, params.c, max_order)
 
 
 def _variables(coords, max_order):
@@ -275,9 +275,9 @@ def _variables(coords, max_order):
     return [Jet.variable(i, v, len(coords), max_order) for i, v in enumerate(coords)]
 
 
-def _fstar_jet_batch(params, x, r, t, max_order=4):
-    """Jets in ``(x, r, t)`` over coordinate arrays of any shape."""
-    return _fstar_expr(*_variables((x, r, t), max_order), params.a, params.c)
+def _fstar_jet_batch(x, r, t, a, c, max_order=4):
+    """Jets in ``(x, r, t)`` over numbers, arrays of any shape or tape nodes."""
+    return _fstar_expr(*_variables((x, r, t), max_order), a, c)
 
 
 def lstar(params, pt):

@@ -8,11 +8,12 @@ in their order.  It folds structural constants (``v * 0`` is ``0``;
 ``v * 1``, ``v + 0`` and ``v - 0`` are ``v``; two numbers give a number),
 replays powers as ``x ** e`` on lanes, as the jets take them on arrays,
 and keeps ``np.where(v <= 0, 1.0, v)`` as it stands.  A node compared with
-zero, ``(c0 <= 0).any()`` in :meth:`Jet.sqrt` or ``(c0 == 0).any()`` in
-:meth:`Jet.reciprocal`, reads as false and is a domain check: the replay
-marks the lanes it fails on in a failure row and gives them NaN, the
-jets' answer there, and raises nothing.  Any other use of the comparison,
-such as a branch, raises TypeError: a tape holds one path for all lanes.
+zero, ``np.any(c0 <= 0)`` in :meth:`Jet.sqrt`, reads as false and is a
+domain check: the replay marks the lanes it fails on in a failure row and
+gives them NaN, the jets' answer there, and raises nothing.  Any other use
+of the comparison, such as a branch, raises TypeError: a tape holds one
+path for all lanes.  A folded ``c0`` is a number, which the jets check as
+they record: their DomainError fails the check on every lane.
 
 A guard row is finite exactly on the lanes where the outputs have the
 jets' bits, zero signs aside: ``v * 0`` is NaN where ``v`` is not finite,
@@ -91,21 +92,20 @@ class Node:
 
 
 class _Test:
-    """``node <= 0`` or ``node == 0``: a check for ``.any()``, or ``np.where``'s."""
+    """``node <= 0`` or ``node == 0``: a check for ``np.any``, or ``np.where``'s."""
 
     def __init__(self, node, check, zero):
         assert isinstance(zero, _NUMBER) and zero == 0, "a tape compares with zero only"
         self.node, self.check = node, check
 
-    def any(self):
-        Node(self.node.tape, self.check, self.node)
-        return False
-
     def __bool__(self):
         raise TypeError("a recorded function is jet arithmetic only; "
-                        "a comparison can only take .any()")
+                        "a comparison can only take np.any")
 
     def __array_function__(self, func, types, args, kwargs):
+        if func is np.any and args == (self,) and not kwargs:
+            Node(self.node.tape, self.check, self.node)
+            return False
         if not (func is np.where and self.check == "positive" and len(args) == 3
                 and isinstance(args[1], _NUMBER) and args[1] == 1.0
                 and args[2] is self.node):

@@ -6,6 +6,7 @@ import math
 import warnings
 from dataclasses import astuple
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -21,8 +22,6 @@ from keplerflag.curvature import (
     _evaluate,
     _flag_batch,
     _kepler_flag_batch,
-    _kernel_tape,
-    _point_kernel,
     _powers,
     _verdict,
     curvature_terms,
@@ -523,7 +522,7 @@ class TestPointsOnFloats:
         verdicts = set()
         for params, x, r, t, _ in self.DRAWS:
             pt = PhasePoint(x, 0.0, r, t)
-            monkeypatch.setattr(curvature, "_queried", set())  # runs the jets
+            monkeypatch.setattr(curvature._FAMILY, "warm", False)  # runs the jets
             first, warm = flag_curvature(params, pt), flag_curvature(params, pt)
             assert (warm.status, warm.reason) == (first.status, first.reason)
             assert (warm.K is None and first.K is None) or warm.K.hex() == first.K.hex()
@@ -588,24 +587,25 @@ class TestOperationBudget:
         result = evaluate(*args)
         return result, (counts["mul"], counts["derivative"], counts["pairs"])
 
-    def warm(self, monkeypatch, metric, pt, *key):
-        """A point query after the first of its tape, with its counts; the
+    def warm(self, monkeypatch, metric, pt):
+        """A point query once its tape is emitted, with its counts; the
         operations the emitted tape ran."""
-        emitted, ran = _point_kernel(*key), []
+        kernel = curvature._kernel_inputs(metric, *astuple(pt))[0]
+        emitted, ran = kernel.emitted, []
 
         def counting(piece, size):
             return lambda *values: ran.append(size) or piece(*values)
 
-        monkeypatch.setattr(curvature, "_point_kernel", lambda *_: Emitted(
+        monkeypatch.setitem(vars(kernel), "emitted", Emitted(
             tuple(map(counting, emitted.pieces, emitted.sizes)), emitted.sizes))
         sample, counts = self.counted(monkeypatch, flag_curvature, metric, pt)
         return sample, counts, sum(ran)
 
     def test_point_query(self, monkeypatch):
         args = MetricParams(1.0, 2.0), PhasePoint(1.3, 0.0, 0.4, -0.8)
-        # A tape's first point query runs the jets.  One lane multiplies
+        # The family's first point query runs the jets.  One lane multiplies
         # coordinate jets densely: 8 products, 952 rows.
-        monkeypatch.setattr(curvature, "_queried", set())
+        monkeypatch.setattr(curvature._FAMILY, "warm", False)
         first, counts = self.counted(monkeypatch, flag_curvature, *args)
         assert first.ok
         assert counts == (34, 10, 3864)
@@ -614,24 +614,24 @@ class TestOperationBudget:
         later, counts, ran = self.warm(monkeypatch, *args)
         assert later == first
         assert counts == (0, 0, 0)
-        assert ran == sum(_kernel_tape().ops.values()) == 2371
+        assert ran == sum(curvature._FAMILY.tape.ops.values()) == 2371
 
     def test_callback_point_query(self, monkeypatch):
-        # A callback's tape is its own: a warm query runs each of its
-        # operations once and no jet arithmetic.
+        # A callback's tape is its own, recorded at its first point query: a
+        # query runs each of its operations once and no jet arithmetic.
         pt = PhasePoint(0.6, -0.8, 0.35, 0.7)
-        monkeypatch.setattr(curvature, "_queried", set())
+        monkeypatch.setattr(curvature, "_callback_kernel", lru_cache(maxsize=1)(curvature._Kernel))
         first, counts = self.counted(monkeypatch, flag_curvature, SPHERE, pt)
-        assert first.ok and counts[0] > 0
-        later, counts, ran = self.warm(monkeypatch, SPHERE, pt, SPHERE.fstar)
+        assert first.ok and counts[0] > 0  # the recording's jets, over tape nodes
+        later, counts, ran = self.warm(monkeypatch, SPHERE, pt)
         assert later == first
         assert counts == (0, 0, 0)
-        tape = _kernel_tape(SPHERE.fstar)
+        tape = curvature._callback_kernel(SPHERE.fstar).tape
         assert ran == sum(tape.ops.values()) and tape.inputs == 4
 
     def test_grid_block(self, monkeypatch):
         # A block replays the recorded tape and runs no jet arithmetic.
-        tape = _kernel_tape()
+        tape = curvature._FAMILY.tape
         phi = np.linspace(0.0, 6.0, 256)
         (_, code), counts = self.counted(monkeypatch, _evaluate, MetricParams(1.0, 1.55),
                                          np.linspace(0.5, 3.0, 256), 0.0,
@@ -648,7 +648,7 @@ class TestOperationBudget:
         # A callback block whose guard is finite replays its tape alone.
         rng = np.random.default_rng(11)
         columns = rng.uniform(0.5, 2.0, (4, 256))
-        assert _kernel_tape(SPHERE.fstar).replay(*columns)[-1].all()
+        assert curvature._callback_kernel(SPHERE.fstar).tape.replay(*columns)[-1].all()
         (K, code), counts = self.counted(monkeypatch, _evaluate, SPHERE, *columns)
         assert (code == OK).all() and np.allclose(K, 1.0)
         assert counts == (0, 0, 0)
@@ -793,7 +793,8 @@ class TestGuardedBlock:
         columns[0, 16:32] = 0.0
         columns[0, 32:48] = 1e-200
         with np.errstate(all="ignore"):
-            assert _kernel_tape(self.INDEFINITE.fstar).replay(*columns)[-1].all()
+            kernel = curvature._callback_kernel(self.INDEFINITE.fstar)
+            assert kernel.tape.replay(*columns)[-1].all()
         replays, jets = [], []
         replay, flag_batch = Tape.replay, curvature._flag_batch
         monkeypatch.setattr(Tape, "replay",
@@ -816,6 +817,9 @@ CALLBACKS = {
     "flat": FLAT, "hyperbolic": HYPERBOLIC, "power_two": POWER_TWO, "sphere": SPHERE,
     "degenerate": CallbackCartanMetric(lambda x, y, r, t: r + 2.0 * t + 0.0 * x),
     "indefinite": TestGuardedBlock.INDEFINITE,
+    # a family's flat limit: the sqrt's argument folds to the number 1.0
+    "flat_limit": CallbackCartanMetric(
+        lambda x, y, r, t: (1.0 + 0.0 * x * x).sqrt() * (r * r + t * t).sqrt()),
     "single_lane_constant": CallbackCartanMetric(
         lambda x, y, r, t: (r * r + t * t).sqrt() * (x * x + Jet.constant(1.0, 4, 4))),
 }

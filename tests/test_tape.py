@@ -1,9 +1,9 @@
 """The kernel tapes against the jets they were recorded from: the built-in
 family's, and a callback's where a test says so.
 
-Arrays replay a tape (``curvature._kernel_tape``), and point queries after
-the first of each tape run it emitted as Python over floats
-(``curvature._point_kernel``); the dense batched jets
+Arrays replay a tape (``curvature._FAMILY.tape`` for the family), and
+point queries, all but the built-in family's first, run it emitted as
+Python over floats (``curvature._FAMILY.emitted``); the dense batched jets
 (``curvature._flag_batch``) are the reference, and ``K``, ``v t`` and the
 determinant must keep their bits.
 """
@@ -26,8 +26,6 @@ from keplerflag.curvature import (
     _evaluate,
     _flag_batch,
     _kepler_flag_batch,
-    _kernel_tape,
-    _point_kernel,
     flag_curvature,
 )
 from keplerflag.errors import DomainError
@@ -63,7 +61,7 @@ def admissible(params, n, seed):
 
 def replayed(params, x, r, t):
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        return _kernel_tape().replay(x, r, t, params.a, params.c)
+        return curvature._FAMILY.tape.replay(x, r, t, params.a, params.c)
 
 
 @pytest.mark.parametrize("a, c", PAIRS)
@@ -195,12 +193,15 @@ def fresh_process(monkeypatch):
     calls = []
     record = tape.record
     monkeypatch.setattr(tape, "record", lambda *args: calls.append(args) or record(*args))
-    monkeypatch.setattr(curvature, "_queried", set())
-    curvature._kernel_tape.cache_clear()
-    curvature._point_kernel.cache_clear()
+    monkeypatch.setattr(curvature, "_FAMILY", curvature._Kernel())
+    curvature._callback_kernel.cache_clear()
     yield calls
-    curvature._kernel_tape.cache_clear()
-    curvature._point_kernel.cache_clear()
+    curvature._callback_kernel.cache_clear()
+
+
+def emitted_once():
+    """Whether the built-in family's tape has been emitted."""
+    return "emitted" in vars(curvature._FAMILY)
 
 
 def test_one_recording_serves_every_parameter_pair(fresh_process):
@@ -209,17 +210,17 @@ def test_one_recording_serves_every_parameter_pair(fresh_process):
     # the first point query runs the jets and records nothing
     first = flag_curvature(params, pt)
     assert first.ok and calls == []
-    assert curvature._point_kernel.cache_info().currsize == 0
+    assert not emitted_once()
     # the second records the tape and emits it
     assert flag_curvature(params, pt).K.hex() == first.K.hex()
-    assert len(calls) == 1 and curvature._point_kernel.cache_info().currsize == 1
+    assert len(calls) == 1 and emitted_once()
     for a, c in PAIRS:
         params = MetricParams(a, c)
         x, r, t = admissible(params, 256, seed=1)
         K, code = _evaluate(params, x, 0.0, r, t)
         assert_same_bits(K, _flag_batch(params, x, 0.0, r, t)[0])
     assert len(calls) == 1
-    assert _kernel_tape().inputs == 5
+    assert curvature._FAMILY.tape.inputs == 5
 
 
 def test_emission_reuses_the_recording_of_an_array_call(fresh_process):
@@ -232,7 +233,7 @@ def test_emission_reuses_the_recording_of_an_array_call(fresh_process):
         sample = flag_curvature(params, PhasePoint(x[k], 0.0, r[k], t[k]))
         assert sample.ok
     assert len(calls) == 1
-    assert curvature._point_kernel.cache_info().currsize == 1
+    assert emitted_once()
 
 
 def test_one_point_query_leaves_the_tape_unloaded():
@@ -255,7 +256,7 @@ def test_one_point_query_leaves_the_tape_unloaded():
 
 @pytest.mark.parametrize("piece", [1, 300, 5000])
 def test_emitted_pieces_hold_each_operation_once(monkeypatch, piece):
-    tp, reference = _kernel_tape(), _point_kernel()
+    tp, reference = curvature._FAMILY.tape, curvature._FAMILY.emitted
     monkeypatch.setattr(tape, "PIECE", piece)
     texts = list(tp.source())
     bodies = [text.split("\n")[1:-1] for text in texts]
@@ -281,7 +282,7 @@ def test_emitted_pieces_hold_each_operation_once(monkeypatch, piece):
 
 def test_emitted_kernel_matches_the_jets_at_random_points():
     rng = np.random.default_rng(7)
-    emitted = _point_kernel()
+    emitted = curvature._FAMILY.emitted
     for _ in range(500):
         params, pt = random_admissible(rng)
         x, r, t = (np.asarray(v) for v in (pt.x, pt.r, pt.t))
@@ -307,7 +308,7 @@ def test_a_power_of_a_negative_number_raises():
     lambda x, y, r, t: (r * r + 0.0 * t + 0.0 * x).sqrt(),
 ], ids=["det", "nan"])
 def test_an_output_that_folds_to_a_number_gets_a_row_of_its_own(fstar):
-    tp = _kernel_tape(fstar)
+    tp = curvature._callback_kernel(fstar).tape
     assert tp.ops["const"] >= 1
     columns = np.random.default_rng(9).uniform(-2.0, 2.0, (4, 256))
     with np.errstate(all="ignore"):
@@ -318,36 +319,52 @@ def test_an_output_that_folds_to_a_number_gets_a_row_of_its_own(fstar):
     assert (code == DEGENERATE_COMETRIC).all()
 
 
-def test_a_branching_callback_raises_when_it_is_recorded(monkeypatch):
+@pytest.mark.parametrize("evaluate", [
+    lambda metric: _evaluate(metric, *np.ones((4, 3))),
+    lambda metric: flag_curvature(metric, PhasePoint(0.5, 0.0, 0.3, 0.7)),
+], ids=["block", "point"])
+def test_a_branching_callback_raises_at_its_first_evaluation(fresh_process, evaluate):
     # A branch on a recorded comparison would keep one side for every lane.
     def fstar(x, y, r, t):
         norm = (r * r + t * t).sqrt()
         return norm * x if x.coeffs[0] <= 0.0 else norm
 
     branching = CallbackCartanMetric(fstar)
-    with pytest.raises(TypeError, match="jet arithmetic only"):
-        _evaluate(branching, *np.ones((4, 3)))
-    # a point query records on the second query of a tape: the first runs
-    # the jets, which compare floats
-    monkeypatch.setattr(curvature, "_queried", set())
-    pt = PhasePoint(0.5, 0.0, 0.3, 0.7)
-    assert flag_curvature(branching, pt).ok
-    with pytest.raises(TypeError, match="jet arithmetic only"):
-        flag_curvature(branching, pt)
+    for _ in range(2):  # and at every one after it
+        with pytest.raises(TypeError, match="jet arithmetic only"):
+            evaluate(branching)
+
+
+@pytest.mark.parametrize("fstar", [
+    lambda x, y, r, t: (0.0 * x - 1.0).sqrt() * (r * r + t * t).sqrt(),
+    lambda x, y, r, t: (r * r + t * t).sqrt() / (0.0 * x),
+    lambda x, y, r, t: (r * r + t * t).sqrt() * (0.0 * x + 0.0).power(-2.0),
+], ids=["sqrt", "reciprocal", "power"])
+def test_a_check_that_fails_on_a_folded_number_fails_every_lane(fresh_process, fstar):
+    # The jets check the number on every lane, so each of them raises alone.
+    metric = CallbackCartanMetric(fstar)
+    columns = np.random.default_rng(3).uniform(0.5, 2.0, (4, 64))
+    with pytest.raises(DomainError):
+        _flag_batch(metric, *columns[:, :1])
+    assert np.isnan(_kepler_flag_batch(metric, *columns)).all()
+    assert np.isnan(curvature._callback_kernel(fstar).emitted(*columns[:, 0])[:3]).all()
+    _, code = _evaluate(metric, *columns)
+    assert (code == NONFINITE_RESULT).all()
+    assert flag_curvature(metric, PhasePoint(*columns[:, 0])).reason == "nonfinite_result"
 
 
 class TestPointFallback:
     """Each exit of the emitted kernel hands the point query to the jets, so
-    it gets their ``K`` bits and verdict: a tape's first query runs the
-    jets and is the reference."""
+    it gets their ``K`` bits and verdict: the built-in family's first query
+    runs the jets and is the reference."""
 
     def both(self, monkeypatch, params, pt):
-        monkeypatch.setattr(curvature, "_queried", set())
+        monkeypatch.setattr(curvature._FAMILY, "warm", False)
         samples = [flag_curvature(params, pt) for _ in range(2)]
         return [(s.status, s.reason, None if s.K is None else s.K.hex()) for s in samples]
 
     def emitted(self, params, pt):
-        return _point_kernel()(pt.x, pt.r, pt.t, params.a, params.c)
+        return curvature._FAMILY.emitted(pt.x, pt.r, pt.t, params.a, params.c)
 
     @pytest.mark.parametrize("pt, error", [
         (PhasePoint(1e-200, 0.0, 0.3, 0.7), DomainError),  # x * x underflows: a check
@@ -364,7 +381,7 @@ class TestPointFallback:
     def test_a_power_of_a_negative_base(self, monkeypatch):
         params, pt = MetricParams(1.0, 2.0), PhasePoint(1.3, 0.0, 0.4, -0.8)
         # the kernel's checks keep every base positive: feed pow a negated one
-        monkeypatch.setitem(_point_kernel().pieces[0].__globals__, "pow",
+        monkeypatch.setitem(curvature._FAMILY.emitted.pieces[0].__globals__, "pow",
                             lambda base, e: math.pow(-abs(base), e))
         with pytest.raises(ValueError):
             self.emitted(params, pt)
@@ -381,7 +398,7 @@ class TestPointFallback:
         assert [jets, emitted] == [("ok", None, "0x1.0e3a7e997ee12p+102")] * 2
 
 
-def test_threads_scanning_at_once_match_sequential_runs():
+def test_threads_scanning_at_once_match_sequential_runs(monkeypatch):
     # Four threads on two cores, switching often, share one tape (recorded by
     # whichever gets there first) and each replay's buffer is its own.
     specs = [GridSpec(x_min=-3.0, x_max=3.0, nx=48, phi_min=0.0, phi_max=6.0, nphi=48,
@@ -392,7 +409,7 @@ def test_threads_scanning_at_once_match_sequential_runs():
         return result.K.tobytes() + result.code.tobytes()
 
     sequential = [columns(spec) for spec in specs]
-    curvature._kernel_tape.cache_clear()
+    monkeypatch.setattr(curvature, "_FAMILY", curvature._Kernel())
     results = [[] for _ in range(4)]
     start = threading.Barrier(4)
 
@@ -427,9 +444,7 @@ def test_threads_querying_points_at_once_match_sequential_runs(fresh_process):
         return [flag_curvature(params, pt).K.hex() for params, pt in queries]
 
     sequential = bits()
-    curvature._kernel_tape.cache_clear()
-    curvature._point_kernel.cache_clear()
-    curvature._queried.clear()
+    curvature._FAMILY = curvature._Kernel()
     results = [None] * 4
     start = threading.Barrier(4)
 
@@ -449,4 +464,4 @@ def test_threads_querying_points_at_once_match_sequential_runs(fresh_process):
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert results == [sequential] * 4
-    assert curvature._point_kernel.cache_info().currsize == 1
+    assert emitted_once()
