@@ -1076,6 +1076,38 @@ class TestClosedFormTranscription:
         )
 
 
+def closed_form_points():
+    """Seeded ``(c, x)`` with ``c > 0``: uniform draws, magnitudes from
+    1e-300 to 1e150, and points near ``(c, x) = (1.5, 1)``, where the
+    radicand's zero set has its double point."""
+    rng = np.random.default_rng(20261020)
+    points = [(float(rng.uniform(0.0, 8.0)), float(rng.uniform(-10.0, 10.0)))
+              for _ in range(120)]
+    for _ in range(120):
+        sign = (-1.0, 1.0)[rng.integers(2)]
+        points.append((float(10.0 ** rng.uniform(-300.0, 150.0)),
+                       sign * float(10.0 ** rng.uniform(-300.0, 150.0))))
+    for _ in range(80):
+        dc, dx = ((-1.0, 1.0)[rng.integers(2)] * float(10.0 ** rng.uniform(-15.0, -2.0))
+                  for _ in range(2))
+        points.append((1.5 + dc, 1.0 + dx))
+    return points
+
+
+def test_closed_form_digest():
+    # sha256 of one line per closed_form_points point, the oracle's K bits
+    # or its error, recorded with the 50-digit mpmath evaluation
+    lines = []
+    for c, x in closed_form_points():
+        try:
+            lines.append(flag_curvature_closed_form(c, x).hex())
+        except DomainError as exc:
+            lines.append(f"{type(exc).__name__} {exc}")
+    assert sum(not line.startswith("DomainError") for line in lines) > 200
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "ab9799dc5a359241a3719b3977e47ebcdbf87ed9d0612b1d0f90b47384be5c2f"
+
+
 class TestClosedFormEvaluation:
     def test_negative_x_is_valid(self):
         k = flag_curvature_closed_form(1.51, -3.0)
