@@ -53,13 +53,14 @@ and the two round differently (970 of 20,000 uniform draws on
 ``x in [-3, 3]``, 1,745 of 4,096 values differ, by at most 5.6e-11 relative.
 
 A transcription of the closed-form curvature along the fiber ray
-``(r, t) = (0, x)`` at rotation rate 1 serves as the independent oracle; it
-is evaluated in extended precision because the expression cancels
-catastrophically near the zero set of its radicand.  Its two bracket
-polynomials and its denominator read ``x**k`` and ``c**k`` from power
-tables built once per call: the integer powers were most of the oracle's
-cost, and each table entry is the same once-rounded ``mpf`` power a term
-would take itself, so the oracle's value does not move.
+``(r, t) = (0, x)`` at rotation rate 1 serves as the independent oracle.
+The expression cancels catastrophically near the zero set of its
+radicand, so it is evaluated in Python integers.  Float inputs are dyadic
+rationals: scaled by a common power of two, the two bracket polynomials,
+the radicand and every factor of the denominator but the root are exact
+integers, and the root, the one irrational number, is an integer square
+root carried to as many bits as asked.  The oracle's value is the one
+rounding of an integer quotient, correct but for that root's error.
 """
 
 from __future__ import annotations
@@ -70,8 +71,6 @@ from functools import cached_property, lru_cache
 from typing import Callable
 
 import numpy as np
-from mpmath import mp, mpf
-from mpmath import sqrt as mp_sqrt
 
 from .errors import DegeneracyError, DomainError
 from .jets import Jet
@@ -438,52 +437,53 @@ def closed_form_radicand(c, x):
     return x**4 + 4.0 * x**2 * c + 4.0 * c**2 - 16.0 * x
 
 
-def _powers(z, n):
-    """``[1, z, z**2, ..., z**n]``, each entry one ``z**k``.
+def _powers(z, n, w=1):
+    """``[z**k * w**(n - k) for k = 0..n]``, that is ``w**n * (z / w)**k``.
 
-    mpmath forms an integer power exactly and rounds it once, so an entry
-    is the value a term's own ``z**k`` would take; powers by repeated
-    multiplication would round at every step.  Two tables serve a whole
-    closed-form call: 20 integer powers of ``x`` and ``c`` in place of 81.
+    For a float ``x = X / w`` with integers ``X`` and ``w``,
+    ``_powers(X, n, w)`` holds every ``x**k * w**n`` as an exact integer.
+    With ``w = 1`` it is ``[1, z, ..., z**n]`` in ``z``'s own number type.
+    Two tables serve a whole closed-form call.
     """
-    return [1, z] + [z**k for k in range(2, n + 1)]
+    return [z**k * w**(n - k) for k in range(n + 1)]
 
 
 def _bracket_plain(xp, cp):
     """Monomials of the closed-form bracket that carry no root factor.
 
     ``xp[k]`` and ``cp[k]`` are ``x**k`` and ``c**k`` (:func:`_powers`, up
-    to 14 and 8).  Written term by term in a fixed reference order; a
+    to 14 and 8), or those times ``w**14`` and ``w**8``: every term names
+    one entry of each table, so the sum is then ``w**22`` times the
+    polynomial.  Written term by term in a fixed reference order; a
     second, structurally independent transcription lives in the test suite
     and the two are compared exactly over rationals before anything else
     trusts this one.
     """
-    x, c = xp[1], cp[1]
     return (
         5824 * xp[2] * cp[4]
         - 5888 * xp[3] * cp[5]
-        - 3840 * xp[2] * c
-        - 2240 * cp[6] * x
+        - 3840 * xp[2] * cp[1]
+        - 2240 * xp[1] * cp[6]
         - 6320 * xp[5] * cp[4]
         + 1120 * xp[6] * cp[5]
-        + 2 * xp[14] * c
+        + 2 * xp[14] * cp[1]
         + 28 * xp[12] * cp[2]
-        - 6528 * xp[5] * c
-        + 256 * cp[8]
+        - 6528 * xp[5] * cp[1]
+        + 256 * xp[0] * cp[8]
         + 896 * xp[2] * cp[7]
-        - 1296 * xp[7]
-        + 204 * xp[10]
-        - 768 * cp[5]
-        - 9 * xp[13]
-        + 2096 * xp[8] * c
-        - 160 * xp[11] * c
-        - 1060 * cp[2] * xp[9]
-        - 3520 * cp[3] * xp[7]
+        - 1296 * xp[7] * cp[0]
+        + 204 * xp[10] * cp[0]
+        - 768 * xp[0] * cp[5]
+        - 9 * xp[13] * cp[0]
+        + 2096 * xp[8] * cp[1]
+        - 160 * xp[11] * cp[1]
+        - 1060 * xp[9] * cp[2]
+        - 3520 * xp[7] * cp[3]
         + 11520 * xp[4] * cp[3]
-        + 3840 * cp[3] * x
+        + 3840 * xp[1] * cp[3]
         + 7584 * xp[6] * cp[2]
         - 5952 * xp[3] * cp[2]
-        + 1920 * xp[4]
+        + 1920 * xp[4] * cp[0]
         + 168 * xp[10] * cp[3]
         + 1344 * xp[4] * cp[6]
         + 560 * xp[8] * cp[4]
@@ -493,70 +493,92 @@ def _bracket_plain(xp, cp):
 def _bracket_alpha(xp, cp):
     """Coefficient polynomial of the root factor in the closed-form bracket,
     over the power tables of :func:`_bracket_plain` (up to 12 and 7)."""
-    x, c = xp[1], cp[1]
     return (
-        -384 * xp[2]
-        - 864 * cp[5] * x
-        - 1872 * cp[4] * xp[3]
+        -384 * xp[2] * cp[0]
+        - 864 * xp[1] * cp[5]
+        - 1872 * xp[3] * cp[4]
         - 648 * xp[7] * cp[2]
-        - 126 * xp[9] * c
-        - 1120 * xp[3] * c
+        - 126 * xp[9] * cp[1]
+        - 1120 * xp[3] * cp[1]
         + 2448 * xp[4] * cp[2]
-        + 1152 * cp[2] * x
-        + 1032 * xp[6] * c
+        + 1152 * xp[1] * cp[2]
+        + 1032 * xp[6] * cp[1]
         - 1584 * xp[5] * cp[3]
-        + 1632 * cp[3] * xp[2]
-        + 128 * cp[7]
-        + 384 * cp[6] * xp[2]
-        - 9 * xp[11]
-        + 2 * xp[12] * c
-        + 132 * xp[8]
+        + 1632 * xp[2] * cp[3]
+        + 128 * xp[0] * cp[7]
+        + 384 * xp[2] * cp[6]
+        - 9 * xp[11] * cp[0]
+        + 2 * xp[12] * cp[1]
+        + 132 * xp[8] * cp[0]
         + 320 * xp[6] * cp[4]
         + 120 * xp[8] * cp[3]
         + 24 * xp[10] * cp[2]
-        + 480 * cp[5] * xp[4]
-        - 528 * xp[5]
-        - 384 * cp[4]
+        + 480 * xp[4] * cp[5]
+        - 528 * xp[5] * cp[0]
+        - 384 * xp[0] * cp[4]
     )
 
 
 def flag_curvature_closed_form(c, x, dps=50):
     """Closed-form flag curvature at ``(x, 0, 0, x)`` for rotation rate 1.
 
-    Valid for negative ``x`` as well.  Evaluated with ``dps`` decimal digits
-    internally: near the zero set of the radicand the bracket loses most of
-    its leading digits to cancellation, so double precision is not enough.
+    Valid for negative ``x`` as well, and for ``c > 0``, the family's own
+    rule; ``c <= 0`` raises DomainError, for there the factors of the
+    denominator can cancel to a value that is all rounding.
+
+    Evaluated in integers, exactly but for the root of the radicand, which
+    is ``isqrt`` of the radicand times ``4**m`` with ``m = ceil(dps *
+    log2(10))``: at least ``dps`` decimal digits.  The result is the one
+    rounding of an integer quotient.  Near the zero set of the radicand
+    the bracket's terms cancel to a few of their leading digits, which
+    exact integers keep; where its plain part ``P`` and its root part
+    ``alpha A`` differ in sign, it is taken as the exact ``P**2 - beta
+    A**2`` over ``P - alpha A``, so no inexact factor cancels.  A value
+    beyond the float range is an infinity.
     """
     if not (math.isfinite(c) and math.isfinite(x)):
         raise DomainError(f"closed form needs finite c and x, got (c={c}, x={x})")
+    if c <= 0.0:
+        raise DomainError(f"closed form needs c > 0, got (c={c}, x={x})")
     try:
         beta_check = closed_form_radicand(float(c), float(x))
     except OverflowError as exc:  # x**4 or c**2 beyond the float range
         raise DomainError(f"closed-form radicand overflows at (c={c}, x={x})") from exc
-    if beta_check < 0.0:
+    # x = X / w and c = C / w; every name below in capitals is an integer
+    (X, wx), (C, wc) = float(x).as_integer_ratio(), float(c).as_integer_ratio()
+    w = max(wx, wc)
+    X, C = X * (w // wx), C * (w // wc)
+    S = X * X + 2 * C * w                 # w**2 (x**2 + 2c)
+    X8 = 8 * X * w**3
+    B = S * S - 2 * X8                    # w**4 beta, the radicand
+    if B < 0:
         raise DomainError(
             f"closed-form radicand is negative at (c={c}, x={x}): {beta_check}",
             value=beta_check,
         )
-    with mp.workdps(dps):
-        xm = mpf(float(x))
-        cm = mpf(float(c))
-        xp, cp = _powers(xm, 14), _powers(cm, 8)
-        beta = xp[4] + 4 * xp[2] * cm + 4 * cp[2] - 16 * xm
-        if beta == 0:
-            raise DomainError(
-                f"closed-form denominator vanishes at (c={c}, x={x})", value=0.0
-            )
-        alpha = mp_sqrt(beta)
-        denom = (
-            (xp[2] + 2 * cm + alpha)
-            * (xp[2] * alpha + 2 * cm * alpha
-               + xp[4] + 4 * xp[2] * cm + 4 * cp[2] - 8 * xm)
-            * beta**2
+    if B == 0:
+        raise DomainError(
+            f"closed-form denominator vanishes at (c={c}, x={x})", value=0.0
         )
-        if denom == 0:
-            raise DomainError(
-                f"closed-form denominator vanishes at (c={c}, x={x})", value=0.0
-            )
-        bracket = _bracket_plain(xp, cp) + alpha * _bracket_alpha(xp, cp)
-        return float(2 * bracket / denom)
+    T = S * S - X8                        # B + X8 > 0, or S**2 > 0 at x <= 0
+    xp, cp = _powers(X, 14, w), _powers(C, 8, w)
+    # the bracket is (P + sqrt(B) A) / w**24, with A's w**22 meeting the
+    # root's w**2
+    P = _bracket_plain(xp, cp) * w * w
+    A = _bracket_alpha(xp, cp)
+    bits = math.ceil(dps * math.log2(10))
+    one = 1 << bits
+    root = math.isqrt(B << 2 * bits)      # one * sqrt(B), low by under 1
+    # one**2 w**10 times the denominator, every factor positive
+    den = (S * one + root) * (S * root + T * one) * B * B * w**10
+    if (P < 0) == (A < 0):
+        num = 2 * (P * one + root * A) * one
+    else:
+        # P and alpha A differ in sign: their sum is the exact P**2 - B A**2
+        # over P - alpha A, whose two parts add
+        num = 2 * (P * P - B * A * A) * one**3
+        den *= P * one - root * A
+    try:
+        return num / den
+    except OverflowError:
+        return math.inf if (num > 0) == (den > 0) else -math.inf

@@ -50,7 +50,7 @@ def random_admissible(rng, a=None, c=None):
         else:
             cc = c
         params = MetricParams(aa, cc)
-        x = float(rng.uniform(0.2, 4.0) * rng.choice([-1.0, 1.0]))
+        x = float(rng.uniform(0.2, 4.0) * (-1.0, 1.0)[rng.integers(2)])
         y = float(rng.uniform(-math.pi, math.pi))
         theta = float(rng.uniform(0.0, 2.0 * math.pi))
         scale = float(10.0 ** rng.uniform(-1.0, 1.0))
@@ -138,7 +138,7 @@ def _check_oracle_agreement(rng, n=120, tol=1e-8):
     worst = 0.0
     for _ in range(n):
         c = float(rng.uniform(1.51, 5.0))
-        x = float(rng.uniform(0.3, 10.0) * rng.choice([-1.0, 1.0]))
+        x = float(rng.uniform(0.3, 10.0) * (-1.0, 1.0)[rng.integers(2)])
         params = MetricParams(1.0, c)
         pt = PhasePoint(x, 0.0, 0.0, x)
         sample = flag_curvature(params, pt)

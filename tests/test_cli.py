@@ -344,6 +344,16 @@ class TestClosedForm:
         assert code == 1
         assert "radicand" in err
 
+    def test_nonpositive_c_exits_one_or_gives_domain_error_rows(self, capsys):
+        code, out, err = run(capsys, "closed-form", "--c", "-1", "--x", "1e-10")
+        assert code == 1
+        assert out == ""
+        assert "needs c > 0" in err
+        code, out, _ = run(capsys, "closed-form", "--c", "0", "--x-range", "0:1",
+                           "--n", "3")
+        assert code == 0
+        assert [line.split(",", 1)[1] for line in out.splitlines()[1:]] == [",domain_error"] * 3
+
     @pytest.mark.parametrize("x", ["nan", "inf", "1e200"])
     def test_nonfinite_or_overflowing_x_exits_one(self, capsys, x):
         code, out, err = run(capsys, "closed-form", "--c", "2", "--x", x)

@@ -3,16 +3,22 @@
 import hashlib
 import itertools
 import math
+import os
+import subprocess
+import sys
 import warnings
 from dataclasses import astuple
 from fractions import Fraction
 from functools import lru_cache
+from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import keplerflag
 from keplerflag import curvature, metric
 from keplerflag.curvature import (
     SINGULAR_V_TOL,
@@ -1096,7 +1102,7 @@ def closed_form_points():
 
 def test_closed_form_digest():
     # sha256 of one line per closed_form_points point, the oracle's K bits
-    # or its error, recorded with the 50-digit mpmath evaluation
+    # or its error, recorded while the oracle ran in 50-digit mpmath
     lines = []
     for c, x in closed_form_points():
         try:
@@ -1106,6 +1112,60 @@ def test_closed_form_digest():
     assert sum(not line.startswith("DomainError") for line in lines) > 200
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert digest == "ab9799dc5a359241a3719b3977e47ebcdbf87ed9d0612b1d0f90b47384be5c2f"
+
+
+def reference_closed_form(c, x):
+    """The closed form from BRACKET_TABLE in 400-digit mpmath, as a float:
+    every power and the plain part are exact there, and only the root
+    rounds."""
+    with mpmath.workdps(400):
+        xm, cm = mpmath.mpf(x), mpmath.mpf(c)
+        s = xm**2 + 2 * cm
+        beta = s**2 - 16 * xm
+        alpha = mpmath.sqrt(beta)
+        bracket = sum(coef * xm**xp * cm**cp * alpha**ap
+                      for coef, xp, cp, ap in BRACKET_TABLE)
+        return float(2 * bracket / ((s + alpha) * (s * alpha + s**2 - 8 * xm) * beta**2))
+
+
+# neighbouring floats x between which K(c, x) changes sign: the bracket's
+# plain part and its root part cancel to within a few units of 2**-53
+K_SIGN_CHANGES = [
+    (1.51, 0.08709509395310747, 0.08709509395310748),
+    (1.51, 1.3742988516049803, 1.3742988516049806),
+    (1.55, 0.15032274787673866, 0.1503227478767387),
+    (1.55, 0.8839343104201536, 0.8839343104201537),
+]
+
+
+def test_closed_form_is_correctly_rounded():
+    points = [(c, x) for c, x, _ in CLOSED_FORM_PINS] + closed_form_points()[::5]
+    points += [(c, x) for c, lo, hi in K_SIGN_CHANGES for x in (lo, hi)]
+    checked = 0
+    for c, x in points:
+        try:
+            K = flag_curvature_closed_form(c, x)
+        except DomainError:
+            continue
+        assert K == reference_closed_form(c, x), (c, x)
+        checked += 1
+    assert checked >= 45
+    assert sum(abs(c - 1.5) < 1e-2 for c, x in points) >= 15
+    # at the sign changes P and alpha A differ in sign, so K comes from the
+    # conjugate (P**2 - beta A**2) / (P - alpha A)
+    for c, lo, hi in K_SIGN_CHANGES:
+        plain, alpha_coef = table_parts(Fraction(lo), Fraction(c))
+        assert plain * alpha_coef < 0
+        assert flag_curvature_closed_form(c, lo) * flag_curvature_closed_form(c, hi) < 0.0
+
+
+def test_importing_the_package_leaves_mpmath_unloaded():
+    code = "import sys, keplerflag; print('mpmath' in sys.modules)"
+    src = str(Path(keplerflag.__file__).resolve().parents[1])
+    path = os.pathsep.join([src, *filter(None, [os.environ.get("PYTHONPATH")])])
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=120, env={**os.environ, "PYTHONPATH": path}, check=True)
+    assert proc.stdout == "False\n"
 
 
 class TestClosedFormEvaluation:
@@ -1126,6 +1186,16 @@ class TestClosedFormEvaluation:
         with pytest.raises(DomainError, match="finite"):
             flag_curvature_closed_form(c, x)
 
+    @pytest.mark.parametrize("c, x", [(0.0, 1.0), (-0.0, 1.0), (-1.0, 1e-10), (-5e-324, 2.0)])
+    def test_nonpositive_c_raises(self, c, x):
+        # at c = -1, x = 1e-10 the denominator's factors cancel: K is
+        # -6.00000000715e-20, and 50-digit arithmetic read -6.41e-20
+        with pytest.raises(DomainError, match="needs c > 0"):
+            flag_curvature_closed_form(c, x)
+
+    def test_a_value_beyond_the_float_range_is_an_infinity(self):
+        assert flag_curvature_closed_form(5e-324, -5e-324) == -math.inf
+
     @pytest.mark.parametrize("c, x", [(2.0, 1e200), (2.0, -1e200), (1e200, 1.0)])
     def test_overflowing_radicand_raises(self, c, x):
         # x**4 or c**2 leaves the float range before the radicand is formed
@@ -1133,7 +1203,7 @@ class TestClosedFormEvaluation:
             flag_curvature_closed_form(c, x)
 
     def test_radicand_overflowing_without_error_keeps_its_value(self):
-        # 4 c**2 overflows to inf without raising; the 50-digit evaluation
+        # 4 c**2 overflows to inf without raising; the exact evaluation
         # still gives the zero-rotation limit K = 2c, as it always did
         assert flag_curvature_closed_form(1e154, 1.0) == pytest.approx(2e154, rel=1e-12)
 
