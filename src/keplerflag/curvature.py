@@ -530,8 +530,8 @@ def flag_curvature_closed_form(c, x, dps=50):
     is ``isqrt`` of the radicand times ``4**m`` with ``m = ceil(dps *
     log2(10))``: at least ``dps`` decimal digits.  The result is the one
     rounding of an integer quotient.  Near the zero set of the radicand
-    the bracket's terms cancel to a few of their leading digits, which
-    exact integers keep; where its plain part ``P`` and its root part
+    the bracket's terms cancel in most of their leading digits, which
+    exact integers do not lose; where its plain part ``P`` and its root part
     ``alpha A`` differ in sign, it is taken as the exact ``P**2 - beta
     A**2`` over ``P - alpha A``, so no inexact factor cancels.  A value
     beyond the float range is an infinity.
@@ -569,7 +569,7 @@ def flag_curvature_closed_form(c, x, dps=50):
     bits = math.ceil(dps * math.log2(10))
     one = 1 << bits
     root = math.isqrt(B << 2 * bits)      # one * sqrt(B), low by under 1
-    # one**2 w**10 times the denominator, every factor positive
+    # one**2 (S + sqrt(B)) (S sqrt(B) + T) B**2 w**10, every factor positive
     den = (S * one + root) * (S * root + T * one) * B * B * w**10
     if (P < 0) == (A < 0):
         num = 2 * (P * one + root * A) * one
