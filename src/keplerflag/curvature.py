@@ -355,9 +355,18 @@ def _kepler_flag_batch(metric, x, y, r, t):
     if not exact.all():
         lanes = ~exact
         # the tape's checks passed on these lanes, so the jets raise nothing
-        for column, jets in zip(out, _flag_batch(metric, *(c[lanes] for c in (x, y, r, t)))):
+        for column, jets in zip(out, _flag_batch(*_on_lanes(lanes, metric, x, y, r, t))):
             column[lanes] = jets
     return tuple(out)
+
+
+def _on_lanes(lanes, metric, *coords):
+    """``metric`` and coordinate arrays of one shape on the lanes ``lanes``
+    picks: the built-in family's lane arrays of ``a`` and ``c`` go too."""
+    if isinstance(metric, MetricParams) and (np.ndim(metric.a) or np.ndim(metric.c)):
+        shape = coords[0].shape
+        metric = MetricParams(*(np.broadcast_to(v, shape)[lanes] for v in (metric.a, metric.c)))
+    return (metric, *(c[lanes] for c in coords))
 
 
 def _point_flag(metric, x, y, r, t):
@@ -388,7 +397,7 @@ def _verdict(K, vt, det):
 
 def _evaluate(metric, x, y, r, t, exclude_band=0.0):
     """Flag curvature and verdict codes at a point (numbers: a float and an
-    int) or over coordinate arrays of one shape (arrays of it).
+    int) or over lane arrays of one shape, ``a`` and ``c`` too (arrays of it).
 
     The one evaluator behind point queries and scans: the domain classifier
     (built-in family only), the kernel where it admits, then the kernel's
@@ -409,7 +418,7 @@ def _evaluate(metric, x, y, r, t, exclude_band=0.0):
         return K, code
     if lanes.all():
         lanes = ...  # no gather
-    Kl, vt, det = _kepler_flag_batch(metric, *(c[lanes] for c in (x, y, r, t)))
+    Kl, vt, det = _kepler_flag_batch(*_on_lanes(lanes, metric, x, y, r, t))
     verdict = _verdict(Kl, vt, det)
     code[lanes] = verdict
     K[lanes] = np.where(verdict == OK, Kl, np.nan)

@@ -221,6 +221,8 @@ class Jet:
     """Truncated Taylor expansion of a scalar quantity at a point."""
 
     __slots__ = ("_space", "coeffs")
+    # an array operand defers to the jet: a lane array times a jet scales each lane
+    __array_ufunc__ = None
 
     def __init__(self, space, coeffs):
         self._space = space

@@ -77,16 +77,24 @@ VERDICTS = (
 
 @dataclass(frozen=True)
 class MetricParams:
-    """Rotation rate ``a >= 0`` and energy parameter ``c > 0``."""
+    """Rotation rate ``a >= 0`` and energy parameter ``c > 0``: numbers, or
+    arrays of the lanes' shape that give each lane its own pair."""
 
     a: float
     c: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.a) and self.a >= 0.0):
-            raise ValueError(f"rotation rate a must be finite and >= 0, got {self.a}")
-        if not (math.isfinite(self.c) and self.c > 0.0):
-            raise ValueError(f"energy parameter c must be finite and > 0, got {self.c}")
+        a, c = self.a, self.c
+        if isinstance(a, np.ndarray) or isinstance(c, np.ndarray):
+            a, c = np.broadcast_arrays(a, c)
+            bad = ~(np.isfinite(a) & (a >= 0.0) & np.isfinite(c) & (c > 0.0))
+            if not bad.any():
+                return
+            a, c = float(a[bad][0]), float(c[bad][0])  # the first bad lane's rules
+        if not (math.isfinite(a) and a >= 0.0):
+            raise ValueError(f"rotation rate a must be finite and >= 0, got {a}")
+        if not (math.isfinite(c) and c > 0.0):
+            raise ValueError(f"energy parameter c must be finite and > 0, got {c}")
 
     @property
     def critical_c(self):
@@ -95,7 +103,7 @@ class MetricParams:
 
     @property
     def has_bounded_component(self):
-        return self.a == 0.0 or self.c > self.critical_c
+        return (self.a == 0.0) | (self.c > self.critical_c)
 
 
 @dataclass(frozen=True)
@@ -200,7 +208,7 @@ def _is_point(*coords):
 
 def classify(params, x, r, t, exclude_band=0.0):
     """Domain verdict codes and the inner radicand, the one read of it: an
-    int and a float at a point, arrays over coordinate arrays of one shape.
+    int and a float at a point, arrays over lane arrays of one shape.
 
     The rules, in precedence order: ``nonfinite_input`` (``x``, ``r`` or
     ``t`` not finite), ``chart_singularity`` (``x == 0`` or
@@ -226,12 +234,13 @@ def _classify(params, x, r, t, exclude_band):
     """:func:`classify` on arrays, or on floats, which raise where NumPy
     divides by zero."""
     rad = _radicand(x, r, t, params.a, params.c)[2]
+    bounded = params.has_bounded_component
     return _first_broken([
         # a product with 0 is NaN exactly where a factor is not finite
         (NONFINITE_INPUT, x * 0.0 + r * 0.0 + t * 0.0 != 0.0),
         (CHART_SINGULARITY, (x == 0.0) | (abs(x) < exclude_band)),
         (ZERO_FIBER_DIRECTION, (r == 0.0) & (t == 0.0)),
-        (ENERGY_BELOW_CRITICAL, not params.has_bounded_component),
+        (ENERGY_BELOW_CRITICAL, ~bounded if isinstance(bounded, np.ndarray) else not bounded),
         (NEGATIVE_RADICAND, rad <= 0.0),
         (UNDEFINED_RADICAND, rad != rad),  # NaN
     ]), rad
@@ -293,9 +302,9 @@ def lstar_jet(params, pt, max_order=4):
 
 def scaling_reduce(params, pt):
     """Reduce to rotation rate 1: returns ``(params', pt')`` with
-    ``F*_{c,a}(pt) = a^(1/3) * F*_{c',1}(pt')``.
+    ``F*_{c,a}(pt) = a^(1/3) * F*_{c',1}(pt')``, lane by lane on arrays.
     """
-    if params.a == 0.0:
+    if np.any(params.a == 0.0):
         raise ValueError("scaling reduction requires a > 0")
     s = params.a ** (1.0 / 3.0)
     reduced = MetricParams(1.0, params.c / (s * s))

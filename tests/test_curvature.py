@@ -865,6 +865,65 @@ def test_callback_mixing_a_single_lane_constant_into_a_batch():
         assert K_lane.view(np.int64)[0] == K.view(np.int64)[lane]
 
 
+class TestPerLaneParameters:
+    """The built-in family with lane arrays of ``(a, c)``: the classifier,
+    the tape and the jets fallback each read every lane's own pair."""
+
+    # (2, 1) has no bounded component: classify rejects its lanes
+    PAIRS = [(1.0, 2.0), (0.0, 0.7), (2.5, 3.5), (2.0, 1.0)]
+
+    def columns(self):
+        rng = np.random.default_rng(21)
+        pair = np.arange(96) % len(self.PAIRS)
+        a, c = np.array(self.PAIRS)[pair].T
+        phi = rng.uniform(0.0, 2.0 * math.pi, 96)
+        x, y = rng.uniform(-3.0, 3.0, 96), rng.uniform(-math.pi, math.pi, 96)
+        return pair, a, c, x, y, np.sin(phi), np.cos(phi)
+
+    def test_matches_one_pair_at_a_time(self):
+        pair, a, c, *coords = self.columns()
+        K, code = _evaluate(MetricParams(a, c), *coords)
+        for k, params in enumerate(itertools.starmap(MetricParams, self.PAIRS)):
+            K_pair, code_pair = _evaluate(params, *(v[pair == k] for v in coords))
+            assert np.array_equal(code[pair == k], code_pair)
+            assert np.array_equal(K[pair == k].view(np.int64), K_pair.view(np.int64))
+        assert {OK, 4} <= set(code.tolist())  # 4: energy_below_critical
+
+    def test_the_jets_fallback_reads_each_lanes_pair(self, monkeypatch):
+        _, a, c, *coords = self.columns()
+        admitted = classify(MetricParams(a, c), coords[0], *coords[2:])[0] == OK
+        a, c, x, y, r, t = (v[admitted] for v in (a, c, *coords))
+        replay = Tape.replay
+
+        def inexact_on_every_third(self, *inputs):
+            *out, exact = replay(self, *inputs)
+            exact[::3] = False
+            return (*out, exact)
+
+        monkeypatch.setattr(Tape, "replay", inexact_on_every_third)
+        got = _kepler_flag_batch(MetricParams(a, c), x, y, r, t)
+        monkeypatch.undo()
+        replayed = _kepler_flag_batch(MetricParams(a, c), x, y, r, t)
+        for i in range(x.size):
+            lane = (v[i:i + 1] for v in (x, y, r, t))
+            want = _flag_batch(MetricParams(a[i], c[i]), *lane) if i % 3 == 0 else \
+                [v[i:i + 1] for v in replayed]
+            for g, w in zip(got, want):
+                assert g[i:i + 1].view(np.int64) == w.view(np.int64)
+
+    @pytest.mark.parametrize("a, c", [(-1.0, 2.0), (math.nan, 2.0), (math.inf, 2.0),
+                                      (1.0, 0.0), (1.0, math.nan), (1.0, -math.inf)])
+    def test_one_bad_lane_raises_as_a_number_does(self, a, c):
+        with pytest.raises(ValueError) as number:
+            MetricParams(a, c)
+        ones = np.ones(3)
+        for lanes in [(np.array([1.0, a, 0.5]), np.array([2.0, c, 3.0])),  # lane 1
+                      (a * ones, c), (a, c * ones)]:
+            with pytest.raises(ValueError) as array:
+                MetricParams(*lanes)
+            assert str(array.value) == str(number.value)
+
+
 class TestScalingIdentity:
     """``K_{c,a}(pt) = a^(2/3) K_{c a^(-2/3), 1}(pt')`` under
     ``scaling_reduce``: a check of ``K`` off the oracle ray, which with the

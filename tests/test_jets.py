@@ -75,6 +75,14 @@ class TestMultiply:
             a + Jet.variable(0, 1.0, 3, 2)
 
 
+    def test_a_lane_array_scales_each_lanes_coefficients(self):
+        x = Jet.variable(0, np.array([1.0, 2.0, 3.0]), 2, 2) * Jet.variable(1, 0.5, 2, 2)
+        scale = np.array([2.0, -1.0, 0.25])
+        for scaled in (scale * x, x * scale):
+            assert isinstance(scaled, Jet)
+            assert np.array_equal(scaled.coeffs, x.coeffs * scale)
+
+
 class TestAnalytic:
     def test_sqrt_of_four_plus_h(self):
         s = Jet.variable(0, 4.0, 1, 2).sqrt()
