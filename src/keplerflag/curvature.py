@@ -446,86 +446,57 @@ def closed_form_radicand(c, x):
     return x**4 + 4.0 * x**2 * c + 4.0 * c**2 - 16.0 * x
 
 
-def _powers(z, n, w=1):
-    """``[z**k * w**(n - k) for k = 0..n]``, that is ``w**n * (z / w)**k``.
+def _bracket_plain(x, c, w):
+    """Monomials of the closed-form bracket that carry no root factor, times
+    ``w**24``, by Horner's rule in ``c`` for each power of ``x``, then in
+    ``x``.
 
-    For a float ``x = X / w`` with integers ``X`` and ``w``,
-    ``_powers(X, n, w)`` holds every ``x**k * w**n`` as an exact integer.
-    With ``w = 1`` it is ``[1, z, ..., z**n]`` in ``z``'s own number type.
-    Two tables serve a whole closed-form call.
+    For floats ``x = X / w`` and ``c = C / w`` with ``w = 2**e``, it is an
+    exact integer of ``X``, ``C`` and ``w``: every monomial ``x**i c**j``
+    becomes ``X**i C**j w**(24 - i - j)``, and that power of ``w`` a shift
+    of its coefficient.  At ``w = 1`` it is the polynomial itself, in the
+    number type of ``x`` and ``c``.  A second, structurally independent
+    transcription lives in the test suite, term by term in a fixed
+    reference order, and the two are compared exactly over rationals
+    before anything else trusts this one.
     """
-    return [z**k * w**(n - k) for k in range(n + 1)]
+    e, c2 = w.bit_length() - 1, c * c
+    c3 = c2 * c
+    h = (2 << 9 * e) * c                                                      # x**14
+    h = h * x - (9 << 11 * e)
+    h = h * x + (28 << 10 * e) * c2
+    h = h * x - (160 << 12 * e) * c
+    h = h * x + (168 << 11 * e) * c3 + (204 << 14 * e)                       # x**10
+    h = h * x - (1060 << 13 * e) * c2
+    h = h * x + ((560 << 12 * e) * c3 + (2096 << 15 * e)) * c
+    h = h * x - (3520 << 14 * e) * c3 - (1296 << 17 * e)
+    h = h * x + ((1120 << 13 * e) * c3 + (7584 << 16 * e)) * c2
+    h = h * x - ((6320 << 15 * e) * c3 + (6528 << 18 * e)) * c              # x**5
+    h = h * x + ((1344 << 14 * e) * c3 + (11520 << 17 * e)) * c3 + (1920 << 20 * e)
+    h = h * x - ((5888 << 16 * e) * c3 + (5952 << 19 * e)) * c2
+    h = h * x + (((896 << 15 * e) * c3 + (5824 << 18 * e)) * c3 - (3840 << 21 * e)) * c
+    h = h * x + ((3840 << 20 * e) - (2240 << 17 * e) * c3) * c3
+    return h * x + ((256 << 16 * e) * c3 - (768 << 19 * e)) * c2 * c3        # x**0
 
 
-def _bracket_plain(xp, cp):
-    """Monomials of the closed-form bracket that carry no root factor.
-
-    ``xp[k]`` and ``cp[k]`` are ``x**k`` and ``c**k`` (:func:`_powers`, up
-    to 14 and 8), or those times ``w**14`` and ``w**8``: every term names
-    one entry of each table, so the sum is then ``w**22`` times the
-    polynomial.  Written term by term in a fixed reference order; a
-    second, structurally independent transcription lives in the test suite
-    and the two are compared exactly over rationals before anything else
-    trusts this one.
-    """
-    return (
-        5824 * xp[2] * cp[4]
-        - 5888 * xp[3] * cp[5]
-        - 3840 * xp[2] * cp[1]
-        - 2240 * xp[1] * cp[6]
-        - 6320 * xp[5] * cp[4]
-        + 1120 * xp[6] * cp[5]
-        + 2 * xp[14] * cp[1]
-        + 28 * xp[12] * cp[2]
-        - 6528 * xp[5] * cp[1]
-        + 256 * xp[0] * cp[8]
-        + 896 * xp[2] * cp[7]
-        - 1296 * xp[7] * cp[0]
-        + 204 * xp[10] * cp[0]
-        - 768 * xp[0] * cp[5]
-        - 9 * xp[13] * cp[0]
-        + 2096 * xp[8] * cp[1]
-        - 160 * xp[11] * cp[1]
-        - 1060 * xp[9] * cp[2]
-        - 3520 * xp[7] * cp[3]
-        + 11520 * xp[4] * cp[3]
-        + 3840 * xp[1] * cp[3]
-        + 7584 * xp[6] * cp[2]
-        - 5952 * xp[3] * cp[2]
-        + 1920 * xp[4] * cp[0]
-        + 168 * xp[10] * cp[3]
-        + 1344 * xp[4] * cp[6]
-        + 560 * xp[8] * cp[4]
-    )
-
-
-def _bracket_alpha(xp, cp):
+def _bracket_alpha(x, c, w):
     """Coefficient polynomial of the root factor in the closed-form bracket,
-    over the power tables of :func:`_bracket_plain` (up to 12 and 7)."""
-    return (
-        -384 * xp[2] * cp[0]
-        - 864 * xp[1] * cp[5]
-        - 1872 * xp[3] * cp[4]
-        - 648 * xp[7] * cp[2]
-        - 126 * xp[9] * cp[1]
-        - 1120 * xp[3] * cp[1]
-        + 2448 * xp[4] * cp[2]
-        + 1152 * xp[1] * cp[2]
-        + 1032 * xp[6] * cp[1]
-        - 1584 * xp[5] * cp[3]
-        + 1632 * xp[2] * cp[3]
-        + 128 * xp[0] * cp[7]
-        + 384 * xp[2] * cp[6]
-        - 9 * xp[11] * cp[0]
-        + 2 * xp[12] * cp[1]
-        + 132 * xp[8] * cp[0]
-        + 320 * xp[6] * cp[4]
-        + 120 * xp[8] * cp[3]
-        + 24 * xp[10] * cp[2]
-        + 480 * xp[4] * cp[5]
-        - 528 * xp[5] * cp[0]
-        - 384 * xp[0] * cp[4]
-    )
+    times ``w**22``, as :func:`_bracket_plain` takes its own."""
+    e, c2 = w.bit_length() - 1, c * c
+    c3 = c2 * c
+    h = (2 << 9 * e) * c                                                      # x**12
+    h = h * x - (9 << 11 * e)
+    h = h * x + (24 << 10 * e) * c2                                           # x**10
+    h = h * x - (126 << 12 * e) * c
+    h = h * x + (120 << 11 * e) * c3 + (132 << 14 * e)
+    h = h * x - (648 << 13 * e) * c2
+    h = h * x + ((320 << 12 * e) * c3 + (1032 << 15 * e)) * c
+    h = h * x - (1584 << 14 * e) * c3 - (528 << 17 * e)                      # x**5
+    h = h * x + ((480 << 13 * e) * c3 + (2448 << 16 * e)) * c2
+    h = h * x - ((1872 << 15 * e) * c3 + (1120 << 18 * e)) * c
+    h = h * x + ((384 << 14 * e) * c3 + (1632 << 17 * e)) * c3 - (384 << 20 * e)
+    h = h * x + ((1152 << 19 * e) - (864 << 16 * e) * c3) * c2
+    return h * x + ((128 << 15 * e) * c3 - (384 << 18 * e)) * c * c3         # x**0
 
 
 def flag_curvature_closed_form(c, x, dps=50):
@@ -556,9 +527,9 @@ def flag_curvature_closed_form(c, x, dps=50):
     # x = X / w and c = C / w; every name below in capitals is an integer
     (X, wx), (C, wc) = float(x).as_integer_ratio(), float(c).as_integer_ratio()
     w = max(wx, wc)
-    X, C = X * (w // wx), C * (w // wc)
+    X, C, e = X * (w // wx), C * (w // wc), w.bit_length() - 1   # w = 2**e
     S = X * X + 2 * C * w                 # w**2 (x**2 + 2c)
-    X8 = 8 * X * w**3
+    X8 = 8 * X << 3 * e                   # 8 x w**4
     B = S * S - 2 * X8                    # w**4 beta, the radicand
     if B < 0:
         raise DomainError(
@@ -570,16 +541,14 @@ def flag_curvature_closed_form(c, x, dps=50):
             f"closed-form denominator vanishes at (c={c}, x={x})", value=0.0
         )
     T = S * S - X8                        # B + X8 > 0, or S**2 > 0 at x <= 0
-    xp, cp = _powers(X, 14, w), _powers(C, 8, w)
     # the bracket is (P + sqrt(B) A) / w**24, with A's w**22 meeting the
     # root's w**2
-    P = _bracket_plain(xp, cp) * w * w
-    A = _bracket_alpha(xp, cp)
+    P, A = _bracket_plain(X, C, w), _bracket_alpha(X, C, w)
     bits = math.ceil(dps * math.log2(10))
     one = 1 << bits
     root = math.isqrt(B << 2 * bits)      # one * sqrt(B), low by under 1
     # one**2 (S + sqrt(B)) (S sqrt(B) + T) B**2 w**10, every factor positive
-    den = (S * one + root) * (S * root + T * one) * B * B * w**10
+    den = (S * one + root) * (S * root + T * one) * B * B << 10 * e
     if (P < 0) == (A < 0):
         num = 2 * (P * one + root * A) * one
     else:

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -193,8 +194,14 @@ def _first_broken(rules):
 
     ``rules`` holds ``(code, broken)`` pairs in precedence order: bools at a
     point, boolean arrays of the lanes' shape (or bools for all) on a block."""
-    if all(type(broken) is bool for _, broken in rules):
-        return next((which for which, broken in rules if broken), OK)
+    for _, broken in rules:
+        if type(broken) is not bool:
+            break
+    else:
+        for which, broken in rules:
+            if broken:
+                return which
+        return OK
     code = np.zeros(np.broadcast_shapes(*(np.shape(b) for _, b in rules)), np.int8)
     for which, broken in reversed(rules):
         code[broken] = which
@@ -203,7 +210,7 @@ def _first_broken(rules):
 
 def _is_point(*coords):
     """Whether ``coords`` are numbers, one point's, evaluated as floats."""
-    return all(isinstance(v, (int, float)) for v in coords)
+    return all(map(isinstance, coords, repeat((int, float))))
 
 
 def classify(params, x, r, t, exclude_band=0.0):

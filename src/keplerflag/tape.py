@@ -22,23 +22,29 @@ flows into by sums, products and numerators.  Nodes that nothing reads are
 dropped, and a buffer row is reused once its last reader has run.  Each
 replay allocates its own buffer, so threads can share a tape.
 
-:meth:`Tape.emit` writes the same operations as Python source, one line
-each (``s7 = s3 * s5``, a local per buffer row), and compiles it in
-functions of :data:`PIECE` operations that hand their live rows on: one
-function of all 2,371 operations of the curvature kernel peaks at about
-5 MB while it compiles.  A call is one lane, so a check is ``if s <= 0.0:
-raise DomainError``; ``np.where`` is a conditional expression, the guard
-row a running sum, and a power libm's ``pow`` (:func:`math.pow`), the
-``pow`` of a NumPy scalar.  On floats the lines give the bits of the same
-operations on NumPy scalars, as single-lane jets take them, except where
-NumPy gives an infinity or NaN and a float operation raises.  The replay's
-vectorised powers round differently (see :mod:`keplerflag.curvature`).
+:meth:`Tape.emit` writes the same operations as Python source and compiles
+it in functions of at most :data:`PIECE` operations: one function of all
+2,371 operations of the curvature kernel peaks at about 2 MB while it
+compiles.  Handing a live value from one function to the next costs
+roughly what an operation does, so the functions are cut where fewest
+values are live.  A value that one operation reads, in the same function,
+is written into that operation's expression (``s9 = s3 * s5 + s7 * s8``),
+and every other value is a local; each operation still runs once, and an
+expression gives the bits of the same operations one per line.  A call is
+one lane, so a check is ``if s <= 0.0: raise DomainError``; ``np.where``
+is a conditional expression, the guard row a running sum, and a power
+libm's ``pow`` (:func:`math.pow`), the ``pow`` of a NumPy scalar.  On
+floats the operations give the bits of the same operations on NumPy
+scalars, as single-lane jets take them, except where NumPy gives an
+infinity or NaN and a float operation raises.  The replay's vectorised
+powers round differently (see :mod:`keplerflag.curvature`).
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
+from collections import Counter, deque
+from itertools import accumulate
 from types import MappingProxyType
 from typing import NamedTuple
 
@@ -49,7 +55,10 @@ from .errors import DomainError
 __all__ = ["Emitted", "Node", "Tape", "record"]
 
 _NUMBER = (int, float)
-PIECE = 600  # operations in each function of emitted source
+PIECE = 800  # most operations in one function of emitted source
+# Deepest expression the emitter nests: each level may add a pair of
+# parentheses, and the tokenizer stops at 200 nested ones.
+DEPTH = 50
 
 
 class Node:
@@ -125,19 +134,26 @@ _LANE_OPS = {
     "const": lambda x, _, out: np.copyto(out, x),
     "finite": np.add, **_CHECKS,
 }
-# The same operations as lines over floats, by the replay's call ("finite"
-# is the add into the guard row).  A power is libm's, as on the NumPy
-# scalars of single-lane jets: where it raises ValueError, Python's ``**``
-# returns a complex number.
-_LINES = {
-    np.add: "{out} = {a} + {b}", np.subtract: "{out} = {a} - {b}",
-    np.multiply: "{out} = {a} * {b}", np.true_divide: "{out} = {a} / {b}",
-    _LANE_OPS["neg"]: "{out} = -{a}", _LANE_OPS["pow"]: "{out} = pow({a}, {b})",
-    _LANE_OPS["where"]: "{out} = 1.0 if {a} <= 0.0 else {a}",
-    _LANE_OPS["const"]: "{out} = {a}",
-    _CHECKS["positive"]: "if {a} <= 0.0: raise DomainError('a recorded constant term is not positive')",
-    _CHECKS["nonzero"]: "if {a} == 0.0: raise DomainError('a recorded constant term is zero')",
+# The same operations as Python over floats, by the replay's call: an
+# expression, its precedence, and the precedences below which its left and
+# right operands take parentheses ("finite" is the add into the guard row);
+# a check is a statement, and its operand, like where's, is always a local.
+# A power is libm's, as on the NumPy scalars of single-lane jets: where it
+# raises ValueError, Python's ``**`` returns a complex number.
+_FORMS = {
+    np.add: ("{a} + {b}", 1, 1, 2), np.subtract: ("{a} - {b}", 1, 1, 2),
+    np.multiply: ("{a} * {b}", 2, 2, 3), np.true_divide: ("{a} / {b}", 2, 2, 3),
+    _LANE_OPS["neg"]: ("-{a}", 3, 4, 0), _LANE_OPS["pow"]: ("pow({a}, {b})", 4, 0, 0),
+    _LANE_OPS["where"]: ("1.0 if {a} <= 0.0 else {a}", 0, 4, 0),
+    _LANE_OPS["const"]: ("{a}", 3, 0, 0),
+    _CHECKS["positive"]: ("if {a} <= 0.0: raise DomainError('a recorded constant term is not positive')",
+                          None, 4, 0),
+    _CHECKS["nonzero"]: ("if {a} == 0.0: raise DomainError('a recorded constant term is zero')",
+                         None, 4, 0),
 }
+_LOCAL_OPERAND = {*_CHECKS.values(), _LANE_OPS["where"]}
+# Operations that read only their first operand; the second repeats it.
+_UNARY = {*_LOCAL_OPERAND, _LANE_OPS["neg"], _LANE_OPS["const"]}
 # How many leading operands pass a value that is not finite on to the result.
 _KEEPS = {"add": 2, "sub": 2, "mul": 2, "div": 1, "neg": 1}
 
@@ -173,45 +189,105 @@ class Tape(NamedTuple):
                 (np.isfinite(guard) | fails).reshape(shape))
 
     def source(self):
-        """Python source of this tape over floats: functions ``_0``,
-        ``_1``, ... of :data:`PIECE` operations each (the last may have
-        fewer), one line per operation on locals ``s<row>`` named for the
-        buffer's rows.  Each function takes the rows live before its
-        operations, in row order, and returns those live after them; the
-        first takes the inputs and the guard, the last returns the outputs
-        and the guard."""
-        steps = [self.code[k:k + PIECE] for k in range(0, len(self.code), PIECE)]
-        live_after = [(*self.outputs, self.inputs)]
-        live = set(live_after[0])
-        for step in reversed(steps[1:]):
-            for fn, a, b, out in reversed(step):
-                live.discard(out)
-                live.update(k for k in (a, b) if k < self.slots)
-            live_after.append(tuple(sorted(live)))
-        live_after.append(tuple(range(self.inputs + 1)))
-        live_after.reverse()
+        """Python source of this tape over floats: ``(size, text)`` for each
+        of the functions ``_0``, ``_1``, ..., which run ``size`` operations,
+        at most :data:`PIECE`, and are cut where the fewest values are live.
+        A value that one operation reads, in the same function, is written
+        into that operation's expression (``s9 = s3 * s5 + s7 * s8``), at
+        most :data:`DEPTH` deep; every other value is a local ``s<k>``, one
+        name each.  Each function takes the values live before its
+        operations and returns those live after them; the first takes the
+        inputs and the guard, the last returns the outputs and the guard."""
+        code, n, first = self.code, len(self.code), self.inputs + 1
+        # Values are numbered as they are made: the inputs and the guard's
+        # start, then each operation's result (a check makes none).  An
+        # operand is a value or a number's text.
+        made, reads, operands, value = [-1] * first, [[] for _ in range(first)], [], []
+        row = [*range(first), *[None] * (self.slots - first)]  # each row's value
+        for pos, (fn, a, b, out) in enumerate(code):
+            operands.append([])
+            for k in (a,) if fn in _UNARY else (a, b):
+                if k < self.slots:
+                    reads[row[k]].append(pos)
+                    operands[-1].append(row[k])
+                else:
+                    operands[-1].append(repr(float(self.consts[k - self.slots])))
+            if _FORMS[fn][1] is None:  # a check
+                value.append(None)
+                continue
+            row[out] = len(made)
+            value.append(row[out])
+            made.append(pos)
+            reads.append([])
+        results = [row[k] for k in (*self.outputs, self.inputs)]
+        for v in results:
+            reads[v].append(n)
 
-        def name(k):  # numbers as floats, spelled with at most nan and inf
-            return f"s{k}" if k < self.slots else repr(float(self.consts[k - self.slots]))
+        # Cut where the fewest values are live in all, no function longer
+        # than PIECE: the least total over the cuts before p, and the last
+        # of them, from a window of the cheapest earlier cuts.
+        live = [0] * (n + 2)
+        for v, pos in enumerate(made):
+            if reads[v]:
+                live[pos + 1] += 1
+                live[reads[v][-1] + 1] -= 1
+        live = list(accumulate(live))
+        total, before, window = [0] * (n + 1), [0] * (n + 1), deque([0])
+        for p in range(1, n + 1):
+            if window[0] < p - PIECE:
+                window.popleft()
+            before[p] = window[0]
+            total[p] = total[before[p]] + live[p]
+            while window and total[window[-1]] >= total[p]:
+                window.pop()
+            window.append(p)
+        cuts = [n, before[n]]  # one function at least, if only to return
+        while cuts[-1]:
+            cuts.append(before[cuts[-1]])
+        cuts.reverse()
+        handed = [range(first)]
+        handed += [[v for v, r in enumerate(reads) if r and made[v] < cut <= r[-1]]
+                   for cut in cuts[1:-1]]
+        handed.append(results)
 
-        for k, step in enumerate(steps):
-            lines = [f"def _{k}({', '.join(map(name, live_after[k]))}):"]
-            lines += ["    " + _LINES[fn].format(a=name(a), b=name(b), out=name(out))
-                      for fn, a, b, out in step]
-            lines.append(f"    return ({''.join(name(r) + ', ' for r in live_after[k + 1])})")
-            yield "\n".join(lines)
+        text = {}  # each value written into its reader: expression, precedence, depth
+
+        def operand(u, wrap):  # u is a value or a number's text
+            s, prec, depth = ((u, 3 if u.startswith("-") else 4, 0) if isinstance(u, str)
+                              else text.pop(u, (f"s{u}", 4, 0)))
+            return f"({s})" if prec < wrap else s, depth
+
+        functions = []
+        for k in range(len(cuts) - 1):
+            lines = [f"def _{k}({''.join(f's{v}, ' for v in handed[k])}):"]
+            for pos in range(cuts[k], cuts[k + 1]):
+                form, prec, left, right = _FORMS[code[pos][0]]
+                a, depth = operand(operands[pos][0], left)
+                b, depth_b = operand(operands[pos][1], right) if len(operands[pos]) > 1 else (a, 0)
+                line, depth, v = form.format(a=a, b=b), 1 + max(depth, depth_b), value[pos]
+                if v is None:
+                    lines.append("    " + line)
+                    continue
+                reader = reads[v][0]
+                if (len(reads[v]) == 1 and reader < cuts[k + 1] and depth <= DEPTH
+                        and code[reader][0] not in _LOCAL_OPERAND):
+                    text[v] = line, prec, depth
+                else:
+                    lines.append(f"    s{v} = {line}")
+            lines.append(f"    return ({''.join(f's{v}, ' for v in handed[k + 1])})")
+            functions.append((cuts[k + 1] - cuts[k], "\n".join(lines)))
+        return functions
 
     def emit(self):
         """This tape as an :class:`Emitted` program, compiled one function of
-        :meth:`source` at a time: compiling one function of every operation
-        peaks at several MB."""
+        :meth:`source` at a time."""
         space = {"pow": math.pow, "DomainError": DomainError, "nan": math.nan, "inf": math.inf}
-        pieces = []
-        for k, text in enumerate(self.source()):
+        pieces, sizes = [], []
+        for k, (size, text) in enumerate(self.source()):
             exec(compile(text, f"<tape piece {k}>", "exec"), space)
             pieces.append(space.pop(f"_{k}"))
-        n = len(self.code)
-        return Emitted(tuple(pieces), tuple(min(PIECE, n - k) for k in range(0, n, PIECE)))
+            sizes.append(size)
+        return Emitted(tuple(pieces), tuple(sizes))
 
 
 class Emitted(NamedTuple):

@@ -28,7 +28,6 @@ from keplerflag.curvature import (
     _evaluate,
     _flag_batch,
     _kepler_flag_batch,
-    _powers,
     _verdict,
     curvature_terms,
     flag_curvature,
@@ -1124,9 +1123,23 @@ class TestClosedFormTranscription:
             x = Fraction(int(rng.integers(-50, 50)), int(rng.integers(1, 20)))
             c = Fraction(int(rng.integers(1, 80)), int(rng.integers(1, 20)))
             plain_table, alpha_table = table_parts(x, c)
-            xp, cp = _powers(x, 14), _powers(c, 8)
-            assert _bracket_plain(xp, cp) == plain_table
-            assert _bracket_alpha(xp, cp) == alpha_table
+            assert _bracket_plain(x, c, 1) == plain_table
+            assert _bracket_alpha(x, c, 1) == alpha_table
+
+    @pytest.mark.parametrize("c, x", [(5e-324, 1e77), (1.55, 1e-300), (1.55, -1e-300),
+                                      (1e150, -3.0)])
+    def test_the_integer_brackets_are_the_table_summed_term_by_term(self, c, x):
+        # x = X / w and c = C / w, as the oracle scales them: the brackets
+        # times w**24 and w**22 are integers, at magnitudes far apart
+        (X, wx), (C, wc) = x.as_integer_ratio(), c.as_integer_ratio()
+        w = max(wx, wc)
+        X, C = X * (w // wx), C * (w // wc)
+        plain = sum(coef * X**xp * C**cp * w**(24 - xp - cp)
+                    for coef, xp, cp, ap in BRACKET_TABLE if not ap)
+        alpha = sum(coef * X**xp * C**cp * w**(22 - xp - cp)
+                    for coef, xp, cp, ap in BRACKET_TABLE if ap)
+        assert _bracket_plain(X, C, w) == plain
+        assert _bracket_alpha(X, C, w) == alpha
 
     def test_term_count(self):
         assert len(BRACKET_TABLE) == 49

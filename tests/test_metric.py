@@ -25,6 +25,7 @@ from keplerflag.metric import (
     perp_inner,
     scaling_reduce,
     validate_domain,
+    _first_broken,
     _radicand,
     _sqrt,
     _variables,
@@ -217,6 +218,13 @@ class TestJetMode:
 
 
 class TestDomainValidation:
+    def test_a_broken_bool_before_an_array_rule_gives_the_array(self):
+        # a bool for all lanes, broken, does not end the list as at a point
+        code = _first_broken([(1, True), (2, np.array([False, True]))])
+        assert code.dtype == np.int8 and code.tolist() == [1, 1]
+        code = _first_broken([(1, False), (2, np.array([False, True])), (3, True)])
+        assert code.tolist() == [3, 2]
+
     def test_subcritical_energy_rejected(self):
         status = validate_domain(MetricParams(1.0, 1.4), PhasePoint(1.0, 0.0, 0.0, 1.0))
         assert not status.ok

@@ -10,10 +10,11 @@ determinant must keep their bits.
 
 import math
 import os
+import re
 import subprocess
 import sys
 import threading
-from collections import Counter
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -258,26 +259,65 @@ def test_one_point_query_leaves_the_tape_unloaded():
 def test_emitted_pieces_hold_each_operation_once(monkeypatch, piece):
     tp, reference = curvature._FAMILY.tape, curvature._FAMILY.emitted
     monkeypatch.setattr(tape, "PIECE", piece)
-    texts = list(tp.source())
-    bodies = [text.split("\n")[1:-1] for text in texts]
-    sizes = [len(body) for body in bodies]
+    functions = tp.source()
+    sizes = [size for size, _ in functions]
     emitted = tp.emit()
     assert sizes == list(emitted.sizes)
-    assert max(sizes) <= piece and sizes[:-1] == [piece] * (len(sizes) - 1)
-    lines = [line for body in bodies for line in body]
-    assert len(lines) == len(tp.code) == sum(tp.ops.values())
-    # one line per operation, by kind: "finite" is an add into the guard
-    kinds = Counter(next(k for k in ("raise", "pow(", " if ", " + ", " - ", " * ", " / ", "= -")
-                         if k in line) for line in lines)
+    assert max(sizes) <= piece and sum(sizes) == len(tp.code) == sum(tp.ops.values())
+    # each operation once in the text, by kind: "finite" is an add into the
+    # guard; a negation is a minus before a local, a power or a parenthesis
+    source = "\n".join(text for _, text in functions)
+    kinds = {kind: source.count(kind)
+             for kind in ("raise", "pow(", " else ", " + ", " - ", " * ", " / ")}
+    kinds["neg"] = len(re.findall(r"(?<![\w.)])-[sp(]", source))
     ops = tp.ops
     assert kinds == {"raise": ops["positive"] + ops["nonzero"], "pow(": ops["pow"],
-                     " if ": ops["where"], " + ": ops["add"] + ops["finite"],
-                     " - ": ops["sub"], " * ": ops["mul"], " / ": ops["div"], "= -": ops["neg"]}
+                     " else ": ops["where"], " + ": ops["add"] + ops["finite"],
+                     " - ": ops["sub"], " * ": ops["mul"], " / ": ops["div"], "neg": ops["neg"]}
     # every way of cutting the operations gives the same bits
     rng = np.random.default_rng(piece)
     for params, pt in (random_admissible(rng) for _ in range(20)):
         args = pt.x, pt.r, pt.t, params.a, params.c
         assert emitted(*args) == reference(*args)
+
+
+def test_the_family_kernel_is_cut_where_few_values_are_live():
+    # Each value handed from one function to the next is packed into a
+    # tuple and unpacked again, so the cuts fall where few values are live.
+    functions = curvature._FAMILY.tape.source()
+    widths = [text.split("\n")[0].count(",") for _, text in functions]
+    assert [size for size, _ in functions] == [41, 800, 798, 732]
+    assert widths == [6, 19, 62, 31]
+    assert functions[-1][1].split("\n")[-1].count(",") == 4  # K, v t, det and the guard
+
+
+def test_emitting_the_family_kernel_peaks_under_one_and_a_half_megabytes():
+    # Compiling one function of every operation peaks at about 2 MB.
+    tp = curvature._FAMILY.tape
+    tp.emit()  # once first, so caches the interpreter fills lazily stay out of the count
+    tracemalloc.start()
+    try:
+        tp.emit()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.55e6
+
+
+def test_a_long_chain_of_single_reads_nests_within_the_parser():
+    # Each sum is read once, by the next: unbounded, the source would nest
+    # 1,000 parentheses deep, and the tokenizer stops at 200.
+    def chain(x):
+        for k in range(1, 1001):
+            x = k / 7.0 + x
+        return (x,)
+
+    tp = tape.record(chain, 1)
+    assert tp.ops == {"add": 1000}
+    emitted = tp.emit()
+    assert len(emitted.pieces) == 2
+    for x in (0.1, -3.3, 1e16):
+        assert emitted(x) == (chain(x)[0], True)
 
 
 def test_emitted_kernel_matches_the_jets_at_random_points():
