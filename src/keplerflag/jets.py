@@ -40,14 +40,14 @@ of output ``k`` are sorted; call their products ``p0 ... p(n-1)`` and let
 * ``S = ((q0 + q1) + (q2 + q3)) + ((q4 + q5) + (q6 + q7))``, then ``+ q8``,
   ``+ q9``, ... left to right, when ``8 <= m < 16``.
 
-This is the order of ``np.add.reduceat`` (NumPy's pairwise summation, see
-Higham, *Accuracy and Stability of Numerical Algorithms*, 2nd ed., 4.2).
-Single-lane float jets call ``reduceat``.  Batched jets and object
-coefficients (the nodes :mod:`keplerflag.tape` records) write the order
-out (:func:`_ordered_sum`), one addition at a time across the lanes of the
-outputs with as many pairs: ``reduceat`` along the pair axis makes one
-strided call per output coefficient and lane, and sums objects left to
-right.
+It is the order in which NumPy's ``add.reduceat`` sums a segment
+(pairwise summation, see Higham, *Accuracy and Stability of Numerical
+Algorithms*, 2nd ed., 4.2).  :func:`_ordered_sum` writes it out for every
+kind of coefficient: single lanes, lane batches and objects (the nodes
+:mod:`keplerflag.tape` records).  It adds one pair at a time across the
+lanes of all outputs with as many pairs; ``reduceat`` itself would make
+one strided call per output coefficient and lane, and sums objects left
+to right.
 """
 
 from __future__ import annotations
@@ -99,10 +99,8 @@ def _ordered_sum(p):
 class _JetSpace:
     """Precomputed index tables for one (num_vars, max_order) algebra."""
 
-    __slots__ = (
-        "num_vars", "max_order", "monomials", "index", "ncoeff", "unit",
-        "_mul_i", "_mul_lo_i", "_mul_j", "_mul_starts", "_sums", "_d_src", "_d_fac",
-    )
+    __slots__ = ("num_vars", "max_order", "monomials", "index", "ncoeff", "unit",
+                 "_sums", "_d_src", "_d_fac")
 
     def __init__(self, num_vars, max_order):
         self.num_vars = num_vars
@@ -118,40 +116,36 @@ class _JetSpace:
             for var in range(num_vars)
         )
 
-        # Truncated Cauchy product: all (i, j) with deg_i + deg_j <= max_order,
-        # sorted, hence grouped by the output index: a scalar product is one
-        # gather + one reduceat, which sums each group in the order of the
-        # module docstring.
-        pairs = []
+        # Truncated Cauchy product: all (k, i, j) with deg_i + deg_j <=
+        # max_order, sorted, hence grouped by the output index k in the
+        # order the module docstring sums them.
         degrees = [sum(m) for m in self.monomials]
-        for i, mi in enumerate(self.monomials):
-            for j, mj in enumerate(self.monomials):
-                if degrees[i] + degrees[j] <= max_order:
-                    k = self.index[tuple(a + b for a, b in zip(mi, mj))]
-                    pairs.append((k, i, j))
-        pairs.sort()
-        mul_k = np.array([p[0] for p in pairs], dtype=np.intp)
-        self._mul_i = np.array([p[1] for p in pairs], dtype=np.intp)
-        self._mul_j = np.array([p[2] for p in pairs], dtype=np.intp)
+        pairs = sorted(
+            (self.index[tuple(a + b for a, b in zip(mi, mj))], i, j)
+            for i, mi in enumerate(self.monomials)
+            for j, mj in enumerate(self.monomials)
+            if degrees[i] + degrees[j] <= max_order
+        )
+        mul_k, mul_i, mul_j = (np.array(col, dtype=np.intp) for col in zip(*pairs))
         # A graded product's left operand stops one order short (_compose):
         # its missing top-degree entries pair only with b[0], and these
         # indices read a[0] there.  Not its last entry, as "clip" would:
         # that one can be infinite where a[0] is not, and inf * 0 is NaN.
         small = _monomials(num_vars, max_order - 1)
-        self._mul_lo_i = np.where(self._mul_i < len(small), self._mul_i, 0)
-        # Every output index occurs at least once (pair with the constant
-        # monomial), so these reduceat segments are never empty.
-        self._mul_starts = np.searchsorted(mul_k, np.arange(self.ncoeff))
+        mul_lo_i = np.where(mul_i < len(small), mul_i, 0)
         # Outputs with as many pairs sum as one batch: rows, (pairs, rows) operand
-        # indices.  From 17 pairs on, NumPy's 8 accumulators take a second term
-        # each, which _ordered_sum does not do; 4 variables at order 4 reach 16.
+        # indices.  Every output has at least one pair (with the constant
+        # monomial).  From 17 pairs on, NumPy's 8 accumulators take a second
+        # term each, which _ordered_sum does not do; 4 variables at order 4
+        # reach 16.
         n = np.bincount(mul_k)
         assert n.max() <= 16
+        starts = np.searchsorted(mul_k, np.arange(self.ncoeff))
         self._sums = []
         for m in sorted(set(n.tolist())):
             rows = (n == m).nonzero()[0]
-            p = (self._mul_starts[rows, None] + np.arange(m)).T
-            self._sums.append((rows, self._mul_i[p], self._mul_lo_i[p], self._mul_j[p]))
+            p = (starts[rows, None] + np.arange(m)).T
+            self._sums.append((rows, mul_i[p], mul_lo_i[p], mul_j[p]))
 
         # Partial-derivative tables, target order max_order - 1.  The target
         # monomials are exactly the prefix of this space's graded enumeration.
@@ -171,13 +165,10 @@ class _JetSpace:
                 self._d_fac.append(fac)
 
     def product(self, a, b, graded=False):
-        """The truncated product of coefficient arrays, by one ``reduceat``
-        on single-lane floats and :func:`_ordered_sum` otherwise.  With
-        ``graded``, ``a`` lacks this space's top degree and ``b[0]`` is
-        zero, so a pair reads ``a[0]`` for a missing entry of ``a``."""
-        if a.ndim == 1 and b.ndim == 1 and not (a.dtype.hasobject or b.dtype.hasobject):
-            i = self._mul_lo_i if graded else self._mul_i
-            return np.add.reduceat(a[i] * b[self._mul_j], self._mul_starts, axis=0)
+        """The truncated product of coefficient arrays, each output summed
+        by :func:`_ordered_sum`.  With ``graded``, ``a`` lacks this space's
+        top degree and ``b[0]`` is zero, so a pair reads ``a[0]`` for a
+        missing entry of ``a``."""
         a, b = _aligned(a, b)
         out = np.empty((self.ncoeff,) + np.broadcast_shapes(a.shape[1:], b.shape[1:]),
                        np.result_type(a, b))
@@ -396,21 +387,6 @@ class Jet:
             result[0] += ck
         return Jet(sp, result)
 
-    def _power_series(self, p):
-        """``self**p`` for ``p`` not a non-negative integer, once the
-        caller has checked the constant term."""
-        c0 = self.coeffs[0]
-        if p.is_integer():
-            exps = [int(p) - k for k in range(self.max_order + 1)]
-        else:
-            exps = [p - k for k in range(self.max_order + 1)]
-        series = []
-        binom = 1.0
-        for k, e in enumerate(exps):
-            series.append(binom * c0**e)
-            binom *= (p - k) / (k + 1.0)
-        return self._compose(series)
-
     def power(self, p):
         """Composition with ``z -> z**p``, exact to the truncation order.
 
@@ -445,26 +421,22 @@ class Jet:
                 f"got {float(np.min(c0))}",
                 value=float(np.min(c0)),
             )
-        return self._power_series(p)
+        e = int(p) if p.is_integer() else p
+        series = []
+        binom = 1.0
+        for k in range(self.max_order + 1):
+            series.append(binom * c0 ** (e - k))
+            binom *= (p - k) / (k + 1.0)
+        return self._compose(series)
 
     def sqrt(self):
-        """Square root; the constant term must be strictly positive."""
-        c0 = self.coeffs[0]
-        if np.any(c0 <= 0.0):
-            raise DomainError(
-                f"sqrt of a jet requires a positive constant term, got "
-                f"{float(np.min(c0))}",
-                value=float(np.min(c0)),
-            )
-        return self._power_series(0.5)
+        """Square root, ``power(0.5)``: the constant term must be positive."""
+        return self.power(0.5)
 
     def reciprocal(self):
-        """Multiplicative inverse; the constant term must be nonzero."""
-        if np.any(self.coeffs[0] == 0.0):
-            raise DomainError(
-                "reciprocal of a jet with zero constant term", value=0.0
-            )
-        return self._power_series(-1.0)
+        """Multiplicative inverse, ``power(-1)``: the constant term must be
+        nonzero."""
+        return self.power(-1.0)
 
     # ------------------------------------------------------------------
 

@@ -208,9 +208,14 @@ def _first_broken(rules):
     return code
 
 
+# Python's numbers and NumPy's scalars, floats first: bound here, so a point
+# query looks up no attribute of ``np``.
+_NUMBERS = (float, int, np.floating, np.integer)
+
+
 def _is_point(*coords):
     """Whether ``coords`` are numbers, one point's, evaluated as floats."""
-    return all(map(isinstance, coords, repeat((int, float))))
+    return all(map(isinstance, coords, repeat(_NUMBERS)))
 
 
 def classify(params, x, r, t, exclude_band=0.0):

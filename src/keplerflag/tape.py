@@ -8,7 +8,7 @@ in their order.  It folds structural constants (``v * 0`` is ``0``;
 ``v * 1``, ``v + 0`` and ``v - 0`` are ``v``; two numbers give a number),
 replays powers as ``x ** e`` on lanes, as the jets take them on arrays,
 and keeps ``np.where(v <= 0, 1.0, v)`` as it stands.  A node compared with
-zero, ``np.any(c0 <= 0)`` in :meth:`Jet.sqrt`, reads as false and is a
+zero, ``np.any(c0 <= 0)`` in :meth:`Jet.power`, reads as false and is a
 domain check: the replay marks the lanes it fails on in a failure row and
 gives them NaN, the jets' answer there, and raises nothing.  Any other use
 of the comparison, such as a branch, raises TypeError: a tape holds one

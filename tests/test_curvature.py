@@ -560,6 +560,21 @@ class TestPointsOnFloats:
             "zero_fiber_direction"]
         assert validate_domain(params, points[0]).ok
 
+    @pytest.mark.parametrize("number", [int, float, np.float64, np.float32, np.int64])
+    def test_numpy_scalar_coordinates_take_the_float_path(self, number):
+        # the floats of their values, not one-lane arrays, whose powers
+        # round apart from libm's
+        params = MetricParams(1.0, 2.0)
+        for coords in [(2, 0, 1, -1), (1.25, 0.0, 0.6, 0.8)]:
+            if number in (int, np.int64) and not all(float(v).is_integer() for v in coords):
+                continue
+            pt = PhasePoint(*map(number, coords))
+            want = flag_curvature(params, PhasePoint(*map(float, astuple(pt))))
+            for _ in range(2):  # a process's first query runs the jets
+                assert flag_curvature(params, pt).K.hex() == want.K.hex()
+            status = validate_domain(params, pt)
+            assert type(status.ok) is bool and type(status.radicand) is float
+
 
 class TestOperationBudget:
     """Work per evaluation, by count: a change that adds products,
@@ -582,7 +597,7 @@ class TestOperationBudget:
             return derivative(self, index)
 
         def counting_product(space, a, b, graded=False):
-            counts["pairs"] += space._mul_j.size
+            counts["pairs"] += sum(j.size for *_, j in space._sums)
             return product(space, a, b, graded)
 
         monkeypatch.setattr(Jet, "__mul__", counting_mul)

@@ -401,8 +401,8 @@ def test_composition_leaves_its_operand_alone(op, batch):
 @pytest.mark.parametrize(
     "op, c0, message",
     [
-        (Jet.sqrt, -2.0, "sqrt of a jet requires a positive constant term, got -2.0"),
-        (Jet.reciprocal, 0.0, "reciprocal of a jet with zero constant term"),
+        (Jet.sqrt, -2.0, "power 0.5 of a jet requires a positive constant term, got -2.0"),
+        (Jet.reciprocal, 0.0, "negative integer power of a jet with zero constant term"),
         (lambda j: j.power(-1.5), -2.0,
          "power -1.5 of a jet requires a positive constant term, got -2.0"),
         (lambda j: j.power(-1), 0.0,
@@ -421,7 +421,7 @@ def test_composition_domain_messages(op, c0, message, batched):
 
 
 # ----------------------------------------------------------------------
-# Summation order.  Batched products sum each coefficient's pairs by a
+# Summation order.  Products sum each coefficient's pairs by a
 # precomputed schedule; it must give the bits np.add.reduceat gives over
 # the sorted pairs, which is the order the module docstring writes down.
 
@@ -449,8 +449,16 @@ def assert_same_bits(got, want):
 
 
 def dense_product(a, b, sp):
-    """Every pair product, summed by reduceat in pair order."""
-    return np.add.reduceat(a[sp._mul_i] * b[sp._mul_j], sp._mul_starts, axis=0)
+    """Every pair product, summed by reduceat in pair order.  The sorted
+    pairs come from ``sp.monomials`` alone, not the schedule under test."""
+    index = {m: n for n, m in enumerate(sp.monomials)}
+    pairs = sorted(
+        (index[tuple(p + q for p, q in zip(mi, mj))], i, j)
+        for i, mi in enumerate(sp.monomials) for j, mj in enumerate(sp.monomials)
+        if sum(mi) + sum(mj) <= sp.max_order
+    )
+    k, i, j = (np.array(col, dtype=np.intp) for col in zip(*pairs))
+    return np.add.reduceat(a[i] * b[j], np.searchsorted(k, np.arange(sp.ncoeff)), axis=0)
 
 
 @pytest.mark.parametrize(
@@ -460,7 +468,7 @@ def dense_product(a, b, sp):
 def test_batched_product_sums_like_reduceat(num_vars, max_order):
     sp = _space(num_vars, max_order)
     rng = np.random.default_rng(100 * num_vars + max_order)
-    for batch in [(1,), (2,), (128,), (257,), (3, 5)]:
+    for batch in [(), (1,), (2,), (128,), (257,), (3, 5)]:
         for kind in ("moderate", "extreme"):
             a = _coeffs(rng, (sp.ncoeff,) + batch, kind)
             b = _coeffs(rng, (sp.ncoeff,) + batch, kind)
