@@ -9,6 +9,7 @@ Exit codes: 0 success, 1 domain or precondition failure, 2 argument errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -64,6 +65,7 @@ def _merge_range_values(argv):
     return out
 
 
+@functools.cache  # prog is fixed, and parse_args leaves a parser as it was
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="keplerflag",
@@ -256,8 +258,7 @@ _COMMANDS = {
 def main(argv=None):
     if argv is None:
         argv = sys.argv[1:]
-    parser = _build_parser()
-    args = parser.parse_args(_merge_range_values(list(argv)))
+    args = _build_parser().parse_args(_merge_range_values(list(argv)))
     try:
         return _COMMANDS[args.command](args)
     except (ConsistencyError, DomainError, PreconditionError, DegeneracyError,

@@ -44,7 +44,10 @@ reason.  Every metric's kernel is an operation tape
 with the jets' bits: one for the built-in family and every parameter
 pair, one for each callback.  Arrays replay it, and point queries run it
 emitted as Python over floats, all but the built-in family's first and
-those where it raises, which run the jets on 0-d arrays.  A point's
+those where it raises, which run the jets on 0-d arrays.  A point query
+is one frame, :func:`_evaluate`, from the coordinates' floats to the
+verdict: it calls the classifier's rules, the emitted pieces and the
+kernel's verdicts, and no plumbing between them.  A point's
 ``K`` and a row's can differ in the last bits: ``Jet.power`` takes
 ``c0**e`` with libm's ``pow`` on a NumPy scalar, as the emitted tape does,
 but with NumPy's own vectorised ``pow`` on an array, as the replay does,
@@ -82,6 +85,8 @@ from .metric import (
     VERDICTS,
     MetricParams,
     PhasePoint,
+    _classify,
+    _classify_lane,
     _first_broken,
     _fstar_jet_batch,
     _is_point,
@@ -369,25 +374,6 @@ def _on_lanes(lanes, metric, *coords):
     return (metric, *(c[lanes] for c in coords))
 
 
-def _point_flag(metric, x, y, r, t):
-    """``(K, vt, det)`` at a point given as numbers: the metric's emitted
-    tape, or the jets on 0-d arrays for the built-in family's first point
-    query and where the tape raises or its guard is not finite."""
-    kernel, inputs = _kernel_inputs(metric, x, y, r, t)
-    if kernel.warm:
-        try:
-            *out, exact = kernel.emitted(*inputs)
-        except (ArithmeticError, ValueError):  # DomainError is a ValueError
-            exact = False
-        if exact:
-            return out
-    kernel.warm = True
-    try:
-        return [float(v) for v in _flag_batch(metric, x, y, r, t)]
-    except DomainError:  # a check fails, as the tape's would
-        return [math.nan] * 3
-
-
 def _verdict(K, vt, det):
     """The kernel's verdict codes, on floats or on arrays."""
     return _first_broken([(DEGENERATE_COMETRIC, det <= 0.0),
@@ -404,10 +390,33 @@ def _evaluate(metric, x, y, r, t, exclude_band=0.0):
     verdicts.  ``K`` is NaN wherever ``VERDICTS[code]`` is not ok."""
     kepler = isinstance(metric, MetricParams)
     if _is_point(x, y, r, t):
-        code = classify(metric, x, r, t, exclude_band)[0] if kepler else OK
-        if code != OK:
-            return math.nan, code
-        K, vt, det = _point_flag(metric, x, y, r, t)
+        x, y, r, t = float(x), float(y), float(r), float(t)
+        if kepler:
+            try:
+                code = _classify(metric, x, r, t, exclude_band)[0]
+            except ZeroDivisionError:
+                code = _classify_lane(metric, x, r, t, exclude_band)[0]
+            if code != OK:
+                return math.nan, code
+            kernel, values = _FAMILY, (x, r, t, float(metric.a), float(metric.c), 0.0)
+        else:
+            kernel, values = _callback_kernel(metric.fstar), (x, y, r, t, 0.0)
+        exact = kernel.warm  # the family's first query runs the jets on 0-d arrays
+        if exact:
+            try:
+                for piece in kernel.emitted.pieces:
+                    values = piece(*values)
+            except (ArithmeticError, ValueError):  # DomainError is a ValueError
+                exact = False
+            else:
+                K, vt, det, guard = values
+                exact = math.isfinite(guard)
+        if not exact:  # so does one where the tape raises or its guard is not finite
+            kernel.warm = True
+            try:
+                K, vt, det = map(float, _flag_batch(metric, x, y, r, t))
+            except DomainError:  # a check fails, as the tape's would
+                K = vt = det = math.nan
         code = _verdict(K, vt, det)
         return (K if code == OK else math.nan), code
     x, y, r, t = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (x, y, r, t)))

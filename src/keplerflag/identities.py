@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curvature import _evaluate, flag_curvature_closed_form
+from .errors import DomainError
 from .metric import (
     OK,
     MetricParams,
@@ -28,7 +29,6 @@ from .metric import (
     cartesian_fiber_point,
     classify,
     fstar_cartesian,
-    fstar_polar,
     fstar_polar_jet,
     hypothesis_gap,
     scaling_reduce,
@@ -48,24 +48,26 @@ class CheckResult:
     detail: str = ""
 
 
-def _uniform(rng, lo, hi):
-    """``rng.uniform(lo, hi)``, bit for bit: NumPy's own ``low + range *
-    next_double``, without the cost of its call."""
-    return lo + (hi - lo) * rng.random()
+def _uniform(lo, hi, u):
+    """``rng.uniform(lo, hi)`` where ``rng.random()`` gives ``u``, bit for
+    bit: NumPy's own ``low + range * next_double``, without the cost of its
+    call.  ``rng.random(k)`` gives the doubles of ``k`` such calls."""
+    return lo + (hi - lo) * u
 
 
 def _draw(rng, a=None, c=None):
     """One admissible draw by rejection, as floats ``(a, c, x, y, r, t)``."""
     while True:
-        aa = _uniform(rng, 0.0, 3.0) if a is None else a
+        u = iter(rng.random((a is None) + (c is None) + 1).tolist())
+        aa = _uniform(0.0, 3.0, next(u)) if a is None else a
         cc = c
         if c is None:
             crit = MetricParams(aa, 1.0).critical_c
-            cc = (crit if crit > 0 else 0.5) * _uniform(rng, 1.05, 3.0) + 0.1
-        x = _uniform(rng, 0.2, 4.0) * (-1.0, 1.0)[rng.integers(2)]
-        y = _uniform(rng, -math.pi, math.pi)
-        theta = _uniform(rng, 0.0, 2.0 * math.pi)
-        scale = 10.0 ** _uniform(rng, -1.0, 1.0)
+            cc = (crit if crit > 0 else 0.5) * _uniform(1.05, 3.0, next(u)) + 0.1
+        x = _uniform(0.2, 4.0, next(u)) * (-1.0, 1.0)[rng.integers(2)]
+        uy, utheta, uscale = rng.random(3).tolist()
+        y, theta = _uniform(-math.pi, math.pi, uy), _uniform(0.0, 2.0 * math.pi, utheta)
+        scale = 10.0 ** _uniform(-1.0, 1.0, uscale)
         r, t = scale * math.sin(theta), scale * math.cos(theta)
         code, rad = classify(MetricParams(aa, cc), x, r, t)
         if code == OK and rad > 1e-6:
@@ -80,7 +82,10 @@ def random_admissible(rng, a=None, c=None):
 
 def _rows(rng, n, *extra):
     """``n`` draws, each then a uniform on each ``(lo, hi)`` of ``extra``, as rows."""
-    return np.array([(*_draw(rng), *(_uniform(rng, lo, hi) for lo, hi in extra))
+    if not extra:
+        return np.array([_draw(rng) for _ in range(n)]).T
+    lo, hi = zip(*extra)
+    return np.array([(*_draw(rng), *map(_uniform, lo, hi, rng.random(len(extra)).tolist()))
                      for _ in range(n)]).T
 
 
@@ -112,7 +117,7 @@ def _cartesian_fstar(params, x, y, r, t):
     """The Cartesian-fiber F* at one point, NaN where it raises."""
     try:
         return fstar_cartesian(cartesian_fiber_point(params, PhasePoint(x, y, r, t)), params.a)
-    except ValueError:  # a coordinate not finite, or x = 0; DomainError is one
+    except DomainError:  # a coordinate not finite, or x = 0
         return math.nan
 
 
@@ -153,9 +158,9 @@ def _check_curvature_symmetries(rng, n=60, tol=1e-9):
 
 
 def _check_oracle_agreement(rng, n=120, tol=1e-8):
-    c, x = np.array([(_uniform(rng, 1.51, 5.0),
-                      _uniform(rng, 0.3, 10.0) * (-1.0, 1.0)[rng.integers(2)])
-                     for _ in range(n)]).T
+    c, x = np.array([(_uniform(1.51, 5.0, uc),
+                      _uniform(0.3, 10.0, ux) * (-1.0, 1.0)[rng.integers(2)])
+                     for uc, ux in (rng.random(2).tolist() for _ in range(n))]).T
     K, code = _evaluate(MetricParams(1.0, c), x, 0.0, 0.0, x)
     ok = code == OK
     oracle = [flag_curvature_closed_form(*ck) for ck in zip(c[ok].tolist(), x[ok].tolist())]
@@ -167,58 +172,41 @@ _FD_STEPS = {1: 1e-6, 2: 1e-4, 3: 3e-4, 4: 1e-3}
 
 
 def _finite_difference(fn, point, mu):
-    """Iterated central differences for the mixed partial ``mu``."""
-    order = sum(mu)
-    h = _FD_STEPS[order]
+    """Iterated central differences for the mixed partial ``mu``, the last
+    variable's outermost, each taken at its upper point first."""
+    h = _FD_STEPS[sum(mu)]
+    steps = [var for var, times in enumerate(mu) for _ in range(times)]
 
-    def diff(f, var, times):
-        if times == 0:
-            return f
-        def stepped(p):
-            lo = list(p)
-            hi = list(p)
-            lo[var] -= h
-            hi[var] += h
-            inner = diff(f, var, times - 1)
-            return (inner(tuple(hi)) - inner(tuple(lo))) / (2.0 * h)
-        return stepped
+    def diff(p, k):  # the differences in steps[:k] at p
+        if k == 0:
+            return fn(p)
+        lo, hi = list(p), list(p)
+        lo[steps[k - 1]] -= h
+        hi[steps[k - 1]] += h
+        return (diff(tuple(hi), k - 1) - diff(tuple(lo), k - 1)) / (2.0 * h)
 
-    f = fn
-    for var, times in enumerate(mu):
-        f = diff(f, var, times)
-    return f(point)
+    return diff(point, len(steps))
 
 
 def _check_jets_vs_fd(rng, tol_low=1e-5, tol_high=1e-3):
-    params = MetricParams(1.0, 2.0)
-    pt = PhasePoint(1.1, 0.0, 0.35, 0.9)
-
-    def scalar_fn(coords):
-        return fstar_polar(params, PhasePoint(coords[0], 0.0, coords[1], coords[2]))
-
+    """Each partial of the ``F*`` jet against its differences, run once to
+    list their points and once on ``F*`` at all of them, an array call whose
+    ``+ - * /`` and ``sqrt`` give a scalar call's bits."""
+    params, pt = MetricParams(1.0, 2.0), PhasePoint(1.1, 0.0, 0.35, 0.9)
     jet = fstar_polar_jet(params, pt, max_order=4)
-    worst_low = worst_high = 0.0
-    space = jet._space
-    for mu in space.monomials:
-        order = sum(mu)
-        if order == 0:
-            continue
-        exact = jet.extract(mu)
-        approx = _finite_difference(scalar_fn, (pt.x, pt.r, pt.t), mu)
-        rel = float(_rel(exact, approx, floor=1.0))
-        if order <= 2:
-            worst_low = max(worst_low, rel)
-        else:
-            worst_high = max(worst_high, rel)
-    passed = worst_low <= tol_low and worst_high <= tol_high
-    return CheckResult(
-        "jet derivatives vs central differences",
-        passed,
-        max(worst_low, worst_high),
-        tol_high,
-        detail=f"orders<=2: {worst_low:.2e} (tol {tol_low}); "
-        f"orders 3-4: {worst_high:.2e} (tol {tol_high})",
-    )
+    monomials, stencil = [mu for mu in jet._space.monomials if sum(mu)], []
+    for mu in monomials:
+        _finite_difference(lambda p: stencil.append(p) or 0.0, (pt.x, pt.r, pt.t), mu)
+    values = iter(_fstar_expr(*np.array(stencil).T, params.a, params.c).tolist())
+    worst = [0.0, 0.0]  # orders 1-2, orders 3-4
+    for mu in monomials:
+        approx = _finite_difference(lambda p: next(values), (pt.x, pt.r, pt.t), mu)
+        k = sum(mu) > 2
+        worst[k] = max(worst[k], float(_rel(jet.extract(mu), approx, floor=1.0)))
+    return CheckResult("jet derivatives vs central differences",
+                       worst[0] <= tol_low and worst[1] <= tol_high, max(worst), tol_high,
+                       detail=f"orders<=2: {worst[0]:.2e} (tol {tol_low}); "
+                       f"orders 3-4: {worst[1]:.2e} (tol {tol_high})")
 
 
 def _check_hypothesis_gap(n=100_000, tol=1e-12):

@@ -155,10 +155,11 @@ def _fiber_norm(q):
 def _sqrt(u):
     """``Jet.sqrt``'s rule on floats and arrays too: the root of a positive
     argument, NaN without a warning for anything else."""
-    if isinstance(u, Jet):
-        return u.sqrt()
-    if isinstance(u, np.ndarray):
-        return np.sqrt(np.where(u > 0.0, u, np.nan))
+    if type(u) is not float:
+        if isinstance(u, Jet):
+            return u.sqrt()
+        if isinstance(u, np.ndarray):
+            return np.sqrt(np.where(u > 0.0, u, np.nan))
     return math.sqrt(u) if u > 0.0 else math.nan
 
 
@@ -232,14 +233,21 @@ def classify(params, x, r, t, exclude_band=0.0):
     not, or ``x * x`` overflows with ``r = 0``).
     """
     if _is_point(x, r, t):
+        x, r, t = float(x), float(r), float(t)
         try:
-            return _classify(params, float(x), float(r), float(t), exclude_band)
-        except ZeroDivisionError:  # x = 0, or x * x or w * w underflows: one lane
-            code, rad = classify(params, [float(x)], [float(r)], [float(t)], exclude_band)
-            return int(code[0]), float(rad[0])
+            return _classify(params, x, r, t, exclude_band)
+        except ZeroDivisionError:
+            return _classify_lane(params, x, r, t, exclude_band)
     x, r, t = (np.asarray(v, dtype=float) for v in (x, r, t))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         return _classify(params, x, r, t, exclude_band)
+
+
+def _classify_lane(params, x, r, t, exclude_band):
+    """:func:`classify` on floats as one lane, for where :func:`_classify`
+    divides by zero: ``x = 0``, or ``x * x`` or ``w * w`` underflows."""
+    code, rad = classify(params, [x], [r], [t], exclude_band)
+    return int(code[0]), float(rad[0])
 
 
 def _classify(params, x, r, t, exclude_band):
@@ -328,8 +336,11 @@ def cartesian_fiber_point(params, pt):
     """Change of variables from the polar chart back to one Cartesian fiber.
 
     ``p = (x cos y, x sin y)``, ``q`` reconstructed from ``(r, t)``, and
-    ``2C = |p|^2/2 + c``.
+    ``2C = |p|^2/2 + c``.  DomainError names :func:`classify`'s first rule broken.
     """
+    for v in (pt.x, pt.y, pt.r, pt.t):
+        if not math.isfinite(v):
+            raise DomainError(f"nonfinite_input at {pt}", value=v)
     if pt.x == 0.0:
         raise DomainError(f"chart_singularity at {pt}", value=0.0)
     cy, sy = math.cos(pt.y), math.sin(pt.y)

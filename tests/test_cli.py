@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from keplerflag import convexity
-from keplerflag.cli import main
+from keplerflag.cli import _build_parser, main
 from keplerflag.curvature import flag_curvature, flag_curvature_closed_form
 from keplerflag.metric import MetricParams, PhasePoint
 
@@ -112,6 +112,33 @@ class TestArgumentErrors:
         with pytest.raises(SystemExit) as err:
             main(["slice", "--c", "2", "--x-range", "oops"])
         assert err.value.code == 2
+
+
+class TestParserCache:
+    def test_one_parser_per_process(self):
+        assert _build_parser() is _build_parser()
+
+    def test_calls_after_an_error_print_what_a_fresh_parser_prints(self, capsys):
+        calls = [["point", "--c", "2", "--x", "1", "--frobnicate"],
+                 ["closed-form", "--c", "1.55", "--x", "1.25"],
+                 ["point", "--c", "1.55", "--x", "1.25", "--r", "0.6", "--t", "0.8"]]
+
+        def outputs(fresh):
+            seen = []
+            for argv in calls:
+                if fresh:
+                    _build_parser.cache_clear()
+                try:
+                    code = main(argv)
+                except SystemExit as exc:
+                    code = exc.code
+                seen.append((code, *capsys.readouterr()))
+            return seen
+
+        cached = outputs(fresh=False)
+        assert [code for code, *_ in cached] == [2, 0, 0]
+        assert cached[2][1] == "4.8293442152731334\n"
+        assert cached == outputs(fresh=True)
 
 
 class TestSlice:

@@ -534,6 +534,18 @@ class TestPointsOnFloats:
             verdicts.add(warm.reason)
         assert {None, "denominator_below_tolerance", "nonfinite_result"} <= verdicts
 
+    def test_a_point_where_the_float_classifier_divides_by_zero(self):
+        # x * x underflows to 0: the floats raise, and the point takes the
+        # one-lane array's verdict
+        params, coords = MetricParams(1.0, 2.0), (1e-170, 0.0, 0.3, 0.7)
+        with pytest.raises(ZeroDivisionError):
+            metric._classify(params, coords[0], *coords[2:], 0.0)
+        K, code = _evaluate(params, *coords)
+        lane_K, lane_code = _evaluate(params, *(np.array([v]) for v in coords))
+        assert type(code) is int and code == lane_code[0]
+        assert (math.isnan(K) and np.isnan(lane_K[0])) or K.hex() == float(lane_K[0]).hex()
+        assert flag_curvature(params, PhasePoint(*coords)).reason == VERDICTS[code][1]
+
     def test_a_warm_point_query_makes_no_array(self, monkeypatch):
         params = MetricParams(1.0, 2.0)
         points = [PhasePoint(1.3, 0.0, 0.4, -0.8), PhasePoint(-2.1, 0.0, 0.9, 0.3),
@@ -635,6 +647,30 @@ class TestOperationBudget:
         assert later == first
         assert counts == (0, 0, 0)
         assert ran == sum(curvature._FAMILY.tape.ops.values()) == 2371
+
+    def test_point_query_python_calls(self):
+        # A warm family query is one frame from coordinates to verdict: the
+        # classifier's rules, the 4 emitted pieces, the kernel's verdicts.
+        args = MetricParams(1.0, 2.0), PhasePoint(1.3, 0.0, 0.4, -0.8)
+        want = flag_curvature(*args)
+        flag_curvature(*args)  # the tape is emitted
+        calls = []
+
+        def profile(frame, event, arg):
+            if event == "call":
+                calls.append(frame.f_code.co_name)
+
+        sys.setprofile(profile)
+        try:
+            sample = flag_curvature(*args)
+        finally:
+            sys.setprofile(None)
+        assert sample == want
+        assert calls == ["flag_curvature", "_evaluate", "_is_point", "_classify",
+                         "_radicand", "_sqrt", "has_bounded_component", "critical_c",
+                         "_first_broken", "_0", "_1", "_2", "_3", "_verdict",
+                         "_first_broken", "__init__"]
+        assert len(curvature._FAMILY.emitted.pieces) == 4
 
     def test_callback_point_query(self, monkeypatch):
         # A callback's tape is its own, recorded at its first point query: a

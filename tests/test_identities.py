@@ -1,6 +1,7 @@
 """Tests for the structural-identity suite: its draws, and its array checks
 against the point-by-point loops they replace, kept here as the reference."""
 
+import itertools
 import math
 
 import numpy as np
@@ -11,6 +12,8 @@ from keplerflag.curvature import flag_curvature, flag_curvature_closed_form
 from keplerflag.identities import (
     DEFAULT_SEED,
     _draw,
+    _finite_difference,
+    _rows,
     _uniform,
     random_admissible,
     run_identity_checks,
@@ -22,6 +25,7 @@ from keplerflag.metric import (
     cartesian_fiber_point,
     fstar_cartesian,
     fstar_polar,
+    fstar_polar_jet,
     lstar,
     lstar_jet,
     scaling_reduce,
@@ -132,8 +136,23 @@ def ref_oracle_agreement(rng, n=120):
     return worst
 
 
+def ref_jets_vs_fd(rng):
+    """Each partial of the F* jet against its differences of scalar F*."""
+    params, pt = MetricParams(1.0, 2.0), PhasePoint(1.1, 0.0, 0.35, 0.9)
+    jet = fstar_polar_jet(params, pt, max_order=4)
+    worst = 0.0
+    for mu in jet._space.monomials:
+        if sum(mu):
+            approx = _finite_difference(
+                lambda p: fstar_polar(params, PhasePoint(p[0], 0.0, p[1], p[2])),
+                (pt.x, pt.r, pt.t), mu)
+            worst = max(worst, rel(jet.extract(mu), approx, floor=1.0))
+    return worst
+
+
 # check -> (reference, largest difference of the two worsts).  The F* lines
-# run the same IEEE operations on arrays, and the others differ where an
+# and the differences run the same IEEE operations on arrays, whose square
+# root is correctly rounded as libm's is, and the others differ where an
 # array power rounds apart from libm's: the Euler and scaling worsts are a
 # few ulps each; K's is an ulp amplified by the conditioning of v t (it
 # moves by up to 5.8e-10 over seeds 0-59 but the failing 24), and the
@@ -145,12 +164,14 @@ REFERENCES = {
     "_check_scaling": (ref_scaling, 8 * np.finfo(float).eps),
     "_check_curvature_symmetries": (ref_curvature_symmetries, 1e-9),
     "_check_oracle_agreement": (ref_oracle_agreement, 1e-12),
+    "_check_jets_vs_fd": (ref_jets_vs_fd, 0.0),
 }
 
 
 def test_the_draws_are_those_of_random_admissible():
-    for a, c in [(None, None), (1.0, None), (None, 2.5), (0.5, 3.0)]:
-        one, two, three = (np.random.default_rng(3) for _ in range(3))
+    for seed, (a, c) in itertools.product(range(10), [(None, None), (1.0, None), (None, 2.5),
+                                                      (0.5, 3.0)]):
+        one, two, three = (np.random.default_rng(seed) for _ in range(3))
         for _ in range(300):
             aa, cc, *pt = _draw(one, a, c)
             params, point = random_admissible(two, a, c)
@@ -159,10 +180,24 @@ def test_the_draws_are_those_of_random_admissible():
         assert one.bit_generator.state == two.bit_generator.state == three.bit_generator.state
 
 
+@pytest.mark.parametrize("seed", range(10))
+def test_the_rows_are_draws_then_each_extra_by_rng_uniform(seed):
+    extra = (0.3, 4.0), (-10.0, 10.0)
+    ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = _rows(ours, 50, *extra)
+    want = []
+    for _ in range(50):
+        params, pt = reference_admissible(theirs)
+        want.append((params.a, params.c, pt.x, pt.y, pt.r, pt.t,
+                     *(theirs.uniform(lo, hi) for lo, hi in extra)))
+    assert np.array_equal(got.view(np.int64), np.array(want).T.view(np.int64))
+    assert ours.bit_generator.state == theirs.bit_generator.state
+
+
 @pytest.mark.parametrize("lo, hi", RANGES)
 def test_the_uniform_formula_is_rng_uniform_bit_for_bit(lo, hi):
     ours, numpys = np.random.default_rng(11), np.random.default_rng(11)
-    got = np.array([_uniform(ours, lo, hi) for _ in range(20_000)])
+    got = np.array([_uniform(lo, hi, u) for u in ours.random(20_000).tolist()])
     want = np.array([numpys.uniform(lo, hi) for _ in range(20_000)])
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
 

@@ -81,6 +81,15 @@ class TestCartesianFiber:
         with pytest.raises(ValueError, match="positive and finite"):
             CartesianFiberPoint((0.0, 0.0), (1.0, 0.0), C)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["x", "y", "r", "t"])
+    def test_change_of_variables_rejects_a_nonfinite_coordinate(self, field, value):
+        # before the chart singularity, in classify's precedence
+        coords = {"x": 0.0, "y": 0.0, "r": 0.3, "t": 0.7, field: value}
+        with pytest.raises(DomainError, match="^nonfinite_input at ") as err:
+            cartesian_fiber_point(MetricParams(1.0, 2.0), PhasePoint(**coords))
+        assert err.value.value is value
+
     def test_change_of_variables_rejects_the_chart_singularity(self):
         with pytest.raises(DomainError, match="^chart_singularity at "):
             cartesian_fiber_point(MetricParams(1.0, 2.0), PhasePoint(0.0, 0.0, 0.3, 0.7))
