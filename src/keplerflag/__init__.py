@@ -8,17 +8,15 @@ together through ``curvature_terms``), and the flag curvature.  A
 transcribed closed form along the fiber ray (r, t) = (0, x) serves as an
 independent oracle, and verifiers cover fiberwise convexity, the scaling
 symmetry, and the structural identities of the construction.
+
+``import keplerflag`` loads what a point query needs: the jets, the metric
+family and the curvature.  The names exported from :mod:`keplerflag.scan`
+and :mod:`keplerflag.convexity`, and those two modules themselves, are
+imported on first use (PEP 562).
 """
 
-from .convexity import (
-    ConvexityReport,
-    LambdaRoots,
-    f_of_t,
-    hessian_form,
-    hp_value,
-    lambda_roots,
-    verify_convexity,
-)
+import importlib
+
 from .curvature import (
     CallbackCartanMetric,
     CurvatureSample,
@@ -43,16 +41,6 @@ from .metric import (
     lstar_jet,
     scaling_reduce,
     validate_domain,
-)
-from .scan import (
-    GridSpec,
-    ScanResult,
-    ScanSummary,
-    SliceSpec,
-    emit,
-    grid_scan,
-    slice_scan,
-    summarize,
 )
 
 __version__ = "0.1.0"
@@ -98,3 +86,26 @@ __all__ = [
     "summarize",
     "emit",
 ]
+
+# Exported names whose modules a point query does not need, by module.
+_LAZY = {name: module for module, names in (
+    ("convexity", ("ConvexityReport", "LambdaRoots", "f_of_t", "hessian_form", "hp_value",
+                   "lambda_roots", "verify_convexity")),
+    ("scan", ("GridSpec", "ScanResult", "ScanSummary", "SliceSpec", "emit", "grid_scan",
+              "slice_scan", "summarize")),
+) for name in names}
+
+
+def __getattr__(name):
+    """Import a lazily exported name's module, or the module itself, on
+    first use; the name then stays bound here."""
+    if name in _LAZY.values():
+        return importlib.import_module(f"{__name__}.{name}")
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(importlib.import_module(f"{__name__}.{_LAZY[name]}"), name)
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__, *_LAZY.values()})

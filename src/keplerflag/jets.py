@@ -67,15 +67,6 @@ MAX_ORDER = 4
 __all__ = ["Jet", "MAX_VARS", "MAX_ORDER"]
 
 
-def _monomials(num_vars, max_order):
-    out = []
-    for total in range(max_order + 1):
-        for combo in itertools.product(range(total + 1), repeat=num_vars):
-            if sum(combo) == total:
-                out.append(combo)
-    return tuple(out)
-
-
 def _aligned(a, b):
     """Coefficient arrays with their batch axes lined up: the one with
     fewer gains leading unit batch axes, so a single-lane jet broadcasts
@@ -105,7 +96,11 @@ class _JetSpace:
     def __init__(self, num_vars, max_order):
         self.num_vars = num_vars
         self.max_order = max_order
-        self.monomials = _monomials(num_vars, max_order)
+        # Graded enumeration: the exponent tuples in lexicographic order,
+        # sorted (stably) by degree.
+        self.monomials = tuple(sorted(
+            (m for m in itertools.product(range(max_order + 1), repeat=num_vars)
+             if sum(m) <= max_order), key=sum))
         self.index = {m: i for i, m in enumerate(self.monomials)}
         self.ncoeff = len(self.monomials)
         # Position of each variable's first-order coefficient (None at order
@@ -116,23 +111,31 @@ class _JetSpace:
             for var in range(num_vars)
         )
 
+        # A monomial's code reads its exponents as digits in base
+        # max_order + 1, so a product of degree <= max_order has the sum of
+        # its factors' codes, and ``slot`` maps a code to its index.
+        place = [(max_order + 1) ** (num_vars - 1 - var) for var in range(num_vars)]
+        mono = np.array(self.monomials, dtype=np.intp)
+        code = mono @ place
+        slot = np.zeros((max_order + 1) ** num_vars, np.intp)
+        slot[code] = np.arange(self.ncoeff)
+        degree = mono.sum(1)
+        # The order below has this enumeration's first ``small`` monomials.
+        small = math.comb(num_vars + max_order - 1, num_vars) if max_order else 0
+
         # Truncated Cauchy product: all (k, i, j) with deg_i + deg_j <=
         # max_order, sorted, hence grouped by the output index k in the
-        # order the module docstring sums them.
-        degrees = [sum(m) for m in self.monomials]
-        pairs = sorted(
-            (self.index[tuple(a + b for a, b in zip(mi, mj))], i, j)
-            for i, mi in enumerate(self.monomials)
-            for j, mj in enumerate(self.monomials)
-            if degrees[i] + degrees[j] <= max_order
-        )
-        mul_k, mul_i, mul_j = (np.array(col, dtype=np.intp) for col in zip(*pairs))
+        # order the module docstring sums them.  nonzero() lists (i, j) in
+        # order and a stable sort on k keeps it.
+        mul_i, mul_j = (degree[:, None] + degree <= max_order).nonzero()
+        mul_k = slot[code[mul_i] + code[mul_j]]
+        order = mul_k.argsort(kind="stable")
+        mul_k, mul_i, mul_j = mul_k[order], mul_i[order], mul_j[order]
         # A graded product's left operand stops one order short (_compose):
         # its missing top-degree entries pair only with b[0], and these
         # indices read a[0] there.  Not its last entry, as "clip" would:
         # that one can be infinite where a[0] is not, and inf * 0 is NaN.
-        small = _monomials(num_vars, max_order - 1)
-        mul_lo_i = np.where(mul_i < len(small), mul_i, 0)
+        mul_lo_i = np.where(mul_i < small, mul_i, 0)
         # Outputs with as many pairs sum as one batch: rows, (pairs, rows) operand
         # indices.  Every output has at least one pair (with the constant
         # monomial).  From 17 pairs on, NumPy's 8 accumulators take a second
@@ -147,22 +150,11 @@ class _JetSpace:
             p = (starts[rows, None] + np.arange(m)).T
             self._sums.append((rows, mul_i[p], mul_lo_i[p], mul_j[p]))
 
-        # Partial-derivative tables, target order max_order - 1.  The target
-        # monomials are exactly the prefix of this space's graded enumeration.
-        self._d_src = []
-        self._d_fac = []
-        if max_order >= 1:
-            for var in range(num_vars):
-                src = np.empty(len(small), dtype=np.intp)
-                fac = np.empty(len(small))
-                for s, mu in enumerate(small):
-                    shifted = tuple(
-                        m + 1 if k == var else m for k, m in enumerate(mu)
-                    )
-                    src[s] = self.index[shifted]
-                    fac[s] = mu[var] + 1
-                self._d_src.append(src)
-                self._d_fac.append(fac)
+        # Partial-derivative tables, target order max_order - 1: the source
+        # of target monomial mu is mu + e_var, with factor mu[var] + 1.
+        vars_ = range(num_vars) if max_order >= 1 else ()
+        self._d_src = [slot[code[:small] + place[var]] for var in vars_]
+        self._d_fac = [mono[:small, var] + 1.0 for var in vars_]
 
     def product(self, a, b, graded=False):
         """The truncated product of coefficient arrays, each output summed
@@ -170,10 +162,10 @@ class _JetSpace:
         top degree and ``b[0]`` is zero, so a pair reads ``a[0]`` for a
         missing entry of ``a``."""
         a, b = _aligned(a, b)
-        out = np.empty((self.ncoeff,) + np.broadcast_shapes(a.shape[1:], b.shape[1:]),
+        out = np.empty((self.ncoeff,) + np.broadcast(a[:1], b[:1]).shape[1:],
                        np.result_type(a, b))
         for rows, i, lo_i, j in self._sums:
-            out[rows] = _ordered_sum(np.take(a, lo_i if graded else i, 0) * np.take(b, j, 0))
+            out[rows] = _ordered_sum(a.take(lo_i if graded else i, 0) * b.take(j, 0))
         return out
 
 

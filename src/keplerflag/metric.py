@@ -79,7 +79,12 @@ VERDICTS = (
 @dataclass(frozen=True)
 class MetricParams:
     """Rotation rate ``a >= 0`` and energy parameter ``c > 0``: numbers, or
-    arrays of the lanes' shape that give each lane its own pair."""
+    arrays of the lanes' shape that give each lane its own pair.
+
+    ``has_bounded_component`` (``a == 0`` or ``c`` above
+    :attr:`critical_c`) is computed once, when the pair is made, for the
+    domain rules of every query; equality and hashing read ``a`` and ``c``
+    only."""
 
     a: float
     c: float
@@ -89,22 +94,30 @@ class MetricParams:
         if isinstance(a, np.ndarray) or isinstance(c, np.ndarray):
             a, c = np.broadcast_arrays(a, c)
             bad = ~(np.isfinite(a) & (a >= 0.0) & np.isfinite(c) & (c > 0.0))
-            if not bad.any():
-                return
-            a, c = float(a[bad][0]), float(c[bad][0])  # the first bad lane's rules
-        if not (math.isfinite(a) and a >= 0.0):
-            raise ValueError(f"rotation rate a must be finite and >= 0, got {a}")
-        if not (math.isfinite(c) and c > 0.0):
-            raise ValueError(f"energy parameter c must be finite and > 0, got {c}")
+            if bad.any():
+                _check_params(float(a[bad][0]), float(c[bad][0]))  # the first bad lane's rules
+        else:
+            _check_params(a, c)
+            # NumPy scalars are held as the floats a point query reads, as
+            # its coordinates are, so its verdicts and radicand are Python
+            # numbers.
+            if isinstance(a, np.generic) or isinstance(c, np.generic):
+                object.__setattr__(self, "a", float(a))
+                object.__setattr__(self, "c", float(c))
+        object.__setattr__(self, "has_bounded_component",
+                           (self.a == 0.0) | (self.c > self.critical_c))
 
     @property
     def critical_c(self):
         """Threshold (3/2) a^(2/3) above which the bounded component exists."""
         return 1.5 * self.a ** (2.0 / 3.0)
 
-    @property
-    def has_bounded_component(self):
-        return (self.a == 0.0) | (self.c > self.critical_c)
+
+def _check_params(a, c):
+    if not (math.isfinite(a) and a >= 0.0):
+        raise ValueError(f"rotation rate a must be finite and >= 0, got {a}")
+    if not (math.isfinite(c) and c > 0.0):
+        raise ValueError(f"energy parameter c must be finite and > 0, got {c}")
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 """Tests for the truncated Taylor-jet algebra."""
 
+import itertools
 import math
 
 import numpy as np
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 from keplerflag import tape
 from keplerflag.errors import DomainError
 from keplerflag.identities import _finite_difference
-from keplerflag.jets import MAX_ORDER, MAX_VARS, Jet, _space
+from keplerflag.jets import MAX_ORDER, MAX_VARS, Jet, _JetSpace, _space
 
 
 def jet_close(a, b, tol=1e-13):
@@ -459,6 +460,52 @@ def dense_product(a, b, sp):
     )
     k, i, j = (np.array(col, dtype=np.intp) for col in zip(*pairs))
     return np.add.reduceat(a[i] * b[j], np.searchsorted(k, np.arange(sp.ncoeff)), axis=0)
+
+
+def reference_tables(num_vars, max_order):
+    """A space's monomials, product groups and derivative tables, built by
+    looping over every monomial pair and every target monomial."""
+    monomials = tuple(
+        combo for total in range(max_order + 1)
+        for combo in itertools.product(range(total + 1), repeat=num_vars) if sum(combo) == total
+    )
+    index = {m: n for n, m in enumerate(monomials)}
+    pairs = sorted(
+        (index[tuple(p + q for p, q in zip(mi, mj))], i, j)
+        for i, mi in enumerate(monomials) for j, mj in enumerate(monomials)
+        if sum(mi) + sum(mj) <= max_order
+    )
+    small = sum(sum(m) < max_order for m in monomials)
+    by_output = {}
+    for k, i, j in pairs:
+        by_output.setdefault(k, []).append((i, j))
+    sums = []
+    for m in sorted({len(p) for p in by_output.values()}):
+        rows = [k for k in sorted(by_output) if len(by_output[k]) == m]
+        i = [[by_output[k][q][0] for k in rows] for q in range(m)]
+        j = [[by_output[k][q][1] for k in rows] for q in range(m)]
+        lo_i = [[v if v < small else 0 for v in row] for row in i]
+        sums.append((rows, i, lo_i, j))
+    d_src, d_fac = [], []
+    for var in range(num_vars if max_order else 0):
+        shifted = [tuple(e + (k == var) for k, e in enumerate(mu)) for mu in monomials[:small]]
+        d_src.append([index[mu] for mu in shifted])
+        d_fac.append([mu[var] + 1.0 for mu in monomials[:small]])
+    return monomials, sums, d_src, d_fac
+
+
+@pytest.mark.parametrize("num_vars, max_order", SPACES)
+def test_index_tables_match_the_reference_construction(num_vars, max_order):
+    sp = _JetSpace(num_vars, max_order)
+    monomials, sums, d_src, d_fac = reference_tables(num_vars, max_order)
+    assert sp.monomials == monomials and sp.ncoeff == len(monomials)
+    assert sp.index == {m: n for n, m in enumerate(monomials)}
+    assert [[t.tolist() for t in group] for group in sp._sums] == [list(g) for g in sums]
+    assert all(t.dtype == np.intp for group in sp._sums for t in group)
+    assert [t.tolist() for t in sp._d_src] == d_src
+    assert [t.tolist() for t in sp._d_fac] == d_fac
+    assert all(t.dtype == np.intp for t in sp._d_src)
+    assert all(t.dtype == np.float64 for t in sp._d_fac)
 
 
 @pytest.mark.parametrize(

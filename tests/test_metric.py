@@ -65,6 +65,15 @@ class TestParams:
         assert MetricParams(0.0, 2.0).has_bounded_component
         assert not MetricParams(1.0, 1.4).has_bounded_component
 
+    def test_bounded_component_is_computed_once_and_not_compared(self):
+        params = MetricParams(1.0, 2.0)
+        assert params.has_bounded_component is True
+        assert "has_bounded_component" in vars(params)  # held by the instance
+        fresh = MetricParams(1.0, 2.0)
+        assert params == fresh and hash(params) == hash(fresh)
+        lanes = MetricParams(np.array([1.0, 1.0]), np.array([1.4, 2.0]))
+        assert lanes.has_bounded_component.tolist() == [False, True]
+
 
 class TestCartesianFiber:
     def test_perpendicular_momentum_gives_double_radius(self):
@@ -233,6 +242,18 @@ class TestDomainValidation:
         assert code.dtype == np.int8 and code.tolist() == [1, 1]
         code = _first_broken([(1, False), (2, np.array([False, True])), (3, True)])
         assert code.tolist() == [3, 2]
+
+    @pytest.mark.parametrize("number", [np.float64, np.float32, np.int64])
+    def test_numpy_scalar_params_take_the_float_path(self, number):
+        params, pt = MetricParams(number(1), number(2)), PhasePoint(1.3, 0.0, 0.4, -0.8)
+        status = validate_domain(params, pt)
+        assert type(status.ok) is bool and status.ok
+        assert type(status.radicand) is float
+        code, rad = classify(params, pt.x, pt.r, pt.t)
+        assert type(code) is int and code == OK and type(rad) is float
+        assert type(params.has_bounded_component) is bool
+        K = flag_curvature(MetricParams(1.0, 2.0), pt).K
+        assert flag_curvature(params, pt).K.hex() == K.hex()
 
     def test_subcritical_energy_rejected(self):
         status = validate_domain(MetricParams(1.0, 1.4), PhasePoint(1.0, 0.0, 0.0, 1.0))
