@@ -22,7 +22,6 @@ from .errors import ConsistencyError, DegeneracyError, DomainError, Precondition
 from .identities import DEFAULT_SEED, run_identity_checks
 from .metric import MetricParams, PhasePoint
 from .scan import (
-    DEFAULT_EXCLUDE_BAND,
     GridSpec,
     SliceSpec,
     _axis,
@@ -93,7 +92,6 @@ def _build_parser():
         add_params(p)
         p.add_argument("--x-range", type=_parse_range, default=(-10.0, 10.0),
                        metavar="LO:HI")
-        p.add_argument("--exclude-band", type=float, default=DEFAULT_EXCLUDE_BAND)
         p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument("--out", default=None,
                        help="output path (default: standard output)")
@@ -177,13 +175,12 @@ def _scan(args, spec, scan, points):
 
 
 def _cmd_slice(args):
-    spec = SliceSpec(args.c, args.a, *args.x_range, args.n, args.exclude_band)
+    spec = SliceSpec(args.c, args.a, *args.x_range, args.n)
     return _scan(args, spec, slice_scan, "slice")
 
 
 def _cmd_grid(args):
-    spec = GridSpec(*args.x_range, args.nx, *args.phi_range, args.nphi,
-                    args.c, args.a, args.exclude_band)
+    spec = GridSpec(*args.x_range, args.nx, *args.phi_range, args.nphi, args.c, args.a)
     return _scan(args, spec, grid_scan, "lattice")
 
 
@@ -262,7 +259,7 @@ def main(argv=None):
     try:
         return _COMMANDS[args.command](args)
     except (ConsistencyError, DomainError, PreconditionError, DegeneracyError,
-            ValueError, OSError) as exc:
+            ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -39,8 +39,11 @@ One evaluator serves point queries and scans: the domain classifier of
 :mod:`keplerflag.metric`, the kernel where it admits, and the kernel's
 verdicts, each rule list evaluated on floats for a point and on arrays
 for a block, so a point query and a scan row get the same status and
-reason.  Every metric's kernel is an operation tape
-(:mod:`keplerflag.tape`), its jet arithmetic recorded once per process
+reason.  The classifier's band ``|x| < CHART_BAND`` around the polar
+chart's singularity is one of its rules, not an option, so no query
+reaches the kernel where the chart has lost the digits of ``K``.  Every
+metric's kernel is an operation tape (:mod:`keplerflag.tape`), its jet
+arithmetic recorded once per process
 with the jets' bits: one for the built-in family and every parameter
 pair, one for each callback.  Arrays replay it, and point queries run it
 emitted as Python over floats, all but the built-in family's first and
@@ -86,7 +89,6 @@ from .metric import (
     MetricParams,
     PhasePoint,
     _classify,
-    _classify_lane,
     _first_broken,
     _fstar_jet_batch,
     _is_point,
@@ -382,7 +384,7 @@ def _verdict(K, vt, det):
                           (NONFINITE_RESULT, (K != K) | (abs(K) == math.inf))])
 
 
-def _evaluate(metric, x, y, r, t, exclude_band=0.0):
+def _evaluate(metric, x, y, r, t):
     """Flag curvature and verdict codes at a point (numbers: a float and an
     int) or over lane arrays of one shape, ``a`` and ``c`` too (arrays of it).
 
@@ -393,10 +395,7 @@ def _evaluate(metric, x, y, r, t, exclude_band=0.0):
     if _is_point(x, y, r, t):
         x, y, r, t = float(x), float(y), float(r), float(t)
         if kepler:
-            try:
-                code = _classify(metric, x, r, t, exclude_band)[0]
-            except ZeroDivisionError:
-                code = _classify_lane(metric, x, r, t, exclude_band)[0]
+            code = _classify(metric, x, r, t)[0]
             if code != OK:
                 return math.nan, code
             kernel, values = _FAMILY, (x, r, t, float(metric.a), float(metric.c), 0.0)
@@ -421,7 +420,7 @@ def _evaluate(metric, x, y, r, t, exclude_band=0.0):
         code = _verdict(K, vt, det)
         return (K if code == OK else math.nan), code
     x, y, r, t = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (x, y, r, t)))
-    code = classify(metric, x, r, t, exclude_band)[0] if kepler else np.zeros(x.shape, np.int8)
+    code = classify(metric, x, r, t)[0] if kepler else np.zeros(x.shape, np.int8)
     K = np.full(x.shape, np.nan)
     lanes = code == OK
     if not lanes.any():

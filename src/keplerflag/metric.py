@@ -37,6 +37,7 @@ __all__ = [
     "CartesianFiberPoint",
     "DomainStatus",
     "RADICAND_CLAMP",
+    "CHART_BAND",
     "VERDICTS",
     "perp_inner",
     "fstar_cartesian",
@@ -55,6 +56,12 @@ __all__ = [
 # boundary of the bounded component is a legitimate target (verify_convexity
 # evaluates there) that rounding can place marginally outside.
 RADICAND_CLAMP = 1e-12
+
+# Half-width of the band around the polar chart's singularity x = 0 that
+# classify rejects as chart_singularity.  The polar K loses about u / x^2
+# of its accuracy there (u = 2^-53): 9e-9 relative at |x| = 1e-3, 4e-7 at
+# 1e-4, and no correct digit below about 1e-7.
+CHART_BAND = 1e-3
 
 # Every (status, reason) pair the package reports, indexed by verdict code:
 # ok, then the domain rules in the order classify applies them, then the
@@ -232,46 +239,40 @@ def _is_point(*coords):
     return all(map(isinstance, coords, repeat(_NUMBERS)))
 
 
-def classify(params, x, r, t, exclude_band=0.0):
+def classify(params, x, r, t):
     """Domain verdict codes and the inner radicand, the one read of it: an
     int and a float at a point, arrays over lane arrays of one shape.
 
     The rules, in precedence order: ``nonfinite_input`` (``x``, ``r`` or
-    ``t`` not finite), ``chart_singularity`` (``x == 0`` or
-    ``|x| < exclude_band``), ``zero_fiber_direction`` (``r == t == 0``),
-    ``energy_below_critical`` (no bounded component,
+    ``t`` not finite), ``chart_singularity`` (``|x| <`` :data:`CHART_BAND`,
+    where the polar chart loses the digits of ``K``), ``zero_fiber_direction``
+    (``r == t == 0``), ``energy_below_critical`` (no bounded component,
     :attr:`MetricParams.has_bounded_component`), and ``negative_radicand``
     (the inner radicand zero or negative) or ``undefined_radicand`` (the
     inner radicand NaN: ``|q|`` underflows to 0 though ``r`` or ``t`` is
-    not, or ``x * x`` overflows with ``r = 0``).
+    not, or ``x * x`` overflows with ``r = 0``).  The radicand is NaN where
+    the chart rule fires.
     """
     if _is_point(x, r, t):
-        x, r, t = float(x), float(r), float(t)
-        try:
-            return _classify(params, x, r, t, exclude_band)
-        except ZeroDivisionError:
-            return _classify_lane(params, x, r, t, exclude_band)
+        return _classify(params, float(x), float(r), float(t))
     x, r, t = (np.asarray(v, dtype=float) for v in (x, r, t))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        return _classify(params, x, r, t, exclude_band)
+        return _classify(params, x, r, t)
 
 
-def _classify_lane(params, x, r, t, exclude_band):
-    """:func:`classify` on floats as one lane, for where :func:`_classify`
-    divides by zero: ``x = 0``, or ``x * x`` or ``w * w`` underflows."""
-    code, rad = classify(params, [x], [r], [t], exclude_band)
-    return int(code[0]), float(rad[0])
-
-
-def _classify(params, x, r, t, exclude_band):
-    """:func:`classify` on arrays, or on floats, which raise where NumPy
-    divides by zero."""
-    rad = _radicand(x, r, t, params.a, params.c)[2]
+def _classify(params, x, r, t):
+    """:func:`classify` on arrays, or on floats, which never read the
+    radicand inside the chart band, so never divide by zero."""
+    chart = abs(x) < CHART_BAND
+    if isinstance(chart, np.ndarray):
+        rad = np.where(chart, np.nan, _radicand(x, r, t, params.a, params.c)[2])
+    else:
+        rad = math.nan if chart else _radicand(x, r, t, params.a, params.c)[2]
     bounded = params.has_bounded_component
     return _first_broken([
         # a product with 0 is NaN exactly where a factor is not finite
         (NONFINITE_INPUT, x * 0.0 + r * 0.0 + t * 0.0 != 0.0),
-        (CHART_SINGULARITY, (x == 0.0) | (abs(x) < exclude_band)),
+        (CHART_SINGULARITY, chart),
         (ZERO_FIBER_DIRECTION, (r == 0.0) & (t == 0.0)),
         (ENERGY_BELOW_CRITICAL, ~bounded if isinstance(bounded, np.ndarray) else not bounded),
         (NEGATIVE_RADICAND, rad <= 0.0),
@@ -349,7 +350,9 @@ def cartesian_fiber_point(params, pt):
     """Change of variables from the polar chart back to one Cartesian fiber.
 
     ``p = (x cos y, x sin y)``, ``q`` reconstructed from ``(r, t)``, and
-    ``2C = |p|^2/2 + c``.  DomainError names :func:`classify`'s first rule broken.
+    ``2C = |p|^2/2 + c``.  DomainError names the rule broken: ``nonfinite_input``
+    (a coordinate not finite) or ``chart_singularity`` (``x == 0``); the
+    point is not otherwise checked against :func:`classify`.
     """
     for v in (pt.x, pt.y, pt.r, pt.t):
         if not math.isfinite(v):

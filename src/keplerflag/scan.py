@@ -6,8 +6,10 @@ direction ``(r, t) = (sin phi, cos phi)``; slices evaluate along the ray
 spec, a :class:`GridSpec` or a :class:`SliceSpec`, and return the columns
 with their :class:`ScanSummary`.  Inadmissible or denominator-singular lattice points are
 kept as first-class rows with a non-``ok`` status so downstream plotting can
-see exactly where the domain boundary runs.  Evaluation is vectorized in
-blocks of ``_CHUNK`` lanes, each a replay of the kernel's operation tape
+see exactly where the domain boundary runs; the lanes with ``|x| <
+metric.CHART_BAND`` are among them, as ``chart_singularity``, the verdict a
+point query gives there.  Evaluation is vectorized in blocks of ``_CHUNK``
+lanes, each a replay of the kernel's operation tape
 (:mod:`keplerflag.tape`), into a preallocated, index-addressed buffer.
 Each lane's arithmetic is the same whatever the block size, and output
 order is decided by the lattice index alone, so identical specs produce
@@ -40,15 +42,11 @@ __all__ = [
     "SliceSpec",
     "ScanResult",
     "ScanSummary",
-    "DEFAULT_EXCLUDE_BAND",
     "grid_scan",
     "slice_scan",
     "summarize",
     "emit",
 ]
-
-# Half-width of the excluded band around the chart singularity x = 0.
-DEFAULT_EXCLUDE_BAND = 1e-3
 
 # status and reason strings, and the emitted status field, by verdict code
 _STATUS, _REASON = (np.array(column, dtype=object) for column in zip(*VERDICTS))
@@ -88,12 +86,10 @@ def _params(spec):
 
 
 def _check_spec(spec, **ranges):
-    """The checks a grid and a slice share: each sampled range, the
-    exclusion band and the parameters."""
+    """The checks a grid and a slice share: each sampled range and the
+    parameters."""
     for name, (lo, hi) in ranges.items():
         _require_range(lo, hi, name)
-    if not spec.exclude_band >= 0.0:  # NaN fails too
-        raise ValueError("exclude_band must be nonnegative")
     _params(spec)  # parameter validation
 
 
@@ -109,7 +105,6 @@ class GridSpec:
     nphi: int
     c: float
     a: float
-    exclude_band: float = DEFAULT_EXCLUDE_BAND
     params = property(_params)
 
     def __post_init__(self):
@@ -127,7 +122,6 @@ class SliceSpec:
     x_min: float = -10.0
     x_max: float = 10.0
     n: int = 2048
-    exclude_band: float = DEFAULT_EXCLUDE_BAND
     params = property(_params)
 
     def __post_init__(self):
@@ -183,7 +177,7 @@ def summarize(result):
                        result.point(lo), result.point(hi))
 
 
-def _evaluate_points(params, x, r, t, exclude_band):
+def _evaluate_points(params, x, r, t):
     """Curvature values and verdict codes over coordinate arrays, evaluated
     in blocks of ``_CHUNK`` lanes.
 
@@ -194,7 +188,7 @@ def _evaluate_points(params, x, r, t, exclude_band):
     code = np.empty(x.size, np.int8)
     for lo in range(0, x.size, _CHUNK):
         b = slice(lo, lo + _CHUNK)
-        K[b], code[b] = _evaluate(params, x[b], 0.0, r[b], t[b], exclude_band)
+        K[b], code[b] = _evaluate(params, x[b], 0.0, r[b], t[b])
     return K, code
 
 
@@ -206,7 +200,7 @@ def grid_scan(spec):
     # evaluates exactly the values emit formats once per axis.
     X = np.repeat(xs, spec.nphi)
     PHI, R, T = (np.tile(v, spec.nx) for v in (phis, np.sin(phis), np.cos(phis)))
-    K, code = _evaluate_points(spec.params, X, R, T, spec.exclude_band)
+    K, code = _evaluate_points(spec.params, X, R, T)
     result = ScanResult(X, PHI, R, T, K, code)
     return result, summarize(result)
 
@@ -217,7 +211,7 @@ def slice_scan(spec):
     xs = _axis(spec.x_min, spec.x_max, spec.n)
     R = np.zeros_like(xs)
     T = xs.copy()
-    K, code = _evaluate_points(spec.params, xs, R, T, spec.exclude_band)
+    K, code = _evaluate_points(spec.params, xs, R, T)
     result = ScanResult(xs, np.full_like(xs, np.nan), R, T, K, code)
     return result, summarize(result)
 

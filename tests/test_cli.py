@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from keplerflag import convexity
+from keplerflag import convexity, scan
 from keplerflag.cli import _build_parser, main
 from keplerflag.curvature import flag_curvature, flag_curvature_closed_form
 from keplerflag.metric import MetricParams, PhasePoint
@@ -71,6 +71,16 @@ class TestPoint:
         code, _, err = run(capsys, "point", "--c", "2", "--x", "1e150")
         assert code == 1
         assert "nonfinite_result" in err
+
+    @pytest.mark.parametrize("x", ["1e-8", "-0.0005", "0"])
+    def test_point_in_the_chart_band_exits_one(self, capsys, x):
+        # the polar chart has no correct digit of K at x = 1e-8 (the true
+        # value is 0.6026...), so the point is rejected as a grid row is
+        code, out, err = run(capsys, "point", "--c", "1.55", "--x", x, "--r", "0.6",
+                             "--t", "0.8")
+        assert code == 1
+        assert err == "error: domain_error: chart_singularity\n"
+        assert out == ""
 
     def test_nonfinite_point_exits_one(self, capsys):
         code, _, err = run(capsys, "point", "--c", "2", "--x", "nan")
@@ -244,12 +254,25 @@ class TestGrid:
 
 
     @pytest.mark.parametrize("command", ["grid", "slice"])
-    def test_nan_exclude_band_exits_one(self, capsys, command):
+    def test_exclude_band_is_not_an_option(self, capsys, command):
+        # the band around x = 0 is a rule of the classifier, not a knob
         sizes = ["--nx", "3", "--nphi", "2"] if command == "grid" else ["--n", "3"]
-        code, out, err = run(capsys, command, "--c", "2", "--x-range", "-1:1",
-                             "--exclude-band", "nan", *sizes)
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--c", "2", "--x-range", "-1:1", "--exclude-band", "0", *sizes])
+        assert exc.value.code == 2
+        assert "--exclude-band" in capsys.readouterr().err
+
+    def test_lattice_too_large_to_allocate_exits_one(self, capsys, monkeypatch):
+        # np.linspace raises MemoryError for a lattice such as --nx 1e11;
+        # raise it here without allocating
+        def axis(lo, hi, n):
+            raise MemoryError(f"Unable to allocate an axis of {n} points")
+
+        monkeypatch.setattr(scan, "_axis", axis)
+        code, out, err = run(capsys, "grid", "--c", "1.55", "--nx", "100000000000",
+                             "--nphi", "100000000000")
         assert code == 1
-        assert "exclude_band" in err
+        assert err == "error: Unable to allocate an axis of 100000000000 points\n"
         assert out == ""
 
 
@@ -442,7 +465,7 @@ def cli_argv(draw):
         sizes = [size("n")] if command == "slice" else [span("phi-range"), size("nx"),
                                                         size("nphi")]
         flags = [number("a"), number("c", False), span("x-range"), *sizes,
-                 number("exclude-band"), choice("format", ["csv", "json"])]
+                 choice("format", ["csv", "json"])]
     return [command, *(arg for flag in flags for arg in flag)]
 
 

@@ -241,9 +241,22 @@ class TestCurvatureTerms:
         with pytest.raises(DomainError, match=f"^{reason} at "):
             curvature_terms(params, pt)
 
+    def test_a_point_in_the_chart_band_raises_its_reason(self):
+        # the polar K has lost about 1e-9 of its accuracy at x = 5e-4
+        params, pt = MetricParams(1.0, 1.55), PhasePoint(5e-4, 0.0, 0.6, 0.8)
+        domain = validate_domain(params, pt)
+        assert (domain.ok, domain.reason, domain.radicand) == \
+            (False, "chart_singularity", None)
+        with pytest.raises(DomainError, match="^chart_singularity at "):
+            curvature_terms(params, pt)
+
     def test_jet_failure_raises_nonfinite_result(self):
-        # classify admits x = 1e-200, but x * x underflows in the jets
-        params, pt = MetricParams(1.0, 2.0), PhasePoint(1e-200, 0.0, 0.3, 0.7)
+        # classify admits the radicand 2^-53 here, but the jets, which
+        # divide by multiplying with a reciprocal, round it to 0
+        params, pt = RADICAND_ROUNDS_TO_ZERO
+        assert classify(params, pt.x, pt.r, pt.t) == (OK, 2.0**-53)
+        with pytest.raises(DomainError):
+            _flag_batch(params, pt.x, pt.y, pt.r, pt.t)
         assert flag_curvature(params, pt).reason == "nonfinite_result"
         with pytest.raises(DomainError, match="^nonfinite_result at "):
             curvature_terms(params, pt)
@@ -333,9 +346,9 @@ class TestFlagCurvatureKepler:
                                     PhasePoint(x, 0.0, 0.3, 0.7))
         assert sample.status == "domain_error"
         assert sample.K is None
-        # at 1e-200 a jet reciprocal rejects an underflowed constant term;
-        # the reason is a code, not that DomainError's text
-        assert sample.reason == "nonfinite_result"
+        # the reason is a code, not a DomainError's text: 1e-200 lies in
+        # the chart band, and at 1e150 the jets overflow
+        assert sample.reason == ("chart_singularity" if abs(x) < 1e-3 else "nonfinite_result")
 
     def test_chart_singularity_reported(self):
         sample = flag_curvature(MetricParams(1.0, 2.0), PhasePoint(0.0, 0.0, 0.0, 1.0))
@@ -364,6 +377,11 @@ CONTRACT_PARAMS = [MetricParams(1.0, 1.4), MetricParams(1.0, 1.5000000000000002)
                    MetricParams(1.0, 1.55), MetricParams(1.0, 2.0),
                    MetricParams(0.0, 2.0)]
 ONE_ULP_ABOVE = MetricParams(1.0, 1.5000000000000002)
+# A lane classify admits with the radicand 2^-53, where the jets' radicand,
+# a product with a reciprocal for the floats' quotient, rounds to 0, so
+# their sqrt raises: a family point where the kernel fails a check.
+RADICAND_ROUNDS_TO_ZERO = (MetricParams(0.8751882652257628, 1.372436468490984),
+                           PhasePoint(0.9565341842614196, 0.0, 0.0, 1.0))
 
 
 class TestInputContract:
@@ -381,7 +399,7 @@ class TestInputContract:
         if not domain.ok:
             assert sample.reason == domain.reason
         _, code = _evaluate_points(
-            params, np.array([x]), np.array([r]), np.array([t]), 0.0
+            params, np.array([x]), np.array([r]), np.array([t])
         )
         assert code.dtype == np.int8
         assert VERDICTS[code[0]] == (sample.status, sample.reason)
@@ -390,13 +408,14 @@ class TestInputContract:
     @given(st.sampled_from(CONTRACT_PARAMS), ANY_FLOAT, ANY_FLOAT, ANY_FLOAT)
     def test_scalar_fstar_agrees_with_classify(self, params, x, r, t):
         # The scalar F* keeps no domain rules of its own.  It raises where
-        # classify rejects a chart, fiber, input or radicand (NaN, 0 or
-        # below), and is finite where classify admits a point, unless
-        # x * x, t * t / x^2 or L* itself leaves the float range (x = 1e308
-        # or 1e-200): classify judges the radicand, not the value.
+        # classify rejects the chart's singular x = 0, a fiber, an input or
+        # a radicand (NaN, 0 or below), and is finite where classify admits
+        # a point, unless x * x, t * t / x^2 or L* itself leaves the float
+        # range (x = 1e308): classify judges the radicand, not the value.
+        # The rest of the chart band is K's rule, not F*'s.
         code = classify(params, x, r, t)[0]
-        rejects = code in (NONFINITE_INPUT, CHART_SINGULARITY, ZERO_FIBER_DIRECTION,
-                           NEGATIVE_RADICAND, UNDEFINED_RADICAND)
+        rejects = code in (NONFINITE_INPUT, ZERO_FIBER_DIRECTION, NEGATIVE_RADICAND,
+                           UNDEFINED_RADICAND) or (code == CHART_SINGULARITY and x == 0.0)
         moderate = all(v == 0.0 or 2.0**-100 < abs(v) < 2.0**100 for v in (x, r, t))
         for fn in (fstar_polar, lstar):
             with warnings.catch_warnings():
@@ -429,7 +448,7 @@ class TestInputContract:
         domain = validate_domain(params, pt)
         assert domain.reason == "undefined_radicand" and math.isnan(domain.radicand)
         _, code = _evaluate_points(
-            params, np.array([1.0]), np.array([1e-200]), np.array([0.0]), 0.0
+            params, np.array([1.0]), np.array([1e-200]), np.array([0.0])
         )
         assert VERDICTS[code[0]] == verdict
         # a lattice row: x * x overflows and r = sin 0 = 0, so 0 * inf
@@ -450,7 +469,7 @@ class TestInputContract:
         domain = validate_domain(params, pt)
         assert domain.reason == "undefined_radicand" and math.isnan(domain.radicand)
         _, code = _evaluate_points(
-            params, np.array([1.0]), np.array([1e-200]), np.array([t]), 0.0
+            params, np.array([1.0]), np.array([1e-200]), np.array([t])
         )
         assert VERDICTS[code[0]] == verdict
 
@@ -462,10 +481,10 @@ class TestInputContract:
 
 
 def extreme_draws(n, seed):
-    """``(params, x, r, t, exclude_band)`` from seeded extreme draws: zeros
-    of both signs, subnormals, infinities, NaN, the float range's ends,
-    squares that underflow, ``a = 0``, ``c`` a few ulps off the critical
-    energy or anywhere in ``1e-300 .. 1e300``, and excluded bands."""
+    """``(params, x, r, t)`` from seeded extreme draws: zeros of both signs,
+    subnormals, infinities, NaN, the float range's ends, squares that
+    underflow, ``a = 0``, and ``c`` a few ulps off the critical energy or
+    anywhere in ``1e-300 .. 1e300``."""
     rng = np.random.default_rng(seed)
     specials = [0.0, -0.0, 5e-324, -5e-324, 2.2e-310, math.inf, -math.inf, math.nan,
                 1e300, -1e300, 1e-300, 1e-200, -1e-170, 1e154, 1.0]
@@ -487,11 +506,12 @@ def extreme_draws(n, seed):
         else:
             c = float(10.0 ** rng.uniform(-300, 300)) if kind == 1 else float(rng.uniform(0.1, 5.0))
         x, r, t = coordinate(), coordinate(), coordinate()
+        if rng.integers(16) == 0:  # a zero fiber direction, off the chart band
+            x, r, t = 1.0 if abs(x) < 1e-3 else x, 0.0, -0.0
         if rng.integers(8) == 0:  # the fiber ray at x = 1, where the radicand is least
             a, c = 1.0, 1.5 + float(rng.integers(0, 4)) * 2.0**-52
             x, r, t = 1.0, 0.0, 1.0
-        band = float(rng.choice([0.0, 0.0, 1e-3, 0.5]))
-        draws.append((MetricParams(a, c), x, r, t, band))
+        draws.append((MetricParams(a, c), x, r, t))
     return draws
 
 
@@ -504,9 +524,9 @@ class TestPointsOnFloats:
 
     def test_classify_on_floats_matches_one_lane_arrays(self):
         codes = set()
-        for params, x, r, t, band in self.DRAWS:
-            code, rad = classify(params, x, r, t, band)
-            lane_code, lane_rad = classify(params, *(np.array([v]) for v in (x, r, t)), band)
+        for params, x, r, t in self.DRAWS:
+            code, rad = classify(params, x, r, t)
+            lane_code, lane_rad = classify(params, *(np.array([v]) for v in (x, r, t)))
             assert type(code) is int and type(rad) is float
             assert code == lane_code[0]
             assert (math.isnan(rad) and np.isnan(lane_rad[0])) or \
@@ -525,7 +545,7 @@ class TestPointsOnFloats:
 
     def test_warm_point_queries_match_a_first_query(self, monkeypatch):
         verdicts = set()
-        for params, x, r, t, _ in self.DRAWS:
+        for params, x, r, t in self.DRAWS:
             pt = PhasePoint(x, 0.0, r, t)
             monkeypatch.setattr(curvature._FAMILY, "warm", False)  # runs the jets
             first, warm = flag_curvature(params, pt), flag_curvature(params, pt)
@@ -534,17 +554,18 @@ class TestPointsOnFloats:
             verdicts.add(warm.reason)
         assert {None, "denominator_below_tolerance", "nonfinite_result"} <= verdicts
 
-    def test_a_point_where_the_float_classifier_divides_by_zero(self):
-        # x * x underflows to 0: the floats raise, and the point takes the
-        # one-lane array's verdict
+    def test_a_point_where_x_squared_underflows(self):
+        # x * x underflows to 0, so t * t / x^2 would divide a float by 0;
+        # the chart band's rule fires first, and the floats read the
+        # radicand as NaN there without dividing, as a one-lane array does
         params, coords = MetricParams(1.0, 2.0), (1e-170, 0.0, 0.3, 0.7)
-        with pytest.raises(ZeroDivisionError):
-            metric._classify(params, coords[0], *coords[2:], 0.0)
+        code, rad = metric._classify(params, coords[0], *coords[2:])
+        assert code == CHART_SINGULARITY and math.isnan(rad)
         K, code = _evaluate(params, *coords)
         lane_K, lane_code = _evaluate(params, *(np.array([v]) for v in coords))
-        assert type(code) is int and code == lane_code[0]
-        assert (math.isnan(K) and np.isnan(lane_K[0])) or K.hex() == float(lane_K[0]).hex()
-        assert flag_curvature(params, PhasePoint(*coords)).reason == VERDICTS[code][1]
+        assert type(code) is int and code == lane_code[0] == CHART_SINGULARITY
+        assert math.isnan(K) and np.isnan(lane_K[0])
+        assert flag_curvature(params, PhasePoint(*coords)).reason == "chart_singularity"
 
     def test_a_warm_point_query_makes_no_array(self, monkeypatch):
         params = MetricParams(1.0, 2.0)
@@ -714,8 +735,11 @@ class TestExtremeLanes:
     """Tiny ``x`` with huge ``t``: the Horner steps' intermediates overflow
     in their top degrees.  A graded step must read ``a[0]``, never an entry
     that may be infinite, where a product with ``delta[0] = 0`` stands in
-    for a missing one, or ok lanes turn into ``nonfinite_result``.  Verdicts
-    and ``K`` bits (zero signs too) are pinned, batched and one by one."""
+    for a missing one, or finite lanes turn into ``nonfinite_result``.  The
+    jets' verdicts and ``K`` bits (zero signs too) are pinned, batched and
+    one by one; the last three lanes' ``x * x`` underflows, so their jets
+    raise.  Every lane lies in the chart band, where no query runs the
+    jets: the polar chart has lost the digits of these ``K``."""
 
     PARAMS = MetricParams(1.0, 1.55)
     # (x, r, t, K.hex() or None for nonfinite_result)
@@ -756,18 +780,32 @@ class TestExtremeLanes:
 
     def test_batched(self):
         x, r, t = (np.array(column) for column in list(zip(*self.LANES))[:3])
-        K, code = _evaluate(self.PARAMS, x, 0.0, r, t)
+        with pytest.raises(DomainError):
+            _flag_batch(self.PARAMS, x, 0.0, r, t)
+        runs = slice(0, -3)
+        K, vt, det = _flag_batch(self.PARAMS, x[runs], 0.0, r[runs], t[runs])
         got = [(VERDICTS[c], None if np.isnan(k) else float(k).hex())
-               for k, c in zip(K, code)]
-        assert got == self.expected()
+               for k, c in zip(K, _verdict(K, vt, det))]
+        assert got == self.expected()[runs]
 
     def test_one_by_one(self):
         got = []
         for x, r, t, _ in self.LANES:
-            sample = flag_curvature(self.PARAMS, PhasePoint(x, 0.0, r, t))
-            got.append(((sample.status, sample.reason),
-                        None if sample.K is None else sample.K.hex()))
+            try:
+                K, vt, det = map(float, _flag_batch(self.PARAMS, x, 0.0, r, t))
+            except DomainError:
+                K = vt = det = math.nan
+            code = _verdict(K, vt, det)
+            got.append((VERDICTS[code], None if math.isnan(K) else K.hex()))
         assert got == self.expected()
+
+    def test_queries_report_the_chart_band(self):
+        x, r, t = (np.array(column) for column in list(zip(*self.LANES))[:3])
+        K, code = _evaluate(self.PARAMS, x, 0.0, r, t)
+        assert (code == CHART_SINGULARITY).all() and np.isnan(K).all()
+        for x, r, t, _ in self.LANES:
+            assert flag_curvature(self.PARAMS, PhasePoint(x, 0.0, r, t)).reason == \
+                "chart_singularity"
 
 
 def lane_by_lane(metric, *columns):
@@ -1103,7 +1141,7 @@ def scalar_path_lines():
     edges = [
         (MetricParams(1.0, 1.4), PhasePoint(1.0, 0.0, 0.0, 1.0)),
         (MetricParams(1.0, 2.0), PhasePoint(1.0, 0.0, 1.0, 0.0)),
-        (MetricParams(1.0, 2.0), PhasePoint(1e-200, 0.0, 0.3, 0.7)),
+        RADICAND_ROUNDS_TO_ZERO,  # admitted, and the jets raise
         (MetricParams(1.0, 2.0), PhasePoint(1.0, 0.0, 1e-200, 0.0)),
         (MetricParams(1.0, 2.0), PhasePoint(math.nan, 0.0, 0.3, 0.7)),
         (HYPERBOLIC, PhasePoint(0.0, 0.0, 0.3, 0.7)),

@@ -388,12 +388,14 @@ class TestDomainValidation:
     def test_nonfinite_value_raises_domain_error(self, fn, x, r, t):
         # x * x underflows to 0 (x = 1e-200) or overflows, |q| overflows
         # (x = 1e-160), r * r underflows with t = 0, or a coordinate is not
-        # finite; the point query reports each of these with a reason
+        # finite; the point query reports each of these with a reason, the
+        # chart band's for the tiny x
         params, pt = MetricParams(1.0, 2.0), PhasePoint(x, 0.0, r, t)
         with pytest.raises(DomainError, match="not finite"):
             fn(params, pt)
-        assert flag_curvature(params, pt).reason in (
+        reasons = ("chart_singularity",) if abs(x) < 1e-3 else (
             "undefined_radicand", "nonfinite_result", "nonfinite_input")
+        assert flag_curvature(params, pt).reason in reasons
 
     def test_lstar_overflow_raises_domain_error(self):
         params, pt = MetricParams(1.0, 2.0), PhasePoint(1e100, 0.0, 1.0, 0.0)

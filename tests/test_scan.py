@@ -11,6 +11,7 @@ import pytest
 import keplerflag.scan as scan_module
 from keplerflag.curvature import flag_curvature
 from keplerflag.metric import (
+    CHART_BAND,
     CHART_SINGULARITY,
     DENOMINATOR_BELOW_TOLERANCE,
     OK,
@@ -74,7 +75,9 @@ class TestGridSpec:
 
     @pytest.mark.parametrize("band", [math.nan, -1e-3])
     def test_rejects_bad_exclude_band(self, band):
-        with pytest.raises(ValueError, match="exclude_band"):
+        # the band around x = 0 is the classifier's rule, metric.CHART_BAND:
+        # a spec takes no band of its own
+        with pytest.raises(TypeError, match="exclude_band"):
             GridSpec(x_min=0.5, x_max=1.0, nx=2, phi_min=0.0, phi_max=1.0,
                      nphi=2, c=2.0, a=1.0, exclude_band=band)
 
@@ -82,7 +85,8 @@ class TestGridSpec:
 class TestSliceSpec:
     @pytest.mark.parametrize("band", [math.nan, -1e-3])
     def test_rejects_bad_exclude_band(self, band):
-        with pytest.raises(ValueError, match="exclude_band"):
+        # as for a grid: the band is metric.CHART_BAND
+        with pytest.raises(TypeError, match="exclude_band"):
             SliceSpec(c=2.0, a=1.0, x_min=0.5, x_max=1.0, n=3, exclude_band=band)
 
     def test_rejects_span_beyond_float_range(self):
@@ -136,30 +140,50 @@ class TestGridScan:
         params = MetricParams(1.0, 2.0)
         single = flag_curvature(params, PhasePoint(1.0, 0.0, 1.0, 0.0))
         K, code = _evaluate_points(
-            params, np.array([1.0]), np.array([1.0]), np.array([0.0]), 1e-3
+            params, np.array([1.0]), np.array([1.0]), np.array([0.0])
         )
         assert VERDICTS[code[0]] == (single.status, single.reason)
         assert single.status == "singular_v"
         assert math.isnan(K[0]) and single.K is None
 
     def test_underflowing_lane_leaves_the_others_alone(self):
-        # x * x underflows at x = 1e-200, so that lane's jets raise for the
-        # whole block; the lane ends as nonfinite_result, as a point query
-        # does, and every other row equals the grid without it
-        lanes = dict(phi_min=0.0, phi_max=TAU, nphi=2, c=2.0, a=1.0, exclude_band=0.0)
-        result, _ = grid_scan(GridSpec(x_min=1e-200, x_max=1.0, nx=3, **lanes))
-        reference, _ = grid_scan(GridSpec(x_min=0.5, x_max=1.0, nx=2, **lanes))
-        assert result.reason[:2].tolist() == ["nonfinite_result"] * 2
+        # At phi = 0 in the first row the jets' radicand rounds to 0 where
+        # the classifier's is 2^-53 (test_curvature's RADICAND_ROUNDS_TO_ZERO),
+        # so that lane's jets raise for the whole block; the lane ends as
+        # nonfinite_result, as a point query does, and every other row
+        # equals the grid without it
+        lanes = dict(phi_min=0.0, phi_max=1.0, nphi=2, c=1.372436468490984,
+                     a=0.8751882652257628)
+        spec = GridSpec(x_min=0.9565341842614196, x_max=1.0, nx=3, **lanes)
+        result, _ = grid_scan(spec)
+        reference, _ = grid_scan(GridSpec(x_min=float(result.x[2]), x_max=1.0, nx=2, **lanes))
+        assert result.reason[:2].tolist() == ["nonfinite_result", None]
+        assert flag_curvature(spec.params, result.point(0)).reason == "nonfinite_result"
         assert np.array_equal(result.x[2:], reference.x)
         assert np.array_equal(result.K[2:].view(np.int64), reference.K.view(np.int64))
         assert result.status[2:].tolist() == reference.status.tolist() == ["ok"] * 4
 
+    def test_rows_across_the_chart_band_match_point_queries(self):
+        # x in [-3e-3, 3e-3] with one lane at x = 0: every point query gives
+        # its row's verdict, the chart band's inside |x| < CHART_BAND
+        spec = GridSpec(x_min=-3e-3, x_max=3e-3, nx=13, phi_min=0.0, phi_max=TAU,
+                        nphi=8, c=1.55, a=1.0)
+        result, _ = grid_scan(spec)
+        assert 0.0 in result.x.tolist()
+        banned = np.abs(result.x) < CHART_BAND
+        assert (result.reason[banned] == "chart_singularity").all()
+        assert (result.status[~banned] == "ok").any()
+        for i in range(len(result)):
+            single = flag_curvature(spec.params, result.point(i))
+            assert (single.status, single.reason) == (result.status[i], result.reason[i])
+
     def test_excluded_band_rows_are_kept(self):
-        spec = GridSpec(x_min=-1.0, x_max=1.0, nx=5, phi_min=0.0, phi_max=1.0,
-                        nphi=2, c=2.0, a=1.0, exclude_band=0.1)
+        spec = GridSpec(x_min=-2e-3, x_max=2e-3, nx=9, phi_min=0.0, phi_max=1.0,
+                        nphi=2, c=2.0, a=1.0)
         result, summary = grid_scan(spec)
-        assert len(result) == 10
-        banned = np.abs(result.x) < 0.1
+        assert len(result) == 18
+        banned = np.abs(result.x) < CHART_BAND
+        assert np.count_nonzero(banned) >= 6
         assert banned.any() and all(result.status[banned] == "domain_error")
         assert all(result.reason[banned] == "chart_singularity")
         assert summary.n_skipped == np.count_nonzero(banned)
@@ -268,10 +292,10 @@ class TestSliceScan:
         assert min(ks) > 0.0
 
     def test_band_points_are_skipped_rows(self):
-        result, _ = slice_scan(SliceSpec(c=2.0, a=1.0, x_min=-1.0, x_max=1.0, n=9,
-                                         exclude_band=0.3))
+        result, _ = slice_scan(SliceSpec(c=2.0, a=1.0, x_min=-2e-3, x_max=2e-3, n=9))
         n_banned = np.count_nonzero(result.status != "ok")
-        assert n_banned == np.count_nonzero(np.abs(result.x) < 0.3)
+        assert n_banned == np.count_nonzero(np.abs(result.x) < CHART_BAND) >= 3
+        assert set(result.reason[result.status != "ok"]) == {"chart_singularity"}
         assert len(result) == 9
 
 
@@ -423,7 +447,9 @@ class TestDeterminism:
 
 class TestBytePins:
     """sha256 of emitted files, recorded before grid results became columns
-    (when they were lists of per-point objects)."""
+    (when they were lists of per-point objects).  The JSON pins are of
+    those files without the spec's ``"exclude_band": 0.001`` entry: the
+    band is the classifier's rule, not a field of the spec."""
 
     def digest(self, tmp_path, result, summary, fmt, spec, include_samples=True):
         out = tmp_path / f"out.{fmt}"
@@ -432,12 +458,12 @@ class TestBytePins:
 
     GRID_PINS = [
         ("csv", True, "e05235ce7db6323bb366f786caf1e8a0abf9dbd6b4e678679a904d9b2a2ba22f"),
-        ("json", True, "5faa859e33b84ca18d854a39d6a0a84fdb168e070035bf74f6b40568c9404ecd"),
-        ("json", False, "14d07bf40c249dcf67a38278295d4638f0e22e4e8bca5b9c16321492d2f70935"),
+        ("json", True, "2c22fd0d5d351119d99b0720a6d07dd1fc8f0f974e4175fefb2654cecced63f3"),
+        ("json", False, "5fc47edde54b0ddd150591787b10bd35ec9b0686025407f010805d7848636f8d"),
     ]
     SLICE_PINS = [
         ("csv", "014f04831181ff934c52db1cb4e4a0db3d145a404fca535c7506bb08c95d5bcf"),
-        ("json", "b4967244b24a46b14787025953ae0cf7339ea5cb3afa471934b5c6ba4a23e9bb"),
+        ("json", "d003acf0b942c1048e7bdbb7a9cbd00f7a36c25e77f96acff66d8e3abdd07f5b"),
     ]
 
     @pytest.mark.parametrize("fmt, include_samples, sha256", GRID_PINS)
