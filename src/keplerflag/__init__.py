@@ -25,7 +25,7 @@ from .curvature import (
     flag_curvature,
     flag_curvature_closed_form,
 )
-from .errors import ConsistencyError, DegeneracyError, DomainError, PreconditionError
+from .errors import ConsistencyError, DomainError, PreconditionError
 from .jets import Jet
 from .metric import (
     CartesianFiberPoint,
@@ -62,7 +62,6 @@ __all__ = [
     "ScanSummary",
     "DomainError",
     "PreconditionError",
-    "DegeneracyError",
     "ConsistencyError",
     "fstar_cartesian",
     "fstar_polar",

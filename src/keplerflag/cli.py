@@ -1,7 +1,9 @@
 """Command-line front end.
 
 Thin adapters over the library: no numerics live here, so identical inputs
-through the CLI and the Python API produce identical numbers.
+through the CLI and the Python API produce identical numbers.  Every
+option takes a negative value in any float notation, and every ``LO:HI``
+range is checked by the scans' one rule.
 
 Exit codes: 0 success, 1 domain or precondition failure, 2 argument errors.
 """
@@ -14,11 +16,9 @@ import json
 import math
 import sys
 
-import numpy as np
-
 from .convexity import verify_convexity
 from .curvature import flag_curvature, flag_curvature_closed_form
-from .errors import ConsistencyError, DegeneracyError, DomainError, PreconditionError
+from .errors import ConsistencyError, DomainError
 from .identities import DEFAULT_SEED, run_identity_checks
 from .metric import MetricParams, PhasePoint
 from .scan import (
@@ -31,8 +31,6 @@ from .scan import (
     grid_scan,
     slice_scan,
 )
-
-_RANGE_FLAGS = ("--x-range", "--phi-range")
 
 TAU = 2.0 * math.pi
 
@@ -50,14 +48,23 @@ def _parse_range(text):
     return lo, hi
 
 
-def _merge_range_values(argv):
-    """Rewrite ['--x-range', '-10:10'] as ['--x-range=-10:10'].
+def _is_value(arg):
+    """Whether ``arg`` reads as a float or holds a ``:``, as a range does."""
+    try:
+        float(arg)
+    except ValueError:
+        return ":" in arg
+    return True
 
-    argparse would otherwise read a value starting with '-' as a flag.
-    """
+
+def _join_values(argv):
+    """Rewrite ['--x', '-1e-2'] as ['--x=-1e-2'] and ['--x-range', '-10:10']
+    as ['--x-range=-10:10']: argparse reads a value that starts with '-' as
+    an option unless it is an integer or decimal such as '-1' or '-0.5'."""
     out = []
     for arg in argv:
-        if out and out[-1] in _RANGE_FLAGS and ":" in arg:
+        if out and out[-1].startswith("--") and "=" not in out[-1] \
+                and arg.startswith("-") and _is_value(arg):
             out[-1] += "=" + arg
         else:
             out.append(arg)
@@ -113,11 +120,7 @@ def _build_parser():
                             help="sweep the fiber Hessian form over one level curve")
     p_conv.add_argument("--px", type=float, default=0.0)
     p_conv.add_argument("--py", type=float, default=0.0)
-    p_conv.add_argument("--a", type=float, default=1.0)
-    p_conv.add_argument("--C", type=float, default=None,
-                        help="half-offset; alternatively derive it from --c")
-    p_conv.add_argument("--c", type=float, default=None,
-                        help="energy parameter; implies C = (|p|^2/2 + c)/2")
+    add_params(p_conv)
     p_conv.add_argument("--n", type=int, default=360)
     p_conv.add_argument("--out", default=None)
 
@@ -185,15 +188,10 @@ def _cmd_grid(args):
 
 
 def _cmd_verify_convexity(args):
-    if (args.C is None) == (args.c is None):
-        print("error: provide exactly one of --C or --c", file=sys.stderr)
-        return 2
-    C = args.C
-    if C is None:
-        try:  # 2C = |p|^2/2 + c
-            C = ((args.px**2 + args.py**2) / 2.0 + args.c) / 2.0
-        except OverflowError:
-            raise ValueError("C = (|p|^2/2 + c)/2 is beyond the float range") from None
+    try:  # 2C = |p|^2/2 + c
+        C = ((args.px**2 + args.py**2) / 2.0 + args.c) / 2.0
+    except OverflowError:
+        raise ValueError("C = (|p|^2/2 + c)/2 is beyond the float range") from None
     report = verify_convexity((args.px, args.py), C, args.a, args.n)
     _write([json.dumps(report.to_dict(), indent=2) + "\n"], args.out)
     return 0 if report.verdict in (True, None) else 1
@@ -223,16 +221,9 @@ def _cmd_closed_form(args):
         return 0
     if args.n < 2:
         raise ValueError(f"closed-form curve needs n >= 2, got {args.n}")
-    lo, hi = args.x_range
-    # The x column of `slice` over the same range.  A range with a nonfinite
-    # end has no defined points (np.linspace would still end on hi).
-    if math.isfinite(lo) and math.isfinite(hi):
-        _require_range(lo, hi, "x")
-        xs = _axis(lo, hi, args.n)
-    else:
-        xs = np.full(args.n, math.nan)
+    _require_range(*args.x_range, "x")  # the x column of `slice` over the same range
     lines = ["x,K,status\n"]
-    for x in xs.tolist():
+    for x in _axis(*args.x_range, args.n).tolist():
         try:
             k = flag_curvature_closed_form(args.c, x)
             lines.append(f"{x:.17g},{k:.17g},ok\n")
@@ -255,11 +246,10 @@ _COMMANDS = {
 def main(argv=None):
     if argv is None:
         argv = sys.argv[1:]
-    args = _build_parser().parse_args(_merge_range_values(list(argv)))
-    try:
+    args = _build_parser().parse_args(_join_values(list(argv)))
+    try:  # DomainError and PreconditionError are ValueErrors
         return _COMMANDS[args.command](args)
-    except (ConsistencyError, DomainError, PreconditionError, DegeneracyError,
-            ValueError, OSError, MemoryError) as exc:
+    except (ConsistencyError, ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -78,7 +78,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DegeneracyError, DomainError
+from .errors import DomainError
 from .jets import Jet
 from .metric import (
     DEGENERATE_COMETRIC,
@@ -187,21 +187,25 @@ class CurvatureTerms:
 def curvature_terms(metric, pt):
     """:class:`CurvatureTerms` at one phase point, as floats.
 
-    A DomainError message starts with a reason code: the :func:`classify`
-    verdict of a point it rejects (built-in family only), or
-    ``nonfinite_result`` where the jets raise.  ``det <= 0`` raises
-    DegeneracyError."""
+    The evaluator's rules, in :data:`VERDICTS` order: the :func:`classify`
+    verdict of a point it rejects (built-in family only), then
+    ``degenerate_cometric`` (``det <= 0``) and ``nonfinite_result`` (the
+    jets raise, or a term is not finite).  A broken rule raises DomainError
+    whose message starts with its reason code."""
     if isinstance(metric, MetricParams):
         code = classify(metric, pt.x, pt.r, pt.t)[0]
         if code != OK:
             raise DomainError(f"{VERDICTS[code][1]} at {pt}")
-    try:
-        terms = _terms(*_kernel_inputs(metric, pt.x, pt.y, pt.r, pt.t))[0]
-    except DomainError as exc:
-        raise DomainError(f"nonfinite_result at {pt}: {exc}", exc.value) from exc
+    with np.errstate(all="ignore"):  # a term that overflows is nonfinite_result
+        try:
+            terms = _terms(*_kernel_inputs(metric, pt.x, pt.y, pt.r, pt.t))[0]
+        except DomainError as exc:
+            raise DomainError(f"nonfinite_result at {pt}: {exc}", exc.value) from exc
     terms = CurvatureTerms(*(float(v) for v in astuple(terms)))
-    if terms.det <= 0.0:
-        raise DegeneracyError(f"degenerate_cometric at {pt}: det={terms.det}")
+    code = _first_broken([(DEGENERATE_COMETRIC, terms.det <= 0.0),
+                          (NONFINITE_RESULT, not all(map(math.isfinite, astuple(terms))))])
+    if code != OK:
+        raise DomainError(f"{VERDICTS[code][1]} at {pt}: {terms}")
     return terms
 
 

@@ -1,6 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.  A function that raises for
+a point breaking a rule of :data:`keplerflag.metric.VERDICTS` raises
+DomainError whose message starts with the rule's reason code."""
 
-__all__ = ["DomainError", "PreconditionError", "DegeneracyError", "ConsistencyError"]
+__all__ = ["DomainError", "PreconditionError", "ConsistencyError"]
 
 
 class DomainError(ValueError):
@@ -17,10 +19,6 @@ class DomainError(ValueError):
 
 class PreconditionError(ValueError):
     """A documented precondition of an operation is violated."""
-
-
-class DegeneracyError(ArithmeticError):
-    """The fiber Hessian is not positive definite at the requested point."""
 
 
 class ConsistencyError(AssertionError):

@@ -204,7 +204,10 @@ def fstar_cartesian(pt, a=1.0):
     component of the zero level of ``H_p``.
     """
     qn = _fiber_norm(pt.q)
-    rad = 1.0 + a * perp_inner(pt.p, pt.q) / (qn * pt.C * pt.C)
+    scale = qn * pt.C * pt.C
+    if scale == 0.0:
+        raise DomainError(f"|q| C^2 underflows to 0 at q = {pt.q}, C = {pt.C}", value=scale)
+    rad = 1.0 + a * perp_inner(pt.p, pt.q) / scale
     if rad < -RADICAND_CLAMP:
         raise DomainError(f"radicand is negative: {rad}", value=rad)
     return pt.C * qn * (1.0 + math.sqrt(max(rad, 0.0)))
@@ -309,8 +312,10 @@ def fstar_polar(params, pt):
 
 def fstar_polar_jet(params, pt, max_order=4):
     """Jet of ``F*_{c,a}`` at ``pt`` in ``(x, r, t)``; ``Jet.reciprocal`` and
-    ``Jet.sqrt`` raise DomainError at ``x = 0`` and at ``r = t = 0``."""
-    return _fstar_jet_batch(pt.x, pt.r, pt.t, params.a, params.c, max_order)
+    ``Jet.sqrt`` raise DomainError at ``x = 0`` and at ``r = t = 0``.  A
+    coefficient beyond the float range is not finite, without a warning."""
+    with np.errstate(all="ignore"):
+        return _fstar_jet_batch(pt.x, pt.r, pt.t, params.a, params.c, max_order)
 
 
 def _variables(coords, max_order):
@@ -331,7 +336,8 @@ def lstar(params, pt):
 
 def lstar_jet(params, pt, max_order=4):
     f = fstar_polar_jet(params, pt, max_order)
-    return 0.5 * f * f
+    with np.errstate(all="ignore"):
+        return 0.5 * f * f
 
 
 def scaling_reduce(params, pt):
@@ -373,5 +379,6 @@ def hypothesis_gap(x):
     nonnegativity is what makes every bounded-component point admissible.
     """
     x = np.asarray(x, dtype=float)
-    out = x**4 + 6.0 * x**2 - 16.0 * x + 9.0
+    with np.errstate(all="ignore"):  # beyond the float range: inf, or NaN at x = -inf
+        out = x**4 + 6.0 * x**2 - 16.0 * x + 9.0
     return float(out) if out.ndim == 0 else out

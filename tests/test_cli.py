@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from keplerflag import convexity, scan
-from keplerflag.cli import _build_parser, main
+from keplerflag.cli import _build_parser, _join_values, main
 from keplerflag.curvature import flag_curvature, flag_curvature_closed_form
 from keplerflag.metric import MetricParams, PhasePoint
 
@@ -122,6 +122,42 @@ class TestArgumentErrors:
         with pytest.raises(SystemExit) as err:
             main(["slice", "--c", "2", "--x-range", "oops"])
         assert err.value.code == 2
+
+
+class TestNegativeValues:
+    """A value that starts with '-' reaches its option in any float notation,
+    not as argparse's integers and decimals only."""
+
+    @pytest.mark.parametrize("x", ["-1e-2", "-0.01", "-1E-2", "-.01"])
+    def test_point_takes_a_negative_value_in_any_notation(self, capsys, x):
+        code, out, err = run(capsys, "point", "--c", "2", "--x", x, "--r", "0.3", "--t", "0.7")
+        assert (code, out, err) == (0, "2.5001613326533652\n", "")
+        assert run(capsys, "point", "--c", "2", f"--x={x}", "--r", "0.3", "--t", "0.7")[1] == out
+
+    def test_an_infinity_is_a_value(self, capsys):
+        code, out, err = run(capsys, "point", "--c", "2", "--x", "-inf")
+        assert (code, out, err) == (1, "", "error: domain_error: nonfinite_input\n")
+
+    def test_every_option_takes_one(self, capsys):
+        code, out, _ = run(capsys, "point", "--c", "2", "--x", "1", "--r", "-1e-1",
+                           "--t", "-7e-1", "--y", "-1e-3")
+        assert code == 0
+        pt = PhasePoint(1.0, -1e-3, -0.1, -0.7)
+        assert float(out) == flag_curvature(MetricParams(1.0, 2.0), pt).K
+        code, out, _ = run(capsys, "verify-convexity", "--px", "-1e-3", "--py", "-2e-3",
+                           "--c", "2", "--n", "4")
+        assert code == 0 and json.loads(out)["verdict"] is True
+
+    @pytest.mark.parametrize("argv", [
+        ["point", "--c", "2", "--x", "-1", "--r", "-0.5"],
+        ["point", "--c=2", "--x=-1e-2", "--format", "json"],
+        ["slice", "--c", "2", "--x-range=-2:2", "--out", "-"],
+        ["grid", "--c", "2", "--x-range=-2:-1", "--phi-range", "0:1", "--no-samples"],
+        ["closed-form", "--c", "2", "--x", "-3"],
+    ])
+    def test_forms_argparse_reads_parse_as_before(self, argv):
+        parser = _build_parser()
+        assert parser.parse_args(_join_values(argv)) == parser.parse_args(argv)
 
 
 class TestParserCache:
@@ -278,8 +314,9 @@ class TestGrid:
 
 class TestVerifiers:
     def test_verify_convexity_json(self, capsys):
+        # C = (|p|^2/2 + c)/2 = 1
         code, out, _ = run(capsys, "verify-convexity", "--px", "0", "--py", "0",
-                           "--C", "1", "--a", "1", "--n", "90")
+                           "--c", "2", "--a", "1", "--n", "90")
         assert code == 0
         doc = json.loads(out)
         assert doc["verdict"] is True
@@ -293,20 +330,21 @@ class TestVerifiers:
         assert json.loads(out)["verdict"] is True
 
     def test_verify_convexity_requires_offset(self, capsys):
-        code, _, err = run(capsys, "verify-convexity", "--px", "1")
-        assert code == 2
+        with pytest.raises(SystemExit) as exc:
+            main(["verify-convexity", "--px", "1"])
+        assert exc.value.code == 2
+        assert "the following arguments are required: --c" in capsys.readouterr().err
 
-    def test_verify_convexity_takes_one_offset(self, capsys):
-        code, out, err = run(capsys, "verify-convexity", "--C", "1", "--c", "2")
-        assert code == 2
-        assert out == ""
-        assert "exactly one of --C or --c" in err
+    def test_verify_convexity_has_no_half_offset_option(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify-convexity", "--C", "1"])
+        assert exc.value.code == 2
 
     @pytest.mark.parametrize("argv, cause", [
         (["--px", "1e200", "--c", "2"], "C = (|p|^2/2 + c)/2 is beyond the float range"),
-        (["--C", "1e200"], "|q|^3 underflows"),
-        (["--C", "inf"], "half-offset C must be positive and finite, got inf"),
-        (["--px=0", "--py=0", "--C=1e-80"], "|q|^4 overflows"),
+        (["--c", "2e200"], "|q|^3 underflows"),
+        (["--c", "inf"], "half-offset C must be positive and finite, got inf"),
+        (["--px=0", "--py=0", "--c=2e-80"], "|q|^4 overflows"),
     ])
     def test_verify_convexity_out_of_float_range_exits_one(self, capsys, argv, cause):
         code, out, err = run(capsys, "verify-convexity", *argv, "--n", "8")
@@ -320,7 +358,7 @@ class TestVerifiers:
         perp_inner = convexity.perp_inner
         monkeypatch.setattr(convexity, "perp_inner", lambda p, q: perp_inner(p, q) + 1.0)
         code, out, err = run(capsys, "verify-convexity", "--px", "0", "--py", "0",
-                             "--C", "1", "--n", "8")
+                             "--c", "2", "--n", "8")
         assert code == 1
         assert out == ""
         assert err.startswith("error: Hessian form disagreement at ")
@@ -411,11 +449,16 @@ class TestClosedForm:
         assert out == ""
         assert "error" in err
 
-    def test_nonfinite_range_gives_domain_error_rows(self, capsys):
-        code, out, _ = run(capsys, "closed-form", "--c", "2",
-                           "--x-range", "nan:1", "--n", "3")
-        assert code == 0
-        assert out.splitlines()[1:] == ["nan,,domain_error"] * 3
+    @pytest.mark.parametrize("span", ["nan:1", "-inf:1", "0:inf"])
+    def test_nonfinite_range_exits_one(self, capsys, span):
+        # the rule of slice over the same range
+        code, out, err = run(capsys, "closed-form", "--c", "2", "--x-range", span, "--n", "3")
+        assert code == 1
+        assert out == ""
+        lo, hi = map(float, span.split(":"))
+        assert err == f"error: x range {lo}:{hi} must have finite bounds\n"
+        code, out, err_slice = run(capsys, "slice", "--c", "2", "--x-range", span, "--n", "3")
+        assert code == 1 and out == "" and err_slice == err
 
 
 # ----------------------------------------------------------------------
@@ -433,22 +476,26 @@ FLOATS = st.one_of(
 @st.composite
 def cli_argv(draw):
     """Arguments of one command: each number from ``FLOATS`` or, for an
-    optional flag, left out, and each size at most 5.  Values are written
-    as ``--name=value`` so that a sign cannot read as a flag."""
+    optional flag, left out, and each size at most 5.  Each value is
+    written as ``--name=value`` or as ``--name`` then ``value``, so a
+    negative value in any notation meets the CLI's join rule."""
+    def option(name, value):
+        return [f"--{name}={value}"] if draw(st.booleans()) else [f"--{name}", value]
+
     def number(name, optional=True):
         value = draw(st.one_of(st.none(), FLOATS) if optional else FLOATS)
-        return [] if value is None else [f"--{name}={value!r}"]
+        return [] if value is None else option(name, repr(value))
 
     def span(name):
         pairs = st.tuples(FLOATS, FLOATS)
         ends = draw(st.one_of(st.none(), pairs, pairs.map(sorted)))
-        return [] if ends is None else [f"--{name}={ends[0]!r}:{ends[1]!r}"]
+        return [] if ends is None else option(name, f"{ends[0]!r}:{ends[1]!r}")
 
     def size(name):
-        return [f"--{name}={draw(st.one_of(st.integers(1, 5), st.integers(-1, 5)))}"]
+        return option(name, str(draw(st.one_of(st.integers(1, 5), st.integers(-1, 5)))))
 
     def choice(name, values):
-        return [f"--{name}={draw(st.sampled_from(values))}"]
+        return option(name, draw(st.sampled_from(values)))
 
     command = draw(st.sampled_from(
         ["point", "slice", "grid", "closed-form", "verify-convexity"]))
@@ -459,8 +506,7 @@ def cli_argv(draw):
         mode = [number("x", False)] if draw(st.booleans()) else [span("x-range"), size("n")]
         flags = [number("c", False), *mode]
     elif command == "verify-convexity":
-        offset = number(draw(st.sampled_from(["C", "c"])), False)
-        flags = [number("px"), number("py"), number("a"), offset, size("n")]
+        flags = [number("px"), number("py"), number("a"), number("c", False), size("n")]
     else:
         sizes = [size("n")] if command == "slice" else [span("phi-range"), size("nx"),
                                                         size("nphi")]
@@ -491,7 +537,7 @@ def has_ok_row(out):
 
 @settings(max_examples=200, derandomize=True, deadline=None)
 @given(argv=cli_argv())
-@example(argv=["verify-convexity", "--px=0", "--py=0", "--C=1e-80", "--n=4"])
+@example(argv=["verify-convexity", "--px=0", "--py=0", "--c=2e-80", "--n=4"])
 @example(argv=["slice", "--c=0.5", "--a=1", "--n=4"])
 @example(argv=["grid", "--c=2", "--x-range=0:1.7976931348623157e+308", "--nx=4", "--nphi=1"])
 def test_every_input_ends_in_an_exit_code(argv):

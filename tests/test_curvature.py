@@ -33,7 +33,7 @@ from keplerflag.curvature import (
     flag_curvature,
     flag_curvature_closed_form,
 )
-from keplerflag.errors import DegeneracyError, DomainError
+from keplerflag.errors import DomainError
 from keplerflag.identities import random_admissible
 from keplerflag.jets import Jet, _JetSpace
 from keplerflag.metric import (
@@ -124,7 +124,7 @@ class TestCometric:
         # 1-homogeneous but non-convex in the fiber: F* = r + 2t has a
         # singular fiber Hessian
         degenerate = CallbackCartanMetric(lambda x, y, r, t: r + 2.0 * t + 0.0 * x)
-        with pytest.raises(DegeneracyError, match="^degenerate_cometric"):
+        with pytest.raises(DomainError, match="^degenerate_cometric"):
             curvature_terms(degenerate, PhasePoint(1.0, 0.0, 0.5, 1.0))
 
     def test_strongly_indefinite_cometric_is_degenerate(self):
@@ -134,7 +134,7 @@ class TestCometric:
             lambda x, y, r, t: (1e9 * r * r - 1e9 * t * t + 0.0 * x).sqrt()
         )
         pt = PhasePoint(1.0, 0.0, 2.0, 1.0)
-        with pytest.raises(DegeneracyError):
+        with pytest.raises(DomainError, match="^degenerate_cometric"):
             curvature_terms(indefinite, pt)
         assert flag_curvature(indefinite, pt).reason == "degenerate_cometric"
 
@@ -365,6 +365,48 @@ class TestFlagCurvatureKepler:
         ]
         assert min(ks) < 0.0
         assert max(ks) > 0.0
+
+
+@lru_cache(maxsize=1)
+def accept3():
+    """The acceptance-3 lattice's scan: 256 x 256 ``(x, phi)`` at ``c = 1.55``."""
+    return grid_scan(GridSpec(x_min=-3.0, x_max=3.0, nx=256, phi_min=0.0,
+                              phi_max=2.0 * math.pi, nphi=256, c=1.55, a=1.0))[0]
+
+
+# The two sides where K's 0-homogeneity fails.  A mend must flip the strict
+# xfails below; raises=AssertionError keeps an error from passing for one.
+SMALL_FIBER = pytest.mark.xfail(
+    strict=True, raises=AssertionError,
+    reason="|v t| < SINGULAR_V_TOL is absolute, and v t has degree 2 in (r, t)")
+LARGE_FIBER = pytest.mark.xfail(
+    strict=True, raises=AssertionError,
+    reason="a wrong K is reported ok at a large fiber scale; the cause is not traced")
+
+
+class TestFiberScale:
+    """``K`` is 0-homogeneous in the fiber direction ``(r, t)``.  It holds
+    on the accept3 lattice's directions scaled by ``2^k`` for ``k`` from -10
+    to 130.  At ``2^-16`` 192 lanes turn ``denominator_below_tolerance``
+    (all of them from ``2^-30``), and at ``2^160`` every lane stays ok but
+    65,024 are off by more than 1e-6 relative."""
+
+    @pytest.mark.parametrize("k", [-10, 40, 100, 130, pytest.param(-16, marks=SMALL_FIBER),
+                                   pytest.param(160, marks=LARGE_FIBER)])
+    def test_the_lattice_keeps_k_at_scale(self, k):
+        grid = accept3()
+        K, code = _evaluate_points(MetricParams(1.0, 1.55), grid.x, grid.r * 2.0**k,
+                                   grid.t * 2.0**k)
+        assert (code == OK).all()
+        np.testing.assert_allclose(K, grid.K, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("s", [1e-5, 1e30, pytest.param(1e-7, marks=SMALL_FIBER),
+                                   pytest.param(1e70, marks=LARGE_FIBER)])
+    def test_a_point_keeps_k_at_scale(self, s):
+        # 1e-7 reads singular_v and 1e70 reads -74.36136530779999, ok
+        sample = flag_curvature(MetricParams(1.0, 1.55), PhasePoint(1.0, 0.0, 0.6 * s, 0.8 * s))
+        assert sample.ok
+        assert sample.K == pytest.approx(10.134190484512235, rel=1e-12)
 
 
 # Floats of every kind: NaN, infinities and subnormals come with st.floats,
@@ -607,6 +649,71 @@ class TestPointsOnFloats:
                 assert flag_curvature(params, pt).K.hex() == want.K.hex()
             status = validate_domain(params, pt)
             assert type(status.ok) is bool and type(status.radicand) is float
+
+
+def _on_fiber(fn):
+    return lambda params, pt: fn(keplerflag.cartesian_fiber_point(params, pt))
+
+
+# Every public function of one polar point, or of its Cartesian fiber:
+# lstar_jet runs fstar_polar_jet, and the test of curvature_terms below
+# runs flag_curvature on every draw.
+SCALAR_API = {
+    "fstar_polar": keplerflag.fstar_polar,
+    "lstar": keplerflag.lstar,
+    "lstar_jet": keplerflag.lstar_jet,
+    "validate_domain": keplerflag.validate_domain,
+    "classify": lambda params, pt: classify(params, pt.x, pt.r, pt.t),
+    "scaling_reduce": keplerflag.scaling_reduce,
+    "hypothesis_gap": lambda params, pt: keplerflag.hypothesis_gap(pt.x),
+    "cartesian_fiber_point": keplerflag.cartesian_fiber_point,
+    "fstar_cartesian": lambda params, pt: keplerflag.fstar_cartesian(
+        keplerflag.cartesian_fiber_point(params, pt), params.a),
+    "hp_value": _on_fiber(keplerflag.hp_value),
+    "lambda_roots": _on_fiber(keplerflag.lambda_roots),
+    "hessian_form": _on_fiber(keplerflag.hessian_form),
+    "flag_curvature_closed_form": lambda params, pt: flag_curvature_closed_form(params.c, pt.x),
+}
+# The ValueErrors the API documents beside DomainError and PreconditionError.
+DOCUMENTED_VALUE_ERRORS = ("scaling reduction requires a > 0",
+                           "half-offset C must be positive and finite")
+
+
+class TestScalarApiOnExtremeDraws:
+    """On extreme draws every public scalar function gives a value or
+    raises DomainError, PreconditionError or a documented ValueError, with
+    no warning (pytest turns any into an error)."""
+
+    DRAWS = [(params, PhasePoint(x, 0.0, r, t))
+             for params, x, r, t in extreme_draws(3000, seed=7)]
+
+    @pytest.mark.parametrize("name", SCALAR_API)
+    def test_a_value_or_a_documented_error(self, name):
+        for params, pt in self.DRAWS:
+            try:
+                SCALAR_API[name](params, pt)
+            except (DomainError, keplerflag.PreconditionError):
+                pass
+            except ValueError as exc:
+                assert str(exc).startswith(DOCUMENTED_VALUE_ERRORS), (pt, exc)
+
+    def test_curvature_terms_breaks_the_rules_flag_curvature_reports(self):
+        # in VERDICTS order; it reads no K, so it has no denominator rule,
+        # and there it gives terms or nonfinite_result
+        raised = set()
+        for params, pt in self.DRAWS:
+            reason = flag_curvature(params, pt).reason
+            try:
+                terms = curvature_terms(params, pt)
+            except DomainError as exc:
+                got = str(exc).split()[0]
+                raised.add(got)
+                assert got == reason or (reason, got) == (
+                    "denominator_below_tolerance", "nonfinite_result"), (pt, exc)
+            else:
+                assert reason in (None, "denominator_below_tolerance"), pt
+                assert all(map(math.isfinite, astuple(terms))), pt
+        assert "nonfinite_result" in raised
 
 
 class TestOperationBudget:
@@ -1156,7 +1263,7 @@ def scalar_path_lines():
     for metric, pt in queries[::20] + edges:
         try:
             terms = curvature_terms(metric, pt)
-        except (DomainError, DegeneracyError) as exc:
+        except DomainError as exc:
             yield f"terms {type(exc).__name__} {str(exc).split()[0]}"
         else:
             yield "terms " + " ".join(float(v).hex() for v in astuple(terms))
@@ -1164,11 +1271,13 @@ def scalar_path_lines():
 
 def test_scalar_path_digest():
     # sha256 of scalar_path_lines, recorded before the metric adapter
-    # classes went; the point path must keep every bit and verdict.
+    # classes went; the point path must keep every bit and verdict.  Re-pinned
+    # when DegeneracyError went: one line, the HYPERBOLIC edge at x = 0, reads
+    # "terms DomainError degenerate_cometric", and no other line moved.
     lines = list(scalar_path_lines())
     assert sum(line.startswith("K 0x") or line.startswith("K -0x") for line in lines) > 250
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
-    assert digest == "92b788dcf0ad3bbeb5add23a69f838864d7809730de463b58301a05fc651575f"
+    assert digest == "9cd5c9590136e97b544673a65a43fc3d3650e39003df8e904ee931bb37afc084"
 
 
 # ----------------------------------------------------------------------

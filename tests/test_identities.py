@@ -1,6 +1,7 @@
 """Tests for the structural-identity suite: its draws, and its array checks
 against the point-by-point loops they replace, kept here as the reference."""
 
+import hashlib
 import itertools
 import math
 
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 from keplerflag import identities
+from keplerflag.cli import main
 from keplerflag.curvature import flag_curvature, flag_curvature_closed_form
 from keplerflag.identities import (
     DEFAULT_SEED,
@@ -271,3 +273,30 @@ def test_k_homogeneity_holds_at_seed(seed):
 @pytest.mark.parametrize("seed", [18, 24])
 def test_every_other_line_passes_at_seed(seed):
     assert all(r.passed for r in run_identity_checks(seed) if r.name != K_LINE)
+
+
+# The first 12 hex digits of the sha256 of `keplerflag verify-identities
+# --seed s` stdout, for s = 0..59 in order.  Seeds 18 and 24 print the K
+# homogeneity line as FAIL (above) and exit 1; the pin holds that output too.
+IDENTITY_STDOUT_DIGESTS = """
+    26291dc218fb c6644870121a c049a7fe05df e0821008fb6a d6cb49e6b2ce c3c59cb00763
+    84f1a02c14b7 5fff0e601c98 8c460ce1b337 e7d5ff57028d 56dbc7ed7a03 0b0318feb5c0
+    7b56f61aff69 c50a3d473737 86a88de89180 ba7c890a2c0f 2ece42db0f8d ebba639993f0
+    dcf8a6bd6198 0c517140d4b7 75225f9d4901 717de20aaee3 8ffcddd0b20c e8aa7a03c437
+    c90773e69fb4 6cf3ea08dcf3 6c29575bd073 f21b9006b27b deefca66940f 06c3b427e6a1
+    815bbe0b2cf9 f2bc2c36cb0b 3d4859841fae 4135a0691782 2d54bcffba62 f3b225996316
+    17e8b1567aab 99db5395719d f181f9740538 6d60536138b2 8da04d9957ec 4c3a3eba614c
+    12a927be4abd 8ef2a6ce5644 7b723583cea8 84cccc1c2edb 4fdaed443bc6 1c938a1f5ef1
+    c02adb0372e0 ec1569cab56c dcac1cedff94 a036bba33f11 626342af1813 48881bd0bee9
+    6365d7a48750 11f6dfb9a7b0 dfc7b07285bd 29eca331ca25 0b9ccc83dbca 8f5cf3da3b15
+""".split()
+
+
+def test_verify_identities_stdout_keeps_its_bytes(capsys):
+    codes = {}
+    for seed, want in enumerate(IDENTITY_STDOUT_DIGESTS):
+        codes[seed] = main(["verify-identities", "--seed", str(seed)])
+        out = capsys.readouterr().out
+        digest = hashlib.sha256(out.encode()).hexdigest()[:12]
+        assert digest == want, f"verify-identities --seed {seed} prints other bytes:\n{out}"
+    assert [seed for seed, code in codes.items() if code] == [18, 24]
