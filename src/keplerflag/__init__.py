@@ -12,7 +12,7 @@ symmetry, and the structural identities of the construction.
 ``import keplerflag`` loads what a point query needs: the jets, the metric
 family and the curvature.  The names exported from :mod:`keplerflag.scan`
 and :mod:`keplerflag.convexity`, and those two modules themselves, are
-imported on first use (PEP 562).
+imported on first use and read from their modules at each use (PEP 562).
 """
 
 import importlib
@@ -96,14 +96,14 @@ _LAZY = {name: module for module, names in (
 
 
 def __getattr__(name):
-    """Import a lazily exported name's module, or the module itself, on
-    first use; the name then stays bound here."""
+    """Import a lazily exported name's module, or the module itself, and
+    read the name from it at each use: nothing is bound here, so the name
+    is always the module's own."""
     if name in _LAZY.values():
         return importlib.import_module(f"{__name__}.{name}")
     if name not in _LAZY:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = globals()[name] = getattr(importlib.import_module(f"{__name__}.{_LAZY[name]}"), name)
-    return value
+    return getattr(importlib.import_module(f"{__name__}.{_LAZY[name]}"), name)
 
 
 def __dir__():

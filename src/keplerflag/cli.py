@@ -89,7 +89,6 @@ def _build_parser():
     p_point = sub.add_parser("point", help="flag curvature at one phase point")
     add_params(p_point)
     p_point.add_argument("--x", type=float, required=True)
-    p_point.add_argument("--y", type=float, default=0.0)
     p_point.add_argument("--r", type=float, default=0.0)
     p_point.add_argument("--t", type=float, default=1.0)
     p_point.add_argument("--format", choices=("plain", "json"), default="plain")
@@ -131,8 +130,9 @@ def _build_parser():
     p_cf = sub.add_parser("closed-form",
                           help="closed-form K along (x, 0, 0, x), rotation rate 1")
     p_cf.add_argument("--c", type=float, required=True)
-    p_cf.add_argument("--x", type=float, default=None)
-    p_cf.add_argument("--x-range", type=_parse_range, default=None, metavar="LO:HI")
+    mode = p_cf.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--x", type=float)
+    mode.add_argument("--x-range", type=_parse_range, metavar="LO:HI")
     p_cf.add_argument("--n", type=int, default=2048)
     p_cf.add_argument("--out", default=None)
 
@@ -141,7 +141,7 @@ def _build_parser():
 
 def _cmd_point(args):
     params = MetricParams(args.a, args.c)
-    pt = PhasePoint(args.x, args.y, args.r, args.t)
+    pt = PhasePoint(args.x, 0.0, args.r, args.t)
     sample = flag_curvature(params, pt)
     if args.format == "json":
         doc = {
@@ -213,9 +213,6 @@ def _cmd_verify_identities(args):
 
 
 def _cmd_closed_form(args):
-    if (args.x is None) == (args.x_range is None):
-        print("error: provide exactly one of --x or --x-range", file=sys.stderr)
-        return 2
     if args.x is not None:
         print(f"{flag_curvature_closed_form(args.c, args.x):.17g}")
         return 0

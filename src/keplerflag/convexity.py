@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .errors import ConsistencyError, DomainError, PreconditionError
 from .metric import CartesianFiberPoint, _fiber_norm, fstar_cartesian, perp_inner
@@ -60,15 +60,7 @@ class ConvexityReport:
     verdict: bool | None
 
     def to_dict(self):
-        return {
-            "n": self.n,
-            "min_form": self.min_form,
-            "argmin_direction": list(self.argmin_direction)
-            if self.argmin_direction
-            else None,
-            "failure_point": list(self.failure_point) if self.failure_point else None,
-            "verdict": self.verdict,
-        }
+        return asdict(self)
 
 
 def hp_value(pt):
@@ -108,10 +100,17 @@ def f_of_t(a_lem, t):
     """Reduced angular profile ``a^2 + 2a cos t + 1 - 3a^2 sin^2 t``.
 
     Strictly positive for ``0 <= a < 4/9``, which is the quantitative core
-    of the convexity lemma.
+    of the convexity lemma.  DomainError names the rule broken:
+    ``nonfinite_input`` for an argument, ``nonfinite_result`` for the value.
     """
+    for v in (a_lem, t):
+        if not math.isfinite(v):
+            raise DomainError(f"nonfinite_input at a = {a_lem}, t = {t}", value=v)
     s, c = math.sin(t), math.cos(t)
-    return a_lem * a_lem + 2.0 * a_lem * c + 1.0 - 3.0 * a_lem * a_lem * s * s
+    f = a_lem * a_lem + 2.0 * a_lem * c + 1.0 - 3.0 * a_lem * a_lem * s * s
+    if not math.isfinite(f):
+        raise DomainError(f"nonfinite_result at a = {a_lem}, t = {t}", value=f)
+    return f
 
 
 def hessian_form(pt):

@@ -87,11 +87,9 @@ class TestPoint:
         assert code == 1
         assert "nonfinite_input" in err
 
-    @pytest.mark.parametrize("field, value", [("x", "nan"), ("y", "inf"),
-                                              ("r", "-inf"), ("t", "nan")])
+    @pytest.mark.parametrize("field, value", [("x", "nan"), ("r", "-inf"), ("t", "nan")])
     def test_json_writes_null_for_a_nonfinite_coordinate(self, capsys, field, value):
-        # NaN and Infinity are not JSON; strict parsers reject them.  The
-        # family does not read y, so an infinite y still evaluates.
+        # NaN and Infinity are not JSON; strict parsers reject them.
         code, out, _ = run(capsys, "point", "--c", "2", "--x", "1",
                            f"--{field}={value}", "--format", "json")
 
@@ -101,16 +99,19 @@ class TestPoint:
         doc = json.loads(out, parse_constant=reject)
         assert doc["point"][field] is None
         assert [v is None for v in doc["point"].values()].count(True) == 1
-        if field == "y":
-            assert code == 0 and doc["status"] == "ok"
-        else:
-            assert code == 1 and doc["reason"] == "nonfinite_input" and doc["K"] is None
+        assert code == 1 and doc["reason"] == "nonfinite_input" and doc["K"] is None
 
 
 class TestArgumentErrors:
     def test_unknown_flag_exits_two(self, capsys):
         with pytest.raises(SystemExit) as err:
             main(["point", "--a", "1", "--c", "2", "--x", "1", "--frobnicate"])
+        assert err.value.code == 2
+
+    def test_point_has_no_y_option(self, capsys):
+        # K does not read y, so point takes none
+        with pytest.raises(SystemExit) as err:
+            main(["point", "--c", "2", "--x", "1", "--y", "1"])
         assert err.value.code == 2
 
     def test_missing_subcommand_exits_two(self, capsys):
@@ -140,9 +141,9 @@ class TestNegativeValues:
 
     def test_every_option_takes_one(self, capsys):
         code, out, _ = run(capsys, "point", "--c", "2", "--x", "1", "--r", "-1e-1",
-                           "--t", "-7e-1", "--y", "-1e-3")
+                           "--t", "-7e-1")
         assert code == 0
-        pt = PhasePoint(1.0, -1e-3, -0.1, -0.7)
+        pt = PhasePoint(1.0, 0.0, -0.1, -0.7)
         assert float(out) == flag_curvature(MetricParams(1.0, 2.0), pt).K
         code, out, _ = run(capsys, "verify-convexity", "--px", "-1e-3", "--py", "-2e-3",
                            "--c", "2", "--n", "4")
@@ -421,11 +422,10 @@ class TestClosedForm:
         assert code == 1 and out == "" and err_slice == err
 
     def test_requires_exactly_one_mode(self, capsys):
-        code, _, err = run(capsys, "closed-form", "--c", "2")
-        assert code == 2
-        code, _, err = run(capsys, "closed-form", "--c", "2", "--x", "1",
-                           "--x-range", "0:1")
-        assert code == 2
+        for mode in [], ["--x", "1", "--x-range", "0:1"]:
+            with pytest.raises(SystemExit) as err:
+                main(["closed-form", "--c", "2", *mode])
+            assert err.value.code == 2
 
     def test_radicand_violation_exits_one(self, capsys):
         code, _, err = run(capsys, "closed-form", "--c", "1.2", "--x", "1")
@@ -500,7 +500,7 @@ def cli_argv(draw):
     command = draw(st.sampled_from(
         ["point", "slice", "grid", "closed-form", "verify-convexity"]))
     if command == "point":
-        flags = [number(name) for name in "ayrt"]
+        flags = [number(name) for name in "art"]
         flags += [number("c", False), number("x", False), choice("format", ["plain", "json"])]
     elif command == "closed-form":
         mode = [number("x", False)] if draw(st.booleans()) else [span("x-range"), size("n")]

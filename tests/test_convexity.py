@@ -149,6 +149,15 @@ class TestAngularProfile:
         worst = min(f_of_t(a, t) for a in a_vals for t in t_vals)
         assert worst > 0.0
 
+    @pytest.mark.parametrize("a, t, reason", [
+        (0.1, math.inf, "nonfinite_input"), (0.1, math.nan, "nonfinite_input"),
+        (math.nan, 1.0, "nonfinite_input"), (-math.inf, 0.0, "nonfinite_input"),
+        (1e200, 1.0, "nonfinite_result"), (1e155, 0.3, "nonfinite_result"),
+    ])
+    def test_nonfinite_argument_or_value_is_a_domain_error(self, a, t, reason):
+        with pytest.raises(DomainError, match=f"^{reason} "):
+            f_of_t(a, t)
+
 
 class TestHessianForm:
     def test_zero_momentum_reduces_to_inverse_square(self):

@@ -672,6 +672,7 @@ SCALAR_API = {
     "hp_value": _on_fiber(keplerflag.hp_value),
     "lambda_roots": _on_fiber(keplerflag.lambda_roots),
     "hessian_form": _on_fiber(keplerflag.hessian_form),
+    "f_of_t": lambda params, pt: keplerflag.f_of_t(pt.x, pt.t),
     "flag_curvature_closed_form": lambda params, pt: flag_curvature_closed_form(params.c, pt.x),
 }
 # The ValueErrors the API documents beside DomainError and PreconditionError.

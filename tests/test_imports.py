@@ -38,7 +38,18 @@ def test_lazy_exports_and_modules_resolve_on_first_use():
         "exec('from keplerflag import *', namespace)\n"
         "print(all(namespace[name] is getattr(kf, name) for name in kf.__all__))\n"
     )
-    assert out == "True True\nTrue\nTrue True\nTrue\n"
+    assert out == "True False\nTrue\nTrue True\nTrue\n"
+
+
+def test_a_lazy_name_follows_its_module(monkeypatch):
+    """A name patched in its module while the package's name is read, then
+    restored, is the module's own again: the package keeps no copy."""
+    original = keplerflag.scan.grid_scan
+    patched = object()
+    monkeypatch.setattr(keplerflag.scan, "grid_scan", patched)
+    assert keplerflag.grid_scan is patched
+    monkeypatch.undo()
+    assert keplerflag.grid_scan is original is keplerflag.scan.grid_scan
 
 
 def test_dir_lists_every_export_and_the_lazy_modules():
