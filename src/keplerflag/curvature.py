@@ -47,7 +47,9 @@ arithmetic recorded once per process
 with the jets' bits: one for the built-in family and every parameter
 pair, one for each callback.  Arrays replay it, and point queries run it
 emitted as Python over floats, all but the built-in family's first and
-those where it raises, which run the jets on 0-d arrays.  A point query
+those where it raises, which run the jets on 0-d arrays; where its guard
+is not finite, ``K`` is NaN.  Every query reads the fiber ``(r, t)``
+rescaled by a power of two, ``K``'s being 0-homogeneous.  A point query
 is one frame, :func:`_evaluate`, from the coordinates' floats to the
 verdict: it calls the classifier's rules, the emitted pieces and the
 kernel's verdicts, and no plumbing between them.  A point's
@@ -92,6 +94,7 @@ from .metric import (
     _first_broken,
     _fstar_jet_batch,
     _is_point,
+    _unit_fiber,
     _variables,
     classify,
 )
@@ -357,28 +360,14 @@ _callback_kernel = lru_cache(maxsize=16)(_Kernel)
 
 def _kepler_flag_batch(metric, x, y, r, t):
     """``(K, vt, det)``, for :func:`_verdict`, of any metric over coordinate
-    arrays of one shape (for the built-in family, lanes its classifier
-    admits).  The arrays replay the metric's tape, which raises nothing: a
-    lane that fails a check is NaN, the jets' answer there, and the jets run
-    the lanes its guard fails."""
+    arrays of one shape, from a replay of its tape, which raises nothing: a
+    lane that fails a check is NaN, the jets' answer there, and ``K`` is NaN
+    on a lane whose guard is not finite, so it is ``nonfinite_result``
+    unless ``det`` or ``v t`` rules first."""
     kernel, inputs = _kernel_inputs(metric, x, y, r, t)
     with np.errstate(all="ignore"):
-        *out, exact = kernel.tape.replay(*inputs)
-    if not exact.all():
-        lanes = ~exact
-        # the tape's checks passed on these lanes, so the jets raise nothing
-        for column, jets in zip(out, _flag_batch(*_on_lanes(lanes, metric, x, y, r, t))):
-            column[lanes] = jets
-    return tuple(out)
-
-
-def _on_lanes(lanes, metric, *coords):
-    """``metric`` and coordinate arrays of one shape on the lanes ``lanes``
-    picks: the built-in family's lane arrays of ``a`` and ``c`` go too."""
-    if isinstance(metric, MetricParams) and (np.ndim(metric.a) or np.ndim(metric.c)):
-        shape = coords[0].shape
-        metric = MetricParams(*(np.broadcast_to(v, shape)[lanes] for v in (metric.a, metric.c)))
-    return (metric, *(c[lanes] for c in coords))
+        K, vt, det, exact = kernel.tape.replay(*inputs)
+    return np.where(exact, K, np.nan), vt, det
 
 
 def _verdict(K, vt, det):
@@ -392,12 +381,13 @@ def _evaluate(metric, x, y, r, t):
     """Flag curvature and verdict codes at a point (numbers: a float and an
     int) or over lane arrays of one shape, ``a`` and ``c`` too (arrays of it).
 
-    The one evaluator behind point queries and scans: the domain classifier
-    (built-in family only), the kernel where it admits, then the kernel's
-    verdicts.  ``K`` is NaN wherever ``VERDICTS[code]`` is not ok."""
+    The one evaluator behind point queries and scans, at the fiber
+    :func:`_unit_fiber` rescales: the domain classifier (built-in family
+    only), the kernel where it admits, then the kernel's verdicts.  ``K``
+    is NaN wherever ``VERDICTS[code]`` is not ok."""
     kepler = isinstance(metric, MetricParams)
     if _is_point(x, y, r, t):
-        x, y, r, t = float(x), float(y), float(r), float(t)
+        x, y, (r, t) = float(x), float(y), _unit_fiber(float(r), float(t))
         if kepler:
             code = _classify(metric, x, r, t)[0]
             if code != OK:
@@ -414,8 +404,8 @@ def _evaluate(metric, x, y, r, t):
                 exact = False
             else:
                 K, vt, det, guard = values
-                exact = math.isfinite(guard)
-        if not exact:  # so does one where the tape raises or its guard is not finite
+                K = K if math.isfinite(guard) else math.nan
+        if not exact:  # so does one where the tape raises
             kernel.warm = True
             try:
                 K, vt, det = map(float, _flag_batch(metric, x, y, r, t))
@@ -424,18 +414,15 @@ def _evaluate(metric, x, y, r, t):
         code = _verdict(K, vt, det)
         return (K if code == OK else math.nan), code
     x, y, r, t = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (x, y, r, t)))
-    code = classify(metric, x, r, t)[0] if kepler else np.zeros(x.shape, np.int8)
-    K = np.full(x.shape, np.nan)
-    lanes = code == OK
-    if not lanes.any():
-        return K, code
-    if lanes.all():
-        lanes = ...  # no gather
-    Kl, vt, det = _kepler_flag_batch(*_on_lanes(lanes, metric, x, y, r, t))
-    verdict = _verdict(Kl, vt, det)
-    code[lanes] = verdict
-    K[lanes] = np.where(verdict == OK, Kl, np.nan)
-    return K, code
+    r, t = _unit_fiber(r, t)
+    with np.errstate(all="ignore"):
+        code = _classify(metric, x, r, t)[0] if kepler else np.zeros(x.shape, np.int8)
+    admitted = code == OK
+    if not admitted.any():
+        return np.full(x.shape, np.nan), code
+    K, vt, det = _kepler_flag_batch(metric, x, y, r, t)
+    code = np.where(admitted, _verdict(K, vt, det), code)
+    return np.where(code == OK, K, np.nan), code
 
 
 def flag_curvature(metric, pt):
@@ -533,10 +520,6 @@ def flag_curvature_closed_form(c, x, dps=50):
         raise DomainError(f"closed form needs finite c and x, got (c={c}, x={x})")
     if c <= 0.0:
         raise DomainError(f"closed form needs c > 0, got (c={c}, x={x})")
-    try:
-        beta_check = closed_form_radicand(float(c), float(x))
-    except OverflowError as exc:  # x**4 or c**2 beyond the float range
-        raise DomainError(f"closed-form radicand overflows at (c={c}, x={x})") from exc
     # x = X / w and c = C / w; every name below in capitals is an integer
     (X, wx), (C, wc) = float(x).as_integer_ratio(), float(c).as_integer_ratio()
     w = max(wx, wc)
@@ -544,11 +527,9 @@ def flag_curvature_closed_form(c, x, dps=50):
     S = X * X + 2 * C * w                 # w**2 (x**2 + 2c)
     X8 = 8 * X << 3 * e                   # 8 x w**4
     B = S * S - 2 * X8                    # w**4 beta, the radicand
-    if B < 0:
-        raise DomainError(
-            f"closed-form radicand is negative at (c={c}, x={x}): {beta_check}",
-            value=beta_check,
-        )
+    if B < 0:  # then x and c are moderate, so this float does not overflow
+        beta = closed_form_radicand(float(c), float(x))
+        raise DomainError(f"closed-form radicand is negative at (c={c}, x={x}): {beta}", value=beta)
     if B == 0:
         raise DomainError(
             f"closed-form denominator vanishes at (c={c}, x={x})", value=0.0

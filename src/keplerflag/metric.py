@@ -242,30 +242,43 @@ def _is_point(*coords):
     return all(map(isinstance, coords, repeat(_NUMBERS)))
 
 
+def _unit_fiber(r, t):
+    """``(r, t)``, floats or arrays, times ``2**-e`` where the ``frexp``
+    exponent ``e`` of ``max(|r|, |t|)`` is outside ``[-8, 8]``: ``F*`` is
+    1-homogeneous in the fiber, so ``K`` reads only its direction."""
+    if type(r) is float:
+        e = math.frexp(max(abs(r), abs(t)))[1]
+        return (r, t) if -8 <= e <= 8 else (math.ldexp(r, -e), math.ldexp(t, -e))
+    e = np.frexp(np.maximum(abs(r), abs(t)))[1]
+    e = np.where(abs(e) > 8, -e, 0)
+    return np.ldexp(r, e), np.ldexp(t, e)
+
+
 def classify(params, x, r, t):
     """Domain verdict codes and the inner radicand, the one read of it: an
     int and a float at a point, arrays over lane arrays of one shape.
 
-    The rules, in precedence order: ``nonfinite_input`` (``x``, ``r`` or
+    The rules read the fiber :func:`_unit_fiber` rescales, as the curvature
+    kernel does, in precedence order: ``nonfinite_input`` (``x``, ``r`` or
     ``t`` not finite), ``chart_singularity`` (``|x| <`` :data:`CHART_BAND`,
     where the polar chart loses the digits of ``K``), ``zero_fiber_direction``
     (``r == t == 0``), ``energy_below_critical`` (no bounded component,
     :attr:`MetricParams.has_bounded_component`), and ``negative_radicand``
     (the inner radicand zero or negative) or ``undefined_radicand`` (the
-    inner radicand NaN: ``|q|`` underflows to 0 though ``r`` or ``t`` is
-    not, or ``x * x`` overflows with ``r = 0``).  The radicand is NaN where
+    inner radicand NaN: ``x * x`` overflows where ``r * r`` underflows,
+    ``r = 0`` among them, so ``|q|`` reads 0).  The radicand is NaN where
     the chart rule fires.
     """
     if _is_point(x, r, t):
-        return _classify(params, float(x), float(r), float(t))
+        return _classify(params, float(x), *_unit_fiber(float(r), float(t)))
     x, r, t = (np.asarray(v, dtype=float) for v in (x, r, t))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        return _classify(params, x, r, t)
+        return _classify(params, x, *_unit_fiber(r, t))
 
 
 def _classify(params, x, r, t):
-    """:func:`classify` on arrays, or on floats, which never read the
-    radicand inside the chart band, so never divide by zero."""
+    """:func:`classify` at a rescaled fiber, on arrays, or on floats, which
+    never read the radicand inside the chart band, so never divide by 0."""
     chart = abs(x) < CHART_BAND
     if isinstance(chart, np.ndarray):
         rad = np.where(chart, np.nan, _radicand(x, r, t, params.a, params.c)[2])

@@ -18,7 +18,8 @@ they record: their DomainError fails the check on every lane.
 A guard row is finite exactly on the lanes where the outputs have the
 jets' bits, zero signs aside: ``v * 0`` is NaN where ``v`` is not finite,
 so the row adds up each ``v`` a fold multiplied by zero, or a value it
-flows into by sums, products and numerators.  Nodes that nothing reads are
+flows into by sums, products and numerators.  The curvature kernel reads
+``K`` as NaN where the guard is not finite.  Nodes that nothing reads are
 dropped, and a buffer row is reused once its last reader has run.  Each
 replay allocates its own buffer, so threads can share a tape.
 

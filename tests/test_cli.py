@@ -442,12 +442,18 @@ class TestClosedForm:
         assert code == 0
         assert [line.split(",", 1)[1] for line in out.splitlines()[1:]] == [",domain_error"] * 3
 
-    @pytest.mark.parametrize("x", ["nan", "inf", "1e200"])
+    @pytest.mark.parametrize("x", ["nan", "inf"])
     def test_nonfinite_or_overflowing_x_exits_one(self, capsys, x):
         code, out, err = run(capsys, "closed-form", "--c", "2", "--x", x)
         assert code == 1
         assert out == ""
         assert "error" in err
+
+    def test_an_x_whose_radicand_overflows_has_its_value(self, capsys):
+        # x**4 leaves the float range, and the oracle's integers do not
+        code, out, err = run(capsys, "closed-form", "--c", "2", "--x", "1e200")
+        assert (code, err) == (0, "")
+        assert float(out.split()[-1]) == flag_curvature_closed_form(2.0, 1e200, dps=200) == 4.0
 
     @pytest.mark.parametrize("span", ["nan:1", "-inf:1", "0:inf"])
     def test_nonfinite_range_exits_one(self, capsys, span):

@@ -47,6 +47,7 @@ from keplerflag.metric import (
     UNDEFINED_RADICAND,
     VERDICTS,
     ZERO_FIBER_DIRECTION,
+    DomainStatus,
     MetricParams,
     PhasePoint,
     classify,
@@ -230,7 +231,7 @@ class TestCurvatureTerms:
         ("zero_fiber_direction", MetricParams(1.0, 2.0), (1.0, 0.0, 0.0, 0.0)),
         ("energy_below_critical", MetricParams(1.0, 1.4), (1.0, 0.0, 0.0, 1.0)),
         ("negative_radicand", MetricParams(1.0, 1.5000000000000002), (1.0, 0.0, 0.0, 1.0)),
-        ("undefined_radicand", MetricParams(1.0, 2.0), (1.0, 0.0, 1e-200, 0.0)),
+        ("undefined_radicand", MetricParams(1.0, 2.0), (1e200, 0.0, 0.0, 1.0)),
     ]
 
     @pytest.mark.parametrize("reason, params, point", REJECTED,
@@ -374,25 +375,15 @@ def accept3():
                               phi_max=2.0 * math.pi, nphi=256, c=1.55, a=1.0))[0]
 
 
-# The two sides where K's 0-homogeneity fails.  A mend must flip the strict
-# xfails below; raises=AssertionError keeps an error from passing for one.
-SMALL_FIBER = pytest.mark.xfail(
-    strict=True, raises=AssertionError,
-    reason="|v t| < SINGULAR_V_TOL is absolute, and v t has degree 2 in (r, t)")
-LARGE_FIBER = pytest.mark.xfail(
-    strict=True, raises=AssertionError,
-    reason="a wrong K is reported ok at a large fiber scale; the cause is not traced")
-
-
 class TestFiberScale:
-    """``K`` is 0-homogeneous in the fiber direction ``(r, t)``.  It holds
-    on the accept3 lattice's directions scaled by ``2^k`` for ``k`` from -10
-    to 130.  At ``2^-16`` 192 lanes turn ``denominator_below_tolerance``
-    (all of them from ``2^-30``), and at ``2^160`` every lane stays ok but
-    65,024 are off by more than 1e-6 relative."""
+    """``K`` is 0-homogeneous in the fiber direction ``(r, t)``, and the
+    evaluator reads the fiber rescaled by a power of two to
+    ``max(|r|, |t|)`` in ``[0.5, 1)`` wherever its exponent is outside
+    ``[-8, 8]``.  Before, ``|v t| < SINGULAR_V_TOL``, of degree 2 in the
+    fiber, turned 192 lattice lanes ``denominator_below_tolerance`` at
+    ``2^-16``, and at ``2^160`` 65,024 lanes read a wrong ``K`` as ok."""
 
-    @pytest.mark.parametrize("k", [-10, 40, 100, 130, pytest.param(-16, marks=SMALL_FIBER),
-                                   pytest.param(160, marks=LARGE_FIBER)])
+    @pytest.mark.parametrize("k", [-1000, -16, -10, 40, 100, 130, 160, 1000])
     def test_the_lattice_keeps_k_at_scale(self, k):
         grid = accept3()
         K, code = _evaluate_points(MetricParams(1.0, 1.55), grid.x, grid.r * 2.0**k,
@@ -400,13 +391,32 @@ class TestFiberScale:
         assert (code == OK).all()
         np.testing.assert_allclose(K, grid.K, rtol=1e-12, atol=0.0)
 
-    @pytest.mark.parametrize("s", [1e-5, 1e30, pytest.param(1e-7, marks=SMALL_FIBER),
-                                   pytest.param(1e70, marks=LARGE_FIBER)])
+    @pytest.mark.parametrize("s", [1e-300, 1e-7, 1e-5, 1e30, 1e70, 1e300])
     def test_a_point_keeps_k_at_scale(self, s):
-        # 1e-7 reads singular_v and 1e70 reads -74.36136530779999, ok
+        # on the raw fiber, 1e-7 read singular_v and 1e70 -74.36136530779999, ok
         sample = flag_curvature(MetricParams(1.0, 1.55), PhasePoint(1.0, 0.0, 0.6 * s, 0.8 * s))
         assert sample.ok
         assert sample.K == pytest.approx(10.134190484512235, rel=1e-12)
+
+    def test_the_ray_keeps_the_closed_form_at_scale(self):
+        # on the raw fiber this point read -203.3, ok
+        sample = flag_curvature(MetricParams(1.0, 1.55), PhasePoint(0.01, 0.0, 0.0, 1e149))
+        assert sample.K == pytest.approx(flag_curvature_closed_form(1.55, 0.01), abs=1e-9)
+
+    @pytest.mark.parametrize("k", [-1000, -100, -9, 9, 100, 1000])
+    def test_a_power_of_two_keeps_the_bits_of_k(self, k):
+        params, grid = MetricParams(1.0, 1.55), accept3()
+        K, code = _evaluate_points(params, grid.x, grid.r * 2.0**k, grid.t * 2.0**k)
+        assert np.array_equal(code, grid.code)
+        assert np.array_equal(K.view(np.int64), grid.K.view(np.int64))
+        # a point whose max(|r|, |t|) is in [0.5, 1) reads the fiber it is given
+        rng = np.random.default_rng(29)
+        for x, phi in zip(rng.uniform(0.1, 3.0, 50) * rng.choice([-1.0, 1.0], 50),
+                          rng.uniform(0.0, 2.0 * math.pi, 50)):
+            r, t = 0.9 * math.sin(phi), 0.9 * math.cos(phi)
+            want = flag_curvature(params, PhasePoint(x, 0.0, r, t))
+            got = flag_curvature(params, PhasePoint(x, 0.0, r * 2.0**k, t * 2.0**k))
+            assert (got.reason, got.K.hex()) == (want.reason, want.K.hex())
 
 
 # Floats of every kind: NaN, infinities and subnormals come with st.floats,
@@ -482,17 +492,25 @@ class TestInputContract:
         assert abs(sample.K - result.K[0]) <= 1e-9
 
     def test_nan_radicand_is_undefined_everywhere(self):
-        # r * r underflows with t = 0, so the radicand is 0/0: not negative
-        params, pt = MetricParams(1.0, 2.0), PhasePoint(1.0, 0.0, 1e-200, 0.0)
+        # x * x overflows with r = 0, so |q| reads 0 and the radicand is
+        # 0/0: not negative
+        params, pt = MetricParams(1.0, 2.0), PhasePoint(1e200, 0.0, 0.0, 1.0)
         verdict = ("domain_error", "undefined_radicand")
         sample = flag_curvature(params, pt)
         assert (sample.status, sample.reason) == verdict and sample.K is None
         domain = validate_domain(params, pt)
         assert domain.reason == "undefined_radicand" and math.isnan(domain.radicand)
         _, code = _evaluate_points(
-            params, np.array([1.0]), np.array([1e-200]), np.array([0.0])
+            params, np.array([1e200]), np.array([0.0]), np.array([1.0])
         )
         assert VERDICTS[code[0]] == verdict
+        # r * r underflowed with t = 0 on the raw fiber; its direction is
+        # t = 0, where v t vanishes
+        pt = PhasePoint(1.0, 0.0, 1e-200, 0.0)
+        assert flag_curvature(params, pt).reason == "denominator_below_tolerance"
+        assert validate_domain(params, pt) == DomainStatus(True, None, 1.0)
+        _, code = _evaluate_points(params, np.array([1.0]), np.array([1e-200]), np.zeros(1))
+        assert code[0] == DENOMINATOR_BELOW_TOLERANCE
         # a lattice row: x * x overflows and r = sin 0 = 0, so 0 * inf
         result, _ = grid_scan(GridSpec(x_min=1e200, x_max=1e200, nx=1, phi_min=0.0,
                                        phi_max=0.0, nphi=1, c=2.0, a=1.0))
@@ -500,20 +518,26 @@ class TestInputContract:
         lattice_point = result.point(0)
         assert flag_curvature(params, lattice_point).reason == "undefined_radicand"
 
-    @pytest.mark.parametrize("t", [1e-200, -1e-200])
-    def test_underflowing_fiber_norm_is_undefined_everywhere(self, t):
-        # r * r and t * t / x^2 underflow to 0 though t != 0, so |q| reads 0
-        # where it is about 1.4e-200; the true radicand is about 0.55 (t > 0)
-        params, pt = MetricParams(1.0, 2.0), PhasePoint(1.0, 0.0, 1e-200, t)
+    @pytest.mark.parametrize("r", [1e-200, -1e-200])
+    def test_underflowing_fiber_norm_is_undefined_everywhere(self, r):
+        # r * r underflows and x * x overflows, so t * t / x^2 is 0 and |q|
+        # reads 0 though r != 0
+        params, pt = MetricParams(1.0, 2.0), PhasePoint(1e200, 0.0, r, 1.0)
         verdict = ("domain_error", "undefined_radicand")
         sample = flag_curvature(params, pt)
         assert (sample.status, sample.reason) == verdict and sample.K is None
         domain = validate_domain(params, pt)
         assert domain.reason == "undefined_radicand" and math.isnan(domain.radicand)
         _, code = _evaluate_points(
-            params, np.array([1.0]), np.array([1e-200]), np.array([t])
+            params, np.array([1e200]), np.array([r]), np.array([1.0])
         )
         assert VERDICTS[code[0]] == verdict
+        # the fiber (1e-200, r) underflowed |q| at x = 1 before it was
+        # rescaled; it reads K of its direction now
+        sample = flag_curvature(params, PhasePoint(1.0, 0.0, 1e-200, r))
+        assert sample.ok and sample.K == pytest.approx(
+            flag_curvature(params, PhasePoint(1.0, 0.0, 0.5, math.copysign(0.5, r))).K,
+            rel=1e-12)
 
     def test_one_ulp_above_critical_energy_on_the_ray(self):
         sample = flag_curvature(ONE_ULP_ABOVE, PhasePoint(1.0, 0.0, 0.0, 1.0))
@@ -700,17 +724,20 @@ class TestScalarApiOnExtremeDraws:
 
     def test_curvature_terms_breaks_the_rules_flag_curvature_reports(self):
         # in VERDICTS order; it reads no K, so it has no denominator rule,
-        # and there it gives terms or nonfinite_result
+        # and there it gives terms or nonfinite_result.  Its terms are those
+        # of the given fiber, which are not 0-homogeneous: where K reads the
+        # rescaled fiber, they may not be finite.
         raised = set()
         for params, pt in self.DRAWS:
             reason = flag_curvature(params, pt).reason
+            rescaled = metric._unit_fiber(pt.r, pt.t) != (pt.r, pt.t)
             try:
                 terms = curvature_terms(params, pt)
             except DomainError as exc:
                 got = str(exc).split()[0]
                 raised.add(got)
-                assert got == reason or (reason, got) == (
-                    "denominator_below_tolerance", "nonfinite_result"), (pt, exc)
+                assert got == reason or got == "nonfinite_result" and (
+                    rescaled or reason == "denominator_below_tolerance"), (pt, exc)
             else:
                 assert reason in (None, "denominator_below_tolerance"), pt
                 assert all(map(math.isfinite, astuple(terms))), pt
@@ -796,7 +823,7 @@ class TestOperationBudget:
             sys.setprofile(None)
         assert sample == want
         # MetricParams computed has_bounded_component when it was made
-        assert calls == ["flag_curvature", "_evaluate", "_is_point", "_classify",
+        assert calls == ["flag_curvature", "_evaluate", "_is_point", "_unit_fiber", "_classify",
                          "_radicand", "_sqrt", "_first_broken", "_0", "_1", "_2", "_3",
                          "_verdict", "_first_broken", "__init__"]
         assert len(curvature._FAMILY.emitted.pieces) == 4
@@ -1062,8 +1089,8 @@ def test_callback_mixing_a_single_lane_constant_into_a_batch():
 
 
 class TestPerLaneParameters:
-    """The built-in family with lane arrays of ``(a, c)``: the classifier,
-    the tape and the jets fallback each read every lane's own pair."""
+    """The built-in family with lane arrays of ``(a, c)``: the classifier
+    and the tape each read every lane's own pair."""
 
     # (2, 1) has no bounded component: classify rejects its lanes
     PAIRS = [(1.0, 2.0), (0.0, 0.7), (2.5, 3.5), (2.0, 1.0)]
@@ -1084,28 +1111,6 @@ class TestPerLaneParameters:
             assert np.array_equal(code[pair == k], code_pair)
             assert np.array_equal(K[pair == k].view(np.int64), K_pair.view(np.int64))
         assert {OK, 4} <= set(code.tolist())  # 4: energy_below_critical
-
-    def test_the_jets_fallback_reads_each_lanes_pair(self, monkeypatch):
-        _, a, c, *coords = self.columns()
-        admitted = classify(MetricParams(a, c), coords[0], *coords[2:])[0] == OK
-        a, c, x, y, r, t = (v[admitted] for v in (a, c, *coords))
-        replay = Tape.replay
-
-        def inexact_on_every_third(self, *inputs):
-            *out, exact = replay(self, *inputs)
-            exact[::3] = False
-            return (*out, exact)
-
-        monkeypatch.setattr(Tape, "replay", inexact_on_every_third)
-        got = _kepler_flag_batch(MetricParams(a, c), x, y, r, t)
-        monkeypatch.undo()
-        replayed = _kepler_flag_batch(MetricParams(a, c), x, y, r, t)
-        for i in range(x.size):
-            lane = (v[i:i + 1] for v in (x, y, r, t))
-            want = _flag_batch(MetricParams(a[i], c[i]), *lane) if i % 3 == 0 else \
-                [v[i:i + 1] for v in replayed]
-            for g, w in zip(got, want):
-                assert g[i:i + 1].view(np.int64) == w.view(np.int64)
 
     @pytest.mark.parametrize("a, c", [(-1.0, 2.0), (math.nan, 2.0), (math.inf, 2.0),
                                       (1.0, 0.0), (1.0, math.nan), (1.0, -math.inf)])
@@ -1275,10 +1280,14 @@ def test_scalar_path_digest():
     # classes went; the point path must keep every bit and verdict.  Re-pinned
     # when DegeneracyError went: one line, the HYPERBOLIC edge at x = 0, reads
     # "terms DomainError degenerate_cometric", and no other line moved.
+    # Re-pinned when the evaluator read the rescaled fiber: the two lines of
+    # the edge (1, 0, 1e-200, 0) moved, to "singular_v
+    # denominator_below_tolerance" (its direction is t = 0) and to "terms
+    # DomainError nonfinite_result" (its terms are those of the given fiber).
     lines = list(scalar_path_lines())
     assert sum(line.startswith("K 0x") or line.startswith("K -0x") for line in lines) > 250
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
-    assert digest == "9cd5c9590136e97b544673a65a43fc3d3650e39003df8e904ee931bb37afc084"
+    assert digest == "d368a85935bf53e64b30fd6518df733f194e0c6120bb69369ca92fe25f12708c"
 
 
 # ----------------------------------------------------------------------
@@ -1373,7 +1382,9 @@ def closed_form_points():
 
 def test_closed_form_digest():
     # sha256 of one line per closed_form_points point, the oracle's K bits
-    # or its error, recorded while the oracle ran in 50-digit mpmath
+    # or its error, recorded while the oracle ran in 50-digit mpmath.
+    # Re-pinned when the float pre-check of the radicand went: the 20 lines
+    # "closed-form radicand overflows" became values, and no other moved.
     lines = []
     for c, x in closed_form_points():
         try:
@@ -1382,7 +1393,7 @@ def test_closed_form_digest():
             lines.append(f"{type(exc).__name__} {exc}")
     assert sum(not line.startswith("DomainError") for line in lines) > 200
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
-    assert digest == "ab9799dc5a359241a3719b3977e47ebcdbf87ed9d0612b1d0f90b47384be5c2f"
+    assert digest == "98c115cc2279052d48f47d510f1a391295d8cf0ba46bf056715af9be254c7167"
 
 
 def reference_closed_form(c, x):
@@ -1470,10 +1481,11 @@ class TestClosedFormEvaluation:
         assert flag_curvature_closed_form(5e-324, -5e-324) == -math.inf
 
     @pytest.mark.parametrize("c, x", [(2.0, 1e200), (2.0, -1e200), (1e200, 1.0)])
-    def test_overflowing_radicand_raises(self, c, x):
-        # x**4 or c**2 leaves the float range before the radicand is formed
-        with pytest.raises(DomainError, match="overflows"):
-            flag_curvature_closed_form(c, x)
+    def test_overflowing_radicand_has_its_value(self, c, x):
+        # x**4 or c**2 leaves the float range, but not the integers: K is
+        # the limit 2c, the value at 200 digits
+        K = flag_curvature_closed_form(c, x)
+        assert K == flag_curvature_closed_form(c, x, dps=200) == pytest.approx(2.0 * c, rel=1e-12)
 
     def test_radicand_overflowing_without_error_keeps_its_value(self):
         # 4 c**2 overflows to inf without raising; the exact evaluation

@@ -389,12 +389,17 @@ class TestDomainValidation:
         # x * x underflows to 0 (x = 1e-200) or overflows, |q| overflows
         # (x = 1e-160), r * r underflows with t = 0, or a coordinate is not
         # finite; the point query reports each of these with a reason, the
-        # chart band's for the tiny x
+        # chart band's for the tiny x.  K reads the fiber's direction, so
+        # the underflowing r * r is the direction t = 0, where v t vanishes.
         params, pt = MetricParams(1.0, 2.0), PhasePoint(x, 0.0, r, t)
         with pytest.raises(DomainError, match="not finite"):
             fn(params, pt)
-        reasons = ("chart_singularity",) if abs(x) < 1e-3 else (
-            "undefined_radicand", "nonfinite_result", "nonfinite_input")
+        if abs(x) < 1e-3:
+            reasons = ("chart_singularity",)
+        elif (r, t) == (1e-200, 0.0):
+            reasons = ("denominator_below_tolerance",)
+        else:
+            reasons = ("undefined_radicand", "nonfinite_result", "nonfinite_input")
         assert flag_curvature(params, pt).reason in reasons
 
     def test_lstar_overflow_raises_domain_error(self):

@@ -27,6 +27,7 @@ from keplerflag.curvature import (
     _evaluate,
     _flag_batch,
     _kepler_flag_batch,
+    _verdict,
     flag_curvature,
 )
 from keplerflag.errors import DomainError
@@ -36,8 +37,10 @@ from keplerflag.metric import (
     DEGENERATE_COMETRIC,
     NONFINITE_RESULT,
     OK,
+    VERDICTS,
     MetricParams,
     PhasePoint,
+    _unit_fiber,
     classify,
 )
 from keplerflag.scan import GridSpec, grid_scan
@@ -112,7 +115,7 @@ def test_an_underflowing_lane_ends_nonfinite_and_the_others_keep_their_bits(monk
         assert code[17] == verdict and np.isnan(K[17])
         assert (code[others] == OK).all()
         assert_same_bits(K[others], want)
-        monkeypatch.setattr(curvature, "classify",
+        monkeypatch.setattr(curvature, "_classify",
                             lambda params, x, r, t: (np.zeros(x.shape, np.int8), None))
 
 
@@ -129,45 +132,77 @@ def extreme(rng, n):
 
 @pytest.mark.parametrize("a, c", [(1.0, 1.55), (0.0, 0.3), (2.5, 3.7)])
 def test_a_block_of_extreme_lanes_has_the_bits_of_each_lane_alone(a, c):
-    # A block never raises: a lane that fails a check is NaN, as its jets
-    # give alone, whether they raise or carry a NaN constant term.
+    # A block never raises: a lane that fails a check is NaN, and so is K on
+    # a lane whose guard is not finite, as each lane gives alone.
     params, rng = MetricParams(a, c), np.random.default_rng(23)
     x, r, t = extreme(rng, 256), extreme(rng, 256), extreme(rng, 256)
-    got = _kepler_flag_batch(params, x, np.zeros_like(x), r, t)
+    y = np.zeros_like(x)
+    got = _kepler_flag_batch(params, x, y, r, t)
     raised = 0
     for i in range(x.size):
+        lane = slice(i, i + 1)
+        want = _kepler_flag_batch(params, x[lane], y[lane], r[lane], t[lane])
+        for g, w in zip(got, want):
+            assert_same_bits(g[lane], w)
         try:
-            want = _flag_batch(params, x[i:i + 1], 0.0, r[i:i + 1], t[i:i + 1])
+            _flag_batch(params, x[lane], 0.0, r[lane], t[lane])
         except DomainError:
             raised += 1
-            want = (np.full(1, np.nan),) * 3
-        lane = [v[i:i + 1] for v in got]
-        if want[1][0] == 0.0:
-            # zero signs aside: the tape folds ``v * 0`` to +0.0, so a zero
-            # v t and the infinite K it gives may take the other sign;
-            # such a lane is denominator_below_tolerance either way
-            lane, want = [np.abs(v) for v in lane], [np.abs(v) for v in want]
-        for g, w in zip(lane, want):
-            assert_same_bits(g, w)
-    # the lanes take every exit: finite, a failed check, a guard that is not
-    # finite (8-9, 91 and 151 of them)
+    # the lanes take every exit: finite, a failed check (the jets raise), a
+    # guard that is not finite (8-9, 91 and 151 of them)
     assert np.isfinite(got[0]).any() and raised
     assert not replayed(params, x, r, t)[-1].all()
 
 
-def test_a_folded_zero_that_meets_an_infinity_runs_the_jets():
+def test_a_folded_zero_that_meets_an_infinity_is_nonfinite_result():
     # t * t / x^2 overflows its top degrees: the jets multiply an infinity by
-    # a structural zero, which the tape folds, so its guard hands the lane
-    # to the jets and the point query and the scan lane agree.
+    # a structural zero, which the tape folds, so its guard is not finite
+    # and the lane's K is NaN, nonfinite_result.  The evaluator reads the
+    # rescaled fiber (0, 0.5...), where the guard is finite.
     params = MetricParams(1.0, 1.5000000000000002)
     x, r, t = np.array([2e-3, 2.0]), np.zeros(2), np.array([1e150, 1.0])
     assert replayed(params, x, r, t)[-1].tolist() == [False, True]
     got = _kepler_flag_batch(params, x, np.zeros_like(x), r, t)
-    for g, w in zip(got, _flag_batch(params, x, 0.0, r, t)):
-        assert_same_bits(g, w)
-    _, code = _evaluate(params, x, 0.0, r, t)
+    assert np.isnan(got[0][0]) and _verdict(*(v[0] for v in got)) == NONFINITE_RESULT
+    for g, w in zip(got, _flag_batch(params, x[1:], 0.0, r[1:], t[1:])):
+        assert_same_bits(g[1:], w)
+    K, code = _evaluate(params, x, 0.0, r, t)
     point = curvature.flag_curvature(params, PhasePoint(x[0], 0.0, 0.0, t[0]))
-    assert code[0] == NONFINITE_RESULT and point.reason == "nonfinite_result"
+    assert code[0] == OK and point.ok and point.K == pytest.approx(K[0], rel=1e-12)
+
+
+def test_guard_failing_lanes_agree_with_their_point_queries(monkeypatch):
+    # At 1e42 <= |x| <= 1e44 and r near 0 a folded zero meets an infinity on
+    # the lanes: their K is NaN, and a one-lane row, a warm point query and
+    # a first one, which runs the jets, reach the block's verdict.  No array
+    # runs the jets.
+    rng, n = np.random.default_rng(42), 200
+    a = 10.0 ** rng.uniform(-3.0, 3.0, n) * (rng.random(n) < 0.8)
+    params = MetricParams(a, 1.5 * a ** (2.0 / 3.0) * (1.0 + 10.0 ** rng.uniform(-12.0, 3.0, n))
+                          + 10.0 ** rng.uniform(-3.0, 0.0, n))
+    x = 10.0 ** rng.uniform(42.0, 44.0, n) * rng.choice([-1.0, 1.0], n)
+    r = 10.0 ** rng.uniform(-300.0, -40.0, n) * rng.choice([-1.0, 0.0, 1.0], n)
+    t, y = rng.uniform(-1.0, 1.0, n), np.zeros(n)
+    flag_batch = curvature._flag_batch
+
+    def points_only(metric, *coords):
+        assert not any(isinstance(v, np.ndarray) for v in (metric.a, metric.c, *coords))
+        return flag_batch(metric, *coords)
+
+    monkeypatch.setattr(curvature, "_flag_batch", points_only)
+    K, code = _evaluate(params, x, y, r, t)
+    guard = replayed(params, x, *_unit_fiber(r, t))[-1]
+    assert (~guard & (code == NONFINITE_RESULT)).sum() > 20
+    for i in range(n):
+        lane, pair = slice(i, i + 1), MetricParams(a[i], params.c[i])
+        K_row, code_row = _evaluate(MetricParams(a[lane], params.c[lane]), x[lane], y[lane],
+                                    r[lane], t[lane])
+        assert_same_bits(K_row, K[lane])
+        assert code_row[0] == code[i]
+        pt = PhasePoint(x[i], 0.0, r[i], t[i])
+        monkeypatch.setattr(curvature._FAMILY, "warm", False)
+        samples = [flag_curvature(pair, pt) for _ in range(2)]  # first, then warm
+        assert [s.reason for s in samples] == [VERDICTS[code[i]][1]] * 2
 
 
 def test_a_degenerate_determinant_keeps_its_verdict(monkeypatch):
@@ -186,7 +221,7 @@ def test_a_degenerate_determinant_keeps_its_verdict(monkeypatch):
         assert_same_bits(g, w)
     bad = want[2] <= 0.0
     assert 0 < bad.sum() < bad.size
-    monkeypatch.setattr(curvature, "classify",
+    monkeypatch.setattr(curvature, "_classify",
                         lambda params, x, r, t: (np.zeros(x.shape, np.int8), None))
     _, code = _evaluate(params, x, 0.0, r, t)
     assert (code[bad] == DEGENERATE_COMETRIC).all()
@@ -400,9 +435,10 @@ def test_a_check_that_fails_on_a_folded_number_fails_every_lane(fresh_process, f
 
 
 class TestPointFallback:
-    """Each exit of the emitted kernel hands the point query to the jets, so
-    it gets their ``K`` bits and verdict: the built-in family's first query
-    runs the jets and is the reference."""
+    """An emitted kernel that raises hands the point query to the jets, and
+    one whose guard is not finite makes ``K`` NaN, so it gets the jets' ``K``
+    bits and verdict: the built-in family's first query runs the jets and
+    is the reference."""
 
     def both(self, monkeypatch, params, pt):
         monkeypatch.setattr(curvature._FAMILY, "warm", False)
@@ -438,13 +474,14 @@ class TestPointFallback:
         assert emitted == jets and jets[0] == "ok"
 
     def test_a_guard_that_is_not_finite(self, monkeypatch):
-        # t * t / x^2 overflows its top degrees, as in TestExtremeLanes: a
-        # folded zero meets an infinity
+        # at |x| = 2e44 a folded zero meets an infinity.  The guard of
+        # (0.01, 0, 0, 1e149) failed here until the fiber was rescaled; it
+        # reads 0.56888484157 now.
         params = MetricParams(1.0, 1.55)
-        pt = PhasePoint(0.01, 0.0, 0.0, 1e149)
+        pt = PhasePoint(2e44, 0.0, 0.6, 0.8)
         assert self.emitted(params, pt)[-1] is False
         jets, emitted = self.both(monkeypatch, params, pt)
-        assert [jets, emitted] == [("ok", None, "-0x1.96a410ead3b33p+7")] * 2
+        assert [jets, emitted] == [("domain_error", "nonfinite_result", None)] * 2
 
 
 def test_threads_scanning_at_once_match_sequential_runs(monkeypatch):
